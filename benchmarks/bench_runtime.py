@@ -343,18 +343,22 @@ def test_sharded_outputs_exact():
 # Fused dataflow: single-pass tiled stages vs the staged stack path
 # ----------------------------------------------------------------------
 #: The fused acceptance workload: 1024² frames, narrow kernel.  This is
-#: the memory-bound regime the fused engine (and the ROADMAP's threaded
-#: row-partitioned tiled-blur item it closes) targets: the staged path
+#: the memory-bound regime the band ring targets: the staged path
 #: streams several full-frame float64 temporaries through main memory
 #: per stage, the fused path streams the frame once through band
-#: scratch.  Wide kernels (>= FFT_CROSSOVER_TAPS) shift the staged path
-#: onto full-plane FFTs whose transform-length amortization a band
-#: engine cannot match — sigma 4 measures ~1.4x, sigma 16 ~0.5x (see
-#: docs/architecture.md's regime table) — so the >= 1.5x gate is pinned
-#: where the engine is meant to run, with the masks bit-identical.
+#: scratch, with the masks bit-identical.  Between the two FFT
+#: crossovers (sigma 4, taps 25) the ring measures ~1.4x under the 1e-9
+#: band; from fused_fft_min_taps upward the whole-plane FFT mask takes
+#: over, gated separately by ``test_fused_wide_1024``.
 FUSED_SIZE = 1024
 FUSED_FRAMES = 3
 FUSED_PARAMS = ToneMapParams(sigma=2.0)
+
+#: The paper's own configuration (sigma 16, 97 taps) as the repository
+#: benchmark's ``paper_wide`` workload runs it: batches of 4 1024² RGB
+#: frames on 2 fused threads, one whole image per partition.
+WIDE_FRAMES = 4
+WIDE_PARAMS = ToneMapParams(sigma=16.0)
 
 
 def _fused_stack():
@@ -383,11 +387,11 @@ def _best_interleaved(fn_a, fn_b, rounds=5):
     return min(times_a), min(times_b)
 
 
-def _record_fused(benchmark, fused_mapper, extra):
+def _record_fused(benchmark, fused_mapper, extra, frames=FUSED_FRAMES):
     if benchmark.stats is not None:
-        pixels = FUSED_FRAMES * FUSED_SIZE * FUSED_SIZE
+        pixels = frames * FUSED_SIZE * FUSED_SIZE
         best_s = benchmark.stats.stats.min
-        benchmark.extra_info["frames"] = FUSED_FRAMES
+        benchmark.extra_info["frames"] = frames
         benchmark.extra_info["pixels_per_sec"] = pixels / best_s
         stats = fused_mapper.fused_stats
         benchmark.extra_info["threads_used"] = stats.threads_used
@@ -473,6 +477,55 @@ def test_fused_threads_1024(benchmark):
             "intermediate_bytes": float(intermediate),
             "speedup_vs_1_thread": single_s / threaded_s,
         })
+
+
+def test_fused_wide_1024(benchmark):
+    """The paper's sigma-16 workload on the fused whole-plane FFT mask.
+
+    Two machine-independent gates, strict in ``benchmarks/baseline.json``:
+    ``outputs_exact`` is 1.0 only when the fused float32 outputs equal
+    the staged ``run_stack`` bit for bit (the plane mask runs the staged
+    FFT on the same rows), and the steady-state ``intermediate_bytes``
+    delta must be 0 (the pooled mask planes are allocated once).
+    ``speedup_vs_staged`` is a wall-clock band for the reference host,
+    timed interleaved like the narrow-kernel case.
+    """
+    rng = np.random.default_rng(16)
+    stack = rng.uniform(
+        0.0, 1.0, (WIDE_FRAMES, FUSED_SIZE, FUSED_SIZE, 3)
+    ).astype(np.float32)
+    out = np.empty(stack.shape, dtype=np.float32)
+    want = np.empty(stack.shape, dtype=np.float32)
+    staged = BatchToneMapper(WIDE_PARAMS)
+    fused = BatchToneMapper(WIDE_PARAMS, fused=True, threads=2)
+    try:
+        fused.run_stack(stack, out=out)  # warm: pooled planes allocated
+        before = fused.fused_stats
+        benchmark.pedantic(
+            lambda: fused.run_stack(stack, out=out),
+            rounds=3, iterations=1, warmup_rounds=1,
+        )
+        after = fused.fused_stats
+        intermediate = after.intermediate_bytes - before.intermediate_bytes
+        assert intermediate == 0, (
+            "steady-state wide fused runs must not allocate stage scratch"
+        )
+        assert after.threads_used == 2
+        staged.run_stack(stack, out=want)
+        exact = float(np.array_equal(out, want))
+        assert exact == 1.0, "the plane mask must match staged bit for bit"
+        if benchmark.stats is not None:  # skip discarded timings in quick mode
+            staged_s, fused_s = _best_interleaved(
+                lambda: staged.run_stack(stack, out=want),
+                lambda: fused.run_stack(stack, out=out),
+            )
+            _record_fused(benchmark, fused, {
+                "outputs_exact": exact,
+                "intermediate_bytes": float(intermediate),
+                "speedup_vs_staged": staged_s / fused_s,
+            }, frames=WIDE_FRAMES)
+    finally:
+        fused.close()
 
 
 def test_planner_dispatch_1024(benchmark):

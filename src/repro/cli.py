@@ -126,16 +126,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--sigma", type=float, default=None,
-        help="Gaussian mask sigma (default: the paper's 16). Narrow "
-             "kernels (e.g. 2-4) are the regime where --fused wins",
+        help="Gaussian mask sigma (default: the paper's 16)",
     )
     batch.add_argument(
         "--fused", action="store_true",
         help="run batches through the fused band engine (single-pass "
              "tiled stages, no full-frame intermediates; float-only — "
-             "incompatible with --fixed). Fastest with narrow kernels "
-             "(--sigma 2-4); wide kernels stay faster on the staged "
-             "full-plane FFT path",
+             "incompatible with --fixed). Narrow kernels run the band "
+             "ring, wide ones (the paper's sigma 16) the whole-plane FFT "
+             "mask; both beat the staged path",
     )
     batch.add_argument(
         "--threads", type=int, default=None,
@@ -489,17 +488,6 @@ def run_batch(args) -> None:
         ToneMapParams() if args.sigma is None
         else ToneMapParams(sigma=args.sigma)
     )
-    if args.fused:
-        from repro.planner.profile import active_profile
-
-        if params.kernel().taps >= active_profile().fused_fft_min_taps:
-            print(
-                f"note: sigma {params.sigma:g} gives a "
-                f"{params.kernel().taps}-tap kernel — the staged "
-                "full-plane FFT path is usually faster there; --fused "
-                "wins on narrow kernels (try --sigma 2)",
-                file=sys.stderr,
-            )
     images = _batch_images(args)
     plan = None
     if args.plan is not None:

@@ -119,9 +119,11 @@ def estimate_candidates(
     """Model-seconds for every candidate execution path of a workload.
 
     Keys: ``staged-folded``, ``staged-tiled``, ``staged-fft`` (blur via
-    each staged row-convolution strategy plus the staged stage traffic)
-    and ``fused-folded`` (folded blur arithmetic with band-resident
-    stage traffic — roughly one frame sweep instead of several).
+    each staged row-convolution strategy plus the staged stage traffic),
+    ``fused-folded`` (the band ring: folded blur arithmetic with
+    band-resident stage traffic — roughly one frame sweep instead of
+    several) and ``fused-fft`` (the whole-plane FFT mask: the FFT blur
+    with the same band-resident stage traffic).
     """
     stage_staged = _MODEL.seconds(
         _stage_traffic_trace(frames, height, width, passes=3.0)
@@ -138,6 +140,7 @@ def estimate_candidates(
         "staged-tiled": blur["tiled"] + stage_staged,
         "staged-fft": blur["fft"] + stage_staged,
         "fused-folded": blur["tiled"] + stage_fused,
+        "fused-fft": blur["fft"] + stage_fused,
     }
 
 

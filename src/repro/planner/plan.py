@@ -133,21 +133,24 @@ class ExecutionPlan:
         process — plans are picklable) replays exactly the decisions
         recorded here, whatever the environment does in between.
     engine:
-        ``"fused"`` (single-pass band dataflow) or ``"staged"``
-        (stage-at-a-time with full-frame temporaries).
+        ``"fused"`` (single-pass band dataflow; every float workload) or
+        ``"staged"`` (stage-at-a-time with full-frame temporaries; the
+        fixed-point pipeline).
     blur_method:
         Staged row-convolution strategy (``folded``/``tiled``/``fft``)
         — the path the staged engine runs, and the reference the fused
         engine's tolerance contract is stated against.
     fused_h_method:
-        Horizontal-pass strategy the fused engine would use
-        (``folded``/``fft``); meaningful when ``engine == "fused"``.
+        Mask regime the fused engine would use: ``folded`` (band ring)
+        or ``fft`` (whole-plane FFT mask); meaningful when
+        ``engine == "fused"``.
     band_bytes / band_rows:
         Fused band scratch budget and the resulting rows per band for
         this workload's geometry.
     threads / partitions:
-        Fused worker threads and how many ``(image, row)`` chunks the
-        row space actually splits into (≤ threads for small workloads).
+        Fused worker threads and how many chunks the work actually
+        splits into (≤ threads for small workloads): ``(image, row)``
+        chunks for the band ring, whole-image chunks for the plane mask.
     rationale:
         Human-readable lines: which calibrated crossover decided what,
         plus the cost model's candidate estimates.
@@ -266,7 +269,7 @@ class Planner:
         taps = workload.taps
         plane_bytes = workload.plane_bytes
 
-        engine = select_engine(taps, profile, fixed=workload.fixed)
+        engine = select_engine(fixed=workload.fixed)
         blur_method = select_blur_method(taps, plane_bytes, profile)
         fused_h = select_fused_h_method(taps, plane_bytes, profile)
         band_bytes = profile.fused_band_bytes
@@ -278,13 +281,18 @@ class Planner:
             band_bytes,
         )
         threads = _resolve_threads(workload.threads)
-        partitions = len(
-            _partition_spans(workload.batch, workload.height, threads)
-        )
+        # The plane mask partitions whole images, the ring image rows.
+        rows = 1 if fused_h == "fft" else workload.height
+        partitions = len(_partition_spans(workload.batch, rows, threads))
 
         costs = _cost.estimate_candidates(
             workload.batch, workload.height, workload.width, taps
         )
+        if workload.fixed:  # the fused engine is float-only
+            costs = {
+                name: seconds for name, seconds in costs.items()
+                if not name.startswith("fused")
+            }
         rationale = self._rationale(
             workload, profile, engine, blur_method, fused_h, band_rows,
             partitions,
@@ -322,19 +330,21 @@ class Planner:
                 "engine=staged: fixed-point pipeline — the fused engine "
                 "is float-only (it is the float blur)"
             )
-        elif engine == "fused":
+        elif fused_h == "fft":
             lines.append(
-                f"engine=fused: taps {taps} < fused_fft_min_taps "
-                f"{profile.fused_fft_min_taps} — the band engine's folded "
-                "window beats staged execution for narrow kernels "
-                "(measured 1.4-1.9x on the reference host)"
+                f"engine=fused: taps {taps} >= fused_fft_min_taps "
+                f"{profile.fused_fft_min_taps} — whole-plane FFT mask "
+                "computed once per image, then the band epilogue; "
+                "bit-identical to staged (measured ~2x staged at sigma 16 "
+                "on the reference host)"
             )
         else:
             lines.append(
-                f"engine=staged: taps {taps} >= fused_fft_min_taps "
-                f"{profile.fused_fft_min_taps} — the staged full-plane "
-                "FFT's transform-length amortization wins for wide "
-                "kernels (fused measured ~0.5x at sigma 16)"
+                f"engine=fused: band ring — taps {taps} < "
+                f"fused_fft_min_taps {profile.fused_fft_min_taps} or a "
+                "non-FFT staged blur; the folded window beats staged "
+                "execution for narrow kernels (measured 1.4-1.9x on the "
+                "reference host)"
             )
         if blur_method == "fft":
             lines.append(
@@ -359,10 +369,13 @@ class Planner:
                 "cached, blocking would only add loop overhead"
             )
         if engine == "fused":
+            mask = "plane" if fused_h == "fft" else "ring"
+            unit = "whole-image" if fused_h == "fft" else "row"
             lines.append(
-                f"fused horizontal={fused_h}, band_rows={band_rows} "
-                f"(band budget {profile.fused_band_bytes} B), "
-                f"{partitions} row partition(s)"
+                f"fused mask={mask} (fused_h={fused_h}), "
+                f"band_rows={band_rows} (band budget "
+                f"{profile.fused_band_bytes} B), {partitions} {unit} "
+                "partition(s)"
             )
         return lines
 

@@ -94,11 +94,8 @@ class CalibrationProfile:
         switches from ``folded`` to the cache-blocked ``tiled``
         traversal.
     fused_fft_min_taps:
-        Kernel width at which the fused band engine's horizontal pass
-        switches to the per-band FFT — and, because the fused engine was
-        measured slower than the staged full-plane FFT from there on,
-        the width at which the planner hands whole workloads back to the
-        staged engine.
+        Kernel width at which the fused engine leaves the band ring's
+        folded window for the whole-plane FFT mask.
     fused_band_bytes:
         Scratch budget for one fused band's working set.
     fused_pooled_geometries:
@@ -321,13 +318,15 @@ def select_blur_method(
 def select_fused_h_method(
     taps: int, plane_bytes: int, profile: Optional[CalibrationProfile] = None
 ) -> str:
-    """Horizontal-pass strategy of the fused band engine.
+    """Mask regime of the fused engine: ``"folded"`` or ``"fft"``.
 
-    Wherever the staged dispatch resolves folded/tiled this must return
-    ``"folded"`` (the bit-identity contract requires the exact same
-    arithmetic).  In the staged FFT regime the band engine keeps the
-    folded window up to ``fused_fft_min_taps``: a band-sized FFT
-    amortizes its setup over far fewer rows than a full-plane transform.
+    ``"folded"`` is the band ring (folded horizontal window plus the
+    vertical pass over ring rows); ``"fft"`` is the whole-plane mask,
+    which runs the staged FFT row convolution itself.  Wherever the
+    staged dispatch resolves folded/tiled this must return ``"folded"``
+    (the bit-identity contract requires the exact same arithmetic).  In
+    the staged FFT regime the ring's folded window stays ahead up to
+    ``fused_fft_min_taps``; from there the plane mask wins.
     """
     profile = profile if profile is not None else active_profile()
     if select_blur_method(taps, plane_bytes, profile) != "fft":
@@ -335,19 +334,14 @@ def select_fused_h_method(
     return "fft" if taps >= profile.fused_fft_min_taps else "folded"
 
 
-def select_engine(
-    taps: int, profile: Optional[CalibrationProfile] = None, fixed: bool = False
-) -> str:
-    """Fused band engine vs staged stack execution for a whole workload.
+def select_engine(fixed: bool = False) -> str:
+    """Fused engine vs staged stack execution for a whole workload.
 
     The fused engine is float-only (it *is* the blur), so fixed-point
-    workloads stay staged.  For float, the engine wins while the
-    horizontal pass stays on the folded window (measured 1.4-1.9x on the
-    reference host); from ``fused_fft_min_taps`` upward the staged
-    full-plane FFT's transform-length amortization wins (measured ~0.5x
-    fused at sigma 16), so wide kernels go staged.
+    workloads stay staged.  Every float workload runs fused, whatever
+    the kernel width: the band ring for narrow kernels (measured
+    1.4-1.9x staged on the reference host), the whole-plane FFT mask
+    from ``fused_fft_min_taps`` upward (measured ~2x staged at sigma 16,
+    bit-identical) — :func:`select_fused_h_method` picks between them.
     """
-    if fixed:
-        return "staged"
-    profile = profile if profile is not None else active_profile()
-    return "fused" if taps < profile.fused_fft_min_taps else "staged"
+    return "staged" if fixed else "fused"

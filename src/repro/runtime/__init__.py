@@ -13,8 +13,9 @@ four composable stages (diagrammed in ``docs/architecture.md``):
   :class:`~repro.runtime.fused.FusedExecutor`): the software analogue of
   the paper's ``DATAFLOW`` pragma.  All four stages run in one pass over
   cache-sized row bands (vertical blur halos come from a reusable
-  line-buffer ring), partitioned across a persistent thread pool, with
-  zero full-frame stage temporaries
+  line-buffer ring; wide kernels read their mask rows from a pooled
+  whole-plane FFT blur instead), partitioned across a persistent thread
+  pool, with zero stage temporaries after warm-up
   (:class:`~repro.runtime.fused.FusedStats` proves it).  Opt in with
   ``fused=True`` on the mapper, pool, or service.
 * :class:`~repro.runtime.arena.ShmArena` — the persistent shared-memory

@@ -25,12 +25,13 @@ With ``fused=True`` the float path switches from the staged stack
 execution to the fused band engine
 (:mod:`repro.runtime.fused`): normalize → blur → mask → adjust run in
 one pass over cache-sized row bands (optionally partitioned across
-``threads`` workers), with no full-frame stage temporaries — the
+``threads`` workers), with no stage temporaries after warm-up — the
 software analogue of the paper's ``DATAFLOW`` pragma.  Outputs follow
-the fused tolerance contract (bit-identical to staged wherever the blur
-resolves to the folded/tiled row convolution, the blur module's 1e-9
-band under the FFT).  The fused engine is float-only: it *is* the blur,
-so it cannot host a custom/fixed-point ``blur_fn``.
+the fused tolerance contract: bit-identical to staged, except between
+the two FFT crossovers (25-32 taps by default), where the band ring's
+folded window meets a staged FFT and the blur module's 1e-9 band
+applies.  The fused engine is float-only: it *is* the blur, so it
+cannot host a custom/fixed-point ``blur_fn``.
 """
 
 from __future__ import annotations

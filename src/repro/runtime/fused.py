@@ -11,37 +11,50 @@ module is the software analogue of the pragma:
 
 * :class:`FusedToneMapPlan` decomposes every image into **row bands**
   sized so one band's scratch stays resident in last-level cache
-  (:data:`FUSED_BAND_BYTES`), and runs normalize → separable blur →
-  mask → adjust over each band in one pass, writing the output band
-  straight into the caller's buffer.
-* The vertical blur halo (``radius`` rows above and below a band) comes
-  from a reusable **line-buffer ring** of horizontally-blurred rows,
-  mirroring the paper's line-buffer architecture: consecutive bands
-  share ``2 * radius`` ring rows, so every image row is horizontally
-  convolved exactly once.
+  (:data:`FUSED_BAND_BYTES`), and runs mask → exponent → gamma → adjust
+  over each band in one pass, writing the output band straight into the
+  caller's buffer.
+* The mask (the blurred luminance) comes from one of two regimes,
+  chosen by the profile's ``fused_fft_min_taps`` crossover
+  (:meth:`FusedToneMapPlan.h_method`):
+
+  - **ring** (narrow kernels): the vertical blur halo (``radius`` rows
+    above and below a band) comes from a reusable **line-buffer ring**
+    of horizontally-blurred rows, mirroring the paper's line-buffer
+    architecture: consecutive bands share ``2 * radius`` ring rows, so
+    every image row is horizontally convolved exactly once.
+  - **plane** (wide kernels): the wide stencil is computed once per
+    image ("at root") into a pooled ``(H, W)`` workspace plane with the
+    staged path's own FFT row convolution, on row blocks for the
+    horizontal pass and transposed column blocks for the vertical pass,
+    so the FFT transients stay block-sized; the band epilogue then reads
+    its mask rows from that plane.
+
 * :class:`FusedExecutor` adds the ROADMAP's threaded row-partitioned
   execution: a persistent worker pool partitions the ``(image, row)``
-  space into contiguous per-thread chunks (NumPy's ufunc inner loops
-  release the GIL, so bands on different threads really overlap),
-  auto-sized from ``os.cpu_count()`` with a ``REPRO_FUSED_THREADS``
-  override.
+  space (whole images in the plane regime) into contiguous per-thread
+  chunks (NumPy's ufunc and FFT loops release the GIL, so chunks on
+  different threads really overlap), auto-sized from ``os.cpu_count()``
+  with a ``REPRO_FUSED_THREADS`` override.
 
-**Tolerance contract** (tested in ``tests/test_fused.py``): wherever the
-staged path's blur resolves to the folded/tiled row convolution (narrow
-kernels), fused masks and outputs are **bit-identical** to the staged
-path — the horizontal pass shares :func:`~repro.tonemap.gaussian.fold_rows_into`
-and the vertical pass replays the same multiply-add sequence over ring
-rows.  Where the staged path resolves to the FFT
-(``taps >= FFT_CROSSOVER_TAPS``), the fused vertical pass is still the
-folded arithmetic, so outputs agree to the blur module's documented
-1e-9 absolute band instead.
+**Tolerance contract** (tested in ``tests/test_fused.py``): fused masks
+and outputs are **bit-identical** to the staged path wherever the staged
+blur resolves to the folded/tiled row convolution (the ring shares
+:func:`~repro.tonemap.gaussian.fold_rows_into` and replays the same
+vertical multiply-add sequence over ring rows) and throughout the plane
+regime (the plane runs the staged :func:`~repro.tonemap.gaussian._convolve_fft`
+on the same rows; each row transforms on its own, so blocking cannot
+change a bit).  Only between the two crossovers
+(``fft_crossover_taps <= taps < fused_fft_min_taps``) does the ring's
+folded arithmetic meet a staged FFT, so outputs agree to the blur
+module's documented 1e-9 absolute band instead.
 
-**Steady-state allocation contract**: per-thread scratch is allocated on
-first use (or when the frame geometry changes) and reused forever after;
-:class:`FusedStats.intermediate_bytes` counts every scratch byte
-allocated, so a steady-state delta of zero *proves* the fused path
-materializes no stage temporaries — the claim
-``benchmarks/baseline.json`` gates strictly.
+**Steady-state allocation contract**: per-thread scratch (the plane
+included) is allocated on first use (or when the frame geometry changes)
+and reused forever after; :class:`FusedStats.intermediate_bytes` counts
+every scratch byte allocated, so a steady-state delta of zero *proves*
+the fused path materializes no stage temporaries — the claim
+``benchmarks/baseline.json`` gates strictly in both regimes.
 """
 
 from __future__ import annotations
@@ -67,7 +80,7 @@ from repro.planner.profile import (
     select_fused_h_method,
 )
 from repro.tonemap.adjust import adjust_brightness_contrast_into
-from repro.tonemap.gaussian import fold_rows_into
+from repro.tonemap.gaussian import _convolve_fft, fold_rows_into
 from repro.tonemap.masking import (
     masking_exponent_into,
     nonlinear_masking_into,
@@ -86,8 +99,8 @@ from repro.tonemap.pipeline import ToneMapParams
 FUSED_BAND_BYTES = DEFAULT_FUSED_BAND_BYTES
 
 #: Default for how many distinct scratch geometries (frame shape ×
-#: radius × band budget) one executor keeps warm.  Each geometry
-#: retains up to ``threads`` workspaces; beyond the cap the
+#: radius × band budget × mask regime) one executor keeps warm.  Each
+#: geometry retains up to ``threads`` workspaces; beyond the cap the
 #: least-recently-used geometry's scratch is dropped (and re-warmed on
 #: return — visible as an ``intermediate_bytes`` bump), so
 #: arbitrarily-shaped traffic cannot grow resident scratch without
@@ -95,16 +108,27 @@ FUSED_BAND_BYTES = DEFAULT_FUSED_BAND_BYTES
 #: captured per executor (``REPRO_FUSED_POOLED_GEOMETRIES`` overrides).
 FUSED_POOLED_GEOMETRIES = DEFAULT_FUSED_POOLED_GEOMETRIES
 
-#: Default kernel width at which the fused *horizontal* pass switches
-#: from the folded sliding window to the per-band FFT.  Deliberately
-#: above the staged path's FFT crossover: a band-sized FFT amortizes
-#: its setup over far fewer rows than the staged full-plane transform,
-#: so the folded window stays ahead longer (taps 25: folded 1.62x vs
-#: FFT 1.55x over staged at 1024²; taps 49: FFT 1.02x vs folded 0.66x).
+#: Default kernel width at which the fused engine leaves the band ring
+#: for the whole-plane FFT mask.  Deliberately above the staged path's
+#: FFT crossover: the ring's folded window stays ahead of a transform
+#: until the kernel is this wide (4 x 1024² RGB over staged, 1-2
+#: threads on the reference host: taps 25 ring 2.0-3.3x vs plane
+#: 1.5-2.3x; taps 33 plane 1.7-2.2x vs ring 1.3-1.7x; taps 97 plane
+#: 1.9-2.5x vs ring 0.7-1.0x).
 #: Live value: ``active_profile().fused_fft_min_taps``, consulted per
 #: run through :func:`repro.planner.profile.select_fused_h_method`
 #: (``REPRO_FUSED_FFT_MIN_TAPS`` overrides at call time).
 FUSED_FFT_MIN_TAPS = DEFAULT_FUSED_FFT_MIN_TAPS
+
+#: Byte budget of one block's FFT transients in the plane regime.
+#: ``_convolve_fft`` allocates the padded rows, their spectrum and the
+#: inverse transform per call; blocking keeps those transients
+#: cache-sized instead of frame-sized.  Rows transform independently,
+#: so the block size never changes a bit of the mask (8- to 1024-row
+#: blocks at 1024² all match ``blur_batch`` exactly).  2 MiB (73 rows
+#: at 1024², σ 16) measured among the fastest of 0.5-4 MiB budgets on
+#: the reference host.
+PLANE_FFT_BLOCK_BYTES = 1 << 21
 
 
 def _default_threads() -> int:
@@ -145,27 +169,24 @@ class FusedStats:
     runs / frames:
         Fused stack executions and frames processed so far.
     bands_executed:
-        Row bands run through the fused normalize→blur→mask→adjust pass.
+        Row bands run through the fused mask→exponent→gamma→adjust pass.
     halo_rows_reused:
         Horizontally-blurred ring rows carried from one band to the next
-        instead of being recomputed (the line-buffer win).
+        instead of being recomputed (the line-buffer win; 0 in the
+        plane regime, which has no ring).
     intermediate_bytes:
         Bytes of engine-managed scratch allocated, cumulative.  Warm-up
-        allocates each workspace's band buffers once; a steady-state
-        delta of zero is the machine-independent proof that the fused
-        path materializes **no** full-frame stage temporaries.  NumPy's
-        FFT has no ``out=`` parameter, so in the FFT-horizontal regime
-        (``taps >= FUSED_FFT_MIN_TAPS``) each band additionally churns
-        transform buffers the engine cannot pool — those are *band*-
-        sized by construction (bounded by the band budget, never
-        frame-sized) and reported separately as ``fft_scratch_bytes``
-        rather than hidden; the strictly gated zero-allocation claim
-        applies to the folded regime, where both counters stay flat.
+        allocates each workspace's buffers once (the plane regime's
+        ``(H, W)`` mask plane included); a steady-state delta of zero is
+        the machine-independent proof that the fused path materializes
+        **no** stage temporaries after warm-up, in either regime.
     fft_scratch_bytes:
-        Estimated bytes of per-band FFT transform buffers (spectrum +
-        inverse output) churned by the horizontal FFT pass, cumulative.
-        0 in the folded regime; grows per run — but band-bounded — in
-        the FFT regime.
+        Bytes of FFT transients churned by the plane regime's block
+        transforms, cumulative: per block, the edge-padded rows, their
+        spectrum and the inverse transform (plus the transposed column
+        block of the vertical pass).  Block-sized by construction
+        (:data:`PLANE_FFT_BLOCK_BYTES`), never frame-sized; 0 in the
+        ring regime.
     threads_used:
         Row partitions of the most recent run (≤ configured threads).
     scratch_bytes:
@@ -291,32 +312,18 @@ class FusedToneMapPlan:
             source = profile if profile is not None else active_profile()
             band_bytes = source.fused_band_bytes
         self.band_bytes = band_bytes
-        # Kernel spectra for the FFT horizontal pass, keyed by transform
-        # length.  rfft of the same coefficients at the same length is
-        # deterministic, so caching (vs the staged path recomputing per
-        # call) cannot change results; the benign compute-twice race on
-        # concurrent first use is idempotent.
-        self._kernel_spectrum: Dict[int, np.ndarray] = {}
-
-    def kernel_spectrum(self, n_fft: int) -> np.ndarray:
-        spectrum = self._kernel_spectrum.get(n_fft)
-        if spectrum is None:
-            spectrum = np.fft.rfft(self.kernel.coefficients, n=n_fft)
-            self._kernel_spectrum[n_fft] = spectrum
-        return spectrum
 
     def h_method(self, height: int, width: int) -> str:
-        """Row-convolution strategy for the horizontal pass.
+        """Mask regime: ``"folded"`` (band ring) or ``"fft"`` (plane).
 
         Wherever the staged ``method="auto"`` dispatch resolves to
         folded/tiled, this returns ``"folded"`` — the bit-identity
-        contract requires it.  In the staged FFT regime (where only the
-        1e-9 band is promised anyway) the band engine keeps the folded
-        window up to the profile's ``fused_fft_min_taps``, because a
-        band-sized FFT amortizes worse than the staged full-plane
-        transform.  Consults the plan's pinned profile when one was
-        given, else the active profile — at call time, like every
-        dispatch decision.
+        contract requires the ring's folded arithmetic.  In the staged
+        FFT regime the ring's folded window stays ahead up to the
+        profile's ``fused_fft_min_taps``; from there the whole-plane
+        FFT mask runs the staged transform itself.  Consults the plan's
+        pinned profile when one was given, else the active profile — at
+        call time, like every dispatch decision.
         """
         return select_fused_h_method(
             self.kernel.coefficients.size, height * width * 8, self.profile
@@ -333,6 +340,58 @@ class FusedToneMapPlan:
         )
 
 
+def _denominator(peak: float) -> np.float32:
+    """Normalization denominator, float32 exactly as the staged path's
+    ``stack32 / np.where(peaks == 0, 1, peaks)`` computes it."""
+    return np.float32(1.0) if peak == 0.0 else np.float32(peak)
+
+
+def _finish_band(
+    plan: FusedToneMapPlan,
+    ws: _Workspace,
+    band: int,
+    blurred: np.ndarray,
+    plane32: np.ndarray,
+    denom: np.float32,
+    out: np.ndarray,
+    masks_out: Optional[np.ndarray],
+    index: int,
+    lo: int,
+) -> None:
+    """The band epilogue shared by both mask regimes.
+
+    ``blurred`` holds the band's blurred luminance rows ``[lo, lo + n)``.
+    The clipped mask band (written through to ``masks_out`` when the
+    caller wants masks), its exponent, and the masked, adjusted output
+    band are produced in place in band scratch, and the result lands in
+    ``out[index, lo:hi]``.
+    """
+    n, width = blurred.shape
+    hi = lo + n
+    color = out.ndim == 4
+    masking = plan.params.masking
+    expo = ws.get("expo", (band, width))
+    out_shape = (band, width, 3) if color else (band, width)
+    oband32 = ws.get("oband32", out_shape, np.float32)
+    oband = ws.get("oband", out_shape)
+    black = ws.get("black", out_shape, bool)
+    if masks_out is not None:
+        mask_band = masks_out[index, lo:hi]
+    else:
+        mask_band = ws.get("mask", (band, width))[:n]
+    np.clip(blurred, 0.0, 1.0, out=mask_band)
+    masking_exponent_into(mask_band, expo[:n], masking)
+
+    np.divide(plane32[lo:hi], denom, out=oband32[:n])
+    np.copyto(oband[:n], oband32[:n])
+    exponent = expo[:n, :, np.newaxis] if color else expo[:n]
+    nonlinear_masking_into(
+        oband[:n], exponent, masking, where_black=black[:n]
+    )
+    adjust_brightness_contrast_into(oband[:n], plan.params.adjust)
+    out[index, lo:hi] = oband[:n]
+
+
 def _process_span(
     plan: FusedToneMapPlan,
     ws: _Workspace,
@@ -343,11 +402,11 @@ def _process_span(
     row_lo: int,
     row_hi: int,
     peak: float,
-) -> Tuple[int, int, int]:
-    """Run the fused four-stage pass over rows ``[row_lo, row_hi)``.
+) -> Tuple[int, int]:
+    """Ring regime: the fused four-stage pass over rows ``[row_lo, row_hi)``.
 
-    Returns ``(bands_executed, halo_rows_reused, fft_scratch_bytes)``.
-    The dataflow per band ``[lo, hi)``:
+    Returns ``(bands_executed, halo_rows_reused)``.  The dataflow per
+    band ``[lo, hi)``:
 
     1. The line-buffer ring is topped up with horizontally-blurred
        normalized-luminance rows covering ``[lo - radius, hi + radius)``
@@ -357,11 +416,8 @@ def _process_span(
     2. The vertical folded pass accumulates the band's blurred rows from
        ring rows using the exact multiply-add order of the staged folded
        convolution.
-    3. The clipped mask band (written through to ``masks_out`` when the
-       caller wants masks), its exponent, and the masked, adjusted
-       output band are produced in-place in band scratch, and the result
-       lands in ``out[index, lo:hi]`` — nothing frame-sized is ever
-       allocated.
+    3. :func:`_finish_band` turns them into the output band — nothing
+       frame-sized is ever allocated.
     """
     height, width = stack32.shape[1], stack32.shape[2]
     color = stack32.ndim == 4
@@ -369,12 +425,7 @@ def _process_span(
     radius = (coeffs.size - 1) // 2
     band = plan.band_rows(height, width, color)
     cap = band + 2 * radius
-    use_fft = plan.h_method(height, width) == "fft"
-    masking = plan.params.masking
-    adjust = plan.params.adjust
-    # Normalization denominator, float32 exactly as the staged path's
-    # ``stack32 / np.where(peaks == 0, 1, peaks)`` computes it.
-    denom = np.float32(1.0) if peak == 0.0 else np.float32(peak)
+    denom = _denominator(peak)
     plane32 = stack32[index]
 
     ring = ws.get("ring", (cap, width))
@@ -387,24 +438,9 @@ def _process_span(
     else:
         src32 = ws.get("src32", (cap, width), np.float32)
     vert = ws.get("vert", (band, width))
-    expo = ws.get("expo", (band, width))
-    mask_scratch = (
-        ws.get("mask", (band, width)) if masks_out is None else None
-    )
-    out_shape = (band, width, 3) if color else (band, width)
-    oband32 = ws.get("oband32", out_shape, np.float32)
-    oband = ws.get("oband", out_shape)
-    black = ws.get("black", out_shape, bool)
-    if use_fft:
-        # Same transform length as the staged FFT pass on these rows.
-        n_fft = (width + 2 * radius) + coeffs.size - 1
-        kernel_spectrum = plan.kernel_spectrum(n_fft)
-
-    fft_bytes = 0
 
     def fill_ring(dest: int, virtual_lo: int, virtual_hi: int) -> None:
         """H-blur normalized luminance for virtual rows [lo, hi) → ring."""
-        nonlocal fft_bytes
         n = virtual_hi - virtual_lo
         # Normalize in float32 (the staged division dtype).  Interior
         # rows read the plane view directly; virtual rows beyond the
@@ -436,21 +472,7 @@ def _process_span(
             np.copyto(center, src32[:n])
         padded[:n, :radius] = center[:, :1]
         padded[:n, radius + width :] = center[:, -1:]
-        if use_fft:
-            # The staged `_convolve_fft` arithmetic with the kernel
-            # spectrum cached: same padded rows, same length, same ops.
-            # np.fft has no out= parameter, so these two buffers cannot
-            # come from the workspace — count them honestly (they are
-            # band-sized, never frame-sized; see FusedStats).
-            spectrum = np.fft.rfft(padded[:n], n=n_fft)
-            spectrum *= kernel_spectrum
-            full = np.fft.irfft(spectrum, n=n_fft)
-            ring[dest : dest + n] = full[..., 2 * radius : 2 * radius + width]
-            fft_bytes += spectrum.nbytes + full.nbytes
-        else:
-            fold_rows_into(
-                padded[:n], coeffs, ring[dest : dest + n], pair[:n]
-            )
+        fold_rows_into(padded[:n], coeffs, ring[dest : dest + n], pair[:n])
 
     bands_executed = 0
     halo_reused = 0
@@ -474,41 +496,116 @@ def _process_span(
         # Vertical folded pass: the staged folded convolution's exact
         # multiply-add order, with ring rows standing in for the padded
         # columns (output row lo+t reads ring rows [t, t + 2*radius]).
-        # Always folded, whatever the horizontal strategy — a band-local
-        # vertical FFT was measured slower than this loop at every band
-        # size that fits the cache budget (the staged full-plane FFT wins
-        # on transform-length amortization the band engine gives up).
         np.multiply(coeffs[radius], ring[radius : radius + n], out=vert[:n])
         for k in range(radius):
             mirror = 2 * radius - k
             np.add(ring[k : k + n], ring[mirror : mirror + n], out=pair[:n])
             pair[:n] *= coeffs[k]
             vert[:n] += pair[:n]
-
-        mask_band = (
-            masks_out[index, lo:hi] if masks_out is not None
-            else mask_scratch[:n]
+        _finish_band(
+            plan, ws, band, vert[:n], plane32, denom, out, masks_out,
+            index, lo,
         )
-        np.clip(vert[:n], 0.0, 1.0, out=mask_band)
-        masking_exponent_into(mask_band, expo[:n], masking)
-
-        np.divide(plane32[lo:hi], denom, out=oband32[:n])
-        np.copyto(oband[:n], oband32[:n])
-        exponent = expo[:n, :, np.newaxis] if color else expo[:n]
-        nonlinear_masking_into(
-            oband[:n], exponent, masking, where_black=black[:n]
-        )
-        adjust_brightness_contrast_into(oband[:n], adjust)
-        out[index, lo:hi] = oband[:n]
 
         bands_executed += 1
         previous_n = n
         lo = hi
-    return bands_executed, halo_reused, fft_bytes
+    return bands_executed, halo_reused
+
+
+def _fft_transient_bytes(rows: int, length: int, taps: int) -> int:
+    """Bytes ``_convolve_fft`` allocates for ``rows`` rows of ``length``:
+    the edge-padded rows, their spectrum, and the inverse transform."""
+    padded = length + taps - 1
+    n_fft = padded + taps - 1
+    return 8 * rows * (padded + 2 * (n_fft // 2 + 1) + n_fft)
+
+
+def _fft_block_rows(length: int, taps: int) -> int:
+    """Rows per transform block: one block's transients stay within
+    :data:`PLANE_FFT_BLOCK_BYTES`."""
+    per_row = _fft_transient_bytes(1, length, taps)
+    return max(1, PLANE_FFT_BLOCK_BYTES // per_row)
+
+
+def _blur_plane(plane: np.ndarray, coeffs: np.ndarray) -> int:
+    """Blur ``plane`` in place with the staged FFT row convolution.
+
+    The horizontal pass runs on row blocks, the vertical pass on
+    transposed column blocks — the same rows, in the same memory
+    layout, that :func:`~repro.tonemap.gaussian.blur_batch` transforms
+    over the whole plane.  Each row transforms on its own, so the result
+    is bit-identical to the staged blur while the FFT transients stay
+    block-sized.  Returns the transient bytes churned.
+    """
+    height, width = plane.shape
+    taps = coeffs.size
+    churned = 0
+    block = _fft_block_rows(width, taps)
+    for lo in range(0, height, block):
+        rows = plane[lo : lo + block]
+        rows[...] = _convolve_fft(rows, coeffs)
+        churned += _fft_transient_bytes(rows.shape[0], width, taps)
+    block = _fft_block_rows(height, taps)
+    for lo in range(0, width, block):
+        columns = np.ascontiguousarray(plane[:, lo : lo + block].T)
+        plane[:, lo : lo + block] = _convolve_fft(columns, coeffs).T
+        churned += columns.nbytes + _fft_transient_bytes(
+            columns.shape[0], height, taps
+        )
+    return churned
+
+
+def _process_image(
+    plan: FusedToneMapPlan,
+    ws: _Workspace,
+    stack32: np.ndarray,
+    out: np.ndarray,
+    masks_out: Optional[np.ndarray],
+    index: int,
+    peak: float,
+) -> Tuple[int, int]:
+    """Plane regime: the fused pass over one whole image.
+
+    Returns ``(bands_executed, fft_scratch_bytes)``.  The normalized
+    luminance is written band by band into the workspace's ``(H, W)``
+    plane, blurred there once by :func:`_blur_plane`, and each band of
+    mask rows then runs the shared :func:`_finish_band` epilogue.
+    """
+    height, width = stack32.shape[1], stack32.shape[2]
+    color = stack32.ndim == 4
+    band = plan.band_rows(height, width, color)
+    denom = _denominator(peak)
+    plane32 = stack32[index]
+    plane = ws.get("plane", (height, width))
+    if color:
+        src32 = ws.get("src32", (band, width, 3), np.float32)
+        rgb = ws.get("rgb", (band, width, 3))
+    else:
+        src32 = ws.get("src32", (band, width), np.float32)
+
+    for lo in range(0, height, band):
+        n = min(band, height - lo)
+        np.divide(plane32[lo : lo + n], denom, out=src32[:n])
+        if color:
+            np.copyto(rgb[:n], src32[:n])
+            np.matmul(rgb[:n], LUMA_WEIGHTS, out=plane[lo : lo + n])
+        else:
+            np.copyto(plane[lo : lo + n], src32[:n])
+    churned = _blur_plane(plane, plan.kernel.coefficients)
+    bands_executed = 0
+    for lo in range(0, height, band):
+        _finish_band(
+            plan, ws, band, plane[lo : lo + band], plane32, denom, out,
+            masks_out, index, lo,
+        )
+        bands_executed += 1
+    return bands_executed, churned
 
 
 class FusedExecutor:
-    """Persistent worker pool running fused plans over row partitions.
+    """Persistent worker pool running fused plans over row partitions
+    (whole-image partitions in the plane regime).
 
     Parameters
     ----------
@@ -543,12 +640,12 @@ class FusedExecutor:
         )
         self._workspaces: List[_Workspace] = []  # live pooled workspaces
         # Free lists are keyed by scratch geometry (frame shape, radius,
-        # band budget): a workspace sized for one geometry is only ever
-        # reissued to runs of the same geometry, so mixed-shape traffic
-        # through one executor keeps one warm scratch set per shape
-        # instead of reallocating on every alternation (the same
-        # size-classing idea as the arena's input pools).  Insertion
-        # order tracks recency; geometries beyond
+        # band budget, mask regime): a workspace sized for one geometry
+        # is only ever reissued to runs of the same geometry, so
+        # mixed-shape traffic through one executor keeps one warm
+        # scratch set per shape instead of reallocating on every
+        # alternation (the same size-classing idea as the arena's input
+        # pools).  Insertion order tracks recency; geometries beyond
         # :data:`FUSED_POOLED_GEOMETRIES` are evicted LRU-first so
         # unbounded shape diversity cannot grow scratch without bound.
         self._free: "OrderedDict[tuple, List[_Workspace]]" = OrderedDict()
@@ -652,18 +749,24 @@ class FusedExecutor:
                     f"masks_out must be float64 of shape {want}, got "
                     f"{masks_out.dtype} {masks_out.shape}"
                 )
-        count, height = stack32.shape[0], stack32.shape[1]
+        count, height, width = stack32.shape[:3]
         # Per-image normalization peaks, computed once over the float32
         # stack (max is exact, so the reduction order is irrelevant).
         peaks = np.amax(stack32, axis=tuple(range(1, stack32.ndim)))
 
-        chunks = _partition_spans(count, height, self.threads)
-        # Everything that sizes band scratch: frame geometry, kernel
-        # radius, and the band budget.
+        # The plane regime partitions whole images (a chunk of one-row
+        # "images"); the ring regime partitions the (image, row) space.
+        plane_mask = plan.h_method(height, width) == "fft"
+        chunks = _partition_spans(
+            count, 1 if plane_mask else height, self.threads
+        )
+        # Everything that sizes scratch: frame geometry, kernel radius,
+        # the band budget, and the mask regime.
         geometry = (
             tuple(stack32.shape[1:]),
             plan.kernel.radius,
             plan.band_bytes,
+            plane_mask,
         )
         workspaces = self._acquire_workspaces(geometry, len(chunks))
 
@@ -671,13 +774,19 @@ class FusedExecutor:
             ws = workspaces[index]
             bands = halo = fft_bytes = 0
             for image, lo, hi in chunks[index]:
-                b, h, f = _process_span(
-                    plan, ws, stack32, out, masks_out,
-                    image, lo, hi, float(peaks[image]),
-                )
+                peak = float(peaks[image])
+                if plane_mask:
+                    b, f = _process_image(
+                        plan, ws, stack32, out, masks_out, image, peak
+                    )
+                    fft_bytes += f
+                else:
+                    b, h = _process_span(
+                        plan, ws, stack32, out, masks_out,
+                        image, lo, hi, peak,
+                    )
+                    halo += h
                 bands += b
-                halo += h
-                fft_bytes += f
             return bands, halo, fft_bytes
 
         try:

@@ -173,6 +173,18 @@ class TestCommittedBaseline:
         # stay strict.
         assert "test_fused_vs_staged_1024::intermediate_bytes" in strict
         assert "test_fused_threads_1024::intermediate_bytes" in strict
+        # The wide-kernel fused bar, machine-independent the same way:
+        # the paper's sigma-16 workload on the fused plane mask matches
+        # staged bit for bit (strict min 1) and allocates no stage
+        # scratch in steady state (strict max 0).
+        wide_exact = baseline["metrics"]["test_fused_wide_1024::outputs_exact"]
+        assert "test_fused_wide_1024::outputs_exact" in strict
+        assert wide_exact["direction"] == "min" and wide_exact["value"] == 1.0
+        wide_bytes = baseline["metrics"][
+            "test_fused_wide_1024::intermediate_bytes"
+        ]
+        assert "test_fused_wide_1024::intermediate_bytes" in strict
+        assert wide_bytes["direction"] == "max" and wide_bytes["value"] == 0.0
         # And the PR 7 planner acceptance bar: planned dispatch matching
         # the hand-tuned path is a decision check, not a timing.
         assert (
@@ -269,6 +281,9 @@ class TestCommittedBaseline:
             "test_fused_vs_staged_1024::speedup_vs_staged",
             "test_fused_vs_staged_1024::pixels_per_sec",
             "test_fused_threads_1024::intermediate_bytes",
+            "test_fused_wide_1024::outputs_exact",
+            "test_fused_wide_1024::intermediate_bytes",
+            "test_fused_wide_1024::speedup_vs_staged",
             "test_planner_dispatch_1024::planner_matches_manual",
             "test_planner_dispatch_1024::pixels_per_sec",
             "test_planner_dispatch_1024::speedup_vs_manual",

@@ -206,15 +206,15 @@ class TestMain:
         # narrow kernel: no wide-kernel regime note
         assert "staged full-plane FFT" not in captured.err
 
-    def test_batch_fused_wide_kernel_notes_regime(self, capsys):
-        # Default sigma 16 is the staged FFT's home turf; --fused must
-        # say so instead of silently running the slow regime.
+    def test_batch_fused_wide_kernel_runs_without_note(self, capsys):
+        # Default sigma 16 runs the fused whole-plane FFT mask, which
+        # beats the staged path: no advice to narrow the kernel.
         assert main(
             ["--size", "32", "batch", "--count", "2", "--fused"]
         ) == 0
         captured = capsys.readouterr()
         assert "fused band dataflow" in captured.out
-        assert "--sigma 2" in captured.err
+        assert "--sigma 2" not in captured.err
 
     def test_batch_sigma_applies_without_fused(self, capsys):
         assert main(

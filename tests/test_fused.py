@@ -7,8 +7,12 @@ The tolerance contract under test (documented in
   (``taps < FFT_CROSSOVER_TAPS``), fused masks and outputs are
   **bit-identical** to the staged path, for every shape, thread count,
   and band size;
-* where it resolves to the FFT, outputs agree within the blur module's
-  1e-9 absolute band.
+* from ``fused_fft_min_taps`` upward the whole-plane FFT mask runs the
+  staged transform itself, so masks and outputs are **bit-identical**
+  again;
+* only in between (``FFT_CROSSOVER_TAPS <= taps < fused_fft_min_taps``:
+  the ring's folded window against a staged FFT) do outputs agree
+  within the blur module's 1e-9 absolute band instead.
 
 Plus the steady-state allocation contract (``intermediate_bytes`` stops
 growing once per-thread scratch is warm), the row partitioner's
@@ -36,7 +40,8 @@ from repro.tonemap.masking import MaskingParams
 from repro.tonemap.pipeline import ToneMapParams, ToneMapper
 
 #: Narrow kernels resolve to folded/tiled -> bit-identical contract;
-#: wide ones to the FFT -> 1e-9 band.  (taps = 2 * radius + 1.)
+#: wide ones to the FFT -> 1e-9 band at worst (taps 97 runs the plane
+#: mask, which TestPlaneRegime pins bit for bit).  (taps = 2*radius + 1.)
 FOLDED_PARAMS = [
     ToneMapParams(sigma=2.0, radius=6),
     ToneMapParams(sigma=3.0, radius=11),
@@ -44,6 +49,21 @@ FOLDED_PARAMS = [
 FFT_PARAMS = [
     ToneMapParams(sigma=4.0),   # taps 25, at the crossover
     ToneMapParams(sigma=16.0),  # the paper default, taps 97
+]
+#: Kernels at or above fused_fft_min_taps: the whole-plane FFT mask.
+PLANE_PARAMS = [
+    ToneMapParams(sigma=6.0),   # taps 37
+    ToneMapParams(sigma=16.0),  # the paper default, taps 97
+]
+#: Gray and RGB at batch 1, 3 and 4; every frame is smaller than one
+#: FFT row block, and 97x130 is odd in both directions.
+PLANE_SHAPES = [
+    (1, 48, 48),
+    (3, 97, 130),
+    (4, 48, 48),
+    (1, 97, 130, 3),
+    (3, 48, 48, 3),
+    (4, 97, 130, 3),
 ]
 SHAPES = [
     (3, 40, 56),        # gray, several images
@@ -153,6 +173,78 @@ class TestToleranceContract:
         np.testing.assert_array_equal(got, want)
 
 
+class TestPlaneRegime:
+    """taps >= fused_fft_min_taps: bit-identical to staged ``run_stack``."""
+
+    @pytest.mark.parametrize("threads", THREADS)
+    @pytest.mark.parametrize(
+        "shape", PLANE_SHAPES,
+        ids=["x".join(map(str, s)) for s in PLANE_SHAPES],
+    )
+    @pytest.mark.parametrize(
+        "params", PLANE_PARAMS,
+        ids=[f"taps{p.kernel().taps}" for p in PLANE_PARAMS],
+    )
+    def test_bit_identical_to_staged(self, params, shape, threads):
+        plan = FusedToneMapPlan(params)
+        assert plan.h_method(*shape[1:3]) == "fft"  # suite invariant
+        stack = _stack(shape, seed=len(shape) + threads)
+        staged = BatchToneMapper(params)
+        want64 = staged.run_stack(stack)
+        want32 = staged.run_stack(stack, np.empty(shape, np.float32))
+        _, want_masks = _staged(params, stack)
+        got64 = np.empty(shape)
+        got32 = np.empty(shape, np.float32)
+        masks = np.empty(shape[:3])
+        with FusedExecutor(threads=threads) as executor:
+            executor.run(plan, stack, got64, masks)
+            executor.run(plan, stack, got32)
+            stats = executor.stats
+        np.testing.assert_array_equal(masks, want_masks)
+        np.testing.assert_array_equal(got64, want64)
+        np.testing.assert_array_equal(got32, want32)
+        # Whole images per thread: no ring, so no halo rows.
+        assert stats.threads_used == min(threads, shape[0])
+        assert stats.halo_rows_reused == 0
+
+    def test_mapper_masks_write_through(self):
+        params = PLANE_PARAMS[1]
+        images = [
+            make_scene(
+                "window_interior",
+                SceneParams(height=97, width=130, seed=i, color=True),
+            )
+            for i in range(3)
+        ]
+        want = BatchToneMapper(params).run(images)
+        mapper = BatchToneMapper(params, fused=True, threads=2)
+        try:
+            got = mapper.run(images)
+        finally:
+            mapper.close()
+        np.testing.assert_array_equal(got.masks, want.masks)
+        for g, w in zip(got.outputs, want.outputs):
+            np.testing.assert_array_equal(g.pixels, w.pixels)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_intermediate_bytes_stop_growing(self, threads):
+        plan = FusedToneMapPlan(PLANE_PARAMS[1])
+        stack = _stack((3, 97, 130, 3), seed=5)
+        out = np.empty(stack.shape, dtype=np.float32)
+        with FusedExecutor(threads=threads) as executor:
+            executor.run(plan, stack, out)  # warm-up allocates scratch
+            warm = executor.stats
+            # each workspace holds one pooled (H, W) mask plane
+            assert warm.intermediate_bytes >= threads * 97 * 130 * 8
+            for _ in range(3):
+                executor.run(plan, stack, out)
+            steady = executor.stats
+        assert steady.intermediate_bytes == warm.intermediate_bytes
+        assert steady.scratch_bytes == warm.scratch_bytes
+        assert steady.bands_executed == 4 * warm.bands_executed
+        assert steady.fft_scratch_bytes == 4 * warm.fft_scratch_bytes
+
+
 class TestSteadyStateAllocation:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_intermediate_bytes_stop_growing(self, threads):
@@ -218,24 +310,54 @@ class TestSteadyStateAllocation:
             assert len(executor._free) <= FUSED_POOLED_GEOMETRIES
 
     def test_fft_scratch_counted_separately(self):
-        # Folded regime: zero FFT scratch.  FFT-horizontal regime: the
-        # un-poolable transform buffers are counted, not hidden — and
-        # the workspace counter still settles.
+        # Ring regime: zero FFT scratch.  Plane regime: every block
+        # transform's transients are counted — the edge-padded rows,
+        # their spectrum and the inverse, per pass, plus the transposed
+        # column block of the vertical pass — while the workspace
+        # counter settles.
         narrow = FusedToneMapPlan(ToneMapParams(sigma=2.0, radius=6))
         wide = FusedToneMapPlan(ToneMapParams(sigma=16.0))
         stack = _stack((1, 48, 48))
         with FusedExecutor(threads=1) as executor:
             executor.run(narrow, stack, np.empty_like(stack))
             assert executor.stats.fft_scratch_bytes == 0
+        # 48 rows fit one block per pass; taps 97 pads each row by 96
+        # and transforms it at length 48 + 2 * 96.
+        padded, n_fft = 48 + 96, 48 + 2 * 96
+        per_pass = 48 * (8 * padded + 16 * (n_fft // 2 + 1) + 8 * n_fft)
+        expected = 2 * per_pass + 48 * 48 * 8
         with FusedExecutor(threads=1) as executor:
             executor.run(wide, stack, np.empty_like(stack))
             first = executor.stats
-            assert first.fft_scratch_bytes > 0
+            assert first.fft_scratch_bytes == expected
             executor.run(wide, stack, np.empty_like(stack))
             second = executor.stats
-            # workspace scratch settles; FFT buffers churn per run
+            # workspace scratch settles; FFT transients churn per run
             assert second.intermediate_bytes == first.intermediate_bytes
-            assert second.fft_scratch_bytes == 2 * first.fft_scratch_bytes
+            assert second.fft_scratch_bytes == 2 * expected
+
+    def test_fft_transients_stay_block_sized(self):
+        # Measured, not counted: numpy reports array allocations to
+        # tracemalloc, so the peak of a warm plane-regime run bounds
+        # every transient it makes.  A 1024² plane is 8 MiB; the block
+        # transforms must stay far below one frame-sized temporary.
+        import tracemalloc
+
+        from repro.runtime.fused import PLANE_FFT_BLOCK_BYTES
+
+        plan = FusedToneMapPlan(ToneMapParams(sigma=16.0))
+        stack = _stack((1, 1024, 1024), seed=2)
+        out = np.empty_like(stack)
+        with FusedExecutor(threads=1) as executor:
+            executor.run(plan, stack, out)  # warm: pooled plane + bands
+            tracemalloc.start()
+            try:
+                executor.run(plan, stack, out)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak <= 2 * PLANE_FFT_BLOCK_BYTES
+        assert peak < 1024 * 1024 * 8 // 2
 
     def test_shape_change_reallocates_then_settles(self):
         params = ToneMapParams(sigma=2.0, radius=6)

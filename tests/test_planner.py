@@ -119,10 +119,14 @@ class TestDispatchFormulas:
         assert select_fused_h_method(33, 0, prof) == "fft"
 
     def test_engine_selection(self):
-        prof = CalibrationProfile(fused_fft_min_taps=33)
-        assert select_engine(32, prof) == "fused"
-        assert select_engine(33, prof) == "staged"
-        assert select_engine(5, prof, fixed=True) == "staged"
+        # Every float workload runs fused (ring or plane mask); only the
+        # fixed-point pipeline stays staged.
+        assert select_engine() == "fused"
+        assert select_engine(fixed=True) == "staged"
+        for taps in (5, 32, 33, 97):
+            plan = plan_for(height=48, width=64, radius=(taps - 1) // 2,
+                            threads=1)
+            assert plan.engine == "fused"
 
 
 class TestExecutionPlan:
@@ -137,10 +141,13 @@ class TestExecutionPlan:
         assert plan.fused_h_method == "folded"
         assert plan.partitions <= plan.threads == 2
 
-    def test_wide_kernel_plans_staged_fft(self):
-        plan = self._plan(sigma=16.0)  # taps 97
-        assert plan.engine == "staged"
+    def test_wide_kernel_plans_fused_plane(self):
+        plan = self._plan(sigma=16.0, batch=3)  # taps 97
+        assert plan.engine == "fused"
         assert plan.blur_method == "fft"
+        assert plan.fused_h_method == "fft"
+        assert plan.partitions == 2  # whole images, not row chunks
+        assert "whole-plane FFT mask" in "\n".join(plan.rationale)
 
     def test_fixed_dtype_is_staged_only(self):
         plan = self._plan(sigma=2.0, radius=5, dtype="fixed")
@@ -162,6 +169,7 @@ class TestExecutionPlan:
         assert seconds == sorted(seconds)
         assert {name for name, _ in plan.cost_estimates} == {
             "staged-folded", "staged-tiled", "staged-fft", "fused-folded",
+            "fused-fft",
         }
 
     def test_json_round_trip(self):
@@ -191,17 +199,17 @@ class TestCallTimeResolution:
     """The regression tests for the import-time env-read removal."""
 
     def test_env_export_after_import_moves_the_next_plan(self, monkeypatch):
-        assert plan_for(height=8, width=8, radius=12, threads=1).engine == (
-            "fused"
-        )
+        assert plan_for(
+            height=8, width=8, radius=12, threads=1
+        ).fused_h_method == "folded"
         monkeypatch.setenv("REPRO_FUSED_FFT_MIN_TAPS", "25")
         plan = plan_for(height=8, width=8, radius=12, threads=1)  # taps 25
-        assert plan.engine == "staged"
+        assert (plan.engine, plan.fused_h_method) == ("fused", "fft")
         assert plan.profile.source == "env-override"
         monkeypatch.delenv("REPRO_FUSED_FFT_MIN_TAPS")
-        assert plan_for(height=8, width=8, radius=12, threads=1).engine == (
-            "fused"
-        )
+        assert plan_for(
+            height=8, width=8, radius=12, threads=1
+        ).fused_h_method == "folded"
 
     def test_gaussian_dispatch_sees_env_without_reload(self, monkeypatch):
         import numpy as np
@@ -241,10 +249,10 @@ class TestCallTimeResolution:
         with planner.override(fused_fft_min_taps=25):
             assert p.plan(
                 Workload(height=8, width=8, radius=12, threads=1)
-            ).engine == "staged"
+            ).fused_h_method == "fft"
         assert p.plan(
             Workload(height=8, width=8, radius=12, threads=1)
-        ).engine == "fused"
+        ).fused_h_method == "folded"
 
 
 class TestProfileRoundTrip:

@@ -13,8 +13,8 @@ stack execution under the fused tolerance contract:
   resolves to the FFT but the plan keeps the fused engine on its folded
   window (taps in ``[fft_crossover_taps, fused_fft_min_taps)``);
 * **bit-identical again** from ``fused_fft_min_taps`` upward, where the
-  plan hands the workload back to the staged engine — planned and
-  reference execution are then the very same code path.
+  plan switches the fused engine to the whole-plane FFT mask, which
+  runs the staged FFT row convolution on the same rows.
 
 Four regimes x generated cases >= 200 examples total (the ISSUE floor).
 """
@@ -147,9 +147,9 @@ class TestFftBandRegime:
         np.testing.assert_allclose(planned, reference, rtol=0.0, atol=1e-9)
 
 
-class TestStagedRegime:
-    """taps >= 33: the plan itself says staged — planned and reference
-    execution are the same code path, so equality is exact."""
+class TestPlaneRegime:
+    """taps >= 33: the plan runs the fused whole-plane FFT mask — the
+    staged transform on the same rows, so equality is exact."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -158,14 +158,19 @@ class TestStagedRegime:
         batch=batches,
         radius=st.integers(min_value=16, max_value=24),
         threads=threads_st,
+        color=st.booleans(),
         seed=seeds,
     )
-    def test_bit_identical(self, height, width, batch, radius, threads, seed):
+    def test_bit_identical(
+        self, height, width, batch, radius, threads, color, seed
+    ):
         planned, reference, plan = _planned_vs_staged(
-            height, width, batch, radius, threads, False, seed
+            height, width, batch, radius, threads, color, seed
         )
-        assert plan.engine == "staged"
+        assert plan.engine == "fused"
         assert plan.blur_method == "fft"
+        assert plan.fused_h_method == "fft"
+        assert plan.partitions == min(batch, threads)
         np.testing.assert_array_equal(planned, reference)
 
 

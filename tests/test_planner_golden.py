@@ -26,13 +26,27 @@ REFERENCE_PROFILE = (
 #: Thread counts are explicit so partitions cannot drift with host CPUs.
 GOLDEN = [
     (
-        # The paper's 1080p sigma-16 workload: wide kernel, staged FFT.
+        # The paper's 1080p sigma-16 workload: wide kernel, fused
+        # whole-plane FFT mask, one whole image per partition.
         dict(height=1080, width=1920, batch=4, sigma=16.0, threads=4),
         dict(
-            engine="staged", blur_method="fft", fused_h_method="fft",
+            engine="fused", blur_method="fft", fused_h_method="fft",
             band_bytes=4194304, band_rows=48, partitions=4,
         ),
-        "staged-fft",
+        "fused-fft",
+    ),
+    (
+        # A single wide-kernel image: the plane mask never splits an
+        # image, so one partition however many threads are offered.
+        dict(
+            height=1024, width=1024, batch=1, sigma=16.0, color=True,
+            threads=2,
+        ),
+        dict(
+            engine="fused", blur_method="fft", fused_h_method="fft",
+            band_bytes=4194304, band_rows=48, partitions=1,
+        ),
+        "fused-fft",
     ),
     (
         # Narrow kernel, cache-resident plane: fused folded end to end.
@@ -63,7 +77,8 @@ GOLDEN = [
         "fused-folded",
     ),
     (
-        # Fixed-point is staged regardless of kernel width.
+        # Fixed-point is staged regardless of kernel width, and the
+        # float-only fused candidates are not priced for it.
         dict(
             height=1080, width=1920, batch=4, sigma=16.0, dtype="fixed",
             threads=4,
