@@ -21,12 +21,9 @@ import numpy as np
 import pytest
 
 from repro.accel.linebuffer import streaming_blur_plane
+from repro.planner.profile import DEFAULT_TILED_MIN_PLANE_BYTES
 from repro.tonemap.fixed_blur import fixed_point_blur_plane
-from repro.tonemap.gaussian import (
-    TILED_MIN_PLANE_BYTES,
-    GaussianKernel,
-    separable_blur,
-)
+from repro.tonemap.gaussian import GaussianKernel, separable_blur
 
 SIZES = (256, 1024)
 SIGMAS = (4.0, 16.0)
@@ -94,7 +91,8 @@ def test_huge_plane_narrow_kernel(benchmark, method):
     """The crossover pair: folded vs cache-blocked tiled at 2048², σ4.
 
     Narrow kernel (below the FFT crossover) on a plane far past
-    :data:`TILED_MIN_PLANE_BYTES` — the regime the tiled path exists for.
+    :data:`~repro.planner.profile.DEFAULT_TILED_MIN_PLANE_BYTES` — the
+    regime the tiled path exists for.
     The committed crossover constant is recorded alongside the rate so a
     future host re-tune has its context in the JSON.
     """
@@ -111,7 +109,9 @@ def test_huge_plane_narrow_kernel(benchmark, method):
     if benchmark.stats is not None:
         benchmark.extra_info["pixels"] = plane.size
         benchmark.extra_info["taps"] = kernel.taps
-        benchmark.extra_info["tiled_min_plane_bytes"] = TILED_MIN_PLANE_BYTES
+        benchmark.extra_info["tiled_min_plane_bytes"] = (
+            DEFAULT_TILED_MIN_PLANE_BYTES
+        )
         benchmark.extra_info["pixels_per_sec"] = (
             plane.size / benchmark.stats.stats.min
         )

@@ -1,12 +1,10 @@
 """Serving-runtime benchmarks: the perf trajectory of `repro.runtime`.
 
 Per-image baseline vs whole-stack batching vs the thread-pooled service,
-the batched vs per-plane fixed-point blur, a process-sharded case, and —
-since PR 3 — the shared-memory **data plane** cases: the persistent-arena
-zero-copy path against a faithful replay of the PR 2 per-batch
-allocate-copy-compute-copy cycle, on the same warm worker pool, so the
-difference is purely the data plane.  Every case records
-``pixels_per_sec`` (and, for the data-plane cases, copies-per-frame and
+the batched vs per-plane fixed-point blur, a process-sharded case, and
+the shared-memory **data plane** case: the persistent-arena zero-copy
+path on a warm worker pool.  Every case records
+``pixels_per_sec`` (and, for the data-plane case, copies-per-frame and
 bytes-moved counters) in ``extra_info``:
 
     PYTHONPATH=src python -m pytest benchmarks/bench_runtime.py \
@@ -26,7 +24,6 @@ trajectory against the committed reference host baseline lives in
 
 import threading
 import time
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -44,7 +41,6 @@ from repro.runtime import (
     ToneMapIngestor,
     ToneMapService,
 )
-from repro.runtime.shard import _run_slab, _slab_bounds
 from repro.tonemap.fixed_blur import (
     FixedBlurConfig,
     fixed_point_blur_batch,
@@ -148,55 +144,13 @@ def test_fixed_blur_batched(benchmark, label):
 
 
 # ----------------------------------------------------------------------
-# Data-plane cases: the zero-copy arena vs the PR 2 per-batch cycle
+# Data-plane case: the zero-copy arena
 # ----------------------------------------------------------------------
 def _data_plane_stack():
     rng = np.random.default_rng(512)
     return rng.uniform(
         0.0, 1.0, (DATA_PLANE_FRAMES, DATA_PLANE_SIZE, DATA_PLANE_SIZE)
     ).astype(np.float32)
-
-
-def _legacy_cycle(pool, stack):
-    """A faithful replay of the PR 2 sharded data plane, one batch.
-
-    Creates two fresh SHM segments, memcpys the (already stacked) frames
-    in, computes on the pool's warm workers (transient attachments, as
-    PR 2 did), copies the results out, and unlinks both segments.  Kept
-    in the benchmark so the zero-copy win stays *measured* against the
-    real predecessor, not asserted from memory.
-    """
-    in_shm = shared_memory.SharedMemory(create=True, size=stack.nbytes)
-    out_shm = shared_memory.SharedMemory(create=True, size=stack.nbytes)
-    try:
-        shared_in = np.ndarray(stack.shape, np.float32, buffer=in_shm.buf)
-        shared_in[:] = stack
-        futures = [
-            pool._executor.submit(
-                _run_slab, in_shm.name, out_shm.name, stack.shape,
-                lo, hi, False, False,
-            )
-            for lo, hi in _slab_bounds(stack.shape[0], pool.active_shards)
-        ]
-        for future in futures:
-            future.result()
-        return np.ndarray(
-            stack.shape, np.float32, buffer=out_shm.buf
-        ).copy()
-    finally:
-        in_shm.close()
-        in_shm.unlink()
-        out_shm.close()
-        out_shm.unlink()
-
-
-def _best(fn, n=3):
-    times = []
-    for _ in range(n):
-        start = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - start)
-    return min(times)
 
 
 def test_shard_zero_copy_data_plane(benchmark):
@@ -243,8 +197,6 @@ def test_shard_zero_copy_data_plane(benchmark):
             "steady-state batches must not stage (copy) pixel data"
         )
         assert after.arena.overflow == before.arena.overflow
-        legacy_s = _best(lambda: _legacy_cycle(pool, stack))
-        zero_copy_s = _best(run)
         in_lease.release()
     if benchmark.stats is not None:
         frame_pixels = DATA_PLANE_SIZE * DATA_PLANE_SIZE
@@ -257,41 +209,6 @@ def test_shard_zero_copy_data_plane(benchmark):
         benchmark.extra_info["copies_per_frame"] = copies_per_frame
         benchmark.extra_info["shm_allocs_per_batch"] = allocs_per_batch
         benchmark.extra_info["bytes_staged_per_frame"] = staged_per_frame
-        benchmark.extra_info["speedup_vs_legacy_cycle"] = (
-            legacy_s / zero_copy_s
-        )
-
-
-def test_shard_legacy_cycle_data_plane(benchmark):
-    """The PR 2 predecessor, measured on the same pool for comparison.
-
-    Per batch: 2 SHM allocations and 3 full-stack staging copies (the
-    ``np.stack`` in the parent happened upstream of ``run_stack``, so
-    strictly the PR 2 serving path staged more; this is the conservative
-    lower bound).
-    """
-    stack = _data_plane_stack()
-    with ShardPool(PARAMS, shards=2) as pool:
-        _legacy_cycle(pool, stack)  # warm workers
-        benchmark.pedantic(
-            lambda: _legacy_cycle(pool, stack),
-            rounds=5, iterations=1, warmup_rounds=1,
-        )
-    if benchmark.stats is not None:
-        frame_pixels = DATA_PLANE_SIZE * DATA_PLANE_SIZE
-        best_s = benchmark.stats.stats.min
-        benchmark.extra_info["frames"] = DATA_PLANE_FRAMES
-        benchmark.extra_info["frames_per_sec"] = DATA_PLANE_FRAMES / best_s
-        benchmark.extra_info["pixels_per_sec"] = (
-            DATA_PLANE_FRAMES * frame_pixels / best_s
-        )
-        # 2 staging copies (in + out) measured here; the stack build made
-        # it 3 on the real PR 2 serving path.
-        benchmark.extra_info["copies_per_frame"] = 2.0
-        benchmark.extra_info["shm_allocs_per_batch"] = 2.0
-        benchmark.extra_info["bytes_staged_per_frame"] = float(
-            2 * stack.nbytes // DATA_PLANE_FRAMES
-        )
 
 
 def test_zero_copy_outputs_exact():

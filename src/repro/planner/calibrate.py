@@ -22,9 +22,6 @@ crossover is the smallest grid point from which the challenger path wins
 at every remaining grid point — a single noisy win does not move the
 dispatch.  ``--quick`` shrinks the grids for smoke runs (CI / tests);
 use the defaults (or larger ``--rounds``) for a real calibration.
-
-``tools/calibrate_crossover.py`` remains as a thin shim over this
-module for callers of the historical entry point.
 """
 
 from __future__ import annotations
@@ -237,9 +234,9 @@ def main(argv=None) -> int:
               f"folded {row['incumbent_s']*1e3:8.2f} ms   "
               f"tiled {row['challenger_s']*1e3:8.2f} ms   -> {winner}")
     print()
-    print(f"current dispatch: FFT_CROSSOVER_TAPS="
+    print(f"current dispatch: fft_crossover_taps="
           f"{current.fft_crossover_taps} "
-          f"TILED_MIN_PLANE_BYTES={current.tiled_min_plane_bytes} "
+          f"tiled_min_plane_bytes={current.tiled_min_plane_bytes} "
           f"(source: {current.source})")
     if args.output is not None:
         print(f"profile written to {args.output} "

@@ -5,10 +5,9 @@ from the rest of the package (or from the tonemap/runtime modules that
 consult it), so the hot paths can read it without import cycles:
 
 * :class:`CalibrationProfile` — the serialized host calibration: every
-  crossover the runtime used to scatter across env-var module constants
-  (``FFT_CROSSOVER_TAPS``, ``TILED_MIN_PLANE_BYTES``,
-  ``FUSED_FFT_MIN_TAPS``, ``FUSED_BAND_BYTES``) collected into one
-  frozen, JSON-round-trippable record with provenance.
+  dispatch crossover (the ``DEFAULT_*`` constants below, each
+  overridable by its ``REPRO_*`` env var) collected into one frozen,
+  JSON-round-trippable record with provenance.
 * :func:`active_profile` — the **call-time** resolution every dispatch
   decision goes through.  Nothing is captured at import any more: the
   resolution order is (1) a profile pinned programmatically with
@@ -43,13 +42,48 @@ from typing import List, Optional, Union
 #: than letting an old calibration silently misdirect the dispatch.
 PROFILE_VERSION = 1
 
-#: Built-in defaults, measured on the PR 1/3/5 reference hosts.  These
-#: are the values the planner uses when no calibration profile has been
-#: loaded; ``repro.planner.calibrate`` re-measures them for other hosts.
+# Built-in defaults, measured on the reference hosts.  These are the
+# values the planner uses when no calibration profile has been loaded;
+# ``repro.planner.calibrate`` re-measures them for other hosts.
+
+#: Kernel width (taps) at which ``method="auto"`` switches the staged
+#: row convolution from the folded sliding-window path to the FFT path.
 DEFAULT_FFT_CROSSOVER_TAPS = 25
+
+#: Plane size (bytes of float64 data) at which ``method="auto"``
+#: switches narrow-kernel convolution from ``folded`` to the
+#: cache-blocked ``tiled`` path.  8 MiB ~ the working set leaving
+#: last-level cache on commodity parts: below it the folded temporaries
+#: stay cached and blocking only adds loop overhead; from it upward the
+#: tiled path wins by the memory-traffic ratio (measured 1.4-1.55x at
+#: 1024²-3072², sigma 4, on the reference host — see
+#: ``benchmarks/bench_blur.py``).
 DEFAULT_TILED_MIN_PLANE_BYTES = 1 << 23
+
+#: Kernel width at which the fused engine leaves the band ring for the
+#: whole-plane FFT mask.  Deliberately above the staged path's FFT
+#: crossover: the ring's folded window stays ahead of a transform
+#: until the kernel is this wide (4 x 1024² RGB over staged, 1-2
+#: threads on the reference host: taps 25 ring 2.0-3.3x vs plane
+#: 1.5-2.3x; taps 33 plane 1.7-2.2x vs ring 1.3-1.7x; taps 97 plane
+#: 1.9-2.5x vs ring 0.7-1.0x).
 DEFAULT_FUSED_FFT_MIN_TAPS = 33
+
+#: Byte budget for one fused band's float64 scratch working set.
+#: 4 MiB keeps a band plus its halo ring resident in commodity
+#: last-level caches (the same neighbourhood as the blur module's
+#: tiled crossover) while leaving bands wide enough to amortize the
+#: per-band Python overhead (measured best of 2-32 MiB at 1024² on the
+#: reference host).
 DEFAULT_FUSED_BAND_BYTES = 1 << 22
+
+#: How many distinct scratch geometries (frame shape × radius × band
+#: budget × mask regime) one fused executor keeps warm.  Each geometry
+#: retains up to ``threads`` workspaces; beyond the cap the
+#: least-recently-used geometry's scratch is dropped (and re-warmed on
+#: return — visible as an ``intermediate_bytes`` bump), so
+#: arbitrarily-shaped traffic cannot grow resident scratch without
+#: bound.
 DEFAULT_FUSED_POOLED_GEOMETRIES = 8
 
 #: Env var naming a profile JSON file to load as the base calibration.

@@ -30,7 +30,11 @@ four composable stages (diagrammed in ``docs/architecture.md``):
   at pool start-up.  With ``autoscale=True`` a
   :class:`~repro.runtime.shard.ShardAutoscaler` widens/narrows the
   active worker set from queue-depth and p95-latency signals under
-  :class:`~repro.runtime.shard.AutoscalePolicy` hysteresis.
+  :class:`~repro.runtime.shard.AutoscalePolicy` hysteresis.  It and
+  the multi-host ``HostPool`` below are two transports of one
+  :class:`~repro.runtime.backend.Backend`: one data-plane surface
+  (:class:`~repro.runtime.backend.DataPlaneStats`) and one attempt
+  policy (one crash replay, one hedge per batch).
 * :class:`~repro.runtime.service.ToneMapService` — a thread-pool front
   end that groups incoming images by shape, feeds them through batch
   mappers (optionally sharded), and reports aggregate throughput as
@@ -91,8 +95,7 @@ interactive never before its deadline); an
 queue depth against a declared
 :class:`~repro.runtime.overload.ServiceLevelObjective` and walks the
 four-rung degradation ladder (full → degraded plan → shed best-effort
-→ brownout, hysteresis both ways), surfaced in ``ReliabilityStats``
-and mirrored by the advisory host-level autoscaler on ``HostPool``;
+→ brownout, hysteresis both ways), surfaced in ``ReliabilityStats``;
 and ``drain()`` on every layer plus
 :meth:`~repro.runtime.hostpool.HostPool.rolling_restart` give a
 zero-loss graceful shutdown and host-at-a-time restart path
@@ -118,6 +121,7 @@ from repro.errors import (
     WireProtocolError,
 )
 from repro.runtime.arena import ArenaLease, ArenaStats, ResultHandle, ShmArena
+from repro.runtime.backend import DataPlaneStats
 from repro.runtime.batch import BatchToneMapper, BatchToneMapResult
 from repro.runtime.clock import Clock, FakeClock, MonotonicClock
 from repro.runtime.faults import FaultInjector, FaultPlan
@@ -147,12 +151,7 @@ from repro.runtime.reliability import (
     ReliabilityStats,
 )
 from repro.runtime.service import ServiceStats, TenantStats, ToneMapService
-from repro.runtime.shard import (
-    AutoscalePolicy,
-    DataPlaneStats,
-    ShardAutoscaler,
-    ShardPool,
-)
+from repro.runtime.shard import AutoscalePolicy, ShardAutoscaler, ShardPool
 
 __all__ = [
     "ArenaLease",

@@ -10,10 +10,10 @@ whole working set streams through main memory four-plus times.  This
 module is the software analogue of the pragma:
 
 * :class:`FusedToneMapPlan` decomposes every image into **row bands**
-  sized so one band's scratch stays resident in last-level cache
-  (:data:`FUSED_BAND_BYTES`), and runs mask → exponent → gamma → adjust
-  over each band in one pass, writing the output band straight into the
-  caller's buffer.
+  sized so one band's scratch stays resident in last-level cache (the
+  profile's ``fused_band_bytes``), and runs mask → exponent → gamma →
+  adjust over each band in one pass, writing the output band straight
+  into the caller's buffer.
 * The mask (the blurred luminance) comes from one of two regimes,
   chosen by the profile's ``fused_fft_min_taps`` crossover
   (:meth:`FusedToneMapPlan.h_method`):
@@ -71,9 +71,6 @@ import numpy as np
 from repro.errors import ToneMapError
 from repro.image.color import LUMA_WEIGHTS
 from repro.planner.profile import (
-    DEFAULT_FUSED_BAND_BYTES,
-    DEFAULT_FUSED_FFT_MIN_TAPS,
-    DEFAULT_FUSED_POOLED_GEOMETRIES,
     CalibrationProfile,
     _env_positive_int,
     active_profile,
@@ -86,39 +83,6 @@ from repro.tonemap.masking import (
     nonlinear_masking_into,
 )
 from repro.tonemap.pipeline import ToneMapParams
-
-#: Default byte budget for one band's float64 scratch working set.
-#: 4 MiB keeps a band plus its halo ring resident in commodity
-#: last-level caches (the same neighbourhood as the blur module's
-#: tiled crossover) while leaving bands wide enough to amortize the
-#: per-band Python overhead (measured best of 2-32 MiB at 1024² on the
-#: reference host).  This is the *built-in default* — the live value
-#: comes from :func:`repro.planner.profile.active_profile` at plan
-#: construction, so ``REPRO_FUSED_BAND_BYTES`` (read at call time, not
-#: import time) and calibration profiles re-tune it without a reload.
-FUSED_BAND_BYTES = DEFAULT_FUSED_BAND_BYTES
-
-#: Default for how many distinct scratch geometries (frame shape ×
-#: radius × band budget × mask regime) one executor keeps warm.  Each
-#: geometry retains up to ``threads`` workspaces; beyond the cap the
-#: least-recently-used geometry's scratch is dropped (and re-warmed on
-#: return — visible as an ``intermediate_bytes`` bump), so
-#: arbitrarily-shaped traffic cannot grow resident scratch without
-#: bound.  Live value: ``active_profile().fused_pooled_geometries``,
-#: captured per executor (``REPRO_FUSED_POOLED_GEOMETRIES`` overrides).
-FUSED_POOLED_GEOMETRIES = DEFAULT_FUSED_POOLED_GEOMETRIES
-
-#: Default kernel width at which the fused engine leaves the band ring
-#: for the whole-plane FFT mask.  Deliberately above the staged path's
-#: FFT crossover: the ring's folded window stays ahead of a transform
-#: until the kernel is this wide (4 x 1024² RGB over staged, 1-2
-#: threads on the reference host: taps 25 ring 2.0-3.3x vs plane
-#: 1.5-2.3x; taps 33 plane 1.7-2.2x vs ring 1.3-1.7x; taps 97 plane
-#: 1.9-2.5x vs ring 0.7-1.0x).
-#: Live value: ``active_profile().fused_fft_min_taps``, consulted per
-#: run through :func:`repro.planner.profile.select_fused_h_method`
-#: (``REPRO_FUSED_FFT_MIN_TAPS`` overrides at call time).
-FUSED_FFT_MIN_TAPS = DEFAULT_FUSED_FFT_MIN_TAPS
 
 #: Byte budget of one block's FFT transients in the plane regime.
 #: ``_convolve_fft`` allocates the padded rows, their spectrum and the
@@ -645,8 +609,8 @@ class FusedExecutor:
         # mixed-shape traffic through one executor keeps one warm
         # scratch set per shape instead of reallocating on every
         # alternation (the same size-classing idea as the arena's input
-        # pools).  Insertion order tracks recency; geometries beyond
-        # :data:`FUSED_POOLED_GEOMETRIES` are evicted LRU-first so
+        # pools).  Insertion order tracks recency; geometries beyond the
+        # profile's ``fused_pooled_geometries`` are evicted LRU-first so
         # unbounded shape diversity cannot grow scratch without bound.
         self._free: "OrderedDict[tuple, List[_Workspace]]" = OrderedDict()
         # Captured once per executor: the scratch cap is host-memory

@@ -19,36 +19,28 @@ Two classes:
   through ``run_leased``, and the result slab is sent back by
   reference — the wire hop adds zero staging copies on the host.
   ``repro-tonemap serve-host`` wraps it for the command line.
-* :class:`HostPool` — the routing client.  It speaks the same
-  duck-typed surface as ``ShardPool`` (``run_leased`` / ``run_stack`` /
-  ``run_batch``, the arena, the reliability counters), so
+* :class:`HostPool` — the routing client, the socket transport of
+  :class:`~repro.runtime.backend.Backend`: the same surface and attempt
+  policy as ``ShardPool``, so
   :class:`~repro.runtime.service.ToneMapService` and the ingestor run
   unchanged on top of it (``ToneMapService(hosts=2)``).  Batches
   round-robin across live hosts; each host serializes its in-flight
   request on one connection, so concurrency comes from the service's
   thread pool spreading batches over hosts.
 
-**Host failure lifecycle** — PR 8's worker reliability machinery,
-generalized one level up:
-
-1. A connection failure (refused, reset, truncated frame, injected
-   partition) marks the host **dead**: ``hosts_lost`` increments, the
-   batch *replays on another live host* (its input frames still sit in
-   the client arena — a replay is a pure re-dispatch), and a background
-   revive thread starts.
-2. The revive thread reconnects and health-checks (``MSG_PING``).  A
-   pool-owned host whose process died is **respawned** first
-   (``worker_respawns`` counts these, the host-level analogue of
-   worker-set rebuilds); a merely partitioned host heals by
-   reconnection alone.
-3. A socket *timeout* is a budget signal, not a death: the connection
-   is severed and the batch hedge-replays (``hedged_replays`` /
-   ``watchdog_kills``) up to ``timeout_retries`` times — on another
-   host when one is live.
-4. When every host is dead, :class:`~repro.errors.HostUnavailableError`
-   surfaces.  It subclasses ``ShardCrashError``, so a service breaker
-   browns the batch out to the in-process mapper exactly as it does
-   for a single-host pool failure — callers see latency, not errors.
+**Host failure lifecycle.**  A connection failure (refused, reset,
+truncated frame, injected partition) marks the host **dead**
+(``hosts_lost``) and the batch replays on another live host; a socket
+*timeout* is a budget signal, not a death — the connection is severed
+and the batch is hedged elsewhere.  A background revive thread
+reconnects a dead host and health-checks it (``MSG_PING``); a
+pool-owned host whose process died is **respawned** first
+(``worker_respawns`` counts these), a merely partitioned host heals by
+reconnection alone.  When no host is live for :data:`REVIVE_WAIT_S`,
+:class:`~repro.errors.HostUnavailableError` surfaces.  It subclasses
+``ShardCrashError``, so a service breaker browns the batch out to the
+in-process mapper exactly as it does for a single-host pool failure —
+callers see latency, not errors.
 
 **Fault injection.**  The pool consumes the *network* kinds of a
 :class:`~repro.runtime.faults.FaultPlan` client-side: ``partition``
@@ -69,22 +61,15 @@ import signal
 import socket
 import sys
 import threading
-import time
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import (
-    HostUnavailableError,
-    ShardCrashError,
-    ShardTimeoutError,
-    ToneMapError,
-    WireProtocolError,
-)
-from repro.image.hdr import HDRImage
-from repro.runtime.arena import ArenaLease, ShmArena
+from repro.errors import HostUnavailableError, ToneMapError, WireProtocolError
+from repro.runtime.arena import ArenaLease
+from repro.runtime.backend import Backend, Hedge, OutputSlot, Replay
 from repro.runtime.clock import MONOTONIC, Clock
-from repro.runtime.faults import FaultInjector, resolve_injector
+from repro.runtime.faults import resolve_injector
 from repro.runtime.net import (
     MSG_ERR,
     MSG_OK,
@@ -96,12 +81,7 @@ from repro.runtime.net import (
     recv_message,
     send_message,
 )
-from repro.runtime.shard import (
-    AutoscalePolicy,
-    DataPlaneStats,
-    ShardAutoscaler,
-    ShardPool,
-)
+from repro.runtime.shard import ShardPool
 from repro.tonemap.fixed_blur import FixedBlurConfig
 from repro.tonemap.pipeline import ToneMapParams
 
@@ -111,6 +91,20 @@ HostAddress = Tuple[str, int]
 #: Wire dtypes a RUN frame may carry; a closed set so a corrupt frame
 #: cannot make ``np.dtype`` evaluate arbitrary type strings.
 _WIRE_DTYPES = frozenset(("float32",))
+
+#: TCP connect budget per attempt.
+CONNECT_TIMEOUT_S = 10.0
+
+#: How long a batch that finds *no* live host waits for a background
+#: revival before :class:`~repro.errors.HostUnavailableError` — the
+#: host-level analogue of ``ShardPool`` blocking on its synchronous
+#: respawn.
+REVIVE_WAIT_S = 30.0
+
+#: Real-time interval at which clock-deadline waits re-read the
+#: injected clock, so a ``FakeClock`` advanced by a test is noticed
+#: promptly (the shard watchdog polls the same way).
+_POLL_S = 0.05
 
 
 def parse_address(value: Union[str, Tuple[str, int]]) -> HostAddress:
@@ -161,7 +155,6 @@ class HostServer:
         plan=None,
         arena_slots: int = 4,
         default_timeout_ms: Optional[float] = None,
-        timeout_retries: int = 1,
         faults=None,
         bind: str = "127.0.0.1",
         port: int = 0,
@@ -176,10 +169,10 @@ class HostServer:
             plan=plan,
             arena_slots=arena_slots,
             default_timeout_ms=default_timeout_ms,
-            timeout_retries=timeout_retries,
             faults=faults,
             clock=clock,
         )
+        self._clock = clock
         self._net = NetCounters()
         self._closed = False
         self._conn_lock = threading.Lock()
@@ -334,23 +327,13 @@ class HostServer:
         in_lease: ArenaLease = holder["lease"]
         timeout = meta.get("timeout")
         try:
+            # run_leased validates the wire budget before it dispatches:
+            # a zero, negative or NaN timeout is refused with the host's
+            # workers untouched.
             out_lease = self._pool.run_leased(
                 in_lease,
                 timeout=None if timeout is None else float(timeout),
             )
-        except ShardTimeoutError as exc:
-            send_message(
-                conn,
-                MSG_ERR,
-                {
-                    "error": "ShardTimeoutError",
-                    "message": str(exc),
-                    "elapsed_ms": exc.elapsed_ms,
-                    "retries": exc.retries,
-                },
-                counters=self._net,
-            )
-            return
         except Exception as exc:  # noqa: BLE001 - becomes a typed reply
             send_message(
                 conn,
@@ -396,13 +379,10 @@ class HostServer:
             self._listener.close()
         except OSError:
             pass
-        deadline = time.monotonic() + timeout_s
+        deadline = self._clock.now() + timeout_s
         with self._run_state:
-            while self._active_runs > 0:
-                remaining = deadline - time.monotonic()
-                if remaining <= 0:
-                    break
-                self._run_state.wait(timeout=min(remaining, 0.5))
+            while self._active_runs > 0 and self._clock.now() < deadline:
+                self._run_state.wait(timeout=_POLL_S)
         self.close()
 
     def close(self) -> None:
@@ -499,8 +479,8 @@ class _Host:
         return f"host[{self.index}]@{self.address[0]}:{self.address[1]}"
 
 
-class HostPool:
-    """Route batches across N shard hosts; a ``ShardPool`` drop-in.
+class HostPool(Backend):
+    """Route batches across N shard hosts; the socket transport.
 
     Construct with a list of addresses of already-running
     :class:`HostServer` processes (``["10.0.0.1:7070", ...]``), or let
@@ -519,51 +499,26 @@ class HostPool:
     ----------
     hosts:
         Host addresses (``"host:port"`` strings or tuples).
-    arena / arena_slots:
-        Share an existing client arena, or size the owned one.
+    arena_slots:
+        Ring/pool depth per size class of the client arena.
     default_timeout_ms:
         Per-attempt execution budget forwarded to the serving host
         (arming *its* watchdog) when ``run_leased`` gets no explicit
         ``timeout``.
-    timeout_retries:
-        Hedged replays allowed after a timeout (local wire timeout or
-        a host-side ``ShardTimeoutError``) before it surfaces.
-    connect_timeout_s:
-        TCP connect budget per attempt.
-    revive_wait_s:
-        How long a batch that finds *no* live host blocks waiting for a
-        background revival before
-        :class:`~repro.errors.HostUnavailableError` surfaces — the
-        host-level analogue of ``ShardPool`` blocking on its
-        synchronous respawn.  A breaker-fronted service that prefers a
-        fast brownout over waiting can lower it.
     faults:
         Chaos plan/spec/injector; the pool consumes the network kinds
         (``partition`` / ``slow_link`` / ``host_loss``) client-side.
     clock:
         Injectable time source shared with the reliability machinery.
-    autoscale_policy:
-        Optional :class:`~repro.runtime.shard.AutoscalePolicy` driving
-        an **advisory** host-level autoscaler: :meth:`observe` feeds
-        queue depth / p95 into it and returns the host count it
-        recommends.  Membership stays static — the pool cannot add
-        machines — but the recommendation and its ``scale_ups`` /
-        ``scale_downs`` counters tell an operator (or a future
-        provisioner) when the host set is under- or over-sized.
     """
 
     def __init__(
         self,
         hosts: Sequence[Union[str, Tuple[str, int]]],
-        arena: Optional[ShmArena] = None,
         arena_slots: int = 4,
         default_timeout_ms: Optional[float] = None,
-        timeout_retries: int = 1,
-        connect_timeout_s: float = 10.0,
-        revive_wait_s: float = 30.0,
         faults=None,
         clock: Clock = MONOTONIC,
-        autoscale_policy: Optional[AutoscalePolicy] = None,
         _processes: Optional[Sequence] = None,
         _spawn_kwargs: Optional[dict] = None,
         _spawn_context=None,
@@ -571,14 +526,7 @@ class HostPool:
         addresses = [parse_address(value) for value in hosts]
         if not addresses:
             raise ToneMapError("HostPool needs at least one host")
-        if default_timeout_ms is not None and default_timeout_ms <= 0:
-            raise ToneMapError(
-                f"default_timeout_ms must be > 0, got {default_timeout_ms}"
-            )
-        if timeout_retries < 0:
-            raise ToneMapError(
-                f"timeout_retries must be >= 0, got {timeout_retries}"
-            )
+        super().__init__(arena_slots, default_timeout_ms, faults, clock)
         processes = list(_processes) if _processes is not None else []
         self._hosts = [
             _Host(
@@ -588,47 +536,14 @@ class HostPool:
             )
             for index, address in enumerate(addresses)
         ]
-        self._owns_arena = arena is None
-        self.arena = arena if arena is not None else ShmArena(slots=arena_slots)
-        self._default_timeout_s = (
-            None if default_timeout_ms is None else default_timeout_ms / 1e3
-        )
-        self._timeout_retries = timeout_retries
-        self._connect_timeout_s = connect_timeout_s
-        self._revive_wait_s = revive_wait_s
-        self.faults: Optional[FaultInjector] = resolve_injector(faults)
-        self._clock = clock
         self._net = NetCounters()
         self._spawn_kwargs = _spawn_kwargs
         self._spawn_context = _spawn_context
-        self._closed = False
-        self._draining = False
-        self._in_flight = 0
-        # Guards host liveness/membership; revivals notify waiters in
-        # _pick_host that a host came back, drain waits here for
-        # _in_flight to reach zero.
-        self._state = threading.Condition()
+        # Host liveness/membership lives under the backend's _state:
+        # revivals notify waiters in _pick_host that a host came back.
         self._revive_threads: List[threading.Thread] = []
-        # Advisory host-level autoscaler: reuses the shard-level
-        # controller's hysteresis, but the recommendation is surfaced,
-        # not acted on (host membership is static).
-        self._host_autoscaler = (
-            ShardAutoscaler(autoscale_policy)
-            if autoscale_policy is not None
-            else None
-        )
-        self._scale_lock = threading.Lock()
-        self._scale_ups = 0
-        self._scale_downs = 0
-        self._recommended = len(addresses)
         self._hosts_drained = 0
-        self._count_lock = threading.Lock()
-        self._batches = 0
-        self._frames = 0
-        self._bytes_served = 0
         self._hosts_lost = 0
-        self._host_respawns = 0
-        self._hedged_replays = 0
         self._timeouts = 0
         self._rr = 0
 
@@ -647,11 +562,8 @@ class HostPool:
         shards_per_host: int = 2,
         arena_slots: int = 4,
         default_timeout_ms: Optional[float] = None,
-        timeout_retries: int = 1,
-        revive_wait_s: float = 30.0,
         faults=None,
         clock: Clock = MONOTONIC,
-        autoscale_policy: Optional[AutoscalePolicy] = None,
     ) -> "HostPool":
         """Start ``count`` localhost host processes and route over them.
 
@@ -679,7 +591,6 @@ class HostPool:
             "plan": plan,
             "arena_slots": arena_slots,
             "default_timeout_ms": default_timeout_ms,
-            "timeout_retries": timeout_retries,
             "faults": (
                 injector.plan.to_spec() if injector is not None else None
             ),
@@ -699,24 +610,16 @@ class HostPool:
             addresses,
             arena_slots=arena_slots,
             default_timeout_ms=default_timeout_ms,
-            timeout_retries=timeout_retries,
-            revive_wait_s=revive_wait_s,
             faults=injector,
             clock=clock,
-            autoscale_policy=autoscale_policy,
             _processes=processes,
             _spawn_kwargs=spawn_kwargs,
             _spawn_context=context,
         )
 
     # ------------------------------------------------------------------
-    # Introspection (the ShardPool-compatible surface)
+    # Introspection
     # ------------------------------------------------------------------
-    @property
-    def autoscaling(self) -> bool:
-        """Whether an advisory host-level autoscaler is attached."""
-        return self._host_autoscaler is not None
-
     @property
     def active_shards(self) -> int:
         """Live hosts a batch can currently route to."""
@@ -727,65 +630,10 @@ class HostPool:
             )
 
     @property
-    def scale_ups(self) -> int:
-        """Times the advisory autoscaler recommended growing the set."""
-        with self._scale_lock:
-            return self._scale_ups
-
-    @property
-    def scale_downs(self) -> int:
-        """Times the advisory autoscaler recommended shrinking the set."""
-        with self._scale_lock:
-            return self._scale_downs
-
-    def observe(
-        self, queue_depth: int, p95_ms: Optional[float] = None
-    ) -> int:
-        """Feed one load observation to the advisory host autoscaler.
-
-        Returns the host count the policy currently recommends.  The
-        pool does **not** act on it — host membership is static — but
-        the overload machinery and operators read the recommendation
-        (and the ``scale_ups`` / ``scale_downs`` counters) to tell
-        when the host set is sized wrong for the offered load.
-        Without a policy this is a no-op returning the live host count.
-        """
-        if self._host_autoscaler is None:
-            return self.active_shards
-        with self._scale_lock:
-            target = self._host_autoscaler.observe(
-                self._recommended, queue_depth, p95_ms
-            )
-            if target > self._recommended:
-                self._scale_ups += 1
-            elif target < self._recommended:
-                self._scale_downs += 1
-            self._recommended = target
-            return target
-
-    @property
-    def recommended_hosts(self) -> int:
-        """Latest host-count recommendation (static without a policy)."""
-        with self._scale_lock:
-            return self._recommended
-
-    @property
-    def worker_respawns(self) -> int:
-        """Host processes this pool restarted after losing them."""
-        with self._count_lock:
-            return self._host_respawns
-
-    @property
     def hosts_lost(self) -> int:
         """Hosts declared dead (connection lost, partitioned, killed)."""
         with self._count_lock:
             return self._hosts_lost
-
-    @property
-    def hedged_replays(self) -> int:
-        """Batches replayed (preferring another host) after a timeout."""
-        with self._count_lock:
-            return self._hedged_replays
 
     @property
     def watchdog_kills(self) -> int:
@@ -798,253 +646,67 @@ class HostPool:
         """Wire counters of the client endpoint."""
         return self._net.stats
 
-    @property
-    def data_plane_stats(self) -> DataPlaneStats:
-        """Counters proving (or disproving) the zero-copy claims.
-
-        Same honesty contract as the single-host pool, now spanning the
-        wire: ``arena`` counts client-side staging, ``net.bytes_staged``
-        counts any payload byte that crossed userspace instead of
-        moving arena-slot ↔ socket directly (0 on the scatter-gather
-        path), and both join the ``copies_per_frame`` numerator.
-        """
-        with self._count_lock:
-            return DataPlaneStats(
-                batches=self._batches,
-                frames=self._frames,
-                bytes_served=self._bytes_served,
-                worker_respawns=self._host_respawns,
-                arena=self.arena.stats,
-                net=self._net.stats,
-            )
-
     def host_addresses(self) -> List[HostAddress]:
         """Current addresses, respawn-fresh (for tooling and tests)."""
         with self._state:
             return [host.address for host in self._hosts]
 
     # ------------------------------------------------------------------
-    # Execution
+    # The transport
     # ------------------------------------------------------------------
-    def lease_input(self, shape: tuple, dtype=np.float32) -> ArenaLease:
-        """Lease a client arena input stack for producers to write into."""
-        return self.arena.lease_input(shape, dtype)
-
-    def run_leased(
+    def _attempt(
         self,
         in_lease: ArenaLease,
-        count: Optional[int] = None,
-        retries: int = 1,
-        timeout: Optional[float] = None,
-    ) -> ArenaLease:
-        """Tone-map a stack already resident in the client arena.
-
-        The ``ShardPool.run_leased`` contract over the wire: the input
-        slot is handed to ``sendmsg`` by reference, the reply payload
-        lands in a freshly leased output slab, and the caller keeps
-        ownership of ``in_lease`` — which is what makes **replay**
-        free: when a host dies mid-batch the frames still sit in the
-        client arena, so the batch re-dispatches to another live host
-        up to ``retries`` times before
-        :class:`~repro.errors.ShardCrashError` (or, with no live host
-        left, :class:`~repro.errors.HostUnavailableError`) surfaces.
-        Timeouts — a local wire timeout or the host's own
-        ``ShardTimeoutError`` — spend the separate ``timeout_retries``
-        hedge budget instead, preferring a different host for the
-        hedge.
-        """
-        if in_lease.array is None:
-            raise ToneMapError("cannot run a released arena lease")
-        shape = in_lease.array.shape
-        if count is None:
-            count = shape[0]
-        if not 1 <= count <= shape[0]:
-            raise ToneMapError(
-                f"count must be in [1, {shape[0]}], got {count}"
-            )
-        run_shape = (count,) + tuple(shape[1:])
-        payload = in_lease.array[:count]
-        if timeout is None:
-            timeout = self._default_timeout_s
-        with self._state:
-            if self._draining or self._closed:
-                raise ToneMapError(
-                    "host pool is draining"
-                    if self._draining and not self._closed
-                    else "host pool is closed"
-                )
-            self._in_flight += 1
-        try:
-            return self._run_leased_admitted(
-                payload, run_shape, count, retries, timeout
-            )
-        finally:
-            with self._state:
-                self._in_flight -= 1
-                self._state.notify_all()
-
-    def _run_leased_admitted(
-        self,
-        payload: np.ndarray,
-        run_shape: tuple,
-        count: int,
-        retries: int,
+        out: OutputSlot,
         timeout: Optional[float],
+        index: int,
+        kinds: frozenset,
+        avoid: object,
     ) -> ArenaLease:
-        spare = retries
-        hedge_spare = self._timeout_retries
-        start = self._clock.now()
-        avoid: Optional[_Host] = None
-        while True:
-            if self.faults is not None:
-                index, kinds = self.faults.next_attempt()
-            else:
-                index, kinds = 0, frozenset()
-            if "slow_link" in kinds:
-                self._clock.sleep(
-                    self.faults.plan.jitter_s(index, kind="slow_link")
-                )
-            host = self._pick_host(avoid)
-            if "host_loss" in kinds:
-                self._inject_host_loss(host)
-            if "partition" in kinds:
-                host.partitioned = True
-            try:
-                out_lease = self._dispatch(host, payload, run_shape, timeout)
-            except ShardTimeoutError:
-                # The host itself gave up (its watchdog + hedge budget
-                # spent).  The connection is fine; hedge on another
-                # host if the budget allows.
-                if hedge_spare <= 0:
-                    raise
-                hedge_spare -= 1
-                with self._count_lock:
-                    self._hedged_replays += 1
-                avoid = host
-                continue
-            except ShardCrashError:
-                # The host's own pool crashed past its replay budget —
-                # the host is alive, its workload is the problem.
-                if spare <= 0:
-                    raise
-                spare -= 1
-                avoid = host
-                continue
-            except TimeoutError as exc:
-                # Local wire timeout: the reply never came.  Sever the
-                # (now mid-frame) connection and hedge elsewhere; the
-                # host may still be alive and will be reconnected.
-                self._sever(host)
-                with self._count_lock:
-                    self._timeouts += 1
-                if hedge_spare <= 0:
-                    now = self._clock.now()
-                    used = self._timeout_retries - hedge_spare
-                    raise ShardTimeoutError(
-                        f"{count}-frame batch timed out on the wire to "
-                        f"{host.label} ({(now - start) * 1e3:.0f} ms "
-                        f"elapsed, {used} hedged replay(s))",
-                        elapsed_ms=(now - start) * 1e3,
-                        retries=used,
-                    ) from exc
-                hedge_spare -= 1
-                with self._count_lock:
-                    self._hedged_replays += 1
-                avoid = host
-                continue
-            except (WireProtocolError, OSError) as exc:
-                # The connection (or the host behind it) died.  Mark it
-                # lost — a revive thread heals it in the background —
-                # and replay on another host.
-                self._mark_lost(host)
-                avoid = host
-                if spare <= 0:
-                    raise ShardCrashError(
-                        f"{count}-frame batch lost {host.label} and the "
-                        f"replay budget is spent (hosts lost so far: "
-                        f"{self.hosts_lost})"
-                    ) from exc
-                spare -= 1
-                continue
-            break
-        with self._count_lock:
-            self._batches += 1
-            self._frames += count
-            self._bytes_served += out_lease.nbytes
-        return out_lease
-
-    def run_stack(
-        self, stack: np.ndarray, zero_copy: bool = False
-    ) -> Union[np.ndarray, ArenaLease]:
-        """Tone-map an ``(N, H, W[, 3])`` float stack across the hosts.
-
-        One counted staging copy moves the caller's array into a
-        pooled arena stack (same contract as ``ShardPool.run_stack``);
-        ``zero_copy=True`` returns the output lease instead of a
-        materialized copy.
-        """
-        stack = np.ascontiguousarray(stack, dtype=np.float32)
-        if stack.ndim not in (3, 4):
-            raise ToneMapError(
-                f"run_stack expects (N, H, W) or (N, H, W, 3), got "
-                f"{stack.shape}"
+        """One request-response exchange, preferring a host other than
+        the one the previous attempt failed on."""
+        if "slow_link" in kinds:
+            self._clock.sleep(
+                self.faults.plan.jitter_s(index, kind="slow_link")
             )
-        if stack.shape[0] == 0:
-            raise ToneMapError("batch must contain at least one image")
-        in_lease = self.arena.lease_input(stack.shape, np.float32)
+        host = self._pick_host(avoid)
+        if "host_loss" in kinds:
+            self._inject_host_loss(host)
+        if "partition" in kinds:
+            host.partitioned = True
         try:
-            in_lease.array[:] = stack
-            self.arena._count_copy_in(stack.nbytes)
-            out_lease = self.run_leased(in_lease)
-        finally:
-            in_lease.release()
-        if zero_copy:
-            return out_lease
-        return out_lease.materialize()
+            return self._dispatch(
+                host, in_lease.array[: out.shape[0]], out, timeout
+            )
+        except TimeoutError as exc:
+            # Local wire timeout: the reply never came.  Sever the (now
+            # mid-frame) connection; the host may still be alive and is
+            # reconnected on its next dispatch.
+            self._sever(host)
+            with self._count_lock:
+                self._timeouts += 1
+            raise Hedge(
+                f"timed out on the wire to {host.label}", where=host
+            ) from exc
+        except (WireProtocolError, OSError) as exc:
+            # The connection (or the host behind it) died.  Mark it
+            # lost — a revive thread heals it in the background.
+            self._mark_lost(host)
+            raise Replay(
+                f"lost {host.label} (hosts lost so far: {self.hosts_lost})",
+                where=host,
+            ) from exc
 
-    def run_batch(self, images: Sequence[HDRImage]) -> tuple:
-        """Tone-map a same-shape batch; drop-in for ``BatchToneMapper.map``."""
-        if len(images) == 0:
-            raise ToneMapError("batch must contain at least one image")
-        for image in images:
-            if not isinstance(image, HDRImage):
-                raise ToneMapError(f"expected HDRImage, got {type(image)!r}")
-        shape = images[0].pixels.shape
-        for image in images:
-            if image.pixels.shape != shape:
-                raise ToneMapError(
-                    f"batch images must share one shape; got {shape} and "
-                    f"{image.pixels.shape} (group by shape first)"
-                )
-        stack_shape = (len(images),) + shape
-        in_lease = self.arena.lease_input(stack_shape, np.float32)
-        try:
-            for i, image in enumerate(images):
-                in_lease.array[i] = image.pixels
-            self.arena._count_copy_in(int(np.prod(stack_shape)) * 4)
-            out = self.run_leased(in_lease).materialize()
-        finally:
-            in_lease.release()
-        return tuple(
-            HDRImage.adopt(out[i], name=f"{images[i].name}:tonemapped")
-            for i in range(len(images))
-        )
-
-    # ------------------------------------------------------------------
-    # Wire dispatch
-    # ------------------------------------------------------------------
-    def _pick_host(self, avoid: Optional[_Host]) -> _Host:
+    def _pick_host(self, avoid: object) -> _Host:
         """Round-robin over live hosts, preferring not to reuse ``avoid``.
 
         When *no* host is live the batch does not fail immediately: a
         revive thread is already working in the background, so this
-        blocks up to ``revive_wait_s`` for one to come back — the
-        analogue of ``ShardPool`` replaying only after its synchronous
-        respawn finished.  Only then does
-        :class:`~repro.errors.HostUnavailableError` surface (and the
-        service breaker browns out).
+        blocks up to :data:`REVIVE_WAIT_S` for one to come back.  Only
+        then does :class:`~repro.errors.HostUnavailableError` surface
+        (and the service breaker browns out).
         """
-        deadline = time.monotonic() + self._revive_wait_s
+        deadline = self._clock.now() + REVIVE_WAIT_S
         with self._state:
             while True:
                 live = [
@@ -1058,17 +720,17 @@ class HostPool:
                     host = preferred[self._rr % len(preferred)]
                     self._rr += 1
                     return host
-                remaining = deadline - time.monotonic()
-                if self._closed or remaining <= 0:
+                if self._closed or self._clock.now() >= deadline:
                     raise HostUnavailableError(
                         f"all {len(self._hosts)} shard hosts are dead or "
                         "partitioned away — no host left to serve the "
-                        f"batch (waited {self._revive_wait_s:.1f} s for a "
+                        f"batch (waited {REVIVE_WAIT_S:.0f} s for a "
                         "revival)"
                     )
-                self._state.wait(timeout=min(remaining, 0.5))
+                self._state.wait(timeout=_POLL_S)
 
-    def _wire_timeout(self, timeout: Optional[float]) -> Optional[float]:
+    @staticmethod
+    def _wire_timeout(timeout: Optional[float]) -> Optional[float]:
         """Socket budget for one request-response exchange.
 
         Deliberately looser than the host-side execution budget: the
@@ -1081,9 +743,10 @@ class HostPool:
             return None
         return timeout * 3.0 + 5.0
 
-    def _connect(self, host: _Host) -> socket.socket:
+    @staticmethod
+    def _connect(host: _Host) -> socket.socket:
         sock = socket.create_connection(
-            host.address, timeout=self._connect_timeout_s
+            host.address, timeout=CONNECT_TIMEOUT_S
         )
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return sock
@@ -1092,7 +755,7 @@ class HostPool:
         self,
         host: _Host,
         payload: np.ndarray,
-        run_shape: tuple,
+        out: OutputSlot,
         timeout: Optional[float],
     ) -> ArenaLease:
         """One request-response exchange with one host.
@@ -1100,11 +763,10 @@ class HostPool:
         Holds the host's wire lock for the duration (one in-flight
         batch per host; concurrency comes from routing across hosts).
         The request payload goes out by reference; the reply payload
-        lands in a freshly leased output slab supplied by the receive
-        sink.  Any failure severs the connection and releases the
-        half-filled lease — nothing leaks into the replay.
+        lands in the output slab the receive sink takes from ``out``
+        once the reply header proved its shape.  Any failure severs the
+        connection; the backend releases a half-filled slab.
         """
-        holder: dict = {}
 
         def sink(msg_type: int, meta: dict):
             if msg_type != MSG_OK:
@@ -1113,13 +775,11 @@ class HostPool:
                 int(s) for s in meta.get("shape", ())
                 if isinstance(s, int)
             )
-            if got != run_shape:
+            if got != out.shape:
                 raise WireProtocolError(
-                    f"host replied with shape {got}, expected {run_shape}"
+                    f"host replied with shape {got}, expected {out.shape}"
                 )
-            lease = self.arena.lease_output(run_shape, np.float32)
-            holder["lease"] = lease
-            return lease.array
+            return out.take().array
 
         with host.lock:
             if host.partitioned:
@@ -1139,7 +799,7 @@ class HostPool:
                     sock,
                     MSG_RUN,
                     {
-                        "shape": list(run_shape),
+                        "shape": list(out.shape),
                         "dtype": "float32",
                         "timeout": timeout,
                     },
@@ -1148,7 +808,6 @@ class HostPool:
                 )
                 frame = recv_message(sock, sink=sink, counters=self._net)
             except BaseException:
-                self._release_holder(holder)
                 self._close_sock(host)
                 raise
             if frame is None:
@@ -1158,8 +817,7 @@ class HostPool:
                 )
         msg_type, meta, _payload = frame
         if msg_type == MSG_OK:
-            return holder.pop("lease")
-        self._release_holder(holder)
+            return out.lease
         if msg_type == MSG_ERR:
             raise self._remote_error(host, meta)
         raise WireProtocolError(
@@ -1168,24 +826,19 @@ class HostPool:
 
     @staticmethod
     def _remote_error(host: _Host, meta: dict) -> Exception:
-        """Map a MSG_ERR frame back to a typed exception."""
+        """Map a MSG_ERR frame to an attempt verdict or a typed error.
+
+        A host that answers at all is alive: its own watchdog and hedge
+        giving up is a hedge here, its own pool crashing past its replay
+        a replay — both on another host when one is live.
+        """
         name = meta.get("error", "ToneMapError")
         message = f"{host.label}: {meta.get('message', 'unknown failure')}"
         if name == "ShardTimeoutError":
-            return ShardTimeoutError(
-                message,
-                elapsed_ms=float(meta.get("elapsed_ms", 0.0)),
-                retries=int(meta.get("retries", 0)),
-            )
+            return Hedge(f"timed out on {message}", where=host)
         if name in ("ShardCrashError", "HostUnavailableError"):
-            return ShardCrashError(message)
+            return Replay(f"crashed on {message}", where=host)
         return ToneMapError(f"{message} ({name})")
-
-    @staticmethod
-    def _release_holder(holder: dict) -> None:
-        lease = holder.pop("lease", None)
-        if lease is not None:
-            lease.release()
 
     @staticmethod
     def _close_sock(host: _Host) -> None:
@@ -1297,7 +950,7 @@ class HostPool:
             host.address = address
             host.process = process
         with self._count_lock:
-            self._host_respawns += 1
+            self._respawns += 1
 
     def _inject_host_loss(self, host: _Host) -> None:
         """Chaos: take the serving host down hard (SIGKILL its group).
@@ -1328,24 +981,6 @@ class HostPool:
         """Hosts cycled through a graceful drain by ``rolling_restart``."""
         with self._count_lock:
             return self._hosts_drained
-
-    def drain(self) -> None:
-        """Graceful shutdown: stop admitting, finish in-flight, close.
-
-        New ``run_leased`` calls are refused immediately with
-        :class:`~repro.errors.ToneMapError`; batches already admitted
-        run to completion (including their replay/hedge budgets)
-        before :meth:`close` tears the pool down.  ``close`` joins the
-        revive threads, so a drain never leaves a reviver behind.
-        Idempotent; concurrent with ``close`` the stricter one wins.
-        """
-        with self._state:
-            if self._closed:
-                return
-            self._draining = True
-            while self._in_flight > 0 and not self._closed:
-                self._state.wait(timeout=0.5)
-        self.close()
 
     def rolling_restart(self) -> int:
         """Restart every owned host process, one at a time, zero-loss.
@@ -1378,12 +1013,13 @@ class HostPool:
                     break
                 # A host mid-revival is already being replaced; wait
                 # briefly for the reviver, then skip it if still busy.
-                deadline = time.monotonic() + self._revive_wait_s
-                while host.reviving and not self._closed:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._state.wait(timeout=min(remaining, 0.5))
+                deadline = self._clock.now() + REVIVE_WAIT_S
+                while (
+                    host.reviving
+                    and not self._closed
+                    and self._clock.now() < deadline
+                ):
+                    self._state.wait(timeout=_POLL_S)
                 if self._closed or host.reviving:
                     continue
                 host.draining = True
@@ -1411,8 +1047,8 @@ class HostPool:
                     self._state.notify_all()
         return restarted
 
-    def close(self) -> None:
-        """Drop connections, stop owned host processes, close the arena.
+    def _shutdown(self) -> None:
+        """Join the revivers, drop connections, stop owned host processes.
 
         Revive threads are joined first: one mid-respawn could
         otherwise hand a *fresh* (non-daemon) host process to a record
@@ -1420,8 +1056,6 @@ class HostPool:
         interpreter exit.
         """
         with self._state:
-            self._closed = True
-            self._state.notify_all()
             revive_threads = list(self._revive_threads)
         for thread in revive_threads:
             # Generous: a thread can be inside a respawn, which waits
@@ -1433,14 +1067,6 @@ class HostPool:
         for host in self._hosts:
             if host.process is not None:
                 _terminate_host(host.process)
-        if self._owns_arena:
-            self.arena.close()
-
-    def __enter__(self) -> "HostPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
 
 
 # ----------------------------------------------------------------------

@@ -42,10 +42,7 @@ fake-clock testable, like the circuit breaker).
 
 Every transition is counted and the current rung is surfaced through
 :class:`~repro.runtime.reliability.ReliabilityStats` (``ladder_rung`` /
-``ladder_transitions`` / ``ladder_shed``) and the CLI report.  The same
-queue-depth / p95 signals feed the host-level autoscaler
-(:meth:`repro.runtime.hostpool.HostPool.observe`), so the ladder and the
-scale-out policy read one truth.
+``ladder_transitions`` / ``ladder_shed``) and the CLI report.
 """
 
 from __future__ import annotations

@@ -37,6 +37,7 @@ import numpy as np
 from repro.errors import ShardCrashError, ShardTimeoutError, ToneMapError
 from repro.image.hdr import HDRImage
 from repro.runtime.arena import ArenaLease, ResultHandle
+from repro.runtime.backend import run_image_batch
 from repro.runtime.batch import BatchToneMapper
 from repro.runtime.clock import MONOTONIC, Clock
 from repro.runtime.faults import resolve_injector
@@ -225,7 +226,8 @@ class ToneMapService:
         servers (CLI ``serve-host``), and a ready
         :class:`~repro.runtime.hostpool.HostPool` is adopted as-is
         (the service closes it).  Mutually exclusive with ``shards`` /
-        ``autoscale``; the breaker, ``shard_timeout_ms``, and the
+        ``autoscale`` / ``autoscale_policy`` (a host fleet has a fixed
+        width); the breaker, ``shard_timeout_ms``, and the
         zero-copy admission path all apply to hosts exactly as they do
         to shards.
     fixed_config:
@@ -241,11 +243,7 @@ class ToneMapService:
         (default: host CPU count) the ceiling.
     max_shards / autoscale_policy:
         Autoscaler bounds / full policy override (see
-        :class:`~repro.runtime.shard.ShardPool`).  With ``hosts``
-        instead of ``shards``, ``autoscale_policy`` attaches the
-        **advisory** host-level autoscaler on the
-        :class:`~repro.runtime.hostpool.HostPool` — membership stays
-        static, but the pool reports when the host set is sized wrong.
+        :class:`~repro.runtime.shard.ShardPool`).
     arena_slots:
         Depth of the pool's shared-memory arena per size class (see
         :class:`~repro.runtime.arena.ShmArena`).
@@ -340,7 +338,9 @@ class ToneMapService:
             raise ToneMapError(
                 "the fused engine is float-only; drop fused or fixed_config"
             )
-        if hosts is not None and (shards is not None or autoscale):
+        if hosts is not None and (
+            shards is not None or autoscale or autoscale_policy is not None
+        ):
             raise ToneMapError(
                 "hosts and shards/autoscale are mutually exclusive — a "
                 "hosted service fans out across shard hosts, each of "
@@ -374,8 +374,8 @@ class ToneMapService:
                 f"got {type(breaker)!r}"
             )
         self._brownout_batches = 0
-        # A ShardPool, a HostPool (duck-typed to the same execution
-        # surface), or None for the in-process path.
+        # A ShardPool or a HostPool (one Backend surface), or None for
+        # the in-process path.
         self._pool = None
         if shards is not None:
             self._pool = ShardPool(
@@ -412,7 +412,6 @@ class ToneMapService:
                     default_timeout_ms=shard_timeout_ms,
                     faults=self._faults,
                     clock=clock,
-                    autoscale_policy=autoscale_policy,
                 )
             else:
                 self._pool = HostPool(
@@ -421,7 +420,6 @@ class ToneMapService:
                     default_timeout_ms=shard_timeout_ms,
                     faults=self._faults,
                     clock=clock,
-                    autoscale_policy=autoscale_policy,
                 )
         local_params = params
         if fixed_config is not None:
@@ -580,37 +578,16 @@ class ToneMapService:
     def _run_admitted(self, images: Sequence[HDRImage]) -> tuple[HDRImage, ...]:
         """Execute one batch already counted by :meth:`_admit_batch`.
 
-        With a breaker configured, shard failures that exhausted the
-        pool's own retry budgets (:class:`~repro.errors.ShardCrashError`,
-        :class:`~repro.errors.ShardTimeoutError`) are recorded and the
-        batch browns out to the in-process mapper — bit-identical
-        outputs, so the caller sees latency, not an exception.  Without
-        a breaker those errors propagate exactly as before.
+        A pooled service stages the images into the pool's arena and
+        routes the stack through :meth:`_execute_stack`, the one place
+        the breaker is consulted.
         """
         start = self._clock.now()
         try:
             if self._pool is not None:
-                outputs = None
-                with self._lock:
-                    forced = self._forced_brownout
-                if forced or (
-                    self._breaker is not None
-                    and not self._breaker.allow_shard()
-                ):
-                    self._note_brownout()
-                    outputs = self._mapper.run(images).outputs
-                else:
-                    try:
-                        outputs = self._pool.run_batch(images)
-                    except (ShardCrashError, ShardTimeoutError):
-                        if self._breaker is None:
-                            raise
-                        self._breaker.record_failure()
-                        self._note_brownout()
-                        outputs = self._mapper.run(images).outputs
-                    else:
-                        if self._breaker is not None:
-                            self._breaker.record_success()
+                outputs = run_image_batch(
+                    self._pool.arena, images, self._execute_stack
+                )
                 pixels = sum(
                     int(im.pixels.shape[0]) * int(im.pixels.shape[1])
                     for im in images
@@ -646,10 +623,21 @@ class ToneMapService:
         return out_lease
 
     def _execute_stack(
-        self, in_lease: ArenaLease, count: int, timeout: Optional[float]
+        self,
+        in_lease: ArenaLease,
+        count: int,
+        timeout: Optional[float] = None,
     ) -> ArenaLease:
         """Route one arena stack: shard pool, unless the breaker (or the
-        overload ladder's brownout rung) says no."""
+        overload ladder's brownout rung) says no.
+
+        With a breaker configured, pool failures that exhausted the
+        pool's own replay and hedge (:class:`~repro.errors.ShardCrashError`,
+        :class:`~repro.errors.ShardTimeoutError`) are recorded and the
+        batch browns out to the in-process mapper — bit-identical
+        outputs, so the caller sees latency, not an exception.  Without
+        a breaker those errors propagate.
+        """
         with self._lock:
             forced = self._forced_brownout
         if forced or (
@@ -930,10 +918,7 @@ class ToneMapService:
         if degraded is not None:
             degraded.close()
         if self._pool is not None:
-            stop = (
-                getattr(self._pool, "drain", None) if graceful else None
-            )
-            (stop or self._pool.close)()
+            (self._pool.drain if graceful else self._pool.close)()
         with self._lock:
             self._closed = True
 

@@ -14,27 +14,17 @@ Unlike the PR 2 incarnation, segments are *persistent*: the pool owns a
 :class:`~repro.runtime.arena.ShmArena` whose pooled input stacks and
 output-slab ring are reused across batches, so steady-state serving does
 zero SHM allocations and zero parent-side staging copies.  The data
-plane has three entry points, fastest first:
-
-* :meth:`run_leased` — fully zero-copy: the producer already wrote the
-  frames into an arena input stack (leased via ``pool.arena`` or
-  :meth:`lease_input`); results come back as a reference-counted
-  :class:`~repro.runtime.arena.ArenaLease` view.  The streaming ingestor
-  uses this path.
-* :meth:`run_stack` — one staging copy in (the caller holds an ordinary
-  array); zero-copy out with ``zero_copy=True``, else one materialize
-  copy for safety.
-* :meth:`run_batch` — the :class:`HDRImage` convenience; frames are
-  written into the arena one by one (no intermediate ``np.stack``) and
-  outputs are adopted views into one materialized buffer.
+plane surface (``run_leased`` / ``run_stack`` / ``run_batch``) and the
+attempt policy come from :class:`~repro.runtime.backend.Backend`; this
+module is the process-pool transport underneath.
 
 **Crash recovery.**  A worker dying (OOM kill, segfault) breaks the
-whole ``ProcessPoolExecutor``; :meth:`ShardPool.run_leased` absorbs
-that: it releases the batch's output slab, respawns the worker set
+whole ``ProcessPoolExecutor``.  The failed attempt quiesces the broken
+executor, releases the batch's output slab, respawns the worker set
 (once per crash, however many batches observed it — generation
-counted), and replays the batch on the fresh workers, since its input
-frames still sit untouched in the arena.  Only a persistently crashing
-workload (the replay dies too) surfaces
+counted), and reports a crash replay to the backend, which re-dispatches
+the batch: its input frames still sit untouched in the arena.  Only a
+persistently crashing workload (the replay dies too) surfaces
 :class:`~repro.errors.ShardCrashError`.  ``tests/test_fault_injection.py``
 SIGKILLs real workers to hold the no-leak / no-hang / autoscaler-alive
 contract.
@@ -84,23 +74,25 @@ import os
 import signal
 import sys
 import threading
-import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from repro.errors import ShardCrashError, ShardTimeoutError, ToneMapError
-from repro.image.hdr import HDRImage
-from repro.runtime.arena import ArenaLease, ArenaStats, ShmArena
+from repro.errors import ToneMapError
+from repro.runtime.arena import ArenaLease
+from repro.runtime.backend import (
+    Backend,
+    FreeReplay,
+    Hedge,
+    OutputSlot,
+    Replay,
+)
 from repro.runtime.batch import BatchToneMapper
 from repro.runtime.clock import MONOTONIC, Clock
-from repro.runtime.faults import FaultInjector, resolve_injector
-from repro.runtime.net import NetStats
 from repro.tonemap.fixed_blur import FixedBlurConfig, make_fixed_blur_fn
 from repro.tonemap.pipeline import ToneMapParams
 
@@ -211,7 +203,7 @@ def _run_slab(
         if kind == "kill":
             os.kill(os.getpid(), signal.SIGKILL)
         elif kind == "hang":
-            time.sleep(value)
+            MONOTONIC.sleep(value)
     in_shm = _attach(in_name, in_cacheable)
     try:
         out_shm = _attach(out_name, out_cacheable)
@@ -262,10 +254,10 @@ class _Watchdog:
     watchdog turns hangs into crashes: :meth:`watch` registers a batch
     attempt's deadline, and a single lazy daemon thread SIGKILLs the
     current worker processes once any watched deadline passes, which
-    breaks the pool and lets ``run_leased``'s existing crash machinery
-    (quiesce → respawn → replay) take over.  The token's ``expired``
-    flag is how ``run_leased`` distinguishes a watchdog kill (timeout →
-    hedged replay budget) from an organic crash (crash retry budget).
+    breaks the pool and lets the attempt's crash path (quiesce →
+    respawn) take over.  The token's ``expired`` flag is how the
+    attempt tells a watchdog kill (a hedge) from an organic crash (a
+    crash replay).
 
     Time comes from the injected clock, but wake-ups poll on a short
     real-time interval — so tests driving a
@@ -422,50 +414,7 @@ class ShardAutoscaler:
         return min(max(active, policy.min_shards), policy.max_shards)
 
 
-@dataclass(frozen=True)
-class DataPlaneStats:
-    """Per-pool data-plane counters (arena counters plus batch count).
-
-    ``copies_per_frame`` is the headline number: parent-side staging
-    bytes (copy-in plus materialize) per frame served, as a fraction of
-    the frame size.  The PR 2 cycle measured 3.0 (stack, copy-in, copy
-    out — and a fourth inside ``HDRImage``); the zero-copy path measures
-    0.0.
-
-    The multi-host tier shares this dataclass: a
-    :class:`~repro.runtime.hostpool.HostPool` fills ``net`` with its
-    wire-endpoint counters, whose ``bytes_staged`` (userspace staging
-    around the socket hop — 0 on the scatter-gather path) joins the
-    same honesty sum, and ``worker_respawns`` counts *host* respawns.
-    A single-host pool leaves ``net`` all zeros.
-    """
-
-    batches: int = 0
-    frames: int = 0
-    bytes_served: int = 0
-    worker_respawns: int = 0
-    arena: ArenaStats = ArenaStats()
-    net: NetStats = NetStats()
-
-    @property
-    def copies_per_frame(self) -> float:
-        """Staging bytes per frame-byte served (3.0 legacy, 0.0 zero-copy)."""
-        if self.bytes_served <= 0:
-            return 0.0
-        return self.bytes_staged / self.bytes_served
-
-    @property
-    def bytes_staged(self) -> int:
-        """Total parent-side staging traffic (copy-in + materialize +
-        any userspace staging around the wire)."""
-        return (
-            self.arena.bytes_copied_in
-            + self.arena.bytes_materialized
-            + self.net.bytes_staged
-        )
-
-
-class ShardPool:
+class ShardPool(Backend):
     """Tone-maps batches by sharding them across worker processes.
 
     Parameters
@@ -479,14 +428,6 @@ class ShardPool:
     fixed_config:
         When given, every worker blurs with the bit-accurate fixed-point
         model built from this config (batched across its whole slab).
-    start_method:
-        Multiprocessing start method; defaults to ``fork`` on Linux (cheap
-        start-up, inherited imports) and ``spawn`` elsewhere (forking
-        after BLAS/framework threads start is unsafe on macOS).  Applies
-        to initial construction only — crash *respawns* always use
-        ``spawn``, because by then caller threads are live and forking a
-        multi-threaded process can deadlock the child (see
-        :meth:`_respawn`).
     autoscale:
         Enable the queue-depth / latency autoscaler.  ``max_shards``
         workers are started eagerly (all forked before any caller thread
@@ -499,11 +440,8 @@ class ShardPool:
     policy:
         Autoscale policy override; defaults to
         ``AutoscalePolicy(min_shards=shards, max_shards=max_shards)``.
-    arena:
-        Share an existing :class:`~repro.runtime.arena.ShmArena` instead
-        of owning one (the owner closes it).
     arena_slots:
-        Ring/pool depth per size class for an owned arena.
+        Ring/pool depth per size class of the pool's arena.
     fused:
         Workers run their slabs through the fused band engine
         (:mod:`repro.runtime.fused`) instead of the staged stack path.
@@ -522,36 +460,17 @@ class ShardPool:
         The per-process thread default stays **1** even under a plan —
         the plan's ``threads`` describes the in-process engine, and N
         workers × plan-threads would oversubscribe the host.
-    default_timeout_ms:
-        Execution budget applied to every :meth:`run_leased` call that
-        does not pass its own ``timeout``.  ``None`` (the default)
-        means no budget: a hung worker blocks forever, exactly the
-        pre-watchdog behaviour.
-    timeout_retries:
-        Hedged replays allowed after a watchdog kill before
-        :class:`~repro.errors.ShardTimeoutError` surfaces.  Independent
-        of ``run_leased``'s crash ``retries`` — a hang and a crash are
-        different budgets.
-    hang_factor:
-        When set, batches *without* an explicit budget get a derived
-        one: ``hang_factor × p95`` of recent batch durations (needs at
-        least five samples; floored at ``hang_min_ms``).  Off by
-        default — mixed batch sizes make a global p95 a poor hang
-        signal unless the operator opts in.
-    hang_min_ms:
-        Floor for the p95-derived threshold, so a burst of tiny batches
-        cannot arm a hair-trigger watchdog.
-    faults:
-        Chaos injection: a :class:`~repro.runtime.faults.FaultPlan`, a
-        spec string, or a shared
-        :class:`~repro.runtime.faults.FaultInjector`.  ``None`` consults
-        the ``REPRO_FAULT_PLAN`` environment variable; absent that, no
-        injection (zero overhead on the hot path).
-    clock:
-        Injectable monotonic time source (see
-        :mod:`repro.runtime.clock`); tests pass a ``FakeClock``.
+    default_timeout_ms / faults / clock:
+        The attempt budget, chaos plan and time source of
+        :class:`~repro.runtime.backend.Backend`.  An attempt still
+        running at its budget is SIGKILLed by the shard watchdog and
+        hedged on the respawned workers.
 
-    Use as a context manager or call :meth:`close` when done.
+    Workers start with ``fork`` on Linux (cheap start-up, inherited
+    imports) and ``spawn`` elsewhere (forking after BLAS/framework
+    threads start is unsafe on macOS); crash *respawns* use
+    ``forkserver`` (see :meth:`_respawn`).  Use as a context manager or
+    call :meth:`close` when done.
     """
 
     def __init__(
@@ -559,19 +478,14 @@ class ShardPool:
         params: Optional[ToneMapParams] = None,
         shards: int = 2,
         fixed_config: Optional[FixedBlurConfig] = None,
-        start_method: Optional[str] = None,
         autoscale: bool = False,
         max_shards: Optional[int] = None,
         policy: Optional[AutoscalePolicy] = None,
-        arena: Optional[ShmArena] = None,
         arena_slots: int = 4,
         fused: bool = False,
         fused_threads: Optional[int] = None,
         plan=None,
         default_timeout_ms: Optional[float] = None,
-        timeout_retries: int = 1,
-        hang_factor: Optional[float] = None,
-        hang_min_ms: float = 50.0,
         faults=None,
         clock: Clock = MONOTONIC,
     ):
@@ -594,16 +508,6 @@ class ShardPool:
             # claims one core per shard, so the in-process default
             # (cpu_count) would oversubscribe shards-fold.
             fused_threads = 1
-        if start_method is None:
-            # fork only on Linux: macOS lists it but CPython switched its
-            # default to spawn because forking after BLAS/framework
-            # threads start is unsafe there.
-            start_method = (
-                "fork"
-                if sys.platform == "linux"
-                and "fork" in mp.get_all_start_methods()
-                else "spawn"
-            )
         self.shards = shards
         self.params = params
         self.fixed_config = fixed_config
@@ -639,58 +543,29 @@ class ShardPool:
             self._policy = None
             self._autoscaler = None
             workers = shards
+        super().__init__(arena_slots, default_timeout_ms, faults, clock)
         self._workers = workers
         self._active = shards
         self._scale_ups = 0
         self._scale_downs = 0
         self._scale_lock = threading.Lock()
-        self._owns_arena = arena is None
-        self.arena = arena if arena is not None else ShmArena(slots=arena_slots)
-        self._batches = 0
-        self._frames = 0
-        self._bytes_served = 0
-        self._count_lock = threading.Lock()
-        self._mp_context = mp.get_context(start_method)
-        # Crash respawns must not plain-fork a by-then-threaded parent;
-        # see _respawn.  A non-fork pool respawns with its own context.
-        if start_method != "fork":
-            self._respawn_context = self._mp_context
-        elif "forkserver" in mp.get_all_start_methods():
+        # fork only on Linux: macOS lists it but CPython switched its
+        # default to spawn because forking after BLAS/framework threads
+        # start is unsafe there.  Crash respawns must not plain-fork a
+        # by-then-threaded parent (see _respawn).
+        if sys.platform == "linux" and "fork" in mp.get_all_start_methods():
+            self._mp_context = mp.get_context("fork")
             self._respawn_context = mp.get_context("forkserver")
-        else:  # pragma: no cover - fork implies posix, so forkserver exists
-            self._respawn_context = mp.get_context("spawn")
+        else:
+            self._mp_context = self._respawn_context = mp.get_context("spawn")
         self._respawn_lock = threading.Lock()
         self._generation = 0
-        self._respawns = 0
-        self._draining = False
-        if default_timeout_ms is not None and default_timeout_ms <= 0:
-            raise ToneMapError(
-                f"default_timeout_ms must be > 0, got {default_timeout_ms}"
-            )
-        if timeout_retries < 0:
-            raise ToneMapError(
-                f"timeout_retries must be >= 0, got {timeout_retries}"
-            )
-        if hang_factor is not None and hang_factor <= 0:
-            raise ToneMapError(
-                f"hang_factor must be > 0, got {hang_factor}"
-            )
-        self._clock = clock
-        self._default_timeout_s = (
-            None if default_timeout_ms is None else default_timeout_ms / 1e3
-        )
-        self._timeout_retries = timeout_retries
-        self._hang_factor = hang_factor
-        self._hang_min_s = hang_min_ms / 1e3
-        self._durations: deque = deque(maxlen=256)
-        self._hedged_replays = 0
-        self.faults: Optional[FaultInjector] = resolve_injector(faults)
         self._reap_lock = threading.Lock()
         self._watchdog = _Watchdog(self._kill_workers, clock=clock)
-        self._executor = self._spawn_executor()
+        self._executor = self._spawn_executor(self._mp_context)
 
     def _spawn_executor(
-        self, mp_context: Optional[mp.context.BaseContext] = None
+        self, mp_context: mp.context.BaseContext
     ) -> ProcessPoolExecutor:
         """Start a full worker set and prove every initializer ran.
 
@@ -704,7 +579,7 @@ class ShardPool:
         """
         executor = ProcessPoolExecutor(
             max_workers=self._workers,
-            mp_context=mp_context if mp_context is not None else self._mp_context,
+            mp_context=mp_context,
             initializer=_init_worker,
             initargs=(
                 self.params,
@@ -751,11 +626,10 @@ class ShardPool:
             if self._generation != generation:
                 return  # another thread already replaced this executor
             broken = self._executor
-            self._executor = self._spawn_executor(
-                mp_context=self._respawn_context
-            )
+            self._executor = self._spawn_executor(self._respawn_context)
             self._generation += 1
-            self._respawns += 1
+            with self._count_lock:
+                self._respawns += 1
         self._shutdown_broken(broken)
 
     def _shutdown_broken(self, executor: ProcessPoolExecutor) -> None:
@@ -787,11 +661,6 @@ class ShardPool:
         else:
             event.wait()
 
-    @property
-    def worker_respawns(self) -> int:
-        """Worker-set rebuilds performed after crashes (0 in health)."""
-        return self._respawns
-
     def worker_pids(self) -> List[int]:
         """PIDs of the current worker processes.
 
@@ -822,7 +691,7 @@ class ShardPool:
             return []
 
     # ------------------------------------------------------------------
-    # Watchdog / hedged replay
+    # Watchdog
     # ------------------------------------------------------------------
     def _kill_workers(self) -> None:
         """SIGKILL the current worker set (watchdog fire path).
@@ -845,27 +714,10 @@ class ShardPool:
             except (ProcessLookupError, PermissionError, OSError):
                 pass
 
-    def _hang_threshold_s(self) -> Optional[float]:
-        """The p95-derived hang budget, or ``None`` while unarmed."""
-        if self._hang_factor is None:
-            return None
-        with self._count_lock:
-            samples = sorted(self._durations)
-        if len(samples) < 5:
-            return None
-        p95 = samples[min(len(samples) - 1, int(0.95 * len(samples)))]
-        return max(self._hang_min_s, p95 * self._hang_factor)
-
     @property
     def watchdog_kills(self) -> int:
         """Times the watchdog SIGKILLed the workers of an over-budget batch."""
         return self._watchdog.kills
-
-    @property
-    def hedged_replays(self) -> int:
-        """Batches replayed on fresh workers after a watchdog kill."""
-        with self._count_lock:
-            return self._hedged_replays
 
     # ------------------------------------------------------------------
     # Autoscaling
@@ -911,292 +763,104 @@ class ShardPool:
             return target
 
     # ------------------------------------------------------------------
-    # Execution
+    # The transport
     # ------------------------------------------------------------------
-    def lease_input(self, shape: tuple, dtype=np.float32) -> ArenaLease:
-        """Lease an arena input stack for producers to write frames into."""
-        return self.arena.lease_input(shape, dtype)
-
-    def run_leased(
+    def _attempt(
         self,
         in_lease: ArenaLease,
-        count: Optional[int] = None,
-        retries: int = 1,
-        timeout: Optional[float] = None,
+        out: OutputSlot,
+        timeout: Optional[float],
+        index: int,
+        kinds: frozenset,
+        avoid: object,
     ) -> ArenaLease:
-        """Tone-map a stack already resident in the arena (zero-copy).
+        """Fan one attempt out as slabs over the active workers.
 
-        ``in_lease`` is an input lease whose array holds ``count`` frames
-        (default: all of them; pass fewer for a partially filled stack).
-        The caller keeps ownership of ``in_lease`` — release it when the
-        slot is no longer needed (the ingestor reuses its stack across
-        batches).  Returns an output lease viewing the results; release
-        or materialize it.
-
-        **Crash recovery.**  A worker dying mid-batch (OOM kill, crash)
-        breaks the whole ``ProcessPoolExecutor``; this method then
-        releases the batch's output slab, respawns the worker set once
-        (see :meth:`_respawn`), and replays the batch up to ``retries``
-        times — the input frames still sit untouched in ``in_lease``,
-        so a replay is a pure re-dispatch.  A replay that crashes again
-        raises :class:`~repro.errors.ShardCrashError`; either way no
-        lease is leaked and the pool stays usable for later batches.
-
-        **Hang recovery.**  ``timeout`` (seconds; defaults to the
-        pool's ``default_timeout_ms``) is the execution budget of each
-        *attempt*.  An attempt still running at its budget — a *hung*
-        worker never breaks the pool by itself — is killed by the
-        watchdog, which converts the hang into the crash path above;
-        the batch is then *hedge-replayed* on the respawned workers
-        (with a fresh budget — a kill exactly at the deadline must
-        still leave the hedge worth taking) up to ``timeout_retries``
-        times before :class:`~repro.errors.ShardTimeoutError`
-        surfaces.  Without an explicit budget, an opt-in
-        ``hang_factor`` arms the watchdog at p95 × factor of recent
-        batch durations instead.
+        A dying worker breaks the whole executor (``BrokenProcessPool``):
+        a crash replay, or a hedge when the watchdog killed the workers
+        at this attempt's budget, or free when another batch's respawn
+        had already replaced the executor this attempt ran on.
         """
-        if in_lease.array is None:
-            raise ToneMapError("cannot run a released arena lease")
-        if self._draining:
-            raise ToneMapError("shard pool is draining")
-        shape = in_lease.array.shape
-        if count is None:
-            count = shape[0]
-        if not 1 <= count <= shape[0]:
-            raise ToneMapError(
-                f"count must be in [1, {shape[0]}], got {count}"
-            )
-        run_shape = (count,) + tuple(shape[1:])
-        if timeout is None:
-            timeout = self._default_timeout_s
-        spare = retries
-        hedge_spare = self._timeout_retries
-        start = self._clock.now()
-        while True:
-            generation = self._generation
-            executor = self._executor
-            directive = None
-            force_transient = False
-            if self.faults is not None:
-                index, kinds = self.faults.next_attempt()
-                if "slow" in kinds:
-                    self._clock.sleep(self.faults.plan.jitter_s(index))
-                force_transient = "exhaust" in kinds
-                directive = self.faults.worker_directive(kinds)
-            out_lease = self.arena.lease_output(
-                run_shape, np.float32, force_transient=force_transient
-            )
-            # Arm the watchdog for this attempt: each attempt gets the
-            # full budget (explicit timeout, else the p95-derived
-            # threshold when enabled) — a kill exactly at the deadline
-            # must still leave the hedged replay worth taking.
-            hang_s = (
-                timeout if timeout is not None else self._hang_threshold_s()
-            )
-            attempt_deadline = (
-                None if hang_s is None else self._clock.now() + hang_s
-            )
-            token = (
-                None
-                if attempt_deadline is None
-                else self._watchdog.watch(attempt_deadline)
-            )
-            futures = []
-            try:
-                # Plain loop, not a comprehension: if a submit raises midway
-                # (pool shutting down), the futures already submitted must
-                # stay tracked so the except path can quiesce them.
-                for slab_index, (lo, hi) in enumerate(
-                    _slab_bounds(count, self._active)
-                ):
-                    futures.append(
-                        executor.submit(
-                            _run_slab,
-                            in_lease.segment_name,
-                            out_lease.segment_name,
-                            run_shape,
-                            lo,
-                            hi,
-                            in_lease.cacheable,
-                            out_lease.cacheable,
-                            directive if slab_index == 0 else None,
-                        )
+        generation = self._generation
+        executor = self._executor
+        if "slow" in kinds:
+            self._clock.sleep(self.faults.plan.jitter_s(index))
+        out_lease = out.take(force_transient="exhaust" in kinds)
+        directive = self.faults.worker_directive(kinds) if kinds else None
+        token = (
+            None
+            if timeout is None
+            else self._watchdog.watch(self._clock.now() + timeout)
+        )
+        futures = []
+        try:
+            # Plain loop, not a comprehension: if a submit raises midway
+            # (pool shutting down), the futures already submitted must
+            # stay tracked so the except path can quiesce them.
+            for slab_index, (lo, hi) in enumerate(
+                _slab_bounds(out.shape[0], self._active)
+            ):
+                futures.append(
+                    executor.submit(
+                        _run_slab,
+                        in_lease.segment_name,
+                        out_lease.segment_name,
+                        out.shape,
+                        lo,
+                        hi,
+                        in_lease.cacheable,
+                        out_lease.cacheable,
+                        directive if slab_index == 0 else None,
                     )
-                for future in futures:
-                    future.result()
-            except BrokenProcessPool as exc:
-                # A worker died.  The broken executor rejects all work
-                # and its futures are already resolved — but *surviving*
-                # worker processes may still be mid-write into the
-                # output slab (the manager thread fails futures before
-                # it finishes terminating the other workers).  Join the
-                # whole broken executor first: releasing the slab while
-                # a straggler still writes it would hand a
-                # concurrently-mutating segment to the replay or a
-                # neighbouring batch — silent cross-batch corruption.
-                if token is not None:
-                    self._watchdog.cancel(token)
-                for future in futures:
-                    future.cancel()
-                wait(futures)
-                self._shutdown_broken(executor)
-                out_lease.release()
-                stale = self._generation != generation
-                self._respawn(generation)
-                if token is not None and token.expired:
-                    # The watchdog killed this attempt: a timeout, not an
-                    # organic crash — spend the hedge budget, not the
-                    # crash budget.
-                    now = self._clock.now()
-                    used = self._timeout_retries - hedge_spare
-                    if hedge_spare <= 0:
-                        raise ShardTimeoutError(
-                            f"{count}-frame batch exceeded its execution "
-                            f"budget ({(now - start) * 1e3:.0f} ms elapsed"
-                            f", {used} hedged replay(s)) — workers killed "
-                            "by the shard watchdog",
-                            elapsed_ms=(now - start) * 1e3,
-                            retries=used,
-                        ) from exc
-                    hedge_spare -= 1
-                    with self._count_lock:
-                        self._hedged_replays += 1
-                elif not stale:
-                    # Only fresh-generation crashes consume a retry: a
-                    # batch that merely raced a concurrent respawn (its
-                    # executor was already replaced) replays for free.
-                    if spare <= 0:
-                        raise ShardCrashError(
-                            "shard worker died again while replaying a "
-                            f"{count}-frame batch (respawns so far: "
-                            f"{self._respawns}) — workload appears to "
-                            "crash workers persistently"
-                        ) from exc
-                    spare -= 1
-                continue
-            except BaseException:
-                # Quiesce before releasing: the surviving slab workers are
-                # still writing into the output segment (and reading the
-                # input), and release would recycle it to a concurrent batch
-                # — silent cross-batch corruption.  Cancel what hasn't
-                # started, wait out what has.
-                if token is not None:
-                    self._watchdog.cancel(token)
-                for future in futures:
-                    future.cancel()
-                wait(futures)
-                out_lease.release()
-                raise
-            if token is not None:
-                self._watchdog.cancel(token)
-            break
-        # Batches complete concurrently on the service's pool threads;
-        # the gate benchmarks divide by these, so no lost increments.
-        with self._count_lock:
-            self._batches += 1
-            self._frames += count
-            self._bytes_served += out_lease.nbytes
-            self._durations.append(self._clock.now() - start)
+                )
+            for future in futures:
+                future.result()
+        except BrokenProcessPool as exc:
+            # The broken executor's futures are already resolved, but
+            # *surviving* worker processes may still be mid-write into
+            # the output slab (the manager thread fails futures before
+            # it finishes terminating the other workers).  Join the
+            # whole broken executor before the slab goes back to the
+            # ring, and hand it back before the (slow) respawn.
+            self._quiesce(token, futures)
+            self._shutdown_broken(executor)
+            out.release()
+            stale = self._generation != generation
+            self._respawn(generation)
+            if token is not None and token.expired:
+                raise Hedge(
+                    "was killed by the shard watchdog at its execution "
+                    "budget"
+                ) from exc
+            if stale:
+                raise FreeReplay() from exc
+            raise Replay(
+                f"lost a shard worker (respawns so far: "
+                f"{self.worker_respawns})"
+            ) from exc
+        except BaseException:
+            self._quiesce(token, futures)
+            raise
+        if token is not None:
+            self._watchdog.cancel(token)
         return out_lease
 
-    def run_stack(
-        self, stack: np.ndarray, zero_copy: bool = False
-    ) -> np.ndarray | ArenaLease:
-        """Tone-map an ``(N, H, W[, 3])`` float stack across the shards.
+    def _quiesce(self, token: Optional[_WatchToken], futures: list) -> None:
+        """Stop watching a failed attempt and wait out its running slabs.
 
-        One staging copy moves the caller's array into a pooled arena
-        stack (callers that can write frames into :meth:`lease_input`
-        directly skip even that — see :meth:`run_leased`).  By default
-        returns a freshly materialized float32 stack, exactly as before;
-        with ``zero_copy=True`` returns the output
-        :class:`~repro.runtime.arena.ArenaLease` instead — read
-        ``lease.array`` and ``release()`` (or ``materialize()``) it.
+        The surviving slab workers still write the output segment (and
+        read the input) until they finish; releasing the slab before
+        that would recycle it to a concurrent batch — silent cross-batch
+        corruption.  Cancel what hasn't started, wait out what has.
         """
-        stack = np.ascontiguousarray(stack, dtype=np.float32)
-        if stack.ndim not in (3, 4):
-            raise ToneMapError(
-                f"run_stack expects (N, H, W) or (N, H, W, 3), got {stack.shape}"
-            )
-        if stack.shape[0] == 0:
-            raise ToneMapError("batch must contain at least one image")
-        in_lease = self.arena.lease_input(stack.shape, np.float32)
-        try:
-            in_lease.array[:] = stack
-            self.arena._count_copy_in(stack.nbytes)
-            out_lease = self.run_leased(in_lease)
-        finally:
-            in_lease.release()
-        if zero_copy:
-            return out_lease
-        return out_lease.materialize()
+        if token is not None:
+            self._watchdog.cancel(token)
+        for future in futures:
+            future.cancel()
+        wait(futures)
 
-    def run_batch(self, images: Sequence[HDRImage]) -> tuple[HDRImage, ...]:
-        """Tone-map a same-shape batch; drop-in for ``BatchToneMapper.map``.
-
-        Frames are written straight into an arena input stack (no
-        ``np.stack`` staging) and the outputs are read-only views into
-        one materialized result buffer (no per-image re-copy or
-        re-validation — the pipeline's output invariants hold by
-        construction).
-        """
-        if len(images) == 0:
-            raise ToneMapError("batch must contain at least one image")
-        for image in images:
-            if not isinstance(image, HDRImage):
-                raise ToneMapError(f"expected HDRImage, got {type(image)!r}")
-        shape = images[0].pixels.shape
-        for image in images:
-            if image.pixels.shape != shape:
-                raise ToneMapError(
-                    f"batch images must share one shape; got {shape} and "
-                    f"{image.pixels.shape} (group by shape first)"
-                )
-        stack_shape = (len(images),) + shape
-        in_lease = self.arena.lease_input(stack_shape, np.float32)
-        try:
-            for i, image in enumerate(images):
-                in_lease.array[i] = image.pixels
-            self.arena._count_copy_in(
-                int(np.prod(stack_shape)) * 4
-            )
-            out = self.run_leased(in_lease).materialize()
-        finally:
-            in_lease.release()
-        return tuple(
-            HDRImage.adopt(out[i], name=f"{images[i].name}:tonemapped")
-            for i in range(len(images))
-        )
-
-    # ------------------------------------------------------------------
-    # Introspection / lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def data_plane_stats(self) -> DataPlaneStats:
-        """Counters proving (or disproving) the zero-copy claims."""
-        with self._count_lock:
-            return DataPlaneStats(
-                batches=self._batches,
-                frames=self._frames,
-                bytes_served=self._bytes_served,
-                worker_respawns=self._respawns,
-                arena=self.arena.stats,
-            )
-
-    def drain(self) -> None:
-        """Graceful close: refuse new batches, then shut down.
-
-        :meth:`close` already waits for running slabs — the executor
-        shutdown blocks until in-flight batches finish — so the only
-        thing drain adds is the admission cut: a ``run_leased`` /
-        ``run_batch`` that arrives after this call fails fast with
-        :class:`~repro.errors.ToneMapError` instead of racing the
-        teardown.
-        """
-        self._draining = True
-        self.close()
-
-    def close(self) -> None:
-        """Shut the workers down (waiting for running slabs), then the arena.
+    def _shutdown(self) -> None:
+        """Shut the workers down, waiting for running slabs.
 
         The watchdog outlives the executor shutdown on purpose: if a
         hung batch is still in flight, ``shutdown(wait=True)`` only
@@ -1206,11 +870,3 @@ class ShardPool:
         """
         self._shutdown_broken(self._executor)
         self._watchdog.close()
-        if self._owns_arena:
-            self.arena.close()
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -78,40 +78,10 @@ import numpy as np
 
 from repro.errors import ToneMapError
 
-# Dispatch thresholds live in the planner's calibration profile now
+# Dispatch thresholds live in the planner's calibration profile
 # (single source of truth, resolved at *call* time so env overrides and
-# per-case pins work without importlib.reload).  ``_env_positive_int``
-# is re-exported for back-compat — callers historically imported it
-# from here.
-from repro.planner.profile import (
-    DEFAULT_FFT_CROSSOVER_TAPS,
-    DEFAULT_TILED_MIN_PLANE_BYTES,
-    CalibrationProfile,
-    _env_positive_int,  # noqa: F401  (re-export)
-    select_blur_method,
-)
-
-#: Default kernel width (taps) at which ``method="auto"`` switches the
-#: row convolution from the folded sliding-window path to the FFT path.
-#: This module constant is the *built-in default* for reference and
-#: back-compat reading; the live dispatch value comes from
-#: :func:`repro.planner.profile.active_profile` on every call, so
-#: ``REPRO_FFT_CROSSOVER_TAPS`` (or a calibration profile, or
-#: ``repro.planner.profile.override``) re-tunes it without a reload —
-#: see ``repro.planner.calibrate``.
-FFT_CROSSOVER_TAPS = DEFAULT_FFT_CROSSOVER_TAPS
-
-#: Default plane size (bytes of float64 data) at which ``method="auto"``
-#: switches narrow-kernel convolution from ``folded`` to the
-#: cache-blocked ``tiled`` path.  8 MiB ~ the working set leaving
-#: last-level cache on commodity parts: below it the folded temporaries
-#: stay cached and blocking only adds loop overhead; from it upward the
-#: tiled path wins by the memory-traffic ratio (measured 1.4-1.55x at
-#: 1024²-3072², sigma 4, on the reference host — see
-#: ``benchmarks/bench_blur.py``).  Live value: the active calibration
-#: profile's ``tiled_min_plane_bytes`` (``REPRO_TILED_MIN_PLANE_BYTES``
-#: overrides at call time).
-TILED_MIN_PLANE_BYTES = DEFAULT_TILED_MIN_PLANE_BYTES
+# per-case pins work without importlib.reload).
+from repro.planner.profile import CalibrationProfile, select_blur_method
 
 #: Byte budget for one tiled row block: the padded block plus the folded
 #: pass's two block-sized temporaries must stay cache-resident across all

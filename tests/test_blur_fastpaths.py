@@ -29,9 +29,9 @@ from repro.tonemap.fixed_blur import (
     fixed_point_blur_plane,
     make_fixed_blur_fn,
 )
+from repro.planner.profile import DEFAULT_FFT_CROSSOVER_TAPS
 from repro.tonemap.gaussian import (
     BLUR_METHODS,
-    FFT_CROSSOVER_TAPS,
     GaussianKernel,
     _select_method,
     blur_batch,
@@ -73,7 +73,7 @@ class TestFloatPathEquivalence:
     def test_auto_dispatch_crosses_at_threshold(self):
         wide = GaussianKernel(sigma=16.0)
         narrow = GaussianKernel(sigma=1.0, radius=2)
-        assert wide.taps >= FFT_CROSSOVER_TAPS
+        assert wide.taps >= DEFAULT_FFT_CROSSOVER_TAPS
         assert _select_method("auto", wide.taps) == "fft"
         assert _select_method("auto", narrow.taps) == "folded"
 

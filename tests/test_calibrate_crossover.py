@@ -1,21 +1,11 @@
-"""Tests for tools/calibrate_crossover.py and the env-var dispatch
-overrides it targets (``REPRO_FFT_CROSSOVER_TAPS`` /
+"""Tests for the crossover calibration (``repro.planner.calibrate``) and
+the env-var dispatch overrides it targets (``REPRO_FFT_CROSSOVER_TAPS`` /
 ``REPRO_TILED_MIN_PLANE_BYTES``)."""
-
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
-from repro.tonemap.gaussian import _env_positive_int
-
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "calibrate_crossover.py"
-
-spec = importlib.util.spec_from_file_location("calibrate_crossover", TOOL)
-calibrate = importlib.util.module_from_spec(spec)
-sys.modules.setdefault("calibrate_crossover", calibrate)
-spec.loader.exec_module(calibrate)
+from repro.planner import calibrate
+from repro.planner.profile import _env_positive_int
 
 
 class TestStableCrossover:

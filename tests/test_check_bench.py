@@ -273,8 +273,6 @@ class TestCommittedBaseline:
             "test_shard_zero_copy_data_plane::copies_per_frame",
             "test_shard_zero_copy_data_plane::shm_allocs_per_batch",
             "test_shard_zero_copy_data_plane::frames_per_sec",
-            "test_shard_zero_copy_data_plane::speedup_vs_legacy_cycle",
-            "test_shard_legacy_cycle_data_plane::frames_per_sec",
             "test_huge_plane_narrow_kernel[tiled]::pixels_per_sec",
             "test_two_tenant_contention_small::light_p95_x_solo",
             "test_fused_vs_staged_1024::intermediate_bytes",

@@ -4,13 +4,13 @@ The tolerance contract under test (documented in
 ``src/repro/runtime/fused.py`` and ``docs/architecture.md``):
 
 * where the staged blur resolves to the folded/tiled row convolution
-  (``taps < FFT_CROSSOVER_TAPS``), fused masks and outputs are
+  (``taps < fft_crossover_taps``), fused masks and outputs are
   **bit-identical** to the staged path, for every shape, thread count,
   and band size;
 * from ``fused_fft_min_taps`` upward the whole-plane FFT mask runs the
   staged transform itself, so masks and outputs are **bit-identical**
   again;
-* only in between (``FFT_CROSSOVER_TAPS <= taps < fused_fft_min_taps``:
+* only in between (``fft_crossover_taps <= taps < fused_fft_min_taps``:
   the ring's folded window against a staged FFT) do outputs agree
   within the blur module's 1e-9 absolute band instead.
 
@@ -35,7 +35,10 @@ from repro.runtime import (
     ToneMapService,
 )
 from repro.runtime.fused import _partition_spans
-from repro.tonemap.gaussian import FFT_CROSSOVER_TAPS
+from repro.planner.profile import (
+    DEFAULT_FFT_CROSSOVER_TAPS,
+    DEFAULT_FUSED_POOLED_GEOMETRIES,
+)
 from repro.tonemap.masking import MaskingParams
 from repro.tonemap.pipeline import ToneMapParams, ToneMapper
 
@@ -106,7 +109,8 @@ class TestToleranceContract:
         ids=[f"taps{p.kernel().taps}" for p in FOLDED_PARAMS],
     )
     def test_folded_paths_bit_identical(self, params, shape, threads):
-        assert params.kernel().taps < FFT_CROSSOVER_TAPS  # suite invariant
+        # Suite invariant: the narrow kernels stay below the crossover.
+        assert params.kernel().taps < DEFAULT_FFT_CROSSOVER_TAPS
         stack = _stack(shape)
         want, want_masks = _staged(params, stack)
         got, got_masks, _ = _fused(params, stack, threads)
@@ -120,7 +124,7 @@ class TestToleranceContract:
         ids=[f"taps{p.kernel().taps}" for p in FFT_PARAMS],
     )
     def test_fft_paths_within_band(self, params, shape, threads):
-        assert params.kernel().taps >= FFT_CROSSOVER_TAPS
+        assert params.kernel().taps >= DEFAULT_FFT_CROSSOVER_TAPS
         stack = _stack(shape)
         want, want_masks = _staged(params, stack)
         got, got_masks, _ = _fused(params, stack, threads)
@@ -265,22 +269,20 @@ class TestSteadyStateAllocation:
 
     def test_geometry_pool_is_bounded_lru(self):
         # Arbitrary shape diversity must not grow resident scratch
-        # without bound: beyond FUSED_POOLED_GEOMETRIES distinct
+        # without bound: beyond DEFAULT_FUSED_POOLED_GEOMETRIES distinct
         # geometries the LRU geometry's workspaces are evicted, and the
         # cumulative allocation counter stays monotonic across that.
-        from repro.runtime.fused import FUSED_POOLED_GEOMETRIES
-
         params = ToneMapParams(sigma=2.0, radius=6)
         plan = FusedToneMapPlan(params)
         with FusedExecutor(threads=2) as executor:
-            for step in range(FUSED_POOLED_GEOMETRIES + 4):
+            for step in range(DEFAULT_FUSED_POOLED_GEOMETRIES + 4):
                 width = 16 + 2 * step
                 stack = _stack((1, 24, width), seed=step)
                 executor.run(plan, stack, np.empty_like(stack))
-            assert len(executor._free) <= FUSED_POOLED_GEOMETRIES
+            assert len(executor._free) <= DEFAULT_FUSED_POOLED_GEOMETRIES
             assert (
                 len(executor._workspaces)
-                <= 2 * FUSED_POOLED_GEOMETRIES
+                <= 2 * DEFAULT_FUSED_POOLED_GEOMETRIES
             )
             before = executor.stats.intermediate_bytes
             stack = _stack((1, 24, 16))  # evicted geometry: re-warms
@@ -293,12 +295,11 @@ class TestSteadyStateAllocation:
         # not raise KeyError and leak the workspaces.
         from concurrent.futures import ThreadPoolExecutor as TPE
 
-        from repro.runtime.fused import FUSED_POOLED_GEOMETRIES
-
         params = ToneMapParams(sigma=2.0, radius=6)
         plan = FusedToneMapPlan(params)
         shapes = [
-            (1, 24, 16 + 2 * i) for i in range(FUSED_POOLED_GEOMETRIES + 4)
+            (1, 24, 16 + 2 * i)
+            for i in range(DEFAULT_FUSED_POOLED_GEOMETRIES + 4)
         ]
         stacks = [_stack(s, seed=i) for i, s in enumerate(shapes)]
         with FusedExecutor(threads=2) as executor:
@@ -307,7 +308,7 @@ class TestSteadyStateAllocation:
             with TPE(max_workers=len(stacks)) as pool:
                 for _ in range(4):
                     list(pool.map(run_one, stacks))
-            assert len(executor._free) <= FUSED_POOLED_GEOMETRIES
+            assert len(executor._free) <= DEFAULT_FUSED_POOLED_GEOMETRIES
 
     def test_fft_scratch_counted_separately(self):
         # Ring regime: zero FFT scratch.  Plane regime: every block

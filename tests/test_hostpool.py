@@ -12,6 +12,7 @@ asserts the PR 9 recovery contract: zero frames lost, dead hosts
 respawned, outputs unchanged.
 """
 
+import socket
 import threading
 import time
 
@@ -29,6 +30,13 @@ from repro.runtime import (
     ToneMapService,
 )
 from repro.runtime.hostpool import parse_address
+from repro.runtime.net import (
+    MSG_ERR,
+    MSG_OK,
+    MSG_RUN,
+    recv_message,
+    send_message,
+)
 from repro.tonemap.pipeline import ToneMapParams
 
 PARAMS = ToneMapParams(sigma=2.0, radius=6)
@@ -179,6 +187,59 @@ class TestExternallyServedHost:
             HostPool.spawn_local(0, PARAMS)
 
 
+class TestWireTimeoutValidation:
+    """A RUN frame's ``timeout`` is checked before the host dispatches.
+
+    Regression: a zero or negative budget armed the host's watchdog
+    already past its deadline (each such frame cost two watchdog kills
+    and two worker-set respawns before the host answered), and a NaN
+    budget — which ``json.loads`` accepts — ran with no budget at all.
+    """
+
+    def _exchange(self, sock, stack, timeout):
+        send_message(
+            sock,
+            MSG_RUN,
+            {"shape": list(stack.shape), "dtype": "float32",
+             "timeout": timeout},
+            payload=stack,
+        )
+        return recv_message(sock)
+
+    def test_bad_timeouts_get_an_error_with_workers_untouched(self):
+        stack = _stack(frames=2, seed=6)
+        server = HostServer(PARAMS, shards=1, arena_slots=2)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with socket.create_connection(server.address, timeout=60) as sock:
+                for timeout in (0, -1, float("nan")):
+                    msg_type, meta, _ = self._exchange(sock, stack, timeout)
+                    assert msg_type == MSG_ERR
+                    assert meta["error"] == "ToneMapError", meta
+                msg_type, _, payload = self._exchange(sock, stack, 30.0)
+                assert msg_type == MSG_OK
+                got = np.frombuffer(payload, dtype=np.float32)
+                np.testing.assert_array_equal(
+                    got.reshape(stack.shape), _want(stack)
+                )
+            pool = server.pool
+            assert pool.watchdog_kills == 0
+            assert pool.worker_respawns == 0
+            assert _wait_for(lambda: pool.arena.stats.leases_active == 0)
+            # The client refuses the same budgets before sending a byte.
+            with HostPool([server.address]) as client:
+                lease = client.lease_input(stack.shape)
+                lease.array[:] = stack
+                with pytest.raises(ToneMapError, match="timeout"):
+                    client.run_leased(lease, timeout=float("nan"))
+                lease.release()
+                assert client.net_stats.messages_sent == 0
+        finally:
+            server.close()
+            thread.join(timeout=10)
+
+
 class TestHostedService:
     def test_service_and_ingestor_over_two_hosts(self):
         stack = _stack(frames=8, seed=5)
@@ -258,6 +319,33 @@ class TestHostChaos:
             assert pool.data_plane_stats.frames == sum(
                 len(stack) for stack in batches
             )
+
+    def test_host_side_timeout_is_hedged_by_the_client(self):
+        # The host's watchdog kills both of its attempts and it answers
+        # ShardTimeoutError; the client spends its own hedge on the
+        # batch (the only host again), whose third host attempt is clean.
+        stack = _stack(seed=41)
+        plan = FaultPlan(hang_batches=(0, 1), hang_ms=30_000.0)
+        server = HostServer(PARAMS, shards=1, arena_slots=2, faults=plan)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with HostPool([server.address]) as pool:
+                lease = pool.lease_input(stack.shape)
+                lease.array[:] = stack
+                out = pool.run_leased(lease, timeout=1.0)
+                np.testing.assert_array_equal(
+                    np.asarray(out.array), _want(stack)
+                )
+                out.release()
+                lease.release()
+                assert pool.hedged_replays == 1
+                assert pool.watchdog_kills == 0  # no local wire timeout
+                assert pool.hosts_lost == 0
+            assert server.pool.watchdog_kills >= 2
+        finally:
+            server.close()
+            thread.join(timeout=10)
 
     def test_worker_faults_ship_to_the_hosts(self):
         # A worker-kind fault (in-worker SIGKILL) in the plan must
