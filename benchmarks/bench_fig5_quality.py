@@ -38,14 +38,14 @@ def test_fig5_float_pipeline(benchmark, workload):
 
 
 def test_fig5_fixed_pipeline(benchmark, workload):
-    from repro.accel.variants import paper_fixed_config
+    from repro.accel.variants import paper_fxp_config
     from repro.tonemap.fixed_blur import make_fixed_blur_fn
     from repro.tonemap.pipeline import ToneMapParams
 
     base = workload.params
     params = ToneMapParams(
         sigma=base.sigma, radius=base.radius, masking=base.masking,
-        adjust=base.adjust, blur_fn=make_fixed_blur_fn(paper_fixed_config()),
+        adjust=base.adjust, blur_fn=make_fixed_blur_fn(paper_fxp_config()),
     )
     mapper = ToneMapper(params)
     result = benchmark(mapper.run, workload.image)

@@ -24,6 +24,7 @@ trajectory against the committed reference host baseline lives in
 
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ from repro.runtime import (
     BatchToneMapper,
     BreakerPolicy,
     FaultPlan,
+    FusedExecutor,
+    FusedToneMapPlan,
     OverloadPolicy,
     ServiceLevelObjective,
     ShardPool,
@@ -41,10 +44,11 @@ from repro.runtime import (
     ToneMapIngestor,
     ToneMapService,
 )
+from repro.planner import plan_for
 from repro.tonemap.fixed_blur import (
-    FixedBlurConfig,
     fixed_point_blur_batch,
     fixed_point_blur_plane,
+    make_fixed_blur_fn,
 )
 from repro.tonemap.gaussian import GaussianKernel
 from repro.tonemap.pipeline import ToneMapParams, ToneMapper
@@ -245,12 +249,10 @@ def test_sharded_outputs_exact():
         )
         for i in range(4)
     ]
-    config = FixedBlurConfig()
-    with ToneMapService(
-        PARAMS, batch_size=2, shards=2, fixed_config=config
-    ) as sharded:
+    params = replace(PARAMS, blur_fn=make_fixed_blur_fn())
+    with ToneMapService(params, batch_size=2, shards=2) as sharded:
         got = sharded.map_many(images)
-    with ToneMapService(PARAMS, batch_size=2, fixed_config=config) as local:
+    with ToneMapService(params, batch_size=2) as local:
         want = local.map_many(images)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g.pixels, w.pixels)
@@ -283,6 +285,21 @@ def _fused_stack():
     return rng.uniform(
         0.0, 1.0, (FUSED_FRAMES, FUSED_SIZE, FUSED_SIZE)
     ).astype(np.float32)
+
+
+def _fused_mapper(params, stack, threads):
+    """An in-process mapper on the planner's (fused) plan for ``stack``."""
+    plan = plan_for(
+        height=stack.shape[1],
+        width=stack.shape[2],
+        batch=stack.shape[0],
+        sigma=params.sigma,
+        radius=params.radius,
+        color=stack.ndim == 4,
+        threads=threads,
+    )
+    assert plan.engine == "fused"
+    return BatchToneMapper(params, plan=plan)
 
 
 def _best_interleaved(fn_a, fn_b, rounds=5):
@@ -331,7 +348,7 @@ def test_fused_vs_staged_1024(benchmark):
     stack = _fused_stack()
     out = np.empty(stack.shape, dtype=np.float32)
     staged = BatchToneMapper(FUSED_PARAMS)
-    fused = BatchToneMapper(FUSED_PARAMS, fused=True, threads=1)
+    fused = _fused_mapper(FUSED_PARAMS, stack, threads=1)
     fused.run_stack(stack, out=out)  # warm: scratch allocated, caches hot
     before = fused.fused_stats
     benchmark.pedantic(
@@ -369,8 +386,8 @@ def test_fused_threads_1024(benchmark):
     """
     stack = _fused_stack()
     out = np.empty(stack.shape, dtype=np.float32)
-    single = BatchToneMapper(FUSED_PARAMS, fused=True, threads=1)
-    threaded = BatchToneMapper(FUSED_PARAMS, fused=True, threads=2)
+    single = _fused_mapper(FUSED_PARAMS, stack, threads=1)
+    threaded = _fused_mapper(FUSED_PARAMS, stack, threads=2)
     single.run_stack(stack, out=out)
     threaded.run_stack(stack, out=out)  # warm both workers' scratch
     threaded.run_stack(stack, out=out)
@@ -414,7 +431,7 @@ def test_fused_wide_1024(benchmark):
     out = np.empty(stack.shape, dtype=np.float32)
     want = np.empty(stack.shape, dtype=np.float32)
     staged = BatchToneMapper(WIDE_PARAMS)
-    fused = BatchToneMapper(WIDE_PARAMS, fused=True, threads=2)
+    fused = _fused_mapper(WIDE_PARAMS, stack, threads=2)
     try:
         fused.run_stack(stack, out=out)  # warm: pooled planes allocated
         before = fused.fused_stats
@@ -457,8 +474,6 @@ def test_planner_dispatch_1024(benchmark):
     should sit at ~1.0 (same code path, planner overhead amortized to
     one plan per workload).
     """
-    from repro.planner import plan_for
-
     stack = _fused_stack()
     plan = plan_for(
         height=FUSED_SIZE,
@@ -467,9 +482,10 @@ def test_planner_dispatch_1024(benchmark):
         sigma=FUSED_PARAMS.sigma,
         threads=1,
     )
-    # The manual PR 5 configuration is fused=True with the folded
-    # horizontal window; plan.blur_method describes the *staged
-    # reference* path (tiled here — the 1024² plane sits exactly at
+    # The hand-picked configuration is the fused engine driven directly
+    # (FusedToneMapPlan + FusedExecutor) with the folded horizontal
+    # window; plan.blur_method describes the *staged reference* path
+    # (tiled here — the 1024² plane sits exactly at
     # tiled_min_plane_bytes), so it is not part of the match.
     matches = float(
         plan.engine == "fused" and plan.fused_h_method == "folded"
@@ -478,7 +494,7 @@ def test_planner_dispatch_1024(benchmark):
         f"planner diverged from the hand-tuned path: {plan.decision()}"
     )
     out = np.empty(stack.shape, dtype=np.float32)
-    manual = BatchToneMapper(FUSED_PARAMS, fused=True, threads=1)
+    manual_plan = FusedToneMapPlan(FUSED_PARAMS)
     planned = BatchToneMapper(FUSED_PARAMS, plan=plan)
     assert planned.fused
     planned.run_stack(stack, out=out)  # warm scratch
@@ -488,17 +504,18 @@ def test_planner_dispatch_1024(benchmark):
     )
     # Same dispatch decisions => bit-identical execution.
     want = np.empty(stack.shape, dtype=np.float32)
-    manual.run_stack(stack, out=want)
-    np.testing.assert_array_equal(out, want)
-    if benchmark.stats is not None:  # skip discarded timings in quick mode
-        manual_s, planned_s = _best_interleaved(
-            lambda: manual.run_stack(stack, out=want),
-            lambda: planned.run_stack(stack, out=out),
-        )
-        _record_fused(benchmark, planned, {
-            "planner_matches_manual": matches,
-            "speedup_vs_manual": manual_s / planned_s,
-        })
+    with FusedExecutor(threads=1) as manual:
+        manual.run(manual_plan, stack, want)
+        np.testing.assert_array_equal(out, want)
+        if benchmark.stats is not None:  # skip discarded timings in quick mode
+            manual_s, planned_s = _best_interleaved(
+                lambda: manual.run(manual_plan, stack, want),
+                lambda: planned.run_stack(stack, out=out),
+            )
+            _record_fused(benchmark, planned, {
+                "planner_matches_manual": matches,
+                "speedup_vs_manual": manual_s / planned_s,
+            })
 
 
 def test_fused_outputs_exact():
@@ -513,10 +530,10 @@ def test_fused_outputs_exact():
     params = ToneMapParams(sigma=2.0)
     stack = _data_plane_stack()[:, :96, :96].copy()
     want = BatchToneMapper(params).run_stack(stack).astype(np.float32)
-    fused = BatchToneMapper(params, fused=True, threads=2)
+    fused = _fused_mapper(params, stack, threads=2)
     got = fused.run_stack(stack).astype(np.float32)
     np.testing.assert_array_equal(got, want)
-    with ShardPool(params, shards=2, fused=True, fused_threads=1) as pool:
+    with ShardPool(params, shards=2, plan=fused.execution_plan) as pool:
         sharded = pool.run_stack(stack)
     np.testing.assert_array_equal(sharded, want)
 

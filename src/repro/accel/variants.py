@@ -25,7 +25,7 @@ from repro.fixedpoint import FixedFormat, Overflow, Quant
 from repro.hls.ir import Kernel
 from repro.hls.pragmas import Pragma
 from repro.platform.axi import AxiPort, DataMover, DataMoverKind
-from repro.tonemap.fixed_blur import FixedBlurConfig, fixed_point_blur_plane
+from repro.tonemap.fixed_blur import FixedBlurConfig, make_fixed_blur_fn
 from repro.tonemap.gaussian import GaussianKernel, separable_blur
 
 #: Functional blur signature shared with the tone-mapping pipeline.
@@ -35,7 +35,7 @@ BlurFn = Callable[[np.ndarray, GaussianKernel], np.ndarray]
 VARIANT_KEYS = ("sw", "marked_hw", "sequential", "pragmas", "fxp")
 
 
-def paper_fixed_config() -> FixedBlurConfig:
+def paper_fxp_config() -> FixedBlurConfig:
     """The 16-bit format inferred for the paper's accelerator.
 
     16 total bits (the bus-aligned width the paper names), truncation
@@ -74,19 +74,12 @@ class BlurVariant:
             raise FlowError(f"software variant {self.key!r} must not carry a kernel")
 
 
-def _fxp_blur_fn(config: FixedBlurConfig) -> BlurFn:
-    def blur(plane: np.ndarray, kernel: GaussianKernel) -> np.ndarray:
-        return fixed_point_blur_plane(plane, kernel, config)
-
-    return blur
-
-
 def make_variants(
     geom: BlurGeometry = BlurGeometry(),
-    fixed_config: Optional[FixedBlurConfig] = None,
+    fxp_config: Optional[FixedBlurConfig] = None,
 ) -> Dict[str, BlurVariant]:
     """Build the five Table II variants for one blur geometry."""
-    fixed_config = fixed_config or paper_fixed_config()
+    fxp_config = fxp_config or paper_fxp_config()
     dma = DataMover(DataMoverKind.AXI_DMA_SIMPLE, AxiPort.HP)
     zero_copy = DataMover(DataMoverKind.ZERO_COPY, AxiPort.HP)
 
@@ -152,7 +145,7 @@ def make_variants(
             ),
             uses_hardware=True,
             fixed_point=True,
-            functional=_fxp_blur_fn(fixed_config),
+            functional=make_fixed_blur_fn(fxp_config),
             kernel=stream_kernel_fxp,
             pragmas=streaming_pragmas(enable_pipeline=True),
             data_movers={"in_stream": dma, "out_stream": dma},

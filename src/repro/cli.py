@@ -31,13 +31,16 @@ workload; ``--deadline-ms`` / ``--shard-timeout-ms`` / ``--breaker`` /
 ``--fault-plan`` arm the reliability layer (per-frame latency budgets,
 the hung-shard watchdog + hedged replay, circuit-breaker brownout to
 the in-process mapper, and seeded chaos injection — the counters land
-in the report); ``--fused`` (with ``--threads N``) runs batches through the
-fused band engine — single-pass tiled stages with no full-frame
-intermediates (:mod:`repro.runtime.fused`); ``--plan auto`` lets the
-execution planner (:mod:`repro.planner`) pick the engine and blur path
-from the workload and the host calibration instead (``--plan FILE``
-replays a saved plan).  ``planner explain`` prints the plan and its
-cost rationale for a described workload without running anything;
+in the report); ``--plan auto`` lets the execution planner
+(:mod:`repro.planner`) pick the engine and blur path from the workload
+and the host calibration — every float workload runs the fused band
+engine, single-pass tiled stages with no full-frame intermediates
+(:mod:`repro.runtime.fused`) — and ``--plan FILE`` replays a saved
+plan; without ``--plan`` batches run the staged reference engine.
+``--threads N`` sizes the in-process mapper's fused engine (shard
+workers run one thread each).  ``serve-host --plan FILE`` loads a plan
+the same way for a serving host.  ``planner explain`` prints the plan
+and its cost rationale for a described workload without running anything;
 ``planner calibrate`` measures this host's dispatch crossovers and can
 write them as a profile (``-o host.json``, activated via
 ``REPRO_PLANNER_PROFILE``).  See ``docs/architecture.md`` for the full
@@ -129,17 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="Gaussian mask sigma (default: the paper's 16)",
     )
     batch.add_argument(
-        "--fused", action="store_true",
-        help="run batches through the fused band engine (single-pass "
-             "tiled stages, no full-frame intermediates; float-only — "
-             "incompatible with --fixed). Narrow kernels run the band "
-             "ring, wide ones (the paper's sigma 16) the whole-plane FFT "
-             "mask; both beat the staged path",
-    )
-    batch.add_argument(
         "--threads", type=int, default=None,
-        help="fused worker threads per mapper/worker process (default: "
-             "REPRO_FUSED_THREADS env, else CPU count; requires --fused)",
+        help="fused engine threads of the in-process mapper (planned by "
+             "--plan auto, pinned onto a --plan FILE; shard workers run "
+             "one thread each; requires --plan)",
     )
     batch.add_argument(
         "--shards", type=int, default=None,
@@ -234,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo-p95-ms", type=float, default=None,
         help="declare a p95 latency SLO on the streaming path: an "
              "overload controller walks the degradation ladder (full -> "
-             "degraded plan -> shed best-effort -> brownout) when the "
-             "observed p95 breaches it, and back when it recovers "
+             "shed best-effort -> brownout) when the observed p95 "
+             "breaches it, and back when it recovers "
              "(implies the streaming path)",
     )
     batch.add_argument(
@@ -248,8 +244,10 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--plan", default=None, metavar="auto|FILE",
         help="dispatch through the execution planner: 'auto' plans from "
-             "the workload and the active calibration profile; a file "
-             "path replays a plan saved by 'planner explain --json'",
+             "the workload and the active calibration profile (the fused "
+             "engine for every float workload); a file path replays a "
+             "plan saved by 'planner explain --json'; default: the "
+             "staged engine",
     )
     batch.add_argument(
         "-o", "--output-dir", type=Path, default=None,
@@ -279,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="use the bit-accurate 16-bit fixed-point blur",
     )
     serve.add_argument(
-        "--fused", action="store_true",
-        help="run batches through the fused band engine",
+        "--plan", default=None, metavar="FILE",
+        help="execution plan saved by 'planner explain --json' (as for "
+             "'batch --plan FILE'); default: the staged engine",
     )
     serve.add_argument(
         "--sigma", type=float, default=None,
@@ -408,35 +407,51 @@ def _parse_tenant_weights(spec: str) -> dict:
     return tenants
 
 
+def _load_plan(path):
+    """Read an execution plan saved by ``planner explain --json``."""
+    import json
+
+    from repro.planner.plan import ExecutionPlan
+
+    try:
+        return ExecutionPlan.from_json_dict(
+            json.loads(Path(path).read_text())
+        )
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise SystemExit(f"--plan {path}: {exc}") from exc
+
+
+def _params(args):
+    """Pipeline parameters from the shared ``--sigma`` / ``--fixed`` flags."""
+    from repro.tonemap.fixed_blur import make_fixed_blur_fn
+    from repro.tonemap.pipeline import ToneMapParams
+
+    blur_fn = make_fixed_blur_fn() if args.fixed else None
+    if args.sigma is None:
+        return ToneMapParams(blur_fn=blur_fn)
+    return ToneMapParams(sigma=args.sigma, blur_fn=blur_fn)
+
+
 def run_batch(args) -> None:
     """The ``batch`` subcommand: tone-map N images, report throughput."""
+    import os
     import time
 
     from repro.errors import DeadlineExceededError, ServiceOverloadedError
     from repro.image.ppm import write_ppm
     from repro.runtime import (
+        AutoscalePolicy,
         BreakerPolicy,
         ResultHandle,
         ServiceLevelObjective,
         ToneMapIngestor,
         ToneMapService,
     )
-    from repro.tonemap.fixed_blur import FixedBlurConfig
-    from repro.tonemap.pipeline import ToneMapParams
-
-    import os
-
-    from repro.runtime import AutoscalePolicy
 
     # Flag validation first: a usage error must not cost the caller the
     # synthetic-image generation below.
-    if args.fused and args.fixed:
-        raise SystemExit(
-            "--fused is float-only (the fused engine is the blur); "
-            "drop --fused or --fixed"
-        )
-    if args.threads is not None and not (args.fused or args.plan):
-        raise SystemExit("--threads requires --fused or --plan")
+    if args.threads is not None and args.plan is None:
+        raise SystemExit("--threads requires --plan")
     if args.threads is not None and args.threads < 1:
         raise SystemExit(f"--threads must be >= 1, got {args.threads}")
     if args.deadline_ms is not None and args.deadline_ms <= 0:
@@ -484,16 +499,11 @@ def run_batch(args) -> None:
             fault_plan = FaultPlan.from_spec(args.fault_plan)
         except ToneMapError as exc:
             raise SystemExit(f"--fault-plan: {exc}") from exc
-    params = (
-        ToneMapParams() if args.sigma is None
-        else ToneMapParams(sigma=args.sigma)
-    )
+    params = _params(args)
     images = _batch_images(args)
     plan = None
     if args.plan is not None:
-        import json
-
-        from repro.planner.plan import ExecutionPlan, plan_for
+        from repro.planner.plan import pinned, plan_for
 
         if args.plan == "auto":
             sample = images[0].pixels
@@ -507,16 +517,15 @@ def run_batch(args) -> None:
                 threads=args.threads,
             )
         else:
-            plan = ExecutionPlan.from_json_dict(
-                json.loads(Path(args.plan).read_text())
-            )
+            plan = _load_plan(args.plan)
+            if args.threads is not None:
+                plan = pinned(plan, threads=args.threads)
         print(
             f"planner: engine={plan.engine} blur={plan.blur_method} "
             f"fused_h={plan.fused_h_method} threads={plan.threads} "
             f"(profile: {plan.profile.source})",
             file=sys.stderr,
         )
-    fixed_config = FixedBlurConfig() if args.fixed else None
     tenants = (
         _parse_tenant_weights(args.tenant_weights)
         if args.tenant_weights is not None
@@ -582,12 +591,9 @@ def run_batch(args) -> None:
         batch_size=args.batch_size,
         shards=shards,
         hosts=hosts,
-        fixed_config=fixed_config,
         autoscale=args.autoscale,
         autoscale_policy=autoscale_policy,
         arena_slots=4 if args.arena_slots is None else args.arena_slots,
-        fused=args.fused,
-        fused_threads=args.threads,
         plan=plan,
         shard_timeout_ms=args.shard_timeout_ms,
         breaker=(
@@ -664,10 +670,7 @@ def run_batch(args) -> None:
     if plan is not None:
         print(f"  plan          : engine={plan.engine} "
               f"blur={plan.blur_method} fused_h={plan.fused_h_method} "
-              f"(profile: {plan.profile.source})")
-    if args.fused:
-        threads = args.threads if args.threads is not None else "auto"
-        print(f"  engine        : fused band dataflow ({threads} threads)")
+              f"threads={plan.threads} (profile: {plan.profile.source})")
     print(f"  mode          : {mode}")
     print(f"  batch size    : {args.batch_size}")
     if hosts is not None:
@@ -758,30 +761,19 @@ def run_serve_host(args) -> int:
 
     from repro.errors import ToneMapError
     from repro.runtime.hostpool import HostServer
-    from repro.tonemap.fixed_blur import FixedBlurConfig
-    from repro.tonemap.pipeline import ToneMapParams
 
-    if args.fused and args.fixed:
-        raise SystemExit(
-            "--fused is float-only (the fused engine is the blur); "
-            "drop --fused or --fixed"
-        )
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
     if args.shard_timeout_ms is not None and args.shard_timeout_ms <= 0:
         raise SystemExit(
             f"--shard-timeout-ms must be > 0, got {args.shard_timeout_ms}"
         )
-    params = (
-        ToneMapParams() if args.sigma is None
-        else ToneMapParams(sigma=args.sigma)
-    )
+    plan = None if args.plan is None else _load_plan(args.plan)
     try:
         server = HostServer(
-            params=params,
+            params=_params(args),
             shards=args.shards,
-            fixed_config=FixedBlurConfig() if args.fixed else None,
-            fused=args.fused,
+            plan=plan,
             arena_slots=args.arena_slots,
             default_timeout_ms=args.shard_timeout_ms,
             faults=args.fault_plan,

@@ -162,11 +162,10 @@ def runtime_throughput(
     """
     from repro.image.synthetic import SceneParams, make_scene
     from repro.runtime import ToneMapIngestor, ToneMapService
-    from repro.tonemap.fixed_blur import FixedBlurConfig
+    from repro.tonemap.fixed_blur import make_fixed_blur_fn
     from repro.tonemap.pipeline import ToneMapParams, ToneMapper
 
-    params = ToneMapParams()
-    fixed_config = FixedBlurConfig() if fixed else None
+    params = ToneMapParams(blur_fn=make_fixed_blur_fn() if fixed else None)
     images = [
         make_scene(
             "window_interior",
@@ -175,14 +174,7 @@ def runtime_throughput(
         for i in range(frames)
     ]
 
-    single_params = params
-    if fixed_config is not None:
-        from dataclasses import replace
-
-        from repro.tonemap.fixed_blur import make_fixed_blur_fn
-
-        single_params = replace(params, blur_fn=make_fixed_blur_fn(fixed_config))
-    mapper = ToneMapper(single_params)
+    mapper = ToneMapper(params)
     start = time.perf_counter()
     for image in images:
         mapper.run(image)
@@ -193,7 +185,6 @@ def runtime_throughput(
         params,
         batch_size=batch_size,
         shards=shards,
-        fixed_config=fixed_config,
         autoscale=autoscale,
     ) as service:
         if sharded:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
-from repro.accel.variants import paper_fixed_config
+from repro.accel.variants import paper_fxp_config
 from repro.experiments.workload import PaperWorkload, paper_workload
 from repro.image.hdr import HDRImage
 from repro.image.metrics import psnr, ssim
@@ -56,7 +56,7 @@ def run_fig5(
     fixed_params = ToneMapParams(
         sigma=params.sigma, radius=params.radius,
         masking=params.masking, adjust=params.adjust,
-        blur_fn=make_fixed_blur_fn(paper_fixed_config()),
+        blur_fn=make_fixed_blur_fn(paper_fxp_config()),
     )
 
     float_out = ToneMapper(float_params).run(workload.image).output

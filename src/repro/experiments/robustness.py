@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.accel.variants import paper_fixed_config
+from repro.accel.variants import paper_fxp_config
 from repro.experiments.workload import make_paper_tonemap_params
 from repro.image.metrics import psnr, ssim
 from repro.image.synthetic import SCENE_BUILDERS, SceneParams
@@ -82,7 +82,7 @@ def quality_robustness(
     )
     fxp = ToneMapParams(
         sigma=base.sigma, radius=base.radius, masking=base.masking,
-        adjust=base.adjust, blur_fn=make_fixed_blur_fn(paper_fixed_config()),
+        adjust=base.adjust, blur_fn=make_fixed_blur_fn(paper_fxp_config()),
     )
 
     results = []

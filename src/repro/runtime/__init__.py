@@ -16,8 +16,10 @@ four composable stages (diagrammed in ``docs/architecture.md``):
   line-buffer ring; wide kernels read their mask rows from a pooled
   whole-plane FFT blur instead), partitioned across a persistent thread
   pool, with zero stage temporaries after warm-up
-  (:class:`~repro.runtime.fused.FusedStats` proves it).  Opt in with
-  ``fused=True`` on the mapper, pool, or service.
+  (:class:`~repro.runtime.fused.FusedStats` proves it).  An
+  :class:`~repro.planner.plan.ExecutionPlan` selects it: pass
+  ``plan=`` to the mapper, pool, host or service — every float plan
+  is fused, and no plan means the staged reference engine.
 * :class:`~repro.runtime.arena.ShmArena` — the persistent shared-memory
   data plane: pooled, size-classed input stacks plus a ring of output
   slabs, reused across batches and handed out as reference-counted
@@ -27,7 +29,9 @@ four composable stages (diagrammed in ``docs/architecture.md``):
   worker processes over the arena's stacks, freeing the fixed-point
   model's Python-level glue from the GIL; workers cache their segment
   attachments and per-worker kernel / coefficient-ROM caches are warmed
-  at pool start-up.  With ``autoscale=True`` a
+  at pool start-up.  Fixed point reaches the workers as
+  ``params.blur_fn`` (the picklable
+  :func:`~repro.tonemap.fixed_blur.make_fixed_blur_fn` object).  With ``autoscale=True`` a
   :class:`~repro.runtime.shard.ShardAutoscaler` widens/narrows the
   active worker set from queue-depth and p95-latency signals under
   :class:`~repro.runtime.shard.AutoscalePolicy` hysteresis.  It and
@@ -94,8 +98,8 @@ interactive never before its deadline); an
 :class:`~repro.runtime.overload.OverloadController` watches p95 and
 queue depth against a declared
 :class:`~repro.runtime.overload.ServiceLevelObjective` and walks the
-four-rung degradation ladder (full → degraded plan → shed best-effort
-→ brownout, hysteresis both ways), surfaced in ``ReliabilityStats``;
+three-rung degradation ladder (full → shed best-effort → brownout,
+hysteresis both ways), surfaced in ``ReliabilityStats``;
 and ``drain()`` on every layer plus
 :meth:`~repro.runtime.hostpool.HostPool.rolling_restart` give a
 zero-loss graceful shutdown and host-at-a-time restart path

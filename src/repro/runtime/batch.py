@@ -11,8 +11,8 @@ per-image outputs to float32 representation tolerance (property-tested in
 ``tests/test_runtime.py``).
 
 A custom ``blur_fn`` may expose a ``blur_batch`` attribute taking the
-whole ``(N, H, W)`` luminance volume (the closures built by
-:func:`repro.tonemap.fixed_blur.make_fixed_blur_fn` do); the mapper then
+whole ``(N, H, W)`` luminance volume (the fixed-point blur built by
+:func:`repro.tonemap.fixed_blur.make_fixed_blur_fn` does); the mapper then
 blurs the stack in one call instead of looping plane-by-plane, which is
 how the bit-accurate fixed-point model keeps up with the float path in a
 batch.  :meth:`BatchToneMapper.run_stack` is the raw-array entry point
@@ -21,17 +21,19 @@ used by the process-pool sharding backend
 shared-memory slab of the stacked pixels.  Throughput of both paths is
 tracked by ``benchmarks/bench_runtime.py`` (see ``docs/benchmarks.md``).
 
-With ``fused=True`` the float path switches from the staged stack
-execution to the fused band engine
-(:mod:`repro.runtime.fused`): normalize → blur → mask → adjust run in
-one pass over cache-sized row bands (optionally partitioned across
-``threads`` workers), with no stage temporaries after warm-up — the
-software analogue of the paper's ``DATAFLOW`` pragma.  Outputs follow
-the fused tolerance contract: bit-identical to staged, except between
-the two FFT crossovers (25-32 taps by default), where the band ring's
-folded window meets a staged FFT and the blur module's 1e-9 band
-applies.  The fused engine is float-only: it *is* the blur, so it
-cannot host a custom/fixed-point ``blur_fn``.
+The engine comes from an :class:`~repro.planner.plan.ExecutionPlan`, and
+this constructor is the one place that reads it.  A plan whose engine is
+``"fused"`` switches the float path from the staged stack execution to
+the fused band engine (:mod:`repro.runtime.fused`): normalize → blur →
+mask → adjust run in one pass over cache-sized row bands (optionally
+partitioned across threads), with no stage temporaries after warm-up —
+the software analogue of the paper's ``DATAFLOW`` pragma.  Outputs
+follow the fused tolerance contract: bit-identical to staged, except
+between the two FFT crossovers (25-32 taps by default), where the band
+ring's folded window meets a staged FFT and the blur module's 1e-9 band
+applies.  The fused engine is float-only: it *is* the blur, so a mapper
+whose ``params.blur_fn`` is set runs staged with that blur whatever the
+plan says.  Without a plan the mapper is the staged reference engine.
 """
 
 from __future__ import annotations
@@ -90,26 +92,22 @@ class BatchToneMapper:
     params:
         Pipeline parameters, shared by every image in a batch (``None``
         constructs a fresh default set per mapper — no module-level
-        instance is shared between mappers).  A custom ``blur_fn`` (e.g.
-        the fixed-point accelerator model) is applied plane-by-plane;
-        the default float path uses the fully batched
-        :func:`repro.tonemap.gaussian.blur_batch`.
-    fused:
-        Run the float path through the fused band engine
-        (:mod:`repro.runtime.fused`) instead of the staged stack
-        execution.  Requires ``params.blur_fn`` to be ``None``.
+        instance is shared between mappers).  They say *what* is
+        computed: a custom ``blur_fn`` (e.g. the fixed-point accelerator
+        model) replaces the float blur; the default float path uses the
+        fully batched :func:`repro.tonemap.gaussian.blur_batch`.
     threads:
-        Fused worker threads (``None`` = ``REPRO_FUSED_THREADS`` env,
-        else CPU count).  Ignored unless ``fused``.
+        Fused worker threads, overriding the plan's ``threads`` (shard
+        workers pass 1).  Only a fused plan starts threads.
     plan:
-        An :class:`~repro.planner.plan.ExecutionPlan` from the planner:
-        supplies the engine choice (fused vs staged), thread count, band
-        budget, and the calibration profile the fused dispatch is pinned
-        to.  Explicit ``fused``/``threads`` arguments still win over the
-        plan (a caller pin beats a planner decision); a plan whose
-        engine is ``"fused"`` is ignored when ``params.blur_fn`` is set
-        — the fused engine is float-only, and a plan computed for a
-        float workload must not crash a fixed-point mapper.
+        An :class:`~repro.planner.plan.ExecutionPlan` saying *how* the
+        batch runs: engine (fused vs staged), thread count, band budget,
+        the staged blur method and the calibration profile the fused
+        dispatch is pinned to.  ``None`` runs the staged engine with the
+        blur method resolved per call.  A fused plan is ignored when
+        ``params.blur_fn`` is set — the fused engine is float-only, and a
+        plan computed for a float workload must not crash a fixed-point
+        mapper.
     faults:
         Chaos hook (:mod:`repro.runtime.faults`): a
         :class:`~repro.runtime.faults.FaultPlan` or a shared
@@ -125,7 +123,6 @@ class BatchToneMapper:
     def __init__(
         self,
         params: Optional[ToneMapParams] = None,
-        fused: bool = False,
         threads: Optional[int] = None,
         plan: Optional["ExecutionPlan"] = None,
         faults: Optional[object] = None,
@@ -142,27 +139,20 @@ class BatchToneMapper:
             )
         self._kernel = self.params.kernel()
         self.execution_plan = plan
-        band_bytes = None
-        profile = None
-        if plan is not None:
-            if not fused:
-                fused = (
-                    plan.engine == "fused" and self.params.blur_fn is None
-                )
-            if threads is None:
-                threads = plan.threads
-            band_bytes = plan.band_bytes
-            profile = plan.profile
+        self._blur_method = "auto" if plan is None else plan.blur_method
         self._plan: Optional[FusedToneMapPlan] = None
         self._engine: Optional[FusedExecutor] = None
-        if fused:
-            # Raises ToneMapError for custom blur_fn params — the fused
-            # engine is the blur, so a silent staged fallback would lie
-            # about what executed.
+        if (
+            plan is not None
+            and plan.engine == "fused"
+            and self.params.blur_fn is None
+        ):
             self._plan = FusedToneMapPlan(
-                self.params, band_bytes=band_bytes, profile=profile
+                self.params, band_bytes=plan.band_bytes, profile=plan.profile
             )
-            self._engine = FusedExecutor(threads=threads)
+            self._engine = FusedExecutor(
+                threads=plan.threads if threads is None else threads
+            )
 
     @property
     def kernel(self):
@@ -286,7 +276,7 @@ class BatchToneMapper:
             luminance = normalized
         blur_fn = self.params.blur_fn
         if blur_fn is None:
-            masks = blur_batch(luminance, self._kernel)
+            masks = blur_batch(luminance, self._kernel, self._blur_method)
         else:
             batch_fn = getattr(blur_fn, "blur_batch", None)
             if batch_fn is not None:

@@ -82,7 +82,6 @@ from repro.runtime.net import (
     send_message,
 )
 from repro.runtime.shard import ShardPool
-from repro.tonemap.fixed_blur import FixedBlurConfig
 from repro.tonemap.pipeline import ToneMapParams
 
 #: An address is ``(host, port)``; string form ``"host:port"`` accepted.
@@ -149,9 +148,6 @@ class HostServer:
         self,
         params: Optional[ToneMapParams] = None,
         shards: int = 2,
-        fixed_config: Optional[FixedBlurConfig] = None,
-        fused: bool = False,
-        fused_threads: Optional[int] = None,
         plan=None,
         arena_slots: int = 4,
         default_timeout_ms: Optional[float] = None,
@@ -163,9 +159,6 @@ class HostServer:
         self._pool = ShardPool(
             params=params,
             shards=shards,
-            fixed_config=fixed_config,
-            fused=fused,
-            fused_threads=fused_threads,
             plan=plan,
             arena_slots=arena_slots,
             default_timeout_ms=default_timeout_ms,
@@ -555,9 +548,6 @@ class HostPool(Backend):
         cls,
         count: int,
         params: Optional[ToneMapParams] = None,
-        fixed_config: Optional[FixedBlurConfig] = None,
-        fused: bool = False,
-        fused_threads: Optional[int] = None,
         plan=None,
         shards_per_host: int = 2,
         arena_slots: int = 4,
@@ -568,7 +558,8 @@ class HostPool(Backend):
         """Start ``count`` localhost host processes and route over them.
 
         Each host process binds an ephemeral port, reports it back over
-        a pipe, and runs ``shards_per_host`` workers.  The pool owns
+        a pipe, and runs ``shards_per_host`` workers built from
+        ``(params, plan)``, both pickled to the host.  The pool owns
         the processes: a host that dies is respawned with the same
         recipe, and :meth:`close` terminates them all.  The fault
         plan's spec (if any) ships to every host so worker-kind faults
@@ -585,9 +576,6 @@ class HostPool(Backend):
         spawn_kwargs = {
             "params": params,
             "shards": shards_per_host,
-            "fixed_config": fixed_config,
-            "fused": fused,
-            "fused_threads": fused_threads,
             "plan": plan,
             "arena_slots": arena_slots,
             "default_timeout_ms": default_timeout_ms,

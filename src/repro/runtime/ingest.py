@@ -72,10 +72,10 @@ deadline has actually expired.
 **Overload ladder.**  With ``overload=`` set, an
 :class:`~repro.runtime.overload.OverloadController` watches the
 end-to-end p95 and queue depth after every completed batch and walks
-the degradation ladder (full → degraded plan → shed best-effort →
-brownout) with hysteresis; the ingestor applies each rung — pinning the
-service onto a cheaper plan, suspending best-effort admission and
-dropping queued best-effort frames, forcing brownout — and surfaces
+the degradation ladder (full → shed best-effort → brownout) with
+hysteresis; the ingestor applies each rung — suspending best-effort
+admission and dropping queued best-effort frames, forcing brownout —
+and surfaces
 ``ladder_rung`` / ``ladder_transitions`` / ``ladder_shed`` on
 :class:`~repro.runtime.reliability.ReliabilityStats`.
 

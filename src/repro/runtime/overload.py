@@ -8,19 +8,14 @@ service make, and when does it make it back?  This module is that
 policy.  An :class:`OverloadController` watches the signals the runtime
 already produces (end-to-end p95 latency from the ingestor's window,
 admitted-but-unfinished queue depth) against a declared
-:class:`ServiceLevelObjective` and walks a four-rung ladder::
+:class:`ServiceLevelObjective` and walks a three-rung ladder::
 
-    full  ->  degraded_plan  ->  shed_best_effort  ->  brownout
-     ^                                                    |
-     +------------- (sustained recovery) -----------------+
+    full  ->  shed_best_effort  ->  brownout
+     ^                                 |
+     +----- (sustained recovery) ------+
 
 ``full``
     Serve everything at full quality.
-``degraded_plan``
-    The service swaps its in-process execution onto a planner-pinned
-    cheaper :class:`~repro.planner.plan.ExecutionPlan` (a degraded blur
-    regime via :func:`repro.planner.pinned` — bit-honest about what
-    changed: the pin is recorded in the plan's rationale).
 ``shed_best_effort``
     The ingestor stops admitting :class:`~repro.runtime.ingest.
     ServiceClass` ``best_effort`` frames and drops the ones already
@@ -28,8 +23,11 @@ admitted-but-unfinished queue depth) against a declared
 ``brownout``
     A pool-backed service stops offering batches to its shard/host pool
     and serves from the in-process mapper (the breaker's brownout path,
-    entered deliberately); an in-process service simply stays maximally
-    degraded.
+    entered deliberately); an in-process service keeps shedding.
+
+There is no cheaper-plan rung: every float plan runs the fused engine,
+and the staged plan such a rung would pin measured slower than it from
+128² frames up.
 
 Both directions are **hysteretic**: climbing one rung takes
 ``climb_patience`` consecutive SLO-breaching observations, descending
@@ -56,11 +54,10 @@ from repro.runtime.clock import MONOTONIC, Clock
 
 #: Ladder rungs, mildest first.  The index order is the climb order.
 LADDER_FULL = "full"
-LADDER_DEGRADED = "degraded_plan"
 LADDER_SHED = "shed_best_effort"
 LADDER_BROWNOUT = "brownout"
 
-LADDER = (LADDER_FULL, LADDER_DEGRADED, LADDER_SHED, LADDER_BROWNOUT)
+LADDER = (LADDER_FULL, LADDER_SHED, LADDER_BROWNOUT)
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,7 @@ class ReliabilityStats:
     ladder_rung:
         Current rung of the SLO degradation ladder
         (:data:`~repro.runtime.overload.LADDER`): ``full`` /
-        ``degraded_plan`` / ``shed_best_effort`` / ``brownout``.
+        ``shed_best_effort`` / ``brownout``.
         ``full`` when the service runs without an
         :class:`~repro.runtime.overload.OverloadController`.
     ladder_transitions:

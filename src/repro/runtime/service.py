@@ -16,6 +16,11 @@ built once per parameter set (coefficients are precomputed on the frozen
 ``FixedBlurConfig.quantized_coefficients`` memoizes per (config, kernel).
 Sharded pools warm both caches per worker process at start-up.
 
+Every mapper the service builds — in-process, per shard worker, per
+host — comes from the same two inputs: ``params`` say what is computed
+(fixed point is ``params.blur_fn``), the
+:class:`~repro.planner.plan.ExecutionPlan` says how it runs.
+
 The service executes work as fast as it arrives; admission control
 (bounded queueing, deadline coalescing, the async API) is layered on top
 by :class:`~repro.runtime.ingest.ToneMapIngestor`.  The data path and the
@@ -41,18 +46,13 @@ from repro.runtime.backend import run_image_batch
 from repro.runtime.batch import BatchToneMapper
 from repro.runtime.clock import MONOTONIC, Clock
 from repro.runtime.faults import resolve_injector
-from repro.runtime.overload import (
-    LADDER_BROWNOUT,
-    LADDER_DEGRADED,
-    rung_index,
-)
+from repro.runtime.overload import LADDER_BROWNOUT, rung_index
 from repro.runtime.reliability import (
     BreakerPolicy,
     CircuitBreaker,
     ReliabilityStats,
 )
 from repro.runtime.shard import AutoscalePolicy, ShardPool
-from repro.tonemap.fixed_blur import FixedBlurConfig, make_fixed_blur_fn
 from repro.tonemap.pipeline import ToneMapParams
 
 #: How many recent completion latencies feed the percentile stats.
@@ -204,7 +204,10 @@ class ToneMapService:
     Parameters
     ----------
     params:
-        Pipeline parameters applied to every image.
+        Pipeline parameters applied to every image.  With ``shards`` or
+        ``hosts`` they are pickled to the workers, so a ``blur_fn`` must
+        pickle — :func:`~repro.tonemap.fixed_blur.make_fixed_blur_fn`
+        does.
     max_workers:
         Thread-pool width (``None`` = executor default).
     batch_size:
@@ -213,9 +216,7 @@ class ToneMapService:
     shards:
         When given, each batch is partitioned across this many worker
         processes via :class:`~repro.runtime.shard.ShardPool` (outputs are
-        bit-identical to the in-process path).  ``params.blur_fn`` must
-        then be ``None``; request the fixed-point model with
-        ``fixed_config``.
+        bit-identical to the in-process path).
     hosts:
         Route batches across shard *hosts* over the network instead of
         local worker processes: an ``int`` spawns that many localhost
@@ -230,11 +231,6 @@ class ToneMapService:
         width); the breaker, ``shard_timeout_ms``, and the
         zero-copy admission path all apply to hosts exactly as they do
         to shards.
-    fixed_config:
-        Convenience for the bit-accurate fixed-point blur: equivalent to
-        ``blur_fn=make_fixed_blur_fn(fixed_config)`` in-process, and the
-        only way to request fixed point from sharded workers (closures do
-        not pickle).
     autoscale:
         Grow/shrink the active shard set from queue-depth and p95-latency
         signals (hysteresis per
@@ -247,34 +243,14 @@ class ToneMapService:
     arena_slots:
         Depth of the pool's shared-memory arena per size class (see
         :class:`~repro.runtime.arena.ShmArena`).
-    fused:
-        Run batches through the fused band engine
-        (:mod:`repro.runtime.fused`) — single-pass tiled stages with no
-        full-frame intermediates — instead of the staged stack path.
-        Applies to the in-process mapper and to sharded workers alike.
-        Float-only: incompatible with ``fixed_config``/``blur_fn``.
-    fused_threads:
-        Fused worker threads per mapper; ``None`` reads
-        ``REPRO_FUSED_THREADS``, else CPU count for the in-process
-        mapper — but **1 per worker process** when sharded (the shard
-        pool already claims one core per worker; see
-        :class:`~repro.runtime.shard.ShardPool`).
     plan:
         An :class:`~repro.planner.plan.ExecutionPlan` describing the
         expected traffic: supplies the engine choice, thread count, band
-        budget, and calibration profile to the in-process mapper and
-        (pickled) to every shard worker, so the whole service replays
-        one recorded set of dispatch decisions.  Explicit
-        ``fused``/``fused_threads`` arguments still win over the plan.
-    degraded_plan:
-        The cheaper :class:`~repro.planner.plan.ExecutionPlan` the
-        service pins its in-process execution onto while the overload
-        ladder sits at ``degraded_plan`` or above (see
-        :meth:`apply_overload_rung`).  ``None`` derives one from
-        ``plan`` via :func:`repro.planner.pinned` (staged engine,
-        folded blur — the predictable cheap regime), or disables the
-        rung's plan swap entirely when there is no ``plan`` to degrade
-        from.
+        budget, blur method and calibration profile to the in-process
+        mapper and (pickled) to every shard worker, so the whole service
+        replays one recorded set of dispatch decisions.  Shard workers
+        run a fused plan on one thread each.  ``None`` runs the staged
+        reference engine everywhere.
     shard_timeout_ms:
         Default execution budget per sharded batch; an attempt still
         running at the budget is killed by the pool's watchdog and
@@ -306,15 +282,11 @@ class ToneMapService:
         max_workers: Optional[int] = None,
         batch_size: int = 8,
         shards: Optional[int] = None,
-        fixed_config: Optional[FixedBlurConfig] = None,
         autoscale: bool = False,
         max_shards: Optional[int] = None,
         autoscale_policy: Optional[AutoscalePolicy] = None,
         arena_slots: int = 4,
-        fused: bool = False,
-        fused_threads: Optional[int] = None,
         plan=None,
-        degraded_plan=None,
         shard_timeout_ms: Optional[float] = None,
         breaker=None,
         faults=None,
@@ -324,20 +296,6 @@ class ToneMapService:
         params = params if params is not None else ToneMapParams()
         if batch_size < 1:
             raise ToneMapError(f"batch_size must be >= 1, got {batch_size}")
-        if fixed_config is not None and params.blur_fn is not None:
-            raise ToneMapError(
-                "pass either params.blur_fn or fixed_config, not both"
-            )
-        if plan is not None and not fused:
-            fused = (
-                plan.engine == "fused"
-                and fixed_config is None
-                and params.blur_fn is None
-            )
-        if fused and fixed_config is not None:
-            raise ToneMapError(
-                "the fused engine is float-only; drop fused or fixed_config"
-            )
         if hosts is not None and (
             shards is not None or autoscale or autoscale_policy is not None
         ):
@@ -381,13 +339,10 @@ class ToneMapService:
             self._pool = ShardPool(
                 params,
                 shards=shards,
-                fixed_config=fixed_config,
                 autoscale=autoscale,
                 max_shards=max_shards,
                 policy=autoscale_policy,
                 arena_slots=arena_slots,
-                fused=fused,
-                fused_threads=fused_threads,
                 plan=plan,
                 default_timeout_ms=shard_timeout_ms,
                 faults=self._faults,
@@ -404,9 +359,6 @@ class ToneMapService:
                 self._pool = HostPool.spawn_local(
                     hosts,
                     params,
-                    fixed_config=fixed_config,
-                    fused=fused,
-                    fused_threads=fused_threads,
                     plan=plan,
                     arena_slots=arena_slots,
                     default_timeout_ms=shard_timeout_ms,
@@ -421,24 +373,13 @@ class ToneMapService:
                     faults=self._faults,
                     clock=clock,
                 )
-        local_params = params
-        if fixed_config is not None:
-            local_params = replace(
-                params, blur_fn=make_fixed_blur_fn(fixed_config)
-            )
-        self._local_params = local_params
         self._mapper = BatchToneMapper(
-            local_params,
-            fused=fused,
-            threads=fused_threads,
+            params,
             plan=plan,
             # Share the pool's injector: slow-batch jitter keeps applying
             # when the breaker browns batches out to this mapper.
             faults=self._faults,
         )
-        self._degraded_plan = degraded_plan
-        self._degraded_mapper: Optional[BatchToneMapper] = None
-        self._degraded_active = False
         self._forced_brownout = False
         self._draining = False
         self._closed = False
@@ -526,54 +467,17 @@ class ToneMapService:
     def apply_overload_rung(self, rung: str) -> None:
         """Adopt one degradation-ladder rung (idempotent, any order).
 
-        ``degraded_plan`` and above swap the *in-process* execution onto
-        the cheaper pinned plan (see ``degraded_plan`` in the
-        constructor); ``brownout`` additionally stops offering batches
+        Only ``brownout`` changes execution: it stops offering batches
         to the shard/host pool — the breaker's brownout path, entered
         deliberately, still serving bit-identical outputs from the
-        full-fidelity mapper.  Called by the ingestor's
+        in-process mapper.  ``shed_best_effort`` acts at admission, in
+        the ingestor.  Called by the ingestor's
         :class:`~repro.runtime.overload.OverloadController` wiring;
         harmless to call directly.
         """
-        index = rung_index(rung)
-        degraded = index >= rung_index(LADDER_DEGRADED)
-        if degraded:
-            self._ensure_degraded_mapper()
+        forced = rung_index(rung) >= rung_index(LADDER_BROWNOUT)
         with self._lock:
-            self._degraded_active = (
-                degraded and self._degraded_mapper is not None
-            )
-            self._forced_brownout = index >= rung_index(LADDER_BROWNOUT)
-
-    def _ensure_degraded_mapper(self) -> None:
-        """Build the cheap-plan mapper on first use (never on the
-        constructor's critical path)."""
-        with self._lock:
-            if self._degraded_mapper is not None:
-                return
-            plan = self._degraded_plan
-            if plan is None:
-                if self.plan is None:
-                    return  # nothing to degrade from; the rung is a no-op
-                from repro.planner import pinned
-
-                plan = pinned(
-                    self.plan, engine="staged", blur_method="folded"
-                )
-                self._degraded_plan = plan
-            self._degraded_mapper = BatchToneMapper(
-                self._local_params,
-                fused=(plan.engine == "fused"),
-                plan=plan,
-                faults=self._faults,
-            )
-
-    def _local_mapper(self) -> BatchToneMapper:
-        """The mapper in-process batches run on right now (ladder-aware)."""
-        with self._lock:
-            if self._degraded_active and self._degraded_mapper is not None:
-                return self._degraded_mapper
-        return self._mapper
+            self._forced_brownout = forced
 
     def _run_admitted(self, images: Sequence[HDRImage]) -> tuple[HDRImage, ...]:
         """Execute one batch already counted by :meth:`_admit_batch`.
@@ -593,7 +497,7 @@ class ToneMapService:
                     for im in images
                 )
             else:
-                result = self._local_mapper().run(images)
+                result = self._mapper.run(images)
                 outputs = result.outputs
                 pixels = result.pixels
         except BaseException:
@@ -913,10 +817,6 @@ class ToneMapService:
     def _shutdown(self, graceful: bool) -> None:
         self._executor.shutdown(wait=True)
         self._mapper.close()
-        with self._lock:
-            degraded = self._degraded_mapper
-        if degraded is not None:
-            degraded.close()
         if self._pool is not None:
             (self._pool.drain if graceful else self._pool.close)()
         with self._lock:

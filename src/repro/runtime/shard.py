@@ -40,11 +40,12 @@ have leaked in ``/dev/shm``.  ``tests/test_arena.py`` scans ``/dev/shm``
 to keep the no-leak property honest.
 
 Each worker holds its own :class:`~repro.runtime.batch.BatchToneMapper`,
-so per-kernel Gaussian coefficients and (for fixed-point configs) the
-quantized coefficient ROM are built once per process at pool start-up.
-Because ``blur_fn`` closures do not pickle, the fixed-point path is
-requested by shipping the frozen, picklable
-:class:`~repro.tonemap.fixed_blur.FixedBlurConfig` instead.
+built from the pool's ``(params, plan)``, so per-kernel Gaussian
+coefficients and (for the fixed-point blur) the quantized coefficient
+ROM are built once per process at pool start-up.  Both inputs cross the
+process boundary by pickle — the fixed-point blur of
+:func:`~repro.tonemap.fixed_blur.make_fixed_blur_fn` is a picklable
+value, a closure ``blur_fn`` is refused at construction.
 
 **Autoscaling.**  With ``autoscale=True`` the pool starts ``max_shards``
 worker processes eagerly (they are cheap, warm, and never forked after
@@ -71,12 +72,13 @@ from __future__ import annotations
 import inspect
 import multiprocessing as mp
 import os
+import pickle
 import signal
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -93,7 +95,7 @@ from repro.runtime.backend import (
 )
 from repro.runtime.batch import BatchToneMapper
 from repro.runtime.clock import MONOTONIC, Clock
-from repro.tonemap.fixed_blur import FixedBlurConfig, make_fixed_blur_fn
+from repro.tonemap.fixed_blur import FixedBlurFn
 from repro.tonemap.pipeline import ToneMapParams
 
 #: Worker-process global: the per-process mapper with warm caches.
@@ -110,29 +112,21 @@ _SHM_HAS_TRACK = "track" in inspect.signature(
 ).parameters
 
 
-def _init_worker(
-    params: ToneMapParams,
-    fixed_config: Optional[FixedBlurConfig],
-    fused: bool = False,
-    threads: Optional[int] = None,
-    plan=None,
-) -> None:
+def _init_worker(params: ToneMapParams, plan=None) -> None:
     """Build this worker's mapper once; subsequent slabs reuse its caches.
 
     ``plan`` is a pickled :class:`~repro.planner.plan.ExecutionPlan` (or
     ``None``): shipping the parent's plan means every worker replays the
     parent's dispatch decisions exactly, whatever env vars the worker
-    process happens to see.
+    process happens to see.  A fused plan runs on **one** thread per
+    worker: the pool's parallelism model is one core per shard, and the
+    plan's ``threads`` sizes the in-process engine.
     """
     global _WORKER_MAPPER
-    if fixed_config is not None:
-        params = replace(params, blur_fn=make_fixed_blur_fn(fixed_config))
-    _WORKER_MAPPER = BatchToneMapper(
-        params, fused=fused, threads=threads, plan=plan
-    )
-    if fixed_config is not None:
+    _WORKER_MAPPER = BatchToneMapper(params, threads=1, plan=plan)
+    if isinstance(params.blur_fn, FixedBlurFn):
         # Quantize the coefficient ROM now so the first slab pays nothing.
-        fixed_config.quantized_coefficients(_WORKER_MAPPER.kernel)
+        params.blur_fn.config.quantized_coefficients(_WORKER_MAPPER.kernel)
 
 
 def _worker_ready() -> bool:
@@ -420,14 +414,13 @@ class ShardPool(Backend):
     Parameters
     ----------
     params:
-        Pipeline parameters.  ``params.blur_fn`` must be ``None`` — a
-        closure cannot cross the process boundary; request the fixed-point
-        path with ``fixed_config`` instead.
+        Pipeline parameters, pickled to every worker.  A ``blur_fn`` must
+        therefore pickle — the fixed-point blur of
+        :func:`~repro.tonemap.fixed_blur.make_fixed_blur_fn` does; a
+        closure is refused with :class:`~repro.errors.ToneMapError` here,
+        not later when a forkserver respawn would need it.
     shards:
         Initial (and, without autoscaling, fixed) active worker count.
-    fixed_config:
-        When given, every worker blurs with the bit-accurate fixed-point
-        model built from this config (batched across its whole slab).
     autoscale:
         Enable the queue-depth / latency autoscaler.  ``max_shards``
         workers are started eagerly (all forked before any caller thread
@@ -442,23 +435,12 @@ class ShardPool(Backend):
         ``AutoscalePolicy(min_shards=shards, max_shards=max_shards)``.
     arena_slots:
         Ring/pool depth per size class of the pool's arena.
-    fused:
-        Workers run their slabs through the fused band engine
-        (:mod:`repro.runtime.fused`) instead of the staged stack path.
-        Float-only — incompatible with ``fixed_config``.
-    fused_threads:
-        Fused worker threads *per worker process*; defaults to **1** —
-        the pool's parallelism model is one core per shard, so letting
-        each of N workers spawn ``os.cpu_count()`` compute threads (the
-        in-process default) would oversubscribe the host N-fold.  Raise
-        it only when ``shards * fused_threads`` fits the core budget.
     plan:
         An :class:`~repro.planner.plan.ExecutionPlan`; it is pickled to
         every worker so each one replays the parent's dispatch decisions
-        (engine, band budget, calibration profile) exactly.  Explicit
-        ``fused``/``fused_threads`` arguments still win over the plan.
-        The per-process thread default stays **1** even under a plan —
-        the plan's ``threads`` describes the in-process engine, and N
+        (engine, band budget, blur method, calibration profile) exactly.
+        A fused plan runs on **one** thread per worker process — the
+        plan's ``threads`` describes the in-process engine, and N
         workers × plan-threads would oversubscribe the host.
     default_timeout_ms / faults / clock:
         The attempt budget, chaos plan and time source of
@@ -477,13 +459,10 @@ class ShardPool(Backend):
         self,
         params: Optional[ToneMapParams] = None,
         shards: int = 2,
-        fixed_config: Optional[FixedBlurConfig] = None,
         autoscale: bool = False,
         max_shards: Optional[int] = None,
         policy: Optional[AutoscalePolicy] = None,
         arena_slots: int = 4,
-        fused: bool = False,
-        fused_threads: Optional[int] = None,
         plan=None,
         default_timeout_ms: Optional[float] = None,
         faults=None,
@@ -492,27 +471,16 @@ class ShardPool(Backend):
         params = params if params is not None else ToneMapParams()
         if shards < 1:
             raise ToneMapError(f"shards must be >= 1, got {shards}")
-        if params.blur_fn is not None:
+        try:
+            pickle.dumps(params)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
             raise ToneMapError(
-                "blur_fn closures cannot cross the process boundary; pass "
-                "fixed_config=FixedBlurConfig(...) and let workers rebuild it"
-            )
-        if plan is not None and not fused:
-            fused = plan.engine == "fused" and fixed_config is None
-        if fused and fixed_config is not None:
-            raise ToneMapError(
-                "the fused engine is float-only; drop fused or fixed_config"
-            )
-        if fused and fused_threads is None:
-            # One fused thread per worker process: the pool already
-            # claims one core per shard, so the in-process default
-            # (cpu_count) would oversubscribe shards-fold.
-            fused_threads = 1
+                f"params must pickle to reach the worker processes "
+                f"({exc}); use a module-level blur_fn such as "
+                "make_fixed_blur_fn(), not a closure"
+            ) from exc
         self.shards = shards
         self.params = params
-        self.fixed_config = fixed_config
-        self.fused = fused
-        self.fused_threads = fused_threads
         self.plan = plan
         if autoscale:
             if max_shards is None:
@@ -581,13 +549,7 @@ class ShardPool(Backend):
             max_workers=self._workers,
             mp_context=mp_context,
             initializer=_init_worker,
-            initargs=(
-                self.params,
-                self.fixed_config,
-                self.fused,
-                self.fused_threads,
-                self.plan,
-            ),
+            initargs=(self.params, self.plan),
         )
         try:
             for future in [

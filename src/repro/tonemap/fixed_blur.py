@@ -229,11 +229,14 @@ def fixed_point_blur_batch(
     return FixedArray(np.ascontiguousarray(vertical), config.data_fmt).to_float()
 
 
-def make_fixed_blur_fn(config: FixedBlurConfig = FixedBlurConfig()):
-    """A ``BlurFn`` closure over *config* for ``ToneMapParams.blur_fn``.
+@dataclass(frozen=True)
+class FixedBlurFn:
+    """The fixed-point blur as a ``BlurFn`` for ``ToneMapParams.blur_fn``.
 
-    The returned callable carries three extra attributes that the batch
-    runtime uses:
+    A module-level value object rather than a closure, so parameters
+    carrying it pickle as-is — to shard worker processes, forkserver
+    respawns and spawned hosts alike.  Besides the per-plane call it
+    exposes what the batch runtime uses:
 
     ``blur_batch``
         The stack-level entry point (:func:`fixed_point_blur_batch`);
@@ -241,26 +244,26 @@ def make_fixed_blur_fn(config: FixedBlurConfig = FixedBlurConfig()):
         whole ``(N, H, W)`` luminance volume in one call instead of
         looping plane-by-plane.
     ``config``
-        The :class:`FixedBlurConfig` the closure was built from, so
-        process-pool backends (:class:`repro.runtime.ShardPool`) can ship
-        the picklable config across the process boundary and rebuild the
-        closure worker-side.
+        The :class:`FixedBlurConfig` whose formats the blur uses.
     ``trusted_finite``
-        Marks the closure as repo-internal arithmetic that maps finite
+        Marks the blur as repo-internal arithmetic that maps finite
         inputs to finite outputs (saturating fixed point cannot emit
         NaN/inf), so the batch runtime may wrap its outputs with the
         no-validation :meth:`repro.image.hdr.HDRImage.adopt` fast path.
-        Arbitrary user ``blur_fn`` closures lack the attribute and keep
+        Arbitrary user ``blur_fn`` callables lack the attribute and keep
         full output validation.
     """
 
-    def blur_fn(plane: np.ndarray, kernel: GaussianKernel) -> np.ndarray:
-        return fixed_point_blur_plane(plane, kernel, config)
+    config: FixedBlurConfig = field(default_factory=FixedBlurConfig)
+    trusted_finite = True
 
-    def blur_batch_fn(planes: np.ndarray, kernel: GaussianKernel) -> np.ndarray:
-        return fixed_point_blur_batch(planes, kernel, config)
+    def __call__(self, plane: np.ndarray, kernel: GaussianKernel) -> np.ndarray:
+        return fixed_point_blur_plane(plane, kernel, self.config)
 
-    blur_fn.blur_batch = blur_batch_fn
-    blur_fn.config = config
-    blur_fn.trusted_finite = True
-    return blur_fn
+    def blur_batch(self, planes: np.ndarray, kernel: GaussianKernel) -> np.ndarray:
+        return fixed_point_blur_batch(planes, kernel, self.config)
+
+
+def make_fixed_blur_fn(config: FixedBlurConfig = FixedBlurConfig()) -> FixedBlurFn:
+    """The bit-accurate fixed-point blur over *config* (see :class:`FixedBlurFn`)."""
+    return FixedBlurFn(config)

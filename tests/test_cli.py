@@ -102,15 +102,15 @@ class TestParser:
 
     def test_batch_fused_defaults(self):
         args = build_parser().parse_args(["batch"])
-        assert args.fused is False
+        assert args.plan is None  # staged reference engine
         assert args.threads is None
         assert args.sigma is None
 
     def test_batch_fused_options(self):
         args = build_parser().parse_args(
-            ["batch", "--fused", "--threads", "4", "--sigma", "2.5"]
+            ["batch", "--plan", "auto", "--threads", "4", "--sigma", "2.5"]
         )
-        assert args.fused is True
+        assert args.plan == "auto"
         assert args.threads == 4
         assert args.sigma == 2.5
 
@@ -199,10 +199,11 @@ class TestMain:
     def test_batch_fused(self, capsys):
         assert main(
             ["--size", "32", "batch", "--count", "3", "--batch-size", "2",
-             "--fused", "--threads", "2", "--sigma", "2"]
+             "--plan", "auto", "--threads", "2", "--sigma", "2"]
         ) == 0
         captured = capsys.readouterr()
-        assert "fused band dataflow (2 threads)" in captured.out
+        assert "engine=fused" in captured.out
+        assert "threads=2" in captured.out
         # narrow kernel: no wide-kernel regime note
         assert "staged full-plane FFT" not in captured.err
 
@@ -210,10 +211,10 @@ class TestMain:
         # Default sigma 16 runs the fused whole-plane FFT mask, which
         # beats the staged path: no advice to narrow the kernel.
         assert main(
-            ["--size", "32", "batch", "--count", "2", "--fused"]
+            ["--size", "32", "batch", "--count", "2", "--plan", "auto"]
         ) == 0
         captured = capsys.readouterr()
-        assert "fused band dataflow" in captured.out
+        assert "engine=fused" in captured.out
         assert "--sigma 2" not in captured.err
 
     def test_batch_sigma_applies_without_fused(self, capsys):
@@ -225,28 +226,48 @@ class TestMain:
     def test_batch_fused_sharded_streaming(self, capsys):
         assert main(
             ["--size", "32", "batch", "--count", "4", "--batch-size", "2",
-             "--fused", "--shards", "2", "--max-delay-ms", "2"]
+             "--plan", "auto", "--shards", "2", "--max-delay-ms", "2"]
         ) == 0
         out = capsys.readouterr().out
-        assert "fused band dataflow (auto threads)" in out
+        assert "engine=fused" in out
         assert "streaming (ingestor)" in out
 
-    def test_batch_fused_rejects_fixed(self):
-        with pytest.raises(SystemExit):
+    def test_batch_plan_auto_fixed_runs_staged(self, capsys):
+        assert main(["--size", "32", "batch", "--count", "2",
+                     "--plan", "auto", "--fixed"]) == 0
+        out = capsys.readouterr().out
+        assert "engine=staged" in out
+        assert "fixed-point 16-bit" in out
+
+    def test_batch_plan_file_replayed(self, capsys, tmp_path):
+        plan_file = tmp_path / "plan.json"
+        assert main(["planner", "explain", "--height", "32", "--width",
+                     "32", "--sigma", "2", "--threads", "1", "--json"]) == 0
+        plan_file.write_text(capsys.readouterr().out)
+        assert main(["--size", "32", "batch", "--count", "2", "--sigma",
+                     "2", "--plan", str(plan_file), "--threads", "2"]) == 0
+        assert "threads=2" in capsys.readouterr().out
+        with pytest.raises(SystemExit, match="--plan"):
             main(["--size", "32", "batch", "--count", "2",
-                  "--fused", "--fixed"])
+                  "--plan", str(tmp_path / "missing.json")])
 
     def test_batch_threads_require_fused(self):
         with pytest.raises(SystemExit):
             main(["--size", "32", "batch", "--count", "2",
                   "--threads", "2"])
 
+    def test_serve_host_plan_file_errors_cleanly(self, tmp_path):
+        # Same loader as batch --plan FILE: a usage error, no traceback,
+        # and no host started.
+        with pytest.raises(SystemExit, match="--plan"):
+            main(["serve-host", "--plan", str(tmp_path / "missing.json")])
+
     def test_batch_nonpositive_threads_rejected_cleanly(self):
         # A usage error, not a ToneMapError traceback — and before any
         # image generation.
         with pytest.raises(SystemExit):
             main(["--size", "32", "batch", "--count", "2",
-                  "--fused", "--threads", "0"])
+                  "--plan", "auto", "--threads", "0"])
 
     def test_batch_multi_tenant_lease_results(self, capsys):
         assert main(

@@ -24,7 +24,6 @@ suite too — each is sub-second).
 import os
 import signal
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -38,6 +37,7 @@ from repro.runtime import (
     ToneMapIngestor,
     ToneMapService,
 )
+from repro.tonemap.fixed_blur import make_fixed_blur_fn
 from repro.tonemap.pipeline import ToneMapParams
 
 pytestmark = pytest.mark.fault
@@ -57,26 +57,10 @@ def _stack(frames=4, size=64, seed=3):
     return rng.uniform(0.0, 1.0, (frames, size, size)).astype(np.float32)
 
 
-def _wait_for_corpse(pool, timeout=30.0):
-    """Block until the pool's executor has noticed a killed worker.
-
-    SIGKILL is asynchronous: with two workers the survivor can drain an
-    entire batch before the executor's manager thread reaps the corpse,
-    in which case the next ``run_leased`` succeeds *without* a respawn
-    and ``worker_respawns`` assertions race (seen under CPU contention).
-    The executor flags itself broken the moment it reaps — wait for
-    that before dispatching the batch that must trip over the corpse.
-    """
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if pool._executor._broken:
-            return
-        time.sleep(0.005)
-    pytest.fail("executor never noticed the killed worker")
-
-
 class TestWorkerKillRecovery:
-    def test_killed_worker_batch_replayed_and_pool_recovers(self):
+    def test_killed_worker_batch_replayed_and_pool_recovers(
+        self, wait_for_corpse
+    ):
         baseline = shm_names()
         stack = _stack()
         want = BatchToneMapper(PARAMS).run_stack(stack).astype(np.float32)
@@ -85,7 +69,7 @@ class TestWorkerKillRecovery:
             lease.array[:] = stack
             pool.run_leased(lease).release()  # warm, known-good
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
-            _wait_for_corpse(pool)
+            wait_for_corpse(pool)
             # The next batch trips over the corpse, respawns, replays —
             # and the caller never notices.
             out = pool.run_leased(lease)
@@ -98,7 +82,9 @@ class TestWorkerKillRecovery:
             assert pool.arena.stats.leases_active == 0
         assert shm_names() <= baseline
 
-    def test_kill_mid_batch_no_hung_caller_no_leaked_lease(self):
+    def test_kill_mid_batch_no_hung_caller_no_leaked_lease(
+        self, wait_for_corpse
+    ):
         stack = _stack(frames=8, size=256)
         with ShardPool(PARAMS, shards=2) as pool:
             lease = pool.lease_input(stack.shape)
@@ -129,7 +115,7 @@ class TestWorkerKillRecovery:
             thread.start()
             assert first_done.wait(timeout=60)
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
-            _wait_for_corpse(pool)
+            wait_for_corpse(pool)
             killed.set()
             thread.join(timeout=120)
             assert not thread.is_alive(), "caller hung after worker kill"
@@ -142,6 +128,28 @@ class TestWorkerKillRecovery:
             lease.release()
             assert pool.worker_respawns >= 1
             assert pool.arena.stats.leases_active == 0
+
+    def test_fixed_point_respawn_unpickles_the_blur(self, wait_for_corpse):
+        # The first workers fork with the params already in memory; the
+        # crash respawn goes through the forkserver, which must unpickle
+        # the fixed-point blur — and the replay stays bit-identical.
+        params = ToneMapParams(
+            sigma=2.0, radius=6, blur_fn=make_fixed_blur_fn()
+        )
+        stack = _stack()
+        want = BatchToneMapper(params).run_stack(stack).astype(np.float32)
+        with ShardPool(params, shards=2) as pool:
+            lease = pool.lease_input(stack.shape)
+            lease.array[:] = stack
+            pool.run_leased(lease).release()  # warm, known-good
+            os.kill(pool.worker_pids()[0], signal.SIGKILL)
+            wait_for_corpse(pool)
+            out = pool.run_leased(lease)
+            got = out.array.copy()
+            out.release()
+            lease.release()
+            assert pool.worker_respawns >= 1
+        np.testing.assert_array_equal(got, want)
 
     def test_persistent_crash_raises_shard_crash_error(self):
         # A FaultPlan SIGKILLs a worker on batch attempts 0 and 1: the
@@ -165,13 +173,14 @@ class TestWorkerKillRecovery:
             lease.release()
             assert pool.arena.stats.leases_active == 0
 
-    def test_autoscaler_keeps_operating_after_respawn(self):
+    def test_autoscaler_keeps_operating_after_respawn(self, wait_for_corpse):
         stack = _stack()
         with ShardPool(PARAMS, shards=1, autoscale=True, max_shards=2) as pool:
             lease = pool.lease_input(stack.shape)
             lease.array[:] = stack
             pool.run_leased(lease).release()
             os.kill(pool.worker_pids()[0], signal.SIGKILL)
+            wait_for_corpse(pool)
             pool.run_leased(lease).release()  # respawn + replay
             assert pool.worker_respawns >= 1
             # The autoscaler state machine survived: observations still
@@ -187,7 +196,9 @@ class TestWorkerKillRecovery:
 
 
 class TestServiceAndIngestorFaultPaths:
-    def test_ingestor_futures_resolve_across_worker_kill(self):
+    def test_ingestor_futures_resolve_across_worker_kill(
+        self, wait_for_corpse
+    ):
         baseline = shm_names()
         images = [
             make_scene(
@@ -205,7 +216,7 @@ class TestServiceAndIngestorFaultPaths:
                         os.kill(
                             service.pool.worker_pids()[0], signal.SIGKILL
                         )
-                        _wait_for_corpse(service.pool)
+                        wait_for_corpse(service.pool)
                 outcomes = [f.result(timeout=120) for f in futures]
             # Replay absorbed the crash: every frame got a real result.
             assert all(out is not None for out in outcomes)

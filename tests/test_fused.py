@@ -35,6 +35,7 @@ from repro.runtime import (
     ToneMapService,
 )
 from repro.runtime.fused import _partition_spans
+from repro.planner import plan_for
 from repro.planner.profile import (
     DEFAULT_FFT_CROSSOVER_TAPS,
     DEFAULT_FUSED_POOLED_GEOMETRIES,
@@ -89,6 +90,17 @@ def _staged(params, stack):
     masks = np.empty(stack.shape[:3], dtype=np.float64)
     out = mapper._run_stack(stack, masks)
     return out, masks
+
+
+def _plan(params, threads=None):
+    """The planner's plan for ``params`` — fused, as for every float
+    workload (the workload shape does not enter the fused engine)."""
+    plan = plan_for(
+        height=32, width=32, sigma=params.sigma, radius=params.radius,
+        threads=threads,
+    )
+    assert plan.engine == "fused"
+    return plan
 
 
 def _fused(params, stack, threads, band_bytes=None):
@@ -221,7 +233,7 @@ class TestPlaneRegime:
             for i in range(3)
         ]
         want = BatchToneMapper(params).run(images)
-        mapper = BatchToneMapper(params, fused=True, threads=2)
+        mapper = BatchToneMapper(params, plan=_plan(params, threads=2))
         try:
             got = mapper.run(images)
         finally:
@@ -395,9 +407,8 @@ class TestSteadyStateAllocation:
     def test_service_close_retires_fused_threads(self):
         import threading
 
-        service = ToneMapService(
-            ToneMapParams(sigma=2.0, radius=6), fused=True, fused_threads=2
-        )
+        params = ToneMapParams(sigma=2.0, radius=6)
+        service = ToneMapService(params, plan=_plan(params, threads=2))
         images = [
             make_scene(
                 "window_interior",
@@ -415,9 +426,8 @@ class TestSteadyStateAllocation:
         )
 
     def test_mapper_counters_exposed(self):
-        mapper = BatchToneMapper(
-            ToneMapParams(sigma=2.0, radius=6), fused=True, threads=2
-        )
+        params = ToneMapParams(sigma=2.0, radius=6)
+        mapper = BatchToneMapper(params, plan=_plan(params, threads=2))
         assert mapper.fused
         stack = _stack((2, 32, 32))
         mapper.run_stack(stack)
@@ -455,9 +465,10 @@ class TestValidationAndDefaults:
             sigma=2.0, radius=6, blur_fn=lambda plane, kernel: plane
         )
         with pytest.raises(ToneMapError):
-            BatchToneMapper(params, fused=True)
-        with pytest.raises(ToneMapError):
             FusedToneMapPlan(params)
+        # A mapper never builds one for such params: the fused plan is
+        # ignored and the custom blur runs staged.
+        assert not BatchToneMapper(params, plan=_plan(params)).fused
 
     def test_executor_rejects_bad_inputs(self):
         plan = FusedToneMapPlan(ToneMapParams(sigma=2.0, radius=6))
@@ -515,7 +526,9 @@ class TestRuntimeWiring:
     def test_mapper_run_matches_staged(self):
         images = self._scenes(3)
         want = BatchToneMapper(self.PARAMS).run(images)
-        got = BatchToneMapper(self.PARAMS, fused=True, threads=2).run(images)
+        got = BatchToneMapper(
+            self.PARAMS, plan=_plan(self.PARAMS, threads=2)
+        ).run(images)
         np.testing.assert_array_equal(got.masks, want.masks)
         for g, w in zip(got.outputs, want.outputs):
             np.testing.assert_array_equal(g.pixels, w.pixels)
@@ -526,42 +539,52 @@ class TestRuntimeWiring:
         images = self._scenes(4, size=24)
         want = BatchToneMapper(self.PARAMS).map(images)
         with ShardPool(
-            self.PARAMS, shards=2, fused=True, fused_threads=1
+            self.PARAMS, shards=2, plan=_plan(self.PARAMS)
         ) as pool:
             got = pool.run_batch(images)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.pixels, w.pixels)
 
     def test_shard_fused_threads_default_to_one(self):
-        # Each worker process defaulting to cpu_count() fused threads
-        # would oversubscribe the host shards-fold; the sharded default
-        # is 1 thread per worker.
-        with ShardPool(self.PARAMS, shards=2, fused=True) as pool:
-            assert pool.fused_threads == 1
-        mapper = BatchToneMapper(self.PARAMS, fused=True)
-        try:
-            import os
+        # Each worker process running the plan's cpu_count() fused
+        # threads would oversubscribe the host shards-fold; shard
+        # workers run one thread each, the in-process mapper the plan's.
+        from repro.runtime import shard
 
-            assert mapper._engine.threads == (os.cpu_count() or 1)
+        plan = _plan(self.PARAMS, threads=3)
+        shard._init_worker(self.PARAMS, plan)
+        try:
+            assert shard._WORKER_MAPPER._engine.threads == 1
+        finally:
+            shard._WORKER_MAPPER.close()
+            shard._WORKER_MAPPER = None
+        mapper = BatchToneMapper(self.PARAMS, plan=plan)
+        try:
+            assert mapper._engine.threads == 3
         finally:
             mapper.close()
 
-    def test_shard_rejects_fused_fixed_point(self):
-        from repro.tonemap.fixed_blur import FixedBlurConfig
+    def test_fused_plan_yields_to_fixed_blur_in_shards(self):
+        # The float plan reaches the workers with fixed-point params:
+        # each worker's mapper runs the fixed blur staged, bit-identical.
+        from dataclasses import replace
 
-        with pytest.raises(ToneMapError):
-            ShardPool(self.PARAMS, fused=True,
-                      fixed_config=FixedBlurConfig())
-        with pytest.raises(ToneMapError):
-            ToneMapService(self.PARAMS, fused=True,
-                           fixed_config=FixedBlurConfig())
+        from repro.tonemap.fixed_blur import make_fixed_blur_fn
+
+        params = replace(self.PARAMS, blur_fn=make_fixed_blur_fn())
+        images = self._scenes(4, size=24)
+        want = BatchToneMapper(params).map(images)
+        with ShardPool(params, shards=2, plan=_plan(self.PARAMS)) as pool:
+            got = pool.run_batch(images)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g.pixels, w.pixels)
 
     def test_service_fused_matches_staged(self):
         images = self._scenes(5, size=24)
         with ToneMapService(self.PARAMS, batch_size=2) as service:
             want = service.map_many(images)
         with ToneMapService(
-            self.PARAMS, batch_size=2, fused=True, fused_threads=2
+            self.PARAMS, batch_size=2, plan=_plan(self.PARAMS, threads=2)
         ) as service:
             got = service.map_many(images)
         for g, w in zip(got, want):
@@ -573,8 +596,7 @@ class TestRuntimeWiring:
         images = self._scenes(6, size=24)
         want = BatchToneMapper(self.PARAMS).map(images)
         with ToneMapService(
-            self.PARAMS, batch_size=3, shards=2, fused=True,
-            fused_threads=1,
+            self.PARAMS, batch_size=3, shards=2, plan=_plan(self.PARAMS)
         ) as service:
             with ToneMapIngestor(service, max_delay_ms=5.0) as ingestor:
                 futures = [ingestor.submit(image) for image in images]

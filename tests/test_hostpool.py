@@ -15,6 +15,7 @@ respawned, outputs unchanged.
 import socket
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.runtime import (
     FaultPlan,
     HostPool,
     HostServer,
+    ShardPool,
     ToneMapIngestor,
     ToneMapService,
 )
@@ -37,6 +39,7 @@ from repro.runtime.net import (
     recv_message,
     send_message,
 )
+from repro.tonemap.fixed_blur import make_fixed_blur_fn
 from repro.tonemap.pipeline import ToneMapParams
 
 PARAMS = ToneMapParams(sigma=2.0, radius=6)
@@ -185,6 +188,22 @@ class TestExternallyServedHost:
     def test_spawn_local_validates_count(self):
         with pytest.raises(ToneMapError, match="hosts must be >= 1"):
             HostPool.spawn_local(0, PARAMS)
+
+
+class TestFixedPointParams:
+    def test_fixed_blur_bit_identical_across_every_hop(self):
+        # params.blur_fn pickles as-is: into shard workers and into a
+        # spawned host process (and its own workers) alike.
+        params = replace(PARAMS, blur_fn=make_fixed_blur_fn())
+        stack = _stack(seed=5)
+        want = BatchToneMapper(params).run_stack(stack).astype(np.float32)
+        assert not np.array_equal(want, _want(stack))  # really fixed point
+        with ShardPool(params, shards=2) as shards:
+            np.testing.assert_array_equal(shards.run_stack(stack), want)
+        with HostPool.spawn_local(
+            1, params, shards_per_host=1, arena_slots=2
+        ) as hosts:
+            np.testing.assert_array_equal(hosts.run_stack(stack), want)
 
 
 class TestWireTimeoutValidation:

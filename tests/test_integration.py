@@ -42,14 +42,14 @@ class TestFullPipelineIntegration:
         # Fig. 5's quality numbers must be reproducible from the public
         # API alone (no experiment harness).
         workload = paper_workload(size=128)
-        from repro.accel.variants import paper_fixed_config
+        from repro.accel.variants import paper_fxp_config
         from repro.tonemap.fixed_blur import make_fixed_blur_fn
 
         base = workload.params
         flp = ToneMapper(base).run(workload.image).output
         fxp_params = ToneMapParams(
             sigma=base.sigma, radius=base.radius, masking=base.masking,
-            adjust=base.adjust, blur_fn=make_fixed_blur_fn(paper_fixed_config()),
+            adjust=base.adjust, blur_fn=make_fixed_blur_fn(paper_fxp_config()),
         )
         fxp = ToneMapper(fxp_params).run(workload.image).output
         assert psnr(flp, fxp, 1.0) > 45.0

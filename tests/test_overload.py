@@ -18,7 +18,7 @@ import pytest
 
 from repro.errors import ServiceOverloadedError, ToneMapError
 from repro.image.synthetic import SceneParams, make_scene
-from repro.planner import pinned, plan_for
+from repro.planner import plan_for
 from repro.runtime import (
     LADDER,
     BatchToneMapper,
@@ -33,7 +33,6 @@ from repro.runtime import (
 from repro.runtime.ingest import _coerce_class, _edf_key, _Pending
 from repro.runtime.overload import (
     LADDER_BROWNOUT,
-    LADDER_DEGRADED,
     LADDER_FULL,
     LADDER_SHED,
     rung_index,
@@ -121,15 +120,15 @@ class TestOverloadController:
         assert ctl.rung == LADDER_FULL
         assert ctl.observe(None, 10) == LADDER_FULL
         assert ctl.observe(None, 10) == LADDER_FULL
-        assert ctl.observe(None, 10) == LADDER_DEGRADED
+        assert ctl.observe(None, 10) == LADDER_SHED
         assert ctl.transitions == 1
 
     def test_climbs_one_rung_per_streak_and_caps_at_brownout(self):
         ctl = OverloadController(depth_policy(4, climb_patience=1))
-        rungs = [ctl.observe(None, 100) for _ in range(6)]
-        assert rungs[:3] == [LADDER_DEGRADED, LADDER_SHED, LADDER_BROWNOUT]
-        assert rungs[3:] == [LADDER_BROWNOUT] * 3  # capped, no flapping
-        assert ctl.transitions == 3
+        rungs = [ctl.observe(None, 100) for _ in range(5)]
+        assert rungs[:2] == [LADDER_SHED, LADDER_BROWNOUT]
+        assert rungs[2:] == [LADDER_BROWNOUT] * 3  # capped, no flapping
+        assert ctl.transitions == 2
 
     def test_dead_zone_resets_the_climb_streak(self):
         # SLO depth 10, recovery band at 5: depth 8 is between the two.
@@ -140,7 +139,7 @@ class TestOverloadController:
         ctl.observe(None, 8)  # dead zone: streak forgotten
         ctl.observe(None, 11)
         assert ctl.rung == LADDER_FULL  # one breach, not two consecutive
-        assert ctl.observe(None, 11) == LADDER_DEGRADED
+        assert ctl.observe(None, 11) == LADDER_SHED
 
     def test_dead_zone_resets_the_descend_streak(self):
         ctl = OverloadController(
@@ -151,11 +150,11 @@ class TestOverloadController:
                 recover_fraction=0.5,
             )
         )
-        ctl.observe(None, 11)  # -> degraded
+        ctl.observe(None, 11)  # -> shed_best_effort
         ctl.observe(None, 4)
         ctl.observe(None, 8)  # dead zone: recovery streak forgotten
         ctl.observe(None, 4)
-        assert ctl.rung == LADDER_DEGRADED
+        assert ctl.rung == LADDER_SHED
         assert ctl.observe(None, 4) == LADDER_FULL
         assert ctl.transitions == 2
 
@@ -164,10 +163,10 @@ class TestOverloadController:
             depth_policy(10, climb_patience=1, descend_patience=3)
         )
         ctl.observe(None, 11)
-        ctl.observe(None, 11)  # -> shed_best_effort
+        ctl.observe(None, 11)  # -> brownout
         for _ in range(3):
             ctl.observe(None, 0)
-        assert ctl.rung == LADDER_DEGRADED  # one rung down, not two
+        assert ctl.rung == LADDER_SHED  # one rung down, not two
         for _ in range(3):
             ctl.observe(None, 0)
         assert ctl.rung == LADDER_FULL
@@ -179,12 +178,12 @@ class TestOverloadController:
             depth_policy(4, climb_patience=1, min_dwell_s=10.0),
             clock=clock,
         )
-        assert ctl.observe(None, 100) == LADDER_DEGRADED
-        # Breaches keep arriving but the dwell floor holds the rung.
-        assert ctl.observe(None, 100) == LADDER_DEGRADED
-        assert ctl.observe(None, 100) == LADDER_DEGRADED
-        clock.advance(10.0)
         assert ctl.observe(None, 100) == LADDER_SHED
+        # Breaches keep arriving but the dwell floor holds the rung.
+        assert ctl.observe(None, 100) == LADDER_SHED
+        assert ctl.observe(None, 100) == LADDER_SHED
+        clock.advance(10.0)
+        assert ctl.observe(None, 100) == LADDER_BROWNOUT
         assert ctl.transitions == 2
 
     def test_empty_latency_window_is_no_signal(self):
@@ -196,7 +195,7 @@ class TestOverloadController:
         )
         assert ctl.observe(None, 10_000) == LADDER_FULL
         assert ctl.observe(0.0, 10_000) == LADDER_FULL
-        assert ctl.observe(11.0, 0) == LADDER_DEGRADED
+        assert ctl.observe(11.0, 0) == LADDER_SHED
 
     def test_p95_breach_climbs_without_depth_bound(self):
         ctl = OverloadController(
@@ -207,12 +206,12 @@ class TestOverloadController:
             )
         )
         ctl.observe(50.0, 0)
-        assert ctl.rung == LADDER_DEGRADED
+        assert ctl.rung == LADDER_SHED
         ctl.observe(1.0, 0)  # well inside the recovery band
         assert ctl.rung == LADDER_FULL
 
     def test_rung_index_rejects_unknown_rungs(self):
-        assert [rung_index(r) for r in LADDER] == [0, 1, 2, 3]
+        assert [rung_index(r) for r in LADDER] == [0, 1, 2]
         with pytest.raises(ToneMapError, match="unknown ladder rung"):
             rung_index("medium-rare")
 
@@ -451,7 +450,7 @@ class TestLadderEndToEnd:
                 for future in frames:
                     future.result(timeout=30)
                 # Queued best-effort was dropped when the ladder hit
-                # shed_best_effort (depth 6 > SLO 2 on completion #2).
+                # shed_best_effort (depth 7 > SLO 2 on completion #1).
                 with pytest.raises(
                     ServiceOverloadedError, match="overload ladder"
                 ):
@@ -466,7 +465,7 @@ class TestLadderEndToEnd:
                 stats = ingestor.stats
         reliability = stats.reliability
         assert reliability.ladder_rung == LADDER_BROWNOUT
-        assert reliability.ladder_transitions == 3
+        assert reliability.ladder_transitions == 2
         assert reliability.ladder_shed == 2  # 1 dropped + 1 refused
         assert stats.tenants[0].served == 7  # standard traffic intact
 
@@ -494,31 +493,20 @@ class TestLadderEndToEnd:
 
 
 class TestServiceRungHooks:
-    def test_degraded_rung_swaps_to_the_pinned_plan(self):
+    def test_unplanned_service_degrades_to_a_noop(self):
+        # Below brownout a rung changes admission, not execution: the
+        # service keeps its own mapper, planned or not.
         images = scenes(2, size=32)
         plan = plan_for(height=32, width=32, batch=2, sigma=PARAMS.sigma)
-        cheap = pinned(plan, engine="staged", blur_method="folded")
-        want = BatchToneMapper(PARAMS, plan=cheap).map(images)
-        with ToneMapService(PARAMS, batch_size=2, plan=plan) as service:
-            service.apply_overload_rung(LADDER_DEGRADED)
-            got = service.run_batch(images)
-            # Degraded output is the pinned plan's output, bit for bit.
+        for service_plan in (None, plan):
+            want = BatchToneMapper(PARAMS, plan=service_plan).map(images)
+            with ToneMapService(
+                PARAMS, batch_size=2, plan=service_plan
+            ) as service:
+                service.apply_overload_rung(LADDER_SHED)
+                got = service.run_batch(images)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g.pixels, w.pixels)
-            service.apply_overload_rung(LADDER_FULL)
-            restored = service.run_batch(images)
-        full = BatchToneMapper(PARAMS, plan=plan).map(images)
-        for g, w in zip(restored, full):
-            np.testing.assert_array_equal(g.pixels, w.pixels)
-
-    def test_unplanned_service_degrades_to_a_noop(self):
-        images = scenes(2)
-        want = BatchToneMapper(PARAMS).map(images)
-        with ToneMapService(PARAMS, batch_size=2) as service:
-            service.apply_overload_rung(LADDER_DEGRADED)
-            got = service.run_batch(images)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g.pixels, w.pixels)
 
     def test_unknown_rung_raises(self):
         with ToneMapService(PARAMS, batch_size=1) as service:

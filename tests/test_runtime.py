@@ -1,5 +1,7 @@
 """Tests for repro.runtime (BatchToneMapper + ToneMapService)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -229,19 +231,66 @@ class TestToneMapService:
             assert service.stats.queue_depth == 0
 
     def test_fixed_config_matches_blur_fn_closure(self):
-        from repro.tonemap.fixed_blur import FixedBlurConfig
+        # The picklable fixed-point blur (batched through blur_batch)
+        # equals a plain per-plane closure over the same arithmetic.
+        from repro.tonemap.fixed_blur import fixed_point_blur_plane
 
         images = scenes(3, size=16)
-        with ToneMapService(
-            PARAMS, fixed_config=FixedBlurConfig()
-        ) as service:
+        fixed_params = replace(PARAMS, blur_fn=make_fixed_blur_fn())
+        with ToneMapService(fixed_params) as service:
             got = service.map_many(images)
-        closure_params = ToneMapParams(
-            sigma=2.0, radius=6, blur_fn=make_fixed_blur_fn()
+        closure_params = replace(
+            PARAMS,
+            blur_fn=lambda plane, kernel: fixed_point_blur_plane(plane, kernel),
         )
         want = BatchToneMapper(closure_params).map(images)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.pixels, w.pixels)
+
+
+class TestEngineInputs:
+    """``(params, plan)`` are the only engine inputs."""
+
+    @pytest.mark.parametrize("method", ["folded", "tiled", "fft"])
+    def test_staged_plan_runs_its_blur_method(self, method):
+        # A staged plan pinned to a blur method must run it, not the
+        # active profile's auto choice (fft at sigma 16).  The reference
+        # forces the same method onto an unplanned staged mapper.
+        from repro import planner
+        from repro.planner import pinned, plan_for
+
+        params = ToneMapParams(sigma=16.0)
+        stack = np.random.default_rng(16).uniform(
+            0.0, 1.0, (2, 256, 256)
+        ).astype(np.float32)
+        plan = pinned(
+            plan_for(height=256, width=256, batch=2, sigma=16.0, threads=1),
+            engine="staged",
+            blur_method=method,
+        )
+        got = BatchToneMapper(params, plan=plan).run_stack(stack)
+        forced = {
+            "folded": dict(fft_crossover_taps=10**6,
+                           tiled_min_plane_bytes=1 << 40),
+            "tiled": dict(fft_crossover_taps=10**6, tiled_min_plane_bytes=1),
+            "fft": dict(fft_crossover_taps=1),
+        }[method]
+        with planner.override(**forced):
+            want = BatchToneMapper(params).run_stack(stack)
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("knob", ["fused", "fused_threads", "fixed_config"])
+    def test_removed_engine_knobs_raise_type_error(self, knob):
+        from repro.runtime import HostPool, HostServer, ShardPool
+
+        constructors = [
+            BatchToneMapper, ShardPool, HostServer, HostPool.spawn_local,
+            ToneMapService,
+        ]
+        for construct in constructors:
+            args = (1,) if construct is HostPool.spawn_local else ()
+            with pytest.raises(TypeError):
+                construct(*args, **{knob: None})
 
 
 class TestRunStack:

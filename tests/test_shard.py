@@ -6,6 +6,7 @@ enough.  Pools are kept small (1–3 workers) to stay fast on CI runners.
 """
 
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -73,16 +74,10 @@ class TestShardPool:
 
     def test_fixed_config_bit_identical(self):
         images = scenes(4)
-        config = FixedBlurConfig()
-        with ShardPool(PARAMS, shards=3, fixed_config=config) as pool:
+        params = replace(PARAMS, blur_fn=make_fixed_blur_fn(FixedBlurConfig()))
+        with ShardPool(params, shards=3) as pool:
             got = pool.run_batch(images)
-        reference = BatchToneMapper(
-            ToneMapParams(
-                sigma=PARAMS.sigma,
-                radius=PARAMS.radius,
-                blur_fn=make_fixed_blur_fn(config),
-            )
-        ).map(images)
+        reference = BatchToneMapper(params).map(images)
         for g, w in zip(got, reference):
             np.testing.assert_array_equal(g.pixels, w.pixels)
 
@@ -101,8 +96,10 @@ class TestShardPool:
         np.testing.assert_array_equal(got, want)
 
     def test_blur_closure_rejected(self):
-        params = ToneMapParams(blur_fn=make_fixed_blur_fn())
-        with pytest.raises(ToneMapError):
+        # Refused at construction, before a forkserver respawn would
+        # need to pickle it.
+        params = ToneMapParams(blur_fn=lambda plane, kernel: plane)
+        with pytest.raises(ToneMapError, match="must pickle"):
             ShardPool(params, shards=2)
 
     def test_invalid_shards_rejected(self):
@@ -147,7 +144,7 @@ class TestWorkerPids:
         pool.close()
         assert pool.worker_pids() == []
 
-    def test_concurrent_reads_survive_kill_and_respawn(self):
+    def test_concurrent_reads_survive_kill_and_respawn(self, wait_for_corpse):
         import signal
         import threading
 
@@ -179,6 +176,7 @@ class TestWorkerPids:
                 # pool through crash detection and executor respawn
                 # while worker_pids() readers race both transitions.
                 os.kill(pool.worker_pids()[0], signal.SIGKILL)
+                wait_for_corpse(pool)
                 pool.run_stack(stack)
                 assert pool.worker_respawns >= 1
             finally:
@@ -440,22 +438,15 @@ class TestServiceSharding:
 
     def test_sharded_fixed_service_matches_local(self):
         images = scenes(4, size=16)
-        config = FixedBlurConfig()
-        with ToneMapService(
-            PARAMS, batch_size=2, shards=2, fixed_config=config
-        ) as sharded:
+        params = replace(PARAMS, blur_fn=make_fixed_blur_fn())
+        with ToneMapService(params, batch_size=2, shards=2) as sharded:
             got = sharded.map_many(images)
-        with ToneMapService(PARAMS, batch_size=2, fixed_config=config) as local:
+        with ToneMapService(params, batch_size=2) as local:
             want = local.map_many(images)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.pixels, w.pixels)
 
     def test_shards_with_blur_closure_rejected(self):
-        params = ToneMapParams(blur_fn=make_fixed_blur_fn())
-        with pytest.raises(ToneMapError):
+        params = ToneMapParams(blur_fn=lambda plane, kernel: plane)
+        with pytest.raises(ToneMapError, match="must pickle"):
             ToneMapService(params, shards=2)
-
-    def test_fixed_config_and_blur_fn_conflict_rejected(self):
-        params = ToneMapParams(blur_fn=make_fixed_blur_fn())
-        with pytest.raises(ToneMapError):
-            ToneMapService(params, fixed_config=FixedBlurConfig())
