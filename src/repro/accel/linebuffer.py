@@ -13,8 +13,9 @@ dataflow:
 * :func:`streaming_blur_plane` — the fast model: the same line-buffer
   rotation (one row in, one row out, K BRAM rows), but each row's vertical
   reduction and horizontal window sweep are single vectorized NumPy
-  operations instead of Python work per pixel.  This is what benchmarks
-  and the batch runtime exercise.
+  operations instead of Python work per pixel.  Benchmarks and tests
+  exercise it; the batch runtime blurs through
+  :mod:`repro.tonemap.gaussian` and the fused band engine instead.
 * :func:`streaming_blur_plane_scalar` — the literal one-pixel-per-step
   model, O(K) Python work per pixel; it is the closest mirror of the HLS
   inner loop and is kept for small planes and dataflow tests.

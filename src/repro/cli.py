@@ -19,18 +19,19 @@ are analytic and unaffected).
 directory of .pfm/.ppm files, or synthetic scenes) through the batched
 :class:`repro.runtime.BatchToneMapper` on a
 :class:`repro.runtime.ToneMapService` thread pool and reports aggregate
-pixels/second.  ``--shards`` partitions every batch across worker
-processes over the persistent shared-memory arena (``--arena-slots``
-sets its depth); ``--autoscale`` (with ``--min-shards``/``--max-shards``)
+pixels/second.  Every batch is staged in the service's persistent
+shared-memory arena (``--arena-slots`` sets its depth);
+``--shards`` partitions each one across worker processes;
+``--autoscale`` (with ``--min-shards``/``--max-shards``)
 grows and shrinks the active shard set from queue-depth and p95-latency
 signals; ``--max-delay-ms`` / ``--queue-limit`` / ``--policy`` stream
 the images through the :class:`repro.runtime.ToneMapIngestor` front-end
 (deadline coalescing + bounded-queue backpressure, zero-copy into the
-arena when sharded) instead of submitting them as one pre-grouped
+arena) instead of submitting them as one pre-grouped
 workload; ``--deadline-ms`` / ``--shard-timeout-ms`` / ``--breaker`` /
 ``--fault-plan`` arm the reliability layer (per-frame latency budgets,
 the hung-shard watchdog + hedged replay, circuit-breaker brownout to
-the in-process mapper, and seeded chaos injection — the counters land
+the in-process backend, and seeded chaos injection — the counters land
 in the report); ``--plan auto`` lets the execution planner
 (:mod:`repro.planner`) pick the engine and blur path from the workload
 and the host calibration — every float workload runs the fused band
@@ -203,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--lease-results", action="store_true",
         help="resolve results as zero-copy arena lease handles "
              "(released after consumption) instead of materialized "
-             "copies; requires --shards and the streaming path",
+             "copies; implies the streaming path",
     )
     batch.add_argument(
         "--deadline-ms", type=float, default=None,
@@ -541,12 +542,6 @@ def run_batch(args) -> None:
         or args.slo_p95_ms is not None
     )
     shards = args.shards
-    if args.lease_results and shards is None and hosts is None \
-            and not args.autoscale:
-        raise SystemExit(
-            "--lease-results requires a shard pool (--shards, "
-            "--autoscale or --hosts) — the handles lease from its arena"
-        )
     autoscale_policy = None
     if not args.autoscale:
         # Reject (don't silently ignore) knobs that only autoscaling
@@ -554,11 +549,6 @@ def run_batch(args) -> None:
         if args.min_shards is not None or args.max_shards is not None:
             raise SystemExit(
                 "--min-shards/--max-shards require --autoscale"
-            )
-        if args.arena_slots is not None and shards is None and hosts is None:
-            raise SystemExit(
-                "--arena-slots requires a shard pool (--shards, "
-                "--autoscale or --hosts)"
             )
     else:
         # --min-shards is the shrink floor (it may sit below the initial

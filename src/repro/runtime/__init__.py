@@ -38,10 +38,13 @@ four composable stages (diagrammed in ``docs/architecture.md``):
   the multi-host ``HostPool`` below are two transports of one
   :class:`~repro.runtime.backend.Backend`: one data-plane surface
   (:class:`~repro.runtime.backend.DataPlaneStats`) and one attempt
-  policy (one crash replay, one hedge per batch).
+  policy (one crash replay, one hedge per batch).  The third transport,
+  :class:`~repro.runtime.backend.LocalBackend`, runs the batch mapper
+  in process over the same arena stacks.
 * :class:`~repro.runtime.service.ToneMapService` — a thread-pool front
-  end that groups incoming images by shape, feeds them through batch
-  mappers (optionally sharded), and reports aggregate throughput as
+  end that groups incoming images by shape, stages every batch in its
+  backend's arena and runs it through that one backend (local,
+  sharded or hosted), and reports aggregate throughput as
   :class:`~repro.runtime.service.ServiceStats`.
 * :class:`~repro.runtime.ingest.ToneMapIngestor` — the streaming edge:
   continuous single-image arrivals (blocking or ``asyncio``) carrying a
@@ -54,9 +57,10 @@ four composable stages (diagrammed in ``docs/architecture.md``):
   latency deadline and a dispatch gate — no tenant can monopolize the
   pool, reported per tenant via
   :class:`~repro.runtime.service.TenantStats` and Jain's
-  ``fairness_index``.  With ``lease_results=True`` futures resolve to
-  zero-copy :class:`~repro.runtime.arena.ResultHandle` views instead of
-  materialized copies.
+  ``fairness_index``.  Frames are written once, straight into the
+  backend's arena at dispatch; with ``lease_results=True`` futures
+  resolve to zero-copy :class:`~repro.runtime.arena.ResultHandle` views
+  instead of materialized copies, in process or pooled.
 
 On top of the data plane sits the **reliability layer** (PR 8): frames
 carry end-to-end latency budgets (``submit(..., deadline_ms=...)`` —
@@ -66,8 +70,8 @@ rides into the pool as the batch timeout), a shard watchdog SIGKILLs
 hung workers and hedge-replays their batches
 (:class:`~repro.errors.ShardTimeoutError` past the budget), and a
 :class:`~repro.runtime.reliability.CircuitBreaker` browns persistent
-shard failure out to the in-process mapper (bit-identical outputs,
-honestly slower).  All of it is observable as
+shard failure out to the service's local backend (bit-identical
+outputs, honestly slower).  All of it is observable as
 :class:`~repro.runtime.reliability.ReliabilityStats` on
 ``ServiceStats`` and chaos-testable via seedable
 :class:`~repro.runtime.faults.FaultPlan` injection
@@ -125,7 +129,7 @@ from repro.errors import (
     WireProtocolError,
 )
 from repro.runtime.arena import ArenaLease, ArenaStats, ResultHandle, ShmArena
-from repro.runtime.backend import DataPlaneStats
+from repro.runtime.backend import DataPlaneStats, LocalBackend
 from repro.runtime.batch import BatchToneMapper, BatchToneMapResult
 from repro.runtime.clock import Clock, FakeClock, MonotonicClock
 from repro.runtime.faults import FaultInjector, FaultPlan
@@ -180,6 +184,7 @@ __all__ = [
     "HostServer",
     "HostUnavailableError",
     "LADDER",
+    "LocalBackend",
     "MonotonicClock",
     "NetStats",
     "OverloadController",

@@ -335,7 +335,9 @@ class ShmArena:
         self._resident: Dict[Tuple[str, int], int] = {}
         self._segments: List[_Segment] = []
         self._closed = False
-        self._stats = ArenaStats()
+        # Plain integers, bumped on every lease and release; the frozen
+        # ArenaStats is built only when someone reads it.
+        self._counts = dict.fromkeys(ArenaStats.__dataclass_fields__, 0)
 
     # ------------------------------------------------------------------
     # Leasing
@@ -418,13 +420,9 @@ class ShmArena:
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def _bump(self, **deltas: int) -> None:
-        # Callers hold self._lock (or the value is monotonic noise-free,
-        # as for materialize counts taken under the lock below).
-        updates = {
-            name: getattr(self._stats, name) + delta
-            for name, delta in deltas.items()
-        }
-        self._stats = ArenaStats(**{**self._stats.__dict__, **updates})
+        # Callers hold self._lock.
+        for name, delta in deltas.items():
+            self._counts[name] += delta
 
     def _count_copy_in(self, nbytes: int) -> None:
         with self._lock:
@@ -438,7 +436,7 @@ class ShmArena:
     def stats(self) -> ArenaStats:
         """A consistent snapshot of the counters."""
         with self._lock:
-            return self._stats
+            return ArenaStats(**self._counts)
 
     @staticmethod
     def _unlink(segment: _Segment) -> None:

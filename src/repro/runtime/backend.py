@@ -1,11 +1,12 @@
-"""One execution backend: the surface and attempt policy both pools share.
+"""One execution backend: the surface and attempt policy all transports share.
 
 The paper puts one accelerator behind one data-mover interface.  This
-repo reaches its "accelerator" over two transports — worker processes
-reading a shared-memory arena (:class:`~repro.runtime.shard.ShardPool`)
-and serving hosts behind a socket
-(:class:`~repro.runtime.hostpool.HostPool`) — and :class:`Backend` is
-what the two share: the owned arena and the data-plane surface
+repo reaches its "accelerator" over three transports — worker processes
+reading a shared-memory arena (:class:`~repro.runtime.shard.ShardPool`),
+serving hosts behind a socket
+(:class:`~repro.runtime.hostpool.HostPool`) and the caller's own
+process (:class:`LocalBackend`) — and :class:`Backend` is what they
+share: the owned arena and the data-plane surface
 (``lease_input`` / ``run_leased`` / ``run_stack`` / ``run_batch``,
 counted by :class:`DataPlaneStats`), the ``drain`` admission gate, and
 the attempt policy — one fault-plan draw per attempt, one crash replay
@@ -25,14 +26,14 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.errors import ShardCrashError, ShardTimeoutError, ToneMapError
 from repro.image.hdr import HDRImage
 from repro.runtime.arena import ArenaLease, ArenaStats, ShmArena
-from repro.runtime.clock import Clock
+from repro.runtime.clock import MONOTONIC, Clock
 from repro.runtime.faults import resolve_injector
 from repro.runtime.net import NetStats
 
@@ -141,47 +142,34 @@ class OutputSlot:
             lease.release()
 
 
-def run_image_batch(
-    arena: ShmArena,
-    images: Sequence[HDRImage],
-    run_leased: Callable[[ArenaLease, int], ArenaLease],
-) -> tuple[HDRImage, ...]:
-    """Tone-map a same-shape batch through an arena input stack.
+def stage_images(arena: ShmArena, images: Sequence[HDRImage]) -> ArenaLease:
+    """Write a same-shape batch into a leased arena input stack.
 
-    Frames are written straight into a leased stack (no ``np.stack``
-    staging, one counted copy-in), ``run_leased(in_lease, count)``
-    produces the output lease, and the outputs are read-only views into
-    one materialized buffer — no per-image re-copy or re-validation,
-    since the pipeline's output invariants hold by construction.
+    No ``np.stack`` staging: each frame is copied once, straight into
+    its slot, and counted as copy-in.  The caller owns the lease.
     """
     if len(images) == 0:
         raise ToneMapError("batch must contain at least one image")
     for image in images:
         if not isinstance(image, HDRImage):
             raise ToneMapError(f"expected HDRImage, got {type(image)!r}")
-    shape = images[0].pixels.shape
-    for image in images:
-        if image.pixels.shape != shape:
+        if image.pixels.shape != images[0].pixels.shape:
             raise ToneMapError(
-                f"batch images must share one shape; got {shape} and "
-                f"{image.pixels.shape} (group by shape first)"
+                f"batch images must share one shape; got "
+                f"{images[0].pixels.shape} and {image.pixels.shape} "
+                "(group by shape first)"
             )
-    in_lease = arena.lease_input((len(images),) + shape, np.float32)
-    try:
-        for i, image in enumerate(images):
-            in_lease.array[i] = image.pixels
-        arena._count_copy_in(in_lease.nbytes)
-        out = run_leased(in_lease, len(images)).materialize()
-    finally:
-        in_lease.release()
-    return tuple(
-        HDRImage.adopt(out[i], name=f"{images[i].name}:tonemapped")
-        for i in range(len(images))
+    in_lease = arena.lease_input(
+        (len(images),) + images[0].pixels.shape, np.float32
     )
+    for i, image in enumerate(images):
+        in_lease.array[i] = image.pixels
+    arena._count_copy_in(in_lease.nbytes)
+    return in_lease
 
 
 class Backend:
-    """The shared core of ``ShardPool`` and ``HostPool``.
+    """The shared core of ``ShardPool``, ``HostPool`` and ``LocalBackend``.
 
     ``arena_slots`` sizes the owned arena; ``default_timeout_ms`` is the
     per-attempt budget of a ``run_leased`` call that passes no
@@ -191,11 +179,15 @@ class Backend:
     injectable time source.
     """
 
-    # The autoscaling surface the service feeds after every batch; a
-    # backend of fixed width reports no decisions (ShardPool overrides).
+    # Counters a transport lacks read zero: the autoscaling surface the
+    # service feeds after every batch (ShardPool overrides it), the
+    # worker watchdog (both pools) and host loss (HostPool).
     autoscaling = False
     scale_ups = 0
     scale_downs = 0
+    active_shards = 0
+    watchdog_kills = 0
+    hosts_lost = 0
 
     def __init__(
         self,
@@ -250,6 +242,12 @@ class Backend:
     def _shutdown(self) -> None:
         """Stop the transport; the arena closes right after."""
         raise NotImplementedError
+
+    def _draw_faults(self) -> tuple:
+        """One fault-plan draw for the next attempt: ``(index, kinds)``."""
+        if self.faults is None:
+            return 0, frozenset()
+        return self.faults.next_attempt()
 
     # ------------------------------------------------------------------
     # Execution
@@ -323,11 +321,7 @@ class Backend:
         avoid = None
         start = self._clock.now()
         while True:
-            index, kinds = (
-                self.faults.next_attempt()
-                if self.faults is not None
-                else (0, frozenset())
-            )
+            index, kinds = self._draw_faults()
             out = OutputSlot(self.arena, run_shape)
             try:
                 try:
@@ -389,9 +383,21 @@ class Backend:
         return out_lease if zero_copy else out_lease.materialize()
 
     def run_batch(self, images: Sequence[HDRImage]) -> tuple[HDRImage, ...]:
-        """Tone-map a same-shape batch; drop-in for ``BatchToneMapper.map``
-        (see :func:`run_image_batch`)."""
-        return run_image_batch(self.arena, images, self.run_leased)
+        """Tone-map a same-shape batch; drop-in for ``BatchToneMapper.map``.
+
+        The outputs are read-only views into one materialized buffer —
+        no per-image re-copy or re-validation, since the pipeline's
+        output invariants hold by construction.
+        """
+        in_lease = stage_images(self.arena, images)
+        try:
+            out = self.run_leased(in_lease).materialize()
+        finally:
+            in_lease.release()
+        return tuple(
+            HDRImage.adopt(out[i], name=f"{images[i].name}:tonemapped")
+            for i in range(len(images))
+        )
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -457,3 +463,43 @@ class Backend:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
+
+
+class LocalBackend(Backend):
+    """The in-process transport: a batch mapper on the calling thread.
+
+    Each attempt runs :meth:`~repro.runtime.batch.BatchToneMapper.run_stack`
+    from the input lease straight into the output slab.  A thread cannot
+    be killed, so no attempt budget applies and no attempt is ever
+    replayed or hedged; of the fault plan only ``slow`` jitter has an
+    in-process analogue, drawn from the injector's in-process stream
+    (:meth:`~repro.runtime.faults.FaultInjector.next_inproc`) and slept
+    on the injected clock.  Closing the backend closes the mapper.
+    """
+
+    def __init__(
+        self,
+        mapper,
+        arena_slots: int = 4,
+        faults=None,
+        clock: Clock = MONOTONIC,
+    ):
+        super().__init__(arena_slots, None, faults, clock)
+        self.mapper = mapper
+
+    def _draw_faults(self) -> tuple:
+        if self.faults is None:
+            return 0, frozenset()
+        return self.faults.next_inproc()  # only ever reports "slow"
+
+    def _attempt(self, in_lease, out, timeout, index, kinds, avoid):
+        if "slow" in kinds:
+            self._clock.sleep(self.faults.plan.jitter_s(index))
+        out_lease = out.take()
+        self.mapper.run_stack(
+            in_lease.array[: out.shape[0]], out=out_lease.array
+        )
+        return out_lease
+
+    def _shutdown(self) -> None:
+        self.mapper.close()

@@ -16,10 +16,11 @@ whole ``(N, H, W)`` luminance volume (the fixed-point blur built by
 blurs the stack in one call instead of looping plane-by-plane, which is
 how the bit-accurate fixed-point model keeps up with the float path in a
 batch.  :meth:`BatchToneMapper.run_stack` is the raw-array entry point
-used by the process-pool sharding backend
-(:class:`repro.runtime.ShardPool`), which hands each worker a
-shared-memory slab of the stacked pixels.  Throughput of both paths is
-tracked by ``benchmarks/bench_runtime.py`` (see ``docs/benchmarks.md``).
+every serving backend runs on arena stacks (shard workers, and the
+in-process :class:`~repro.runtime.backend.LocalBackend`);
+:meth:`BatchToneMapper.map` is the image-level reference they are
+compared against.  Throughput of both paths is tracked by
+``benchmarks/bench_runtime.py`` (see ``docs/benchmarks.md``).
 
 The engine comes from an :class:`~repro.planner.plan.ExecutionPlan`, and
 this constructor is the one place that reads it.  A plan whose engine is
@@ -49,8 +50,6 @@ import numpy as np
 from repro.errors import ToneMapError
 from repro.image.color import LUMA_WEIGHTS
 from repro.image.hdr import HDRImage
-from repro.runtime.clock import MONOTONIC
-from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.fused import FusedExecutor, FusedStats, FusedToneMapPlan
 from repro.tonemap.adjust import adjust_brightness_contrast
 from repro.tonemap.gaussian import blur_batch
@@ -108,16 +107,9 @@ class BatchToneMapper:
         ``params.blur_fn`` is set — the fused engine is float-only, and a
         plan computed for a float workload must not crash a fixed-point
         mapper.
-    faults:
-        Chaos hook (:mod:`repro.runtime.faults`): a
-        :class:`~repro.runtime.faults.FaultPlan` or a shared
-        :class:`~repro.runtime.faults.FaultInjector` whose ``slow``
-        jitter delays batches in-process — the only fault kind with an
-        in-process analogue (there is no worker to kill or hang here).
-        Explicit-only (never read from the environment): the service's
-        brownout path shares its injector so chaos plans keep applying
-        after the breaker routes batches away from the pool, while
-        shard workers — whose faults the parent injects — stay clean.
+
+    Chaos faults belong to the transport that runs the mapper, not to
+    the mapper (:class:`~repro.runtime.backend.LocalBackend` in process).
     """
 
     def __init__(
@@ -125,18 +117,8 @@ class BatchToneMapper:
         params: Optional[ToneMapParams] = None,
         threads: Optional[int] = None,
         plan: Optional["ExecutionPlan"] = None,
-        faults: Optional[object] = None,
     ):
         self.params = params if params is not None else ToneMapParams()
-        if faults is None or isinstance(faults, FaultInjector):
-            self.faults: Optional[FaultInjector] = faults
-        elif isinstance(faults, FaultPlan):
-            self.faults = FaultInjector(faults)
-        else:
-            raise ToneMapError(
-                f"faults must be a FaultPlan or FaultInjector, got "
-                f"{type(faults)!r}"
-            )
         self._kernel = self.params.kernel()
         self.execution_plan = plan
         self._blur_method = "auto" if plan is None else plan.blur_method
@@ -174,19 +156,12 @@ class BatchToneMapper:
 
         A staged mapper holds no resources; a fused one owns a
         :class:`~repro.runtime.fused.FusedExecutor` whose threads would
-        otherwise idle until garbage collection.  :class:`ToneMapService`
-        calls this from its own ``close``.
+        otherwise idle until garbage collection.  A
+        :class:`~repro.runtime.backend.LocalBackend` calls this from its
+        own ``close``.
         """
         if self._engine is not None:
             self._engine.close()
-
-    def _maybe_jitter(self) -> None:
-        """Apply the fault plan's ``slow`` delay to this batch (if any)."""
-        if self.faults is None:
-            return
-        index, kinds = self.faults.next_inproc()
-        if "slow" in kinds:
-            MONOTONIC.sleep(self.faults.plan.jitter_s(index))
 
     def run(self, images: Sequence[HDRImage]) -> BatchToneMapResult:
         """Tone-map a batch of same-shape images and return every output."""
@@ -204,7 +179,6 @@ class BatchToneMapper:
                     "ToneMapService does)"
                 )
 
-        self._maybe_jitter()
         height, width = shape[0], shape[1]
         count = len(images)
         masks = np.empty((count, height, width), dtype=np.float64)
@@ -312,9 +286,11 @@ class BatchToneMapper:
         """Tone-map a raw pixel stack, bypassing :class:`HDRImage` wrapping.
 
         The raw-array twin of :meth:`run` for callers that already hold the
-        stacked pixels — most importantly :class:`repro.runtime.ShardPool`
-        workers, which receive an ``(N, H, W[, 3])`` shared-memory slab and
-        write results straight back into shared memory via ``out``.
+        stacked pixels — every serving backend: shard workers receive an
+        ``(N, H, W[, 3])`` shared-memory slab, and the in-process
+        :class:`~repro.runtime.backend.LocalBackend` an arena input
+        stack; both write results straight into shared memory via
+        ``out``.
 
         Parameters
         ----------
@@ -341,7 +317,6 @@ class BatchToneMapper:
             raise ToneMapError(
                 f"out shape {out.shape} does not match stack {stack.shape}"
             )
-        self._maybe_jitter()
         if self._engine is not None:
             # Single fused pass; the shard workers' hot path.  No mask
             # volume is materialized at all — the mask bands live and die

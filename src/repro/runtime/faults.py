@@ -327,10 +327,12 @@ class FaultInjector:
     needs no copy of the plan, which keeps the injection observable
     from the parent and trivially picklable.
 
-    The injector also serves in-process consumers: the service's
-    brownout mapper draws from an independent attempt stream
-    (:meth:`next_inproc`) so ``slow`` jitter keeps applying when the
-    breaker routes batches away from the pool.
+    The injector also serves the in-process transport: a
+    :class:`~repro.runtime.backend.LocalBackend` (an in-process service,
+    or a pooled service's brownout target) draws from an independent
+    attempt stream (:meth:`next_inproc`), so ``slow`` jitter keeps
+    applying when the breaker routes batches away from the pool while
+    the pool's own attempt indices stay untouched.
     """
 
     def __init__(self, plan: FaultPlan):
@@ -358,8 +360,7 @@ class FaultInjector:
         """Like :meth:`next_attempt`, on the in-process fault stream.
 
         Only ``slow`` applies in-process (there is no worker to kill or
-        hang, and no arena lease to exhaust); other kinds drawn for the
-        index are reported but ignored by the mapper.
+        hang), so the kinds reported are at most ``{"slow"}``.
         """
         with self._lock:
             index = self._next_inproc

@@ -46,17 +46,17 @@ Admission control per tenant (and globally) supports three
     frame.  If every admitted frame is already executing, the submitter
     blocks until a slot frees.
 
-**Zero-copy dispatch.**  Against a sharded service each batch is written
-directly into a pooled shared-memory input stack at dispatch time — one
-producer write per frame, no ``np.stack``, no re-staging — and handed to
-the service as a pointer (segment name plus frame count).  Results
-resolve through ordinary futures: by default the service materializes
-each batch's outputs once (the safety fallback — an arbitrary future
-consumer cannot be trusted to release a slab promptly); with
-``lease_results=True`` futures instead resolve to zero-copy
-:class:`~repro.runtime.arena.ResultHandle` views that the consumer
-explicitly releases back to the slab ring.  In-process services keep
-the parked-images copy path (``zero_copy=False``).
+**Zero-copy dispatch.**  Every batch is written directly into a pooled
+shared-memory input stack of the service's backend at dispatch time —
+one producer write per frame, no ``np.stack``, no re-staging — and
+handed to the service as a pointer (segment name plus frame count),
+whether the backend is a shard pool, a host pool or the in-process
+transport.  Results resolve through ordinary futures: by default the
+service materializes each batch's outputs once (the safety fallback —
+an arbitrary future consumer cannot be trusted to release a slab
+promptly); with ``lease_results=True`` futures instead resolve to
+zero-copy :class:`~repro.runtime.arena.ResultHandle` views that the
+consumer explicitly releases back to the slab ring.
 
 **Service classes and EDF.**  Each submission also carries a
 :class:`ServiceClass` (``interactive`` / ``standard`` / ``best_effort``,
@@ -384,12 +384,6 @@ class ToneMapIngestor:
     policy:
         Default :class:`BackpressurePolicy` (or its string value);
         individual tenants may override via :class:`TenantConfig`.
-    zero_copy:
-        Write each batch straight into the service's shared-memory
-        arena at dispatch time instead of re-staging it (see the module
-        docstring).  Defaults to on exactly when the service is sharded
-        — the arena belongs to the shard pool; requesting it against an
-        in-process service raises.
     tenants:
         Optional mapping of tenant name → :class:`TenantConfig` (or a
         bare number, shorthand for a weight).  Unknown tenants are
@@ -408,8 +402,7 @@ class ToneMapIngestor:
         Resolve futures to zero-copy
         :class:`~repro.runtime.arena.ResultHandle` views (the consumer
         must release them) instead of materialized
-        :class:`~repro.image.hdr.HDRImage` copies.  Requires the
-        zero-copy path (sharded service).
+        :class:`~repro.image.hdr.HDRImage` copies.
     max_inflight_batches:
         Dispatch gate: how many batches may be in the service at once.
         Defaults to the service's thread-pool width — enough to keep
@@ -443,7 +436,6 @@ class ToneMapIngestor:
         max_delay_ms: float = 5.0,
         queue_limit: int = 64,
         policy: Union[BackpressurePolicy, str] = BackpressurePolicy.BLOCK,
-        zero_copy: Optional[bool] = None,
         tenants: Optional[Mapping[str, Union[TenantConfig, Real]]] = None,
         per_tenant_queue_limit: Optional[int] = None,
         lease_results: bool = False,
@@ -470,19 +462,6 @@ class ToneMapIngestor:
                 "max_inflight_batches must be >= 1, got "
                 f"{max_inflight_batches}"
             )
-        if zero_copy is None:
-            zero_copy = service.pool is not None
-        elif zero_copy and service.pool is None:
-            raise ToneMapError(
-                "zero-copy ingest requires a sharded or hosted service "
-                "(construct ToneMapService with shards=N or hosts=...)"
-            )
-        if lease_results and not zero_copy:
-            raise ToneMapError(
-                "lease-native results require the zero-copy ingest path "
-                "(a sharded service with zero_copy enabled) — the arena "
-                "slab ring is what the handles lease from"
-            )
         if default_deadline_ms is not None and default_deadline_ms <= 0:
             raise ToneMapError(
                 f"default_deadline_ms must be > 0, got {default_deadline_ms}"
@@ -506,7 +485,6 @@ class ToneMapIngestor:
                 f"or ServiceLevelObjective, got {type(overload)!r}"
             )
         self.policy = BackpressurePolicy(policy)
-        self.zero_copy = bool(zero_copy)
         self.lease_results = bool(lease_results)
         self.per_tenant_queue_limit = per_tenant_queue_limit
         self.max_inflight_batches = (
@@ -589,7 +567,8 @@ class ToneMapIngestor:
         while the frame is still queued, the frame is shed — its future
         fails with :class:`~repro.errors.DeadlineExceededError` and its
         slot frees immediately — and whatever budget remains at dispatch
-        rides into the shard pool as the batch's execution timeout.
+        rides into the pool as the batch's execution timeout (the
+        in-process backend cannot stop a thread and ignores it).
 
         ``priority`` names the frame's :class:`ServiceClass` (enum or
         string; default ``standard``): EDF rank inside the tenant queue
@@ -1080,11 +1059,11 @@ class ToneMapIngestor:
     def _dispatch(self, flush: _Flush) -> None:
         """Hand one coalesced batch to the service; fan results back out.
 
-        On the zero-copy path this is where each frame gets its one
-        producer write — straight into a pooled arena input stack, slot
-        order equal to item order — and the service takes ownership of
-        the lease.  If admission itself fails, the lease is released
-        here so an overloaded shutdown cannot strand a slab.
+        This is where each frame gets its one producer write — straight
+        into a pooled arena input stack, slot order equal to item order
+        — and the service takes ownership of the lease.  If admission
+        itself fails, the lease is released here so an overloaded
+        shutdown cannot strand a slab.
         """
         names = [pending.name for pending in flush.items]
         # The batch inherits the tightest remaining frame budget as its
@@ -1102,26 +1081,21 @@ class ToneMapIngestor:
             # would duplicate _expire_due_locked's job with worse odds.
             timeout = max(1e-3, min(deadlines) - self._clock.now())
         try:
-            if self.zero_copy:
-                lease = self.service.lease_input(flush.shape)
-                try:
-                    for slot, pending in enumerate(flush.items):
-                        lease.array[slot] = pending.image.pixels
-                        pending.image = None  # the frame now lives in SHM
-                    future = self.service.submit_stack(
-                        lease,
-                        flush.count,
-                        names,
-                        lease_results=self.lease_results,
-                        timeout=timeout,
-                    )
-                except BaseException:
-                    lease.release()
-                    raise
-            else:
-                future = self.service.submit_batch(
-                    [pending.image for pending in flush.items]
+            lease = self.service.lease_input(flush.shape)
+            try:
+                for slot, pending in enumerate(flush.items):
+                    lease.array[slot] = pending.image.pixels
+                    pending.image = None  # the frame now lives in SHM
+                future = self.service.submit_stack(
+                    lease,
+                    flush.count,
+                    names,
+                    lease_results=self.lease_results,
+                    timeout=timeout,
                 )
+            except BaseException:
+                lease.release()
+                raise
         except BaseException as exc:  # pool shut down, etc.
             self._complete(flush, None, exc)
             return

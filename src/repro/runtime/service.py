@@ -1,4 +1,4 @@
-"""A pooled tone-mapping service over :class:`BatchToneMapper`.
+"""A pooled tone-mapping service over one execution backend.
 
 :class:`ToneMapService` is the serving layer the ROADMAP's north star asks
 for: callers hand it images (any mix of shapes), it groups them by shape,
@@ -8,6 +8,12 @@ GIL, so the pool overlaps real work; with ``shards=N`` the batches are
 additionally partitioned across worker **processes**
 (:class:`~repro.runtime.shard.ShardPool`), which frees the fixed-point
 model's Python-level glue from the GIL entirely.
+
+Every batch takes one path, whatever its entry point: its frames sit
+in the backend's shared-memory arena and the stack runs through one
+:class:`~repro.runtime.backend.Backend` — a shard pool, a host pool, or
+in process a :class:`~repro.runtime.backend.LocalBackend` over the
+service's own mapper, which is also a pooled service's brownout target.
 
 Per-kernel state — the Gaussian coefficient array and, for fixed-point
 blur functions, the quantized coefficient ROM — is cached: the kernel is
@@ -39,15 +45,21 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ShardCrashError, ShardTimeoutError, ToneMapError
+from repro.errors import (
+    ImageError,
+    ShardCrashError,
+    ShardTimeoutError,
+    ToneMapError,
+)
 from repro.image.hdr import HDRImage
 from repro.runtime.arena import ArenaLease, ResultHandle
-from repro.runtime.backend import run_image_batch
+from repro.runtime.backend import LocalBackend, stage_images
 from repro.runtime.batch import BatchToneMapper
 from repro.runtime.clock import MONOTONIC, Clock
 from repro.runtime.faults import resolve_injector
 from repro.runtime.overload import LADDER_BROWNOUT, rung_index
 from repro.runtime.reliability import (
+    BREAKER_DISABLED,
     BreakerPolicy,
     CircuitBreaker,
     ReliabilityStats,
@@ -135,8 +147,8 @@ class ServiceStats:
         (:data:`LATENCY_WINDOW` samples): batch execution time for the
         bare service, per-image submit-to-result time for the ingestor.
     shards_active:
-        Worker processes batches currently fan out across (0 without a
-        shard pool).  Moves between the configured bounds when
+        Worker processes batches currently fan out across (0 in
+        process).  Moves between the configured bounds when
         autoscaling is on.
     scale_ups / scale_downs:
         Autoscaler decisions applied so far.
@@ -207,7 +219,9 @@ class ToneMapService:
         Pipeline parameters applied to every image.  With ``shards`` or
         ``hosts`` they are pickled to the workers, so a ``blur_fn`` must
         pickle — :func:`~repro.tonemap.fixed_blur.make_fixed_blur_fn`
-        does.
+        does.  Outputs of a ``blur_fn`` not marked ``trusted_finite``
+        are checked (finite, non-negative) before they are handed out,
+        on every backend.
     max_workers:
         Thread-pool width (``None`` = executor default).
     batch_size:
@@ -228,9 +242,8 @@ class ToneMapService:
         :class:`~repro.runtime.hostpool.HostPool` is adopted as-is
         (the service closes it).  Mutually exclusive with ``shards`` /
         ``autoscale`` / ``autoscale_policy`` (a host fleet has a fixed
-        width); the breaker, ``shard_timeout_ms``, and the
-        zero-copy admission path all apply to hosts exactly as they do
-        to shards.
+        width); the breaker and ``shard_timeout_ms`` apply to hosts
+        exactly as they do to shards.
     autoscale:
         Grow/shrink the active shard set from queue-depth and p95-latency
         signals (hysteresis per
@@ -241,7 +254,7 @@ class ToneMapService:
         Autoscaler bounds / full policy override (see
         :class:`~repro.runtime.shard.ShardPool`).
     arena_slots:
-        Depth of the pool's shared-memory arena per size class (see
+        Depth of the backend's shared-memory arena per size class (see
         :class:`~repro.runtime.arena.ShmArena`).
     plan:
         An :class:`~repro.planner.plan.ExecutionPlan` describing the
@@ -258,8 +271,8 @@ class ToneMapService:
         Requires ``shards``.
     breaker:
         Circuit-breaker brownout: after repeated shard failures the
-        service stops offering batches to the pool and runs them on the
-        in-process mapper (bit-identical outputs, honestly slower),
+        service stops offering batches to the pool and runs them on its
+        local backend (bit-identical outputs, honestly slower),
         probing the pool again after a cooldown.  Pass ``True`` for the
         default :class:`~repro.runtime.reliability.BreakerPolicy`, a
         policy to tune it, or a ready
@@ -267,7 +280,7 @@ class ToneMapService:
         one with a fake clock).  Requires ``shards``; without a breaker
         shard failures keep raising, exactly as before.
     faults:
-        Chaos injection plan shared by the pool and the brownout mapper
+        Chaos injection plan shared by the pool and the local backend
         (see :mod:`repro.runtime.faults`).  ``None`` consults the
         ``REPRO_FAULT_PLAN`` environment variable.
     clock:
@@ -332,21 +345,27 @@ class ToneMapService:
                 f"got {type(breaker)!r}"
             )
         self._brownout_batches = 0
-        # A ShardPool or a HostPool (one Backend surface), or None for
-        # the in-process path.
-        self._pool = None
+        # Output checks are only needed for a blur outside the repo's
+        # finite-by-construction arithmetic.
+        blur_fn = params.blur_fn
+        self._trusted = blur_fn is None or getattr(
+            blur_fn, "trusted_finite", False
+        )
+        # Every backend shares one arena depth, injector and clock.
+        common = dict(
+            arena_slots=arena_slots, faults=self._faults, clock=clock
+        )
+        pooled = dict(common, default_timeout_ms=shard_timeout_ms)
+        pool = None
         if shards is not None:
-            self._pool = ShardPool(
+            pool = ShardPool(
                 params,
                 shards=shards,
                 autoscale=autoscale,
                 max_shards=max_shards,
                 policy=autoscale_policy,
-                arena_slots=arena_slots,
                 plan=plan,
-                default_timeout_ms=shard_timeout_ms,
-                faults=self._faults,
-                clock=clock,
+                **pooled,
             )
         elif hosts is not None:
             # Imported here so the single-host stack never pays for the
@@ -354,32 +373,19 @@ class ToneMapService:
             from repro.runtime.hostpool import HostPool
 
             if isinstance(hosts, HostPool):
-                self._pool = hosts
+                pool = hosts
             elif isinstance(hosts, int):
-                self._pool = HostPool.spawn_local(
-                    hosts,
-                    params,
-                    plan=plan,
-                    arena_slots=arena_slots,
-                    default_timeout_ms=shard_timeout_ms,
-                    faults=self._faults,
-                    clock=clock,
-                )
+                pool = HostPool.spawn_local(hosts, params, plan=plan, **pooled)
             else:
-                self._pool = HostPool(
-                    hosts,
-                    arena_slots=arena_slots,
-                    default_timeout_ms=shard_timeout_ms,
-                    faults=self._faults,
-                    clock=clock,
-                )
-        self._mapper = BatchToneMapper(
-            params,
-            plan=plan,
-            # Share the pool's injector: slow-batch jitter keeps applying
-            # when the breaker browns batches out to this mapper.
-            faults=self._faults,
+                pool = HostPool(hosts, **pooled)
+        # The in-process transport: the whole service without a pool,
+        # the brownout target of a pooled one.  Built after the pool has
+        # forked its workers, and its arena and threads start lazily, so
+        # a pooled service pays nothing for it.
+        self._local = LocalBackend(
+            BatchToneMapper(params, plan=plan), **common
         )
+        self._pool = self._local if pool is None else pool
         self._forced_brownout = False
         self._draining = False
         self._closed = False
@@ -412,9 +418,8 @@ class ToneMapService:
     def run_batch(self, images: Sequence[HDRImage]) -> tuple[HDRImage, ...]:
         """Tone-map one same-shape batch synchronously, recording stats.
 
-        Runs on the shard pool when one is configured, else on the
-        in-process batch mapper; either way the caller's thread blocks for
-        the duration (use :meth:`submit_batch` to overlap batches).
+        The caller's thread blocks for the duration (use
+        :meth:`submit_batch` to overlap batches).
         """
         self._admit_batch()
         return self._run_admitted(images)
@@ -437,7 +442,7 @@ class ToneMapService:
         elapsed = self._clock.now() - start
         # Sorting the latency window costs O(W log W) under the lock, so
         # pay it only when an autoscaler actually consumes the p95.
-        wants_p95 = self._pool is not None and self._pool.autoscaling
+        wants_p95 = self._pool.autoscaling
         with self._lock:
             self._latencies_ms.append(elapsed * 1e3)
             self._stats = replace(
@@ -454,12 +459,7 @@ class ToneMapService:
                 if wants_p95
                 else None
             )
-        if self._pool is not None:
-            self._pool.observe(depth, p95_ms)
-
-    def _note_brownout(self) -> None:
-        with self._lock:
-            self._brownout_batches += 1
+        self._pool.observe(depth, p95_ms)
 
     # ------------------------------------------------------------------
     # Overload ladder hooks
@@ -470,7 +470,8 @@ class ToneMapService:
         Only ``brownout`` changes execution: it stops offering batches
         to the shard/host pool — the breaker's brownout path, entered
         deliberately, still serving bit-identical outputs from the
-        in-process mapper.  ``shed_best_effort`` acts at admission, in
+        local backend (in process, where that backend is the only one,
+        nothing changes).  ``shed_best_effort`` acts at admission, in
         the ingestor.  Called by the ingestor's
         :class:`~repro.runtime.overload.OverloadController` wiring;
         harmless to call directly.
@@ -480,51 +481,16 @@ class ToneMapService:
             self._forced_brownout = forced
 
     def _run_admitted(self, images: Sequence[HDRImage]) -> tuple[HDRImage, ...]:
-        """Execute one batch already counted by :meth:`_admit_batch`.
-
-        A pooled service stages the images into the pool's arena and
-        routes the stack through :meth:`_execute_stack`, the one place
-        the breaker is consulted.
-        """
-        start = self._clock.now()
+        """Execute one batch already counted by :meth:`_admit_batch`:
+        stage its frames into the backend's arena, then run the stack."""
         try:
-            if self._pool is not None:
-                outputs = run_image_batch(
-                    self._pool.arena, images, self._execute_stack
-                )
-                pixels = sum(
-                    int(im.pixels.shape[0]) * int(im.pixels.shape[1])
-                    for im in images
-                )
-            else:
-                result = self._mapper.run(images)
-                outputs = result.outputs
-                pixels = result.pixels
+            in_lease = stage_images(self._pool.arena, images)
         except BaseException:
             self._abort_batch()
             raise
-        self._finish_batch(start, len(images), pixels)
-        return outputs
-
-    def _brownout_stack(self, in_lease: ArenaLease, count: int) -> ArenaLease:
-        """Run one arena stack on the in-process mapper (breaker open).
-
-        Same contract as ``pool.run_leased``: reads ``in_lease``, returns
-        a fresh output lease the caller owns.  The workers run the same
-        stack code, so the outputs stay bit-identical to the sharded
-        path — the brownout trades throughput, never correctness.
-        """
-        self._note_brownout()
-        run_shape = (count,) + tuple(in_lease.array.shape[1:])
-        out_lease = self._pool.arena.lease_output(run_shape, np.float32)
-        try:
-            self._mapper.run_stack(
-                in_lease.array[:count], out=out_lease.array
-            )
-        except BaseException:
-            out_lease.release()
-            raise
-        return out_lease
+        return self._run_leased_admitted(
+            in_lease, len(images), [image.name for image in images]
+        )
 
     def _execute_stack(
         self,
@@ -532,33 +498,47 @@ class ToneMapService:
         count: int,
         timeout: Optional[float] = None,
     ) -> ArenaLease:
-        """Route one arena stack: shard pool, unless the breaker (or the
-        overload ladder's brownout rung) says no.
+        """Route one arena stack: the service's backend, unless the
+        breaker (or the overload ladder's brownout rung) says no.
 
         With a breaker configured, pool failures that exhausted the
         pool's own replay and hedge (:class:`~repro.errors.ShardCrashError`,
         :class:`~repro.errors.ShardTimeoutError`) are recorded and the
-        batch browns out to the in-process mapper — bit-identical
-        outputs, so the caller sees latency, not an exception.  Without
-        a breaker those errors propagate.
+        batch browns out to the local backend — the same stack code the
+        workers run, so bit-identical outputs: the caller sees latency,
+        not an exception.  Without a breaker those errors propagate.
+        Outputs of an untrusted ``blur_fn`` are checked here, once per
+        slab, before any image or handle views them.
         """
         with self._lock:
             forced = self._forced_brownout
-        if forced or (
-            self._breaker is not None and not self._breaker.allow_shard()
-        ):
-            return self._brownout_stack(in_lease, count)
-        try:
-            out_lease = self._pool.run_leased(
-                in_lease, count, timeout=timeout
-            )
-        except (ShardCrashError, ShardTimeoutError):
-            if self._breaker is None:
-                raise
-            self._breaker.record_failure()
-            return self._brownout_stack(in_lease, count)
-        if self._breaker is not None:
-            self._breaker.record_success()
+        breaker = self._breaker
+        out_lease = None
+        if not forced and (breaker is None or breaker.allow_shard()):
+            try:
+                out_lease = self._pool.run_leased(
+                    in_lease, count, timeout=timeout
+                )
+            except (ShardCrashError, ShardTimeoutError):
+                if breaker is None:
+                    raise
+                breaker.record_failure()
+            else:
+                if breaker is not None:
+                    breaker.record_success()
+        if out_lease is None:
+            if self._local is not self._pool:  # in process: no brownout
+                with self._lock:
+                    self._brownout_batches += 1
+            out_lease = self._local.run_leased(in_lease, count)
+        if not self._trusted:
+            pixels = out_lease.array
+            if not (np.isfinite(pixels).all() and pixels.min() >= 0):
+                out_lease.release()
+                raise ImageError(
+                    "tone-mapped pixels must be finite and non-negative; "
+                    "the untrusted blur_fn produced NaN, inf or negatives"
+                )
         return out_lease
 
     def _run_leased_admitted(
@@ -569,7 +549,7 @@ class ToneMapService:
         lease_results: bool = False,
         timeout: Optional[float] = None,
     ) -> tuple:
-        """Execute one arena-resident batch (zero-copy ingest path).
+        """Execute one arena-resident batch: every batch's one path.
 
         Owns ``in_lease`` — released on every exit path.  By default the
         outputs are materialized once (the futures safety fallback: an
@@ -628,8 +608,7 @@ class ToneMapService:
         ``in_lease`` must view a stack whose first ``count`` frames were
         written by the producer (the ingestor fills slots at dispatch
         time); ``names`` labels each frame slot.  The service takes
-        ownership of the lease once this returns.  Requires a sharded
-        service — the arena belongs to the pool.
+        ownership of the lease once this returns.
 
         The future resolves to a tuple of :class:`HDRImage` (default:
         one materialize copy per batch, unbounded lifetime) or, with
@@ -638,11 +617,6 @@ class ToneMapService:
         release (see the lease lifecycle table in
         ``docs/architecture.md``).
         """
-        if self._pool is None:
-            raise ToneMapError(
-                "zero-copy stack admission requires a sharded or hosted "
-                "service (construct with shards=N or hosts=...)"
-            )
         self._admit_batch()
         try:
             return self._executor.submit(
@@ -663,11 +637,6 @@ class ToneMapService:
         Producers write frames into ``lease.array[slot]`` and hand the
         lease to :meth:`submit_stack`.
         """
-        if self._pool is None:
-            raise ToneMapError(
-                "zero-copy leasing requires a sharded or hosted service "
-                "(construct with shards=N or hosts=...)"
-            )
         return self._pool.lease_input(
             (self.batch_size,) + tuple(frame_shape), np.float32
         )
@@ -735,8 +704,9 @@ class ToneMapService:
     # ------------------------------------------------------------------
     @property
     def pool(self):
-        """The shard pool or host pool backing this service (``None``
-        in-process)."""
+        """The backend running this service's batches: its shard pool,
+        host pool, or in process its
+        :class:`~repro.runtime.backend.LocalBackend`."""
         return self._pool
 
     @property
@@ -753,50 +723,37 @@ class ToneMapService:
     @property
     def stats(self) -> ServiceStats:
         """A snapshot of the aggregate counters (latency = batch run time)."""
+        pool, breaker = self._pool, self._breaker
         with self._lock:
             ordered = sorted(self._latencies_ms)
-            snapshot = replace(
-                self._stats,
-                latency_p50_ms=_percentile(ordered, 0.50),
-                latency_p95_ms=_percentile(ordered, 0.95),
-                latency_p99_ms=_percentile(ordered, 0.99),
-            )
-        if self._pool is not None:
-            with self._lock:
-                brownouts = self._brownout_batches
-            snapshot = replace(
-                snapshot,
-                shards_active=self._pool.active_shards,
-                scale_ups=self._pool.scale_ups,
-                scale_downs=self._pool.scale_downs,
-                shard_respawns=self._pool.worker_respawns,
-                reliability=ReliabilityStats(
-                    hedged_replays=self._pool.hedged_replays,
-                    watchdog_kills=self._pool.watchdog_kills,
-                    hosts_lost=getattr(self._pool, "hosts_lost", 0),
-                    breaker_state=(
-                        self._breaker.state
-                        if self._breaker is not None
-                        else ReliabilityStats().breaker_state
-                    ),
-                    breaker_transitions=(
-                        self._breaker.transitions
-                        if self._breaker is not None
-                        else 0
-                    ),
-                    brownout_batches=brownouts,
-                ),
-            )
-        return snapshot
+            brownouts = self._brownout_batches
+            snapshot = self._stats
+        return replace(
+            snapshot,
+            latency_p50_ms=_percentile(ordered, 0.50),
+            latency_p95_ms=_percentile(ordered, 0.95),
+            latency_p99_ms=_percentile(ordered, 0.99),
+            shards_active=pool.active_shards,
+            scale_ups=pool.scale_ups,
+            scale_downs=pool.scale_downs,
+            shard_respawns=pool.worker_respawns,
+            reliability=ReliabilityStats(
+                hedged_replays=pool.hedged_replays,
+                watchdog_kills=pool.watchdog_kills,
+                hosts_lost=pool.hosts_lost,
+                breaker_state=breaker.state if breaker else BREAKER_DISABLED,
+                breaker_transitions=breaker.transitions if breaker else 0,
+                brownout_batches=brownouts,
+            ),
+        )
 
     def drain(self) -> None:
         """Graceful shutdown: stop admitting, finish everything, close.
 
         New submissions are refused with :class:`ToneMapError` from the
         moment this is called; every batch already admitted runs to a
-        real result (the executor flushes its queue, then the pool is
-        drained — :meth:`~repro.runtime.shard.ShardPool.drain` /
-        :meth:`~repro.runtime.hostpool.HostPool.drain` complete
+        real result (the executor flushes its queue, then the backend is
+        drained — :meth:`~repro.runtime.backend.Backend.drain` completes
         in-flight leases before tearing workers down).  Idempotent, and
         a later :meth:`close` is a no-op.
         """
@@ -816,9 +773,9 @@ class ToneMapService:
 
     def _shutdown(self, graceful: bool) -> None:
         self._executor.shutdown(wait=True)
-        self._mapper.close()
-        if self._pool is not None:
-            (self._pool.drain if graceful else self._pool.close)()
+        (self._pool.drain if graceful else self._pool.close)()
+        # In process this closes the same backend again (harmless).
+        self._local.close()
         with self._lock:
             self._closed = True
 

@@ -5,7 +5,9 @@ A scripted fake transport plays one outcome per attempt on a
 decision of the shared loop is pinned exactly: one crash replay, one
 hedge, free replays for batches that raced a respawn, everything else
 propagated unchanged, every failed attempt's output slab released, and
-the admission gate's drain semantics.
+the admission gate's drain semantics.  The in-process transport,
+:class:`~repro.runtime.backend.LocalBackend`, runs the same loop over
+a fake mapper.
 """
 
 import sys
@@ -16,8 +18,21 @@ import pytest
 
 from repro.errors import ShardCrashError, ShardTimeoutError, ToneMapError
 from repro.image import HDRImage
-from repro.runtime import FakeClock, FaultPlan
-from repro.runtime.backend import Backend, FreeReplay, Hedge, Replay
+from repro.runtime import (
+    FakeClock,
+    FaultInjector,
+    FaultPlan,
+    ToneMapService,
+)
+from repro.runtime.backend import (
+    Backend,
+    FreeReplay,
+    Hedge,
+    LocalBackend,
+    Replay,
+)
+from repro.runtime.overload import LADDER_BROWNOUT
+from repro.tonemap.pipeline import ToneMapParams
 
 #: FakeClock seconds each scripted attempt takes.
 ATTEMPT_S = 0.25
@@ -276,3 +291,133 @@ class TestAdmissionGate:
             backend.run_leased(probe)
         assert len(backend.attempts) == 1
         probe.release()
+
+
+class FakeMapper:
+    """Doubles the stack into ``out``; optionally waits on ``gate`` or
+    raises ``error`` first; records calls and ``close``."""
+
+    def __init__(self, gate=None, error=None):
+        self.gate = gate
+        self.error = error
+        self.calls = 0
+        self.closed = False
+
+    def run_stack(self, stack, out):
+        self.calls += 1
+        if self.gate is not None:
+            assert self.gate.wait(timeout=30)
+        if self.error is not None:
+            raise self.error
+        out[:] = stack * 2
+        return out
+
+    def close(self):
+        self.closed = True
+
+
+class TestLocalBackend:
+    def test_runs_the_mapper_into_the_output_slab(self, stack):
+        mapper = FakeMapper()
+        with LocalBackend(mapper, arena_slots=2) as backend:
+            out = _run(backend, stack, count=2)
+            np.testing.assert_array_equal(out.array, stack[:2] * 2)
+            out.release()
+            np.testing.assert_array_equal(backend.run_stack(stack), stack * 2)
+            stats = backend.data_plane_stats
+            assert (stats.batches, stats.frames) == (2, 5)
+            assert backend.arena.stats.leases_active == 0
+            # Counters the transport lacks read zero.
+            assert (
+                backend.active_shards, backend.watchdog_kills,
+                backend.hosts_lost, backend.worker_respawns,
+                backend.hedged_replays,
+            ) == (0, 0, 0, 0, 0)
+        assert mapper.closed
+
+    def test_errors_propagate_after_one_attempt(self, stack):
+        # A thread cannot be killed, so nothing is replayed or hedged.
+        error = KeyError("boom")
+        mapper = FakeMapper(error=error)
+        with LocalBackend(mapper) as backend:
+            with pytest.raises(KeyError) as excinfo:
+                _run(backend, stack)
+            assert excinfo.value is error
+            assert mapper.calls == 1
+            assert backend.arena.stats.leases_active == 0
+
+    def test_the_attempt_budget_is_ignored(self, stack):
+        with LocalBackend(FakeMapper()) as backend:
+            out = _run(backend, stack, timeout=1e-9)
+            np.testing.assert_array_equal(out.array, stack * 2)
+            out.release()
+
+    def test_draws_only_from_the_in_process_stream(self, stack):
+        injector = FaultInjector(
+            FaultPlan(kill_batches=(0,), hang_batches=(1,), slow_batches=(1,))
+        )
+        with LocalBackend(FakeMapper(), faults=injector) as backend:
+            for _ in range(2):
+                _run(backend, stack).release()
+        assert injector.attempts == 0
+        assert injector.injected["kill"] == injector.injected["hang"] == 0
+        assert injector.injected["slow"] == 1
+
+    def test_slow_jitter_advances_the_injected_clock(self, stack):
+        plan = FaultPlan(slow_batches=(0,), jitter_ms=4.0)
+        clock = FakeClock()
+        with LocalBackend(FakeMapper(), faults=plan, clock=clock) as backend:
+            _run(backend, stack).release()
+            assert clock.now() == plan.jitter_s(0) > 0.0
+            _run(backend, stack).release()
+            assert clock.now() == plan.jitter_s(0)
+
+    def test_drain_waits_for_the_batch_in_flight(self, stack):
+        release = threading.Event()
+        mapper = FakeMapper(gate=release)
+        backend = LocalBackend(mapper)
+        probe = backend.lease_input((1, 2, 2))
+        results = []
+        runner = threading.Thread(
+            target=lambda: results.append(_run(backend, stack).materialize())
+        )
+        runner.start()
+        for _ in range(3000):  # until the batch is inside its attempt
+            if mapper.calls:
+                break
+            release.wait(0.01)
+        drainer = threading.Thread(target=backend.drain)
+        drainer.start()
+        drainer.join(timeout=0.2)
+        assert drainer.is_alive(), "drain returned with a batch in flight"
+        with pytest.raises(ToneMapError, match="draining"):
+            backend.run_leased(probe)
+        release.set()
+        runner.join(timeout=30)
+        drainer.join(timeout=30)
+        assert not drainer.is_alive()
+        np.testing.assert_array_equal(results[0], stack * 2)
+        assert mapper.closed and mapper.calls == 1
+        probe.release()
+        assert backend.arena.stats.leases_active == 0
+
+    def test_browned_out_service_leaves_pool_attempts_unchanged(self):
+        params = ToneMapParams(sigma=2.0, radius=6)
+        rng = np.random.default_rng(1)
+        images = [
+            HDRImage(rng.random((16, 16), dtype=np.float32), name=f"f{i}")
+            for i in range(2)
+        ]
+        plan = FaultPlan(slow_batches=(0,), jitter_ms=1.0)
+        with ToneMapService(
+            params, batch_size=2, shards=1, arena_slots=2, faults=plan
+        ) as service:
+            healthy = service.run_batch(images)
+            injector = service.pool.faults
+            assert injector.attempts == 1
+            service.apply_overload_rung(LADDER_BROWNOUT)
+            browned = service.run_batch(images)
+            assert injector.attempts == 1
+            assert service.stats.reliability.brownout_batches == 1
+        for got, want in zip(browned, healthy):
+            np.testing.assert_array_equal(got.pixels, want.pixels)

@@ -281,10 +281,15 @@ class TestMain:
         assert "tenant heavy" in out and "tenant light" in out
         assert "fairness" in out
 
-    def test_batch_lease_results_require_shards(self):
-        with pytest.raises(SystemExit):
-            main(["--size", "32", "batch", "--count", "2",
-                  "--lease-results"])
+    def test_batch_lease_results_in_process(self, capsys):
+        # Neither --lease-results nor --arena-slots needs a pool.
+        assert main(
+            ["--size", "32", "batch", "--count", "4", "--batch-size", "2",
+             "--lease-results", "--arena-slots", "2"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "streaming (ingestor)" in out
+        assert "lease-native" in out
 
     def test_batch_bad_tenant_weights_rejected(self):
         with pytest.raises(SystemExit):
@@ -325,9 +330,6 @@ class TestMain:
         with pytest.raises(SystemExit):
             main(["--size", "32", "batch", "--count", "2",
                   "--min-shards", "2"])
-        with pytest.raises(SystemExit):
-            main(["--size", "32", "batch", "--count", "2",
-                  "--arena-slots", "2"])
 
     def test_batch_streaming_ingest(self, capsys):
         assert main(

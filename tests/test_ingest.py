@@ -16,6 +16,7 @@ from repro.image.synthetic import SceneParams, make_scene
 from repro.runtime import (
     BackpressurePolicy,
     BatchToneMapper,
+    FaultPlan,
     ToneMapIngestor,
     ToneMapService,
 )
@@ -314,18 +315,24 @@ class TestAsyncAPI:
 class TestZeroCopyIngest:
     """The zero-copy admission path: frames written into arena slots."""
 
-    def test_auto_enabled_only_for_sharded_services(self):
+    def test_in_process_service_ingests_zero_copy(self):
+        # The in-process backend owns an arena too: frames enter it at
+        # dispatch, and the only parent-side copy is the materialize.
         with ToneMapService(PARAMS, batch_size=2) as service:
-            with ToneMapIngestor(service) as ingestor:
-                assert ingestor.zero_copy is False
-        with ToneMapService(PARAMS, batch_size=2, shards=1) as service:
-            with ToneMapIngestor(service) as ingestor:
-                assert ingestor.zero_copy is True
+            with ToneMapIngestor(service, max_delay_ms=5) as ingestor:
+                ingestor.map_many(scenes(4, size=16))
+            stats = service.pool.data_plane_stats
+        assert stats.frames == 4
+        assert stats.arena.bytes_copied_in == 0
+        assert stats.arena.bytes_materialized == stats.bytes_served
+        assert stats.arena.leases_active == 0
 
-    def test_explicit_zero_copy_requires_shards(self):
+    def test_removed_keywords_raise_type_error(self):
         with ToneMapService(PARAMS, batch_size=2) as service:
-            with pytest.raises(ToneMapError):
+            with pytest.raises(TypeError):
                 ToneMapIngestor(service, zero_copy=True)
+        with pytest.raises(TypeError):
+            BatchToneMapper(PARAMS, faults=FaultPlan())
 
     def test_outputs_bit_identical_to_batch_mapper(self):
         images = scenes(5)
@@ -425,12 +432,10 @@ class TestZeroCopyIngest:
             assert last.result(timeout=30) is not None
         assert service.stats.batches == 3
 
-    def test_opt_out_keeps_copy_path(self):
+    def test_in_process_outputs_bit_identical_to_batch_mapper(self):
         images = scenes(3)
-        with ToneMapService(PARAMS, batch_size=2, shards=1) as service:
-            with ToneMapIngestor(
-                service, max_delay_ms=5, zero_copy=False
-            ) as ingestor:
+        with ToneMapService(PARAMS, batch_size=2) as service:
+            with ToneMapIngestor(service, max_delay_ms=5) as ingestor:
                 outputs = ingestor.map_many(images)
         expected = BatchToneMapper(PARAMS).map(images)
         for got, want in zip(outputs, expected):

@@ -25,6 +25,7 @@ from repro.runtime import (
     FakeClock,
     OverloadController,
     OverloadPolicy,
+    ReliabilityStats,
     ServiceClass,
     ServiceLevelObjective,
     ToneMapIngestor,
@@ -512,6 +513,19 @@ class TestServiceRungHooks:
         with ToneMapService(PARAMS, batch_size=1) as service:
             with pytest.raises(ToneMapError, match="unknown ladder rung"):
                 service.apply_overload_rung("panic")
+
+    def test_in_process_brownout_rung_counts_no_brownout(self):
+        # In process the local backend is the only backend: the rung
+        # changes nothing, and the stats read as they always have.
+        images = scenes(2, size=16)
+        with ToneMapService(PARAMS, batch_size=2) as service:
+            service.apply_overload_rung(LADDER_BROWNOUT)
+            got = service.run_batch(images)
+            stats = service.stats
+        assert stats.shards_active == 0 and stats.shard_respawns == 0
+        assert stats.reliability == ReliabilityStats()
+        for g, w in zip(got, BatchToneMapper(PARAMS).map(images)):
+            np.testing.assert_array_equal(g.pixels, w.pixels)
 
     def test_brownout_rung_bypasses_the_shard_pool(self):
         images = scenes(2, size=16)

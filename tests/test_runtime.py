@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.errors import ToneMapError
+from repro.errors import ImageError, ToneMapError
 from repro.image.hdr import HDRImage
 from repro.image.synthetic import SceneParams, make_scene
 from repro.runtime import BatchToneMapper, ServiceStats, ToneMapService
@@ -13,6 +13,13 @@ from repro.tonemap.fixed_blur import make_fixed_blur_fn
 from repro.tonemap.pipeline import ToneMapParams, ToneMapper
 
 PARAMS = ToneMapParams(sigma=2.0, radius=6)
+
+
+def nan_blur(plane, kernel):
+    """An untrusted blur that writes one NaN (module-level: it pickles)."""
+    out = np.array(plane, dtype=np.float64)
+    out[0, 0] = np.nan
+    return out
 
 
 def scenes(count, size=32, color=True):
@@ -246,6 +253,35 @@ class TestToneMapService:
         want = BatchToneMapper(closure_params).map(images)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.pixels, w.pixels)
+
+
+class TestUntrustedBlurOutputs:
+    """A ``blur_fn`` without ``trusted_finite`` is checked on every backend."""
+
+    PARAMS = ToneMapParams(sigma=2.0, radius=6, blur_fn=nan_blur)
+
+    @pytest.mark.parametrize("shards", [None, 1], ids=["local", "sharded"])
+    def test_run_batch_raises(self, shards):
+        with ToneMapService(self.PARAMS, shards=shards) as service:
+            with pytest.raises(ImageError):
+                service.run_batch(scenes(2, size=16))
+            assert service.stats.queue_depth == 0
+            assert service.pool.arena.stats.leases_active == 0
+
+    @pytest.mark.parametrize("shards", [None, 1], ids=["local", "sharded"])
+    def test_lease_results_release_the_slab(self, shards):
+        stack = np.stack([image.pixels for image in scenes(2, size=16)])
+        with ToneMapService(
+            self.PARAMS, batch_size=2, shards=shards
+        ) as service:
+            lease = service.lease_input(stack.shape[1:])
+            lease.array[:] = stack
+            future = service.submit_stack(
+                lease, 2, ["a", "b"], lease_results=True
+            )
+            with pytest.raises(ImageError):
+                future.result(timeout=60)
+            assert service.pool.arena.stats.leases_active == 0
 
 
 class TestEngineInputs:

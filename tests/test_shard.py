@@ -1,8 +1,8 @@
 """Tests for repro.runtime.shard: process sharding over shared memory.
 
-Every correctness assertion is bit-identity against the in-process path —
-the sharded backend re-runs the same stack code, so "close" is never good
-enough.  Pools are kept small (1–3 workers) to stay fast on CI runners.
+Every correctness assertion is bit-identity against
+:class:`~repro.runtime.batch.BatchToneMapper` — the sharded backend
+re-runs the same stack code, so "close" is never good enough.  Pools are kept small (1–3 workers) to stay fast on CI runners.
 """
 
 import os
@@ -430,8 +430,8 @@ class TestServiceSharding:
         with ToneMapService(PARAMS, batch_size=2, shards=2) as sharded:
             got = sharded.map_many(images)
             stats = sharded.stats
-        with ToneMapService(PARAMS, batch_size=2) as local:
-            want = local.map_many(images)
+        mapper = BatchToneMapper(PARAMS)
+        want = [mapper.map([image])[0] for image in images]
         assert stats.images == len(images)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.pixels, w.pixels)
@@ -441,8 +441,7 @@ class TestServiceSharding:
         params = replace(PARAMS, blur_fn=make_fixed_blur_fn())
         with ToneMapService(params, batch_size=2, shards=2) as sharded:
             got = sharded.map_many(images)
-        with ToneMapService(params, batch_size=2) as local:
-            want = local.map_many(images)
+        want = BatchToneMapper(params).map(images)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.pixels, w.pixels)
 

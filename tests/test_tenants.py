@@ -595,15 +595,28 @@ class TestLeaseNativeResults:
                     future.result(timeout=30).release()
         assert shm_names() <= baseline
 
-    def test_lease_results_require_sharded_service(self):
+    def test_in_process_lease_results(self):
+        # No pool needed: the in-process backend's arena is what the
+        # handles lease from.
+        baseline = shm_names()
+        images = scenes(5, size=16)
+        expected = BatchToneMapper(PARAMS).map(images)
         with ToneMapService(PARAMS, batch_size=2) as service:
-            with pytest.raises(ToneMapError):
-                ToneMapIngestor(service, lease_results=True)
-        with ToneMapService(PARAMS, batch_size=2, shards=1) as service:
-            with pytest.raises(ToneMapError):
-                ToneMapIngestor(
-                    service, lease_results=True, zero_copy=False
-                )
+            with ToneMapIngestor(
+                service, max_delay_ms=5, lease_results=True
+            ) as ingestor:
+                handles = [
+                    f.result(timeout=30)
+                    for f in [ingestor.submit(img) for img in images]
+                ]
+            assert all(isinstance(h, ResultHandle) for h in handles)
+            for handle, want in zip(handles, expected):
+                np.testing.assert_array_equal(handle.pixels, want.pixels)
+                handle.release()
+            stats = service.pool.data_plane_stats
+            assert stats.arena.leases_active == 0
+            assert stats.bytes_staged == 0
+        assert shm_names() <= baseline
 
     def test_submit_stack_lease_results_direct(self):
         # The service-level API underneath the ingestor flag.
