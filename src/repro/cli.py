@@ -167,7 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="autoscale ceiling (default: host CPU count)",
     )
     batch.add_argument(
-        "--arena-slots", type=int, default=None,
+        "--arena-slots", type=int, default=4,
         help="shared-memory arena depth per size class (pooled input "
              "stacks / output-ring slabs; default 4)",
     )
@@ -583,7 +583,7 @@ def run_batch(args) -> None:
         hosts=hosts,
         autoscale=args.autoscale,
         autoscale_policy=autoscale_policy,
-        arena_slots=4 if args.arena_slots is None else args.arena_slots,
+        arena_slots=args.arena_slots,
         plan=plan,
         shard_timeout_ms=args.shard_timeout_ms,
         breaker=(

@@ -107,9 +107,6 @@ class BatchToneMapper:
         ``params.blur_fn`` is set — the fused engine is float-only, and a
         plan computed for a float workload must not crash a fixed-point
         mapper.
-
-    Chaos faults belong to the transport that runs the mapper, not to
-    the mapper (:class:`~repro.runtime.backend.LocalBackend` in process).
     """
 
     def __init__(

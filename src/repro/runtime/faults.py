@@ -327,11 +327,10 @@ class FaultInjector:
     needs no copy of the plan, which keeps the injection observable
     from the parent and trivially picklable.
 
-    The injector also serves the in-process transport: a
-    :class:`~repro.runtime.backend.LocalBackend` (an in-process service,
-    or a pooled service's brownout target) draws from an independent
-    attempt stream (:meth:`next_inproc`), so ``slow`` jitter keeps
-    applying when the breaker routes batches away from the pool while
+    The in-process transport,
+    :class:`~repro.runtime.backend.LocalBackend`, draws from an
+    independent stream (:meth:`next_inproc`), so ``slow`` jitter keeps
+    applying after the breaker routes batches away from the pool while
     the pool's own attempt indices stay untouched.
     """
 

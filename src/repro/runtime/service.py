@@ -255,7 +255,8 @@ class ToneMapService:
         :class:`~repro.runtime.shard.ShardPool`).
     arena_slots:
         Depth of the backend's shared-memory arena per size class (see
-        :class:`~repro.runtime.arena.ShmArena`).
+        :class:`~repro.runtime.arena.ShmArena`); the in-process
+        backend's is at least the thread-pool width.
     plan:
         An :class:`~repro.planner.plan.ExecutionPlan` describing the
         expected traffic: supplies the engine choice, thread count, band
@@ -345,17 +346,20 @@ class ToneMapService:
                 f"got {type(breaker)!r}"
             )
         self._brownout_batches = 0
-        # Output checks are only needed for a blur outside the repo's
-        # finite-by-construction arithmetic.
-        blur_fn = params.blur_fn
-        self._trusted = blur_fn is None or getattr(
-            blur_fn, "trusted_finite", False
+        # Only a blur outside the repo's finite-by-construction
+        # arithmetic needs its outputs checked.
+        self._trusted = params.blur_fn is None or getattr(
+            params.blur_fn, "trusted_finite", False
         )
-        # Every backend shares one arena depth, injector and clock.
-        common = dict(
-            arena_slots=arena_slots, faults=self._faults, clock=clock
+        self._executor = ThreadPoolExecutor(
+            max_workers=max_workers, thread_name_prefix="tonemap"
         )
-        pooled = dict(common, default_timeout_ms=shard_timeout_ms)
+        pooled = dict(
+            arena_slots=arena_slots,
+            default_timeout_ms=shard_timeout_ms,
+            faults=self._faults,
+            clock=clock,
+        )
         pool = None
         if shards is not None:
             pool = ShardPool(
@@ -381,17 +385,19 @@ class ToneMapService:
         # The in-process transport: the whole service without a pool,
         # the brownout target of a pooled one.  Built after the pool has
         # forked its workers, and its arena and threads start lazily, so
-        # a pooled service pays nothing for it.
+        # a pooled service pays nothing for it.  Each running batch holds
+        # one input stack and one output slab, so a ring as deep as the
+        # thread pool never overflows into per-batch transient segments.
         self._local = LocalBackend(
-            BatchToneMapper(params, plan=plan), **common
+            BatchToneMapper(params, plan=plan),
+            arena_slots=max(arena_slots, self.workers),
+            faults=self._faults,
+            clock=clock,
         )
         self._pool = self._local if pool is None else pool
         self._forced_brownout = False
         self._draining = False
         self._closed = False
-        self._executor = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="tonemap"
-        )
         self._lock = threading.Lock()
         self._stats = ServiceStats()
         self._latencies_ms: deque = deque(maxlen=LATENCY_WINDOW)
@@ -535,10 +541,7 @@ class ToneMapService:
             pixels = out_lease.array
             if not (np.isfinite(pixels).all() and pixels.min() >= 0):
                 out_lease.release()
-                raise ImageError(
-                    "tone-mapped pixels must be finite and non-negative; "
-                    "the untrusted blur_fn produced NaN, inf or negatives"
-                )
+                raise ImageError("blur_fn produced NaN, inf or negatives")
         return out_lease
 
     def _run_leased_admitted(

@@ -72,7 +72,7 @@ class TestParser:
         assert args.autoscale is False
         assert args.min_shards is None
         assert args.max_shards is None
-        assert args.arena_slots is None
+        assert args.arena_slots == 4
 
     def test_batch_data_plane_options(self):
         args = build_parser().parse_args(
