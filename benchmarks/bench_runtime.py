@@ -546,6 +546,61 @@ def test_fused_outputs_exact():
 
 
 # ----------------------------------------------------------------------
+# Shard split: every batch fans out across every warm worker
+# ----------------------------------------------------------------------
+#: The ``stream_sharded`` frame shape at its batch size: the batches a
+#: split-width rule would most plausibly keep on one worker.
+SPLIT_SIZE = 128
+SPLIT_FRAMES = 8
+
+
+def test_shard_split_small(benchmark):
+    """One batch at a time, cut into one slab vs two, on a fused plan.
+
+    ``split_speedup`` is t(1 slab)/t(2 slabs) for one 8×128² RGB σ=2
+    batch, from ``ShardPool(shards=1)`` and ``ShardPool(shards=2)``
+    timed interleaved — the number behind splitting every batch across
+    every worker.  It is a wall-clock ratio of the host's free cores,
+    so it is recorded, not gated.  ``outputs_exact`` is 1.0 only when
+    both widths match the staged ``run_stack`` bit for bit.
+    """
+    params = ToneMapParams(sigma=2.0)
+    stack = np.random.default_rng(128).uniform(
+        0.0, 1.0, (SPLIT_FRAMES, SPLIT_SIZE, SPLIT_SIZE, 3)
+    ).astype(np.float32)
+    plan = plan_for(
+        height=SPLIT_SIZE, width=SPLIT_SIZE, batch=SPLIT_FRAMES,
+        sigma=params.sigma, color=True,
+    )
+    assert plan.engine == "fused"
+    want = BatchToneMapper(params).run_stack(stack).astype(np.float32)
+    with ShardPool(params, shards=1, plan=plan) as one, ShardPool(
+        params, shards=2, plan=plan
+    ) as two:
+        exact = float(
+            np.array_equal(one.run_stack(stack), want)
+            and np.array_equal(two.run_stack(stack), want)
+        )
+        assert exact == 1.0, "a slab split must not change a single bit"
+        benchmark.pedantic(
+            lambda: two.run_stack(stack),
+            rounds=5, iterations=1, warmup_rounds=1,
+        )
+        if benchmark.stats is not None:  # skip discarded timings in quick mode
+            one_s, two_s = _best_interleaved(
+                lambda: one.run_stack(stack),
+                lambda: two.run_stack(stack),
+                rounds=10,
+            )
+            benchmark.extra_info["frames"] = SPLIT_FRAMES
+            benchmark.extra_info["pixels_per_sec"] = (
+                SPLIT_FRAMES * SPLIT_SIZE**2 / benchmark.stats.stats.min
+            )
+            benchmark.extra_info["split_speedup"] = one_s / two_s
+            benchmark.extra_info["outputs_exact"] = exact
+
+
+# ----------------------------------------------------------------------
 # Multi-tenant fairness: light tenant p95 under heavy contention
 # ----------------------------------------------------------------------
 CONTENTION_SIZE = 64

@@ -21,10 +21,8 @@ directory of .pfm/.ppm files, or synthetic scenes) through the batched
 :class:`repro.runtime.ToneMapService` thread pool and reports aggregate
 pixels/second.  Every batch is staged in the service's persistent
 shared-memory arena (``--arena-slots`` sets its depth);
-``--shards`` partitions each one across worker processes;
-``--autoscale`` (with ``--min-shards``/``--max-shards``)
-grows and shrinks the active shard set from queue-depth and p95-latency
-signals; ``--max-delay-ms`` / ``--queue-limit`` / ``--policy`` stream
+``--shards`` partitions each one across worker processes, one slab
+per worker; ``--max-delay-ms`` / ``--queue-limit`` / ``--policy`` stream
 the images through the :class:`repro.runtime.ToneMapIngestor` front-end
 (deadline coalescing + bounded-queue backpressure, zero-copy into the
 arena) instead of submitting them as one pre-grouped
@@ -150,21 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
              "processes: an integer spawns that many localhost host "
              "processes (2 workers each), a comma-separated "
              "host:port list connects to already-running "
-             "'serve-host' processes; mutually exclusive with "
-             "--shards/--autoscale",
-    )
-    batch.add_argument(
-        "--autoscale", action="store_true",
-        help="grow/shrink the active shard set from queue-depth and "
-             "p95-latency signals (implies a shard pool)",
-    )
-    batch.add_argument(
-        "--min-shards", type=int, default=None,
-        help="autoscale floor (default: --shards, or 1)",
-    )
-    batch.add_argument(
-        "--max-shards", type=int, default=None,
-        help="autoscale ceiling (default: host CPU count)",
+             "'serve-host' processes; mutually exclusive with --shards",
     )
     batch.add_argument(
         "--arena-slots", type=int, default=4,
@@ -218,14 +202,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-attempt batch execution budget on the shard pool: the "
              "watchdog SIGKILLs workers that hold a batch past it and "
              "hedge-replays the batch once (requires --shards or "
-             "--autoscale)",
+             "--hosts)",
     )
     batch.add_argument(
         "--breaker", type=int, default=None, metavar="K",
         help="circuit breaker: after K shard failures in a 30 s window, "
              "brown batches out to the in-process mapper (bit-identical, "
              "slower) until probes succeed (requires --shards or "
-             "--autoscale)",
+             "--hosts)",
     )
     batch.add_argument(
         "--slo-p95-ms", type=float, default=None,
@@ -435,13 +419,11 @@ def _params(args):
 
 def run_batch(args) -> None:
     """The ``batch`` subcommand: tone-map N images, report throughput."""
-    import os
     import time
 
     from repro.errors import DeadlineExceededError, ServiceOverloadedError
     from repro.image.ppm import write_ppm
     from repro.runtime import (
-        AutoscalePolicy,
         BreakerPolicy,
         ResultHandle,
         ServiceLevelObjective,
@@ -467,10 +449,10 @@ def run_batch(args) -> None:
         raise SystemExit(f"--slo-p95-ms must be > 0, got {args.slo_p95_ms}")
     hosts = None
     if args.hosts is not None:
-        if args.shards is not None or args.autoscale:
+        if args.shards is not None:
             raise SystemExit(
-                "--hosts and --shards/--autoscale are mutually exclusive "
-                "— each host runs its own worker pool"
+                "--hosts and --shards are mutually exclusive — each host "
+                "runs its own worker pool"
             )
         if args.hosts.isdigit():
             hosts = int(args.hosts)
@@ -484,12 +466,10 @@ def run_batch(args) -> None:
         (args.shard_timeout_ms is not None or args.breaker is not None)
         and args.shards is None
         and hosts is None
-        and not args.autoscale
     ):
         raise SystemExit(
             "--shard-timeout-ms/--breaker require a shard pool "
-            "(--shards, --autoscale or --hosts) — they guard the "
-            "worker processes"
+            "(--shards or --hosts) — they guard the worker processes"
         )
     fault_plan = None
     if args.fault_plan is not None:
@@ -541,37 +521,6 @@ def run_batch(args) -> None:
         or args.deadline_ms is not None
         or args.slo_p95_ms is not None
     )
-    shards = args.shards
-    autoscale_policy = None
-    if not args.autoscale:
-        # Reject (don't silently ignore) knobs that only autoscaling
-        # reads: a user who set a bound expects it to bind.
-        if args.min_shards is not None or args.max_shards is not None:
-            raise SystemExit(
-                "--min-shards/--max-shards require --autoscale"
-            )
-    else:
-        # --min-shards is the shrink floor (it may sit below the initial
-        # --shards width); --max-shards the grow ceiling.
-        floor = (
-            args.min_shards if args.min_shards is not None else (shards or 1)
-        )
-        # The initial width starts at least at the floor (asking for a
-        # floor of 4 with --shards 2 means "start with 4").
-        shards = floor if shards is None else max(shards, floor)
-        ceiling = (
-            args.max_shards
-            if args.max_shards is not None
-            else max(shards, os.cpu_count() or shards)
-        )
-        if ceiling < max(shards, floor):
-            raise SystemExit(
-                f"--max-shards ({ceiling}) must be >= --shards/--min-shards "
-                f"({max(shards, floor)})"
-            )
-        autoscale_policy = AutoscalePolicy(
-            min_shards=floor, max_shards=ceiling
-        )
     dropped = 0
     expired = 0
     start = time.perf_counter()
@@ -579,10 +528,8 @@ def run_batch(args) -> None:
         params,
         max_workers=args.workers,
         batch_size=args.batch_size,
-        shards=shards,
+        shards=args.shards,
         hosts=hosts,
-        autoscale=args.autoscale,
-        autoscale_policy=autoscale_policy,
         arena_slots=args.arena_slots,
         plan=plan,
         shard_timeout_ms=args.shard_timeout_ms,
@@ -672,11 +619,7 @@ def run_batch(args) -> None:
         if stats.reliability.hosts_lost:
             print(f"  hosts lost    : {stats.reliability.hosts_lost}")
     else:
-        print(f"  shards        : {shards or 1} process(es)")
-    if args.autoscale:
-        print(f"  autoscale     : active {stats.shards_active} "
-              f"(scale-ups {stats.scale_ups}, "
-              f"scale-downs {stats.scale_downs})")
+        print(f"  shards        : {args.shards or 1} process(es)")
     print(f"  wall time     : {elapsed:.3f} s")
     print(f"  throughput    : {stats.pixels / elapsed:,.0f} pixels/sec")
     if streaming:

@@ -142,7 +142,6 @@ def runtime_throughput(
     shards: Optional[int] = None,
     batch_size: int = 4,
     fixed: bool = False,
-    autoscale: bool = False,
 ) -> ThroughputResult:
     """Measure the software runtime's sustained frames/s on this host.
 
@@ -153,12 +152,12 @@ def runtime_throughput(
     frames go through the full production serving edge — the
     :class:`~repro.runtime.ingest.ToneMapIngestor` writing each frame
     straight into the pool's shared-memory arena (the zero-copy data
-    plane), optionally autoscaling the active shard set — so the number
-    reported next to the accelerator model is the deployable path, not a
-    pre-grouped best case.  Returned as a :class:`ThroughputResult` so
-    :func:`video_throughput` can list the measured software rate next to
-    the accelerator model's analytic rate: ``fps_sequential`` is the
-    per-frame baseline, ``fps_pipelined`` the batched/sharded runtime.
+    plane) — so the number reported next to the accelerator model is the
+    deployable path, not a pre-grouped best case.  Returned as a
+    :class:`ThroughputResult` so :func:`video_throughput` can list the
+    measured software rate next to the accelerator model's analytic
+    rate: ``fps_sequential`` is the per-frame baseline,
+    ``fps_pipelined`` the batched/sharded runtime.
     """
     from repro.image.synthetic import SceneParams, make_scene
     from repro.runtime import ToneMapIngestor, ToneMapService
@@ -180,14 +179,10 @@ def runtime_throughput(
         mapper.run(image)
     baseline = time.perf_counter() - start
 
-    sharded = shards is not None or autoscale
     with ToneMapService(
-        params,
-        batch_size=batch_size,
-        shards=shards,
-        autoscale=autoscale,
+        params, batch_size=batch_size, shards=shards
     ) as service:
-        if sharded:
+        if shards is not None:
             # The production edge: zero-copy ingest into the arena.
             with ToneMapIngestor(service, max_delay_ms=5.0) as ingestor:
                 start = time.perf_counter()
@@ -198,12 +193,7 @@ def runtime_throughput(
             service.map_many(images)
             elapsed = time.perf_counter() - start
 
-    if not sharded:
-        label = "sw-batch"
-    elif shards is not None:
-        label = f"sw-shard{shards}"
-    else:
-        label = "sw-autoscale"
+    label = "sw-batch" if shards is None else f"sw-shard{shards}"
     blur = "fxp" if fixed else "float"
     return ThroughputResult(
         key=label,

@@ -31,10 +31,8 @@ four composable stages (diagrammed in ``docs/architecture.md``):
   attachments and per-worker kernel / coefficient-ROM caches are warmed
   at pool start-up.  Fixed point reaches the workers as
   ``params.blur_fn`` (the picklable
-  :func:`~repro.tonemap.fixed_blur.make_fixed_blur_fn` object).  With ``autoscale=True`` a
-  :class:`~repro.runtime.shard.ShardAutoscaler` widens/narrows the
-  active worker set from queue-depth and p95-latency signals under
-  :class:`~repro.runtime.shard.AutoscalePolicy` hysteresis.  It and
+  :func:`~repro.tonemap.fixed_blur.make_fixed_blur_fn` object).  Every
+  batch fans out across all of its warm workers, one slab each.  It and
   the multi-host ``HostPool`` below are two transports of one
   :class:`~repro.runtime.backend.Backend`: one data-plane surface
   (:class:`~repro.runtime.backend.DataPlaneStats`) and one attempt
@@ -159,12 +157,11 @@ from repro.runtime.reliability import (
     ReliabilityStats,
 )
 from repro.runtime.service import ServiceStats, TenantStats, ToneMapService
-from repro.runtime.shard import AutoscalePolicy, ShardAutoscaler, ShardPool
+from repro.runtime.shard import ShardPool
 
 __all__ = [
     "ArenaLease",
     "ArenaStats",
-    "AutoscalePolicy",
     "BackpressurePolicy",
     "BatchToneMapper",
     "BatchToneMapResult",
@@ -195,7 +192,6 @@ __all__ = [
     "ServiceLevelObjective",
     "ServiceOverloadedError",
     "ServiceStats",
-    "ShardAutoscaler",
     "ShardCrashError",
     "ShardPool",
     "ShardTimeoutError",

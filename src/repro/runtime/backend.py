@@ -179,12 +179,9 @@ class Backend:
     injectable time source.
     """
 
-    # Counters a transport lacks read zero: the autoscaling surface the
-    # service feeds after every batch (ShardPool overrides it), the
-    # worker watchdog (both pools) and host loss (HostPool).
-    autoscaling = False
-    scale_ups = 0
-    scale_downs = 0
+    # Counters a transport lacks read zero: the workers a batch fans out
+    # across (both pools), the worker watchdog (both pools) and host
+    # loss (HostPool).
     active_shards = 0
     watchdog_kills = 0
     hosts_lost = 0
@@ -402,12 +399,6 @@ class Backend:
     # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
-    def observe(
-        self, queue_depth: int, p95_ms: Optional[float] = None
-    ) -> int:
-        """Feed one load observation; returns the active width."""
-        return self.active_shards
-
     @property
     def worker_respawns(self) -> int:
         """Worker sets (or hosts) rebuilt after crashes (0 in health)."""

@@ -47,7 +47,7 @@ if TYPE_CHECKING:  # import for annotations only — no runtime cycle
 
 import numpy as np
 
-from repro.errors import ToneMapError
+from repro.errors import ImageError, ToneMapError
 from repro.image.color import LUMA_WEIGHTS
 from repro.image.hdr import HDRImage
 from repro.runtime.fused import FusedExecutor, FusedStats, FusedToneMapPlan
@@ -56,8 +56,8 @@ from repro.tonemap.gaussian import blur_batch
 from repro.tonemap.masking import masking_exponent
 from repro.tonemap.pipeline import ToneMapParams
 
-#: Byte budget of float64 image data per stacked sub-batch (see
-#: ``BatchToneMapper.run``); sized like
+#: Byte budget of float64 image data per staged sub-batch (see
+#: ``BatchToneMapper._run``); sized like
 #: :data:`repro.tonemap.gaussian.BATCH_CHUNK_BYTES` to keep a sub-batch's
 #: element-wise stages resident in last-level cache.
 _STAGE_CHUNK_BYTES = 1 << 22
@@ -132,6 +132,14 @@ class BatchToneMapper:
             self._engine = FusedExecutor(
                 threads=plan.threads if threads is None else threads
             )
+        # Validated finite inputs cannot produce NaN or negatives through
+        # normalize, the built-in blurs, masking and the clipped adjust.
+        # A custom blur_fn is outside that proof (np.clip propagates its
+        # NaN), so its outputs are scanned unless it vouches for itself.
+        blur_fn = self.params.blur_fn
+        self._trusted = blur_fn is None or getattr(
+            blur_fn, "trusted_finite", False
+        )
 
     @property
     def kernel(self):
@@ -176,59 +184,51 @@ class BatchToneMapper:
                     "ToneMapService does)"
                 )
 
-        height, width = shape[0], shape[1]
-        count = len(images)
-        masks = np.empty((count, height, width), dtype=np.float64)
-
-        # The stack is processed in cache-sized sub-batches of whole
-        # images.  For the staged path that keeps the element-wise
-        # stages in last-level cache instead of thrashing N full-stack
-        # temporaries; the fused engine bounds its own working set via
-        # banding, but chunking still applies so the adopted output
-        # views below pin at most one chunk-sized backing buffer — a
-        # caller keeping one image from a large batch must not keep the
-        # whole batch's pixels alive.
-        image_bytes = int(np.prod(shape)) * 8
-        chunk = max(1, _STAGE_CHUNK_BYTES // image_bytes)
-        outputs: list[HDRImage] = []
-        for lo in range(0, count, chunk):
-            sub = images[lo : lo + chunk]
-            stacked = np.stack([image.pixels for image in sub])
-            if self._engine is not None:
-                # Fused: float32 output bands are written directly — no
-                # full-stack float64 result to down-convert.
-                out_chunk = np.empty(stacked.shape, dtype=np.float32)
-                self._engine.run(
-                    self._plan, stacked, out_chunk,
-                    masks[lo : lo + len(sub)],
-                )
-            else:
-                out_chunk = self._run_stack(
-                    stacked, masks[lo : lo + len(sub)]
-                ).astype(np.float32)
-            # Adopt (don't re-copy / re-scan) the outputs when every
-            # stage is repo-internal arithmetic: validated finite inputs
-            # cannot produce NaN/negatives through normalize, the
-            # built-in blurs, masking, and the clipped adjust, so the
-            # HDRImage invariants hold by construction and the
-            # float64->float32 store happens in the astype above exactly
-            # as the validating constructor would.  A *custom* blur_fn is
-            # outside that proof (it may emit NaN, which np.clip
-            # propagates), so its outputs keep full validation.
-            blur_fn = self.params.blur_fn
-            trusted = blur_fn is None or getattr(
-                blur_fn, "trusted_finite", False
-            )
-            wrap = HDRImage.adopt if trusted else HDRImage
-            outputs.extend(
-                wrap(out_chunk[i], name=f"{sub[i].name}:tonemapped")
-                for i in range(len(sub))
-            )
+        stack = np.stack([image.pixels for image in images])
+        out = np.empty(stack.shape, dtype=np.float32)
+        masks = np.empty(stack.shape[:3], dtype=np.float64)
+        self._run(stack, out, masks)
+        # _run scanned an untrusted blur's outputs, so every output meets
+        # the HDRImage invariants: adopt views of the one batch buffer.
         return BatchToneMapResult(
-            outputs=tuple(outputs),
+            outputs=tuple(
+                HDRImage.adopt(out[i], name=f"{image.name}:tonemapped")
+                for i, image in enumerate(images)
+            ),
             masks=masks,
-            pixels=count * height * width,
+            pixels=int(np.prod(stack.shape[:3])),
         )
+
+    def _run(
+        self, stack: np.ndarray, out: np.ndarray, masks: Optional[np.ndarray]
+    ) -> np.ndarray:
+        """Tone-map a float32 ``stack`` into ``out``; every entry's core.
+
+        ``masks`` (float64 ``(N, H, W)``, or ``None``) receives the
+        clipped blurred luminance.  The fused engine takes the whole
+        stack in one call; the staged engine runs cache-sized sub-batches
+        of whole images, so its element-wise stages stay in last-level
+        cache.  Raises :class:`~repro.errors.ImageError` when an
+        untrusted ``blur_fn`` left NaN, inf or negatives in ``out``.
+        """
+        if self._engine is not None:
+            self._engine.run(self._plan, stack, out, masks)
+        else:
+            image_bytes = int(np.prod(stack.shape[1:])) * 8
+            chunk = max(1, _STAGE_CHUNK_BYTES // image_bytes)
+            for lo in range(0, stack.shape[0], chunk):
+                hi = min(lo + chunk, stack.shape[0])
+                sub_masks = (
+                    np.empty((hi - lo,) + stack.shape[1:3], dtype=np.float64)
+                    if masks is None
+                    else masks[lo:hi]
+                )
+                out[lo:hi] = self._run_stack(stack[lo:hi], sub_masks)
+        if not self._trusted and not (
+            np.isfinite(out).all() and out.min() >= 0
+        ):
+            raise ImageError("blur_fn produced NaN, inf or negatives")
+        return out
 
     def _run_stack(self, stack32: np.ndarray, masks_out: np.ndarray) -> np.ndarray:
         """All four stages over one stacked sub-batch; returns the outputs."""
@@ -314,19 +314,9 @@ class BatchToneMapper:
             raise ToneMapError(
                 f"out shape {out.shape} does not match stack {stack.shape}"
             )
-        if self._engine is not None:
-            # Single fused pass; the shard workers' hot path.  No mask
-            # volume is materialized at all — the mask bands live and die
-            # in per-thread scratch.
-            return self._engine.run(self._plan, stack, out)
-        count, height, width = stack.shape[0], stack.shape[1], stack.shape[2]
-        image_bytes = int(np.prod(stack.shape[1:])) * 8
-        chunk = max(1, _STAGE_CHUNK_BYTES // image_bytes)
-        for lo in range(0, count, chunk):
-            sub = stack[lo : lo + chunk]
-            masks = np.empty((len(sub), height, width), dtype=np.float64)
-            out[lo : lo + len(sub)] = self._run_stack(sub, masks)
-        return out
+        # No mask volume: fused mask bands live and die in per-thread
+        # scratch, staged masks in one sub-batch's buffer.
+        return self._run(stack, out, None)
 
     def map(self, images: Sequence[HDRImage]) -> tuple[HDRImage, ...]:
         """Convenience: batched run returning only the output images."""

@@ -65,7 +65,12 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.errors import HostUnavailableError, ToneMapError, WireProtocolError
+from repro.errors import (
+    HostUnavailableError,
+    ImageError,
+    ToneMapError,
+    WireProtocolError,
+)
 from repro.runtime.arena import ArenaLease
 from repro.runtime.backend import Backend, Hedge, OutputSlot, Replay
 from repro.runtime.clock import MONOTONIC, Clock
@@ -818,7 +823,9 @@ class HostPool(Backend):
 
         A host that answers at all is alive: its own watchdog and hedge
         giving up is a hedge here, its own pool crashing past its replay
-        a replay — both on another host when one is live.
+        a replay — both on another host when one is live.  An untrusted
+        ``blur_fn``'s bad outputs stay an :class:`ImageError`, as on
+        every other backend.
         """
         name = meta.get("error", "ToneMapError")
         message = f"{host.label}: {meta.get('message', 'unknown failure')}"
@@ -826,6 +833,8 @@ class HostPool(Backend):
             return Hedge(f"timed out on {message}", where=host)
         if name in ("ShardCrashError", "HostUnavailableError"):
             return Replay(f"crashed on {message}", where=host)
+        if name == "ImageError":
+            return ImageError(message)
         return ToneMapError(f"{message} ({name})")
 
     @staticmethod

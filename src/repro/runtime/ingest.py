@@ -1151,11 +1151,10 @@ class ToneMapIngestor:
     def _observe_overload_locked(self) -> bool:
         """Feed the ladder one observation; True if the rung changed.
 
-        Runs at batch-completion cadence (the same place the shard
-        autoscaler observes).  Entering ``shed_best_effort`` from below
-        drops already-queued best-effort frames immediately — admission
-        suspension alone would let them squat on seats for the rest of
-        the storm.
+        Runs at batch-completion cadence.  Entering
+        ``shed_best_effort`` from below drops already-queued best-effort
+        frames immediately — admission suspension alone would let them
+        squat on seats for the rest of the storm.
         """
         if self._overload is None:
             return False

@@ -152,8 +152,8 @@ class OverloadController:
     """Walks the degradation ladder from (p95, queue-depth) observations.
 
     Thread-safe and clock-injected; the ingestor feeds
-    :meth:`observe` once per completed batch (the same cadence the
-    shard autoscaler observes at) and applies the returned rung.  The
+    :meth:`observe` once per completed batch and applies the returned
+    rung.  The
     controller holds no references to the service — it is a pure policy
     object, so tests drive it observation by observation with a
     :class:`~repro.runtime.clock.FakeClock`.

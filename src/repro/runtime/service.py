@@ -64,7 +64,7 @@ from repro.runtime.reliability import (
     CircuitBreaker,
     ReliabilityStats,
 )
-from repro.runtime.shard import AutoscalePolicy, ShardPool
+from repro.runtime.shard import ShardPool
 from repro.tonemap.pipeline import ToneMapParams
 
 #: How many recent completion latencies feed the percentile stats.
@@ -147,11 +147,8 @@ class ServiceStats:
         (:data:`LATENCY_WINDOW` samples): batch execution time for the
         bare service, per-image submit-to-result time for the ingestor.
     shards_active:
-        Worker processes batches currently fan out across (0 in
-        process).  Moves between the configured bounds when
-        autoscaling is on.
-    scale_ups / scale_downs:
-        Autoscaler decisions applied so far.
+        Workers every batch fans out across: the pool's shards, or a
+        host pool's live hosts (0 in process).
     shard_respawns:
         Worker-set rebuilds performed after worker crashes (0 in
         health; see :meth:`~repro.runtime.shard.ShardPool.run_leased`).
@@ -179,8 +176,6 @@ class ServiceStats:
     latency_p95_ms: float = 0.0
     latency_p99_ms: float = 0.0
     shards_active: int = 0
-    scale_ups: int = 0
-    scale_downs: int = 0
     shard_respawns: int = 0
     reliability: ReliabilityStats = ReliabilityStats()
     tenants: tuple[TenantStats, ...] = ()
@@ -240,19 +235,9 @@ class ToneMapService:
         ``"host:port"`` addresses connects to externally started
         servers (CLI ``serve-host``), and a ready
         :class:`~repro.runtime.hostpool.HostPool` is adopted as-is
-        (the service closes it).  Mutually exclusive with ``shards`` /
-        ``autoscale`` / ``autoscale_policy`` (a host fleet has a fixed
-        width); the breaker and ``shard_timeout_ms`` apply to hosts
-        exactly as they do to shards.
-    autoscale:
-        Grow/shrink the active shard set from queue-depth and p95-latency
-        signals (hysteresis per
-        :class:`~repro.runtime.shard.AutoscalePolicy`).  Implies a shard
-        pool; ``shards`` (default 1) is the floor, ``max_shards``
-        (default: host CPU count) the ceiling.
-    max_shards / autoscale_policy:
-        Autoscaler bounds / full policy override (see
-        :class:`~repro.runtime.shard.ShardPool`).
+        (the service closes it).  Mutually exclusive with ``shards``;
+        the breaker and ``shard_timeout_ms`` apply to hosts exactly as
+        they do to shards.
     arena_slots:
         Depth of the backend's shared-memory arena per size class (see
         :class:`~repro.runtime.arena.ShmArena`); the in-process
@@ -296,9 +281,6 @@ class ToneMapService:
         max_workers: Optional[int] = None,
         batch_size: int = 8,
         shards: Optional[int] = None,
-        autoscale: bool = False,
-        max_shards: Optional[int] = None,
-        autoscale_policy: Optional[AutoscalePolicy] = None,
         arena_slots: int = 4,
         plan=None,
         shard_timeout_ms: Optional[float] = None,
@@ -310,16 +292,12 @@ class ToneMapService:
         params = params if params is not None else ToneMapParams()
         if batch_size < 1:
             raise ToneMapError(f"batch_size must be >= 1, got {batch_size}")
-        if hosts is not None and (
-            shards is not None or autoscale or autoscale_policy is not None
-        ):
+        if hosts is not None and shards is not None:
             raise ToneMapError(
-                "hosts and shards/autoscale are mutually exclusive — a "
-                "hosted service fans out across shard hosts, each of "
-                "which runs its own worker pool"
+                "hosts and shards are mutually exclusive — a hosted "
+                "service fans out across shard hosts, each of which runs "
+                "its own worker pool"
             )
-        if autoscale and shards is None:
-            shards = 1
         if shards is None and hosts is None and (
             shard_timeout_ms is not None or breaker is not None
         ):
@@ -346,11 +324,6 @@ class ToneMapService:
                 f"got {type(breaker)!r}"
             )
         self._brownout_batches = 0
-        # Only a blur outside the repo's finite-by-construction
-        # arithmetic needs its outputs checked.
-        self._trusted = params.blur_fn is None or getattr(
-            params.blur_fn, "trusted_finite", False
-        )
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="tonemap"
         )
@@ -362,15 +335,7 @@ class ToneMapService:
         )
         pool = None
         if shards is not None:
-            pool = ShardPool(
-                params,
-                shards=shards,
-                autoscale=autoscale,
-                max_shards=max_shards,
-                policy=autoscale_policy,
-                plan=plan,
-                **pooled,
-            )
+            pool = ShardPool(params, shards=shards, plan=plan, **pooled)
         elif hosts is not None:
             # Imported here so the single-host stack never pays for the
             # networking module.
@@ -438,17 +403,14 @@ class ToneMapService:
             )
 
     def _finish_batch(self, start: float, images: int, pixels: int) -> None:
-        """Record one completed batch and feed the pool's autoscaler.
+        """Record one completed batch.
 
         ``start`` was read from ``self._clock`` — all service timing
         goes through the injected clock, so a ``FakeClock`` drives the
-        latency window (and the autoscaler's p95) deterministically and
-        deadline math never mixes epochs with the stats.
+        latency window deterministically and deadline math never mixes
+        epochs with the stats.
         """
         elapsed = self._clock.now() - start
-        # Sorting the latency window costs O(W log W) under the lock, so
-        # pay it only when an autoscaler actually consumes the p95.
-        wants_p95 = self._pool.autoscaling
         with self._lock:
             self._latencies_ms.append(elapsed * 1e3)
             self._stats = replace(
@@ -459,13 +421,6 @@ class ToneMapService:
                 batches=self._stats.batches + 1,
                 queue_depth=self._stats.queue_depth - 1,
             )
-            depth = self._stats.queue_depth
-            p95_ms = (
-                _percentile(sorted(self._latencies_ms), 0.95)
-                if wants_p95
-                else None
-            )
-        self._pool.observe(depth, p95_ms)
 
     # ------------------------------------------------------------------
     # Overload ladder hooks
@@ -513,8 +468,9 @@ class ToneMapService:
         batch browns out to the local backend — the same stack code the
         workers run, so bit-identical outputs: the caller sees latency,
         not an exception.  Without a breaker those errors propagate.
-        Outputs of an untrusted ``blur_fn`` are checked here, once per
-        slab, before any image or handle views them.
+        Bad outputs of an untrusted ``blur_fn`` raise
+        :class:`~repro.errors.ImageError` from the mapper that ran it;
+        the backend has released their slab by then.
         """
         with self._lock:
             forced = self._forced_brownout
@@ -529,6 +485,11 @@ class ToneMapService:
                 if breaker is None:
                     raise
                 breaker.record_failure()
+            except ImageError:
+                # The pool served the batch; the blur_fn's pixels are bad.
+                if breaker is not None:
+                    breaker.record_success()
+                raise
             else:
                 if breaker is not None:
                     breaker.record_success()
@@ -537,11 +498,6 @@ class ToneMapService:
                 with self._lock:
                     self._brownout_batches += 1
             out_lease = self._local.run_leased(in_lease, count)
-        if not self._trusted:
-            pixels = out_lease.array
-            if not (np.isfinite(pixels).all() and pixels.min() >= 0):
-                out_lease.release()
-                raise ImageError("blur_fn produced NaN, inf or negatives")
         return out_lease
 
     def _run_leased_admitted(
@@ -737,8 +693,6 @@ class ToneMapService:
             latency_p95_ms=_percentile(ordered, 0.95),
             latency_p99_ms=_percentile(ordered, 0.99),
             shards_active=pool.active_shards,
-            scale_ups=pool.scale_ups,
-            scale_downs=pool.scale_downs,
             shard_respawns=pool.worker_respawns,
             reliability=ReliabilityStats(
                 hedged_replays=pool.hedged_replays,

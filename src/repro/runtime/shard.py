@@ -26,7 +26,7 @@ counted), and reports a crash replay to the backend, which re-dispatches
 the batch: its input frames still sit untouched in the arena.  Only a
 persistently crashing workload (the replay dies too) surfaces
 :class:`~repro.errors.ShardCrashError`.  ``tests/test_fault_injection.py``
-SIGKILLs real workers to hold the no-leak / no-hang / autoscaler-alive
+SIGKILLs real workers to hold the no-leak / no-hang / respawn-and-serve
 contract.
 
 Workers attach to a segment **once** and cache the mapping by name —
@@ -47,17 +47,10 @@ process boundary by pickle — the fixed-point blur of
 :func:`~repro.tonemap.fixed_blur.make_fixed_blur_fn` is a picklable
 value, a closure ``blur_fn`` is refused at construction.
 
-**Autoscaling.**  With ``autoscale=True`` the pool starts ``max_shards``
-worker processes eagerly (they are cheap, warm, and never forked after
-caller threads exist) but fans batches out across only
-:attr:`active_shards` of them.  :class:`ShardAutoscaler` widens the
-active set when queue depth or p95 latency shows sustained pressure and
-narrows it after sustained idleness — both with hysteresis
-(:class:`AutoscalePolicy`), so a single burst does not flap the width.
-Parked workers cost memory, not CPU; narrowing keeps cache-hot workers
-busy instead of spraying small slabs across cold ones.  The service
-feeds observations after every batch and surfaces the active width via
-``ServiceStats``.
+**Slabs.**  All ``shards`` workers start at construction, and every
+batch is cut into ``min(shards, count)`` contiguous slabs, one per
+worker — a split fixed up front, like the paper's design-time PS/PL
+partition.
 
 Outputs remain bit-identical to the in-process
 :class:`~repro.runtime.batch.BatchToneMapper` path: workers run the same
@@ -78,7 +71,6 @@ import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -329,85 +321,6 @@ class _Watchdog:
             self._kill_fn()
 
 
-# ----------------------------------------------------------------------
-# Autoscaling
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class AutoscalePolicy:
-    """When the autoscaler widens or narrows the active shard set.
-
-    Pressure (grow signal) is queue depth exceeding the active width —
-    batches are waiting that an extra shard could absorb — or, when
-    ``target_p95_ms`` is set, the p95 batch latency exceeding it.
-    Idleness (shrink signal) is queue depth below the active width with
-    no pressure.  Hysteresis: a grow needs ``grow_patience`` consecutive
-    pressure observations, a shrink ``shrink_patience`` consecutive idle
-    ones, and any contradicting observation resets both counters — so a
-    lone burst or a lone quiet beat never flaps the width.
-    """
-
-    min_shards: int = 1
-    max_shards: int = 2
-    target_p95_ms: Optional[float] = None
-    grow_patience: int = 2
-    shrink_patience: int = 6
-
-    def __post_init__(self) -> None:
-        if self.min_shards < 1:
-            raise ToneMapError(
-                f"min_shards must be >= 1, got {self.min_shards}"
-            )
-        if self.max_shards < self.min_shards:
-            raise ToneMapError(
-                f"max_shards ({self.max_shards}) must be >= min_shards "
-                f"({self.min_shards})"
-            )
-        if self.grow_patience < 1 or self.shrink_patience < 1:
-            raise ToneMapError("autoscale patience values must be >= 1")
-
-
-class ShardAutoscaler:
-    """Pure hysteresis logic: observations in, target width out.
-
-    Deterministic and free of clocks or threads so tests can drive it
-    observation by observation; :class:`ShardPool` owns the single
-    instance and applies its decisions.
-    """
-
-    def __init__(self, policy: AutoscalePolicy):
-        self.policy = policy
-        self._hot = 0
-        self._cold = 0
-
-    def observe(
-        self, active: int, queue_depth: int, p95_ms: Optional[float] = None
-    ) -> int:
-        """Feed one observation; returns the new target active width."""
-        policy = self.policy
-        pressure = queue_depth > active or (
-            policy.target_p95_ms is not None
-            and p95_ms is not None
-            and p95_ms > policy.target_p95_ms
-        )
-        idle = not pressure and queue_depth < active
-        if pressure:
-            self._hot += 1
-            self._cold = 0
-        elif idle:
-            self._cold += 1
-            self._hot = 0
-        else:
-            self._hot = 0
-            self._cold = 0
-        if self._hot >= policy.grow_patience and active < policy.max_shards:
-            self._hot = 0
-            return active + 1
-        if self._cold >= policy.shrink_patience and active > policy.min_shards:
-            self._cold = 0
-            return active - 1
-        return min(max(active, policy.min_shards), policy.max_shards)
-
-
 class ShardPool(Backend):
     """Tone-maps batches by sharding them across worker processes.
 
@@ -420,19 +333,8 @@ class ShardPool(Backend):
         closure is refused with :class:`~repro.errors.ToneMapError` here,
         not later when a forkserver respawn would need it.
     shards:
-        Initial (and, without autoscaling, fixed) active worker count.
-    autoscale:
-        Enable the queue-depth / latency autoscaler.  ``max_shards``
-        workers are started eagerly (all forked before any caller thread
-        exists); the *active* set grows and shrinks between ``shards``
-        (as minimum) and ``max_shards`` under
-        :class:`AutoscalePolicy` hysteresis.
-    max_shards:
-        Ceiling for the active set; defaults to the host's CPU count (at
-        least ``shards``).  Ignored unless ``autoscale``.
-    policy:
-        Autoscale policy override; defaults to
-        ``AutoscalePolicy(min_shards=shards, max_shards=max_shards)``.
+        Worker processes, all started at construction; every batch is
+        cut into ``min(shards, count)`` slabs, one per worker.
     arena_slots:
         Ring/pool depth per size class of the pool's arena.
     plan:
@@ -459,9 +361,6 @@ class ShardPool(Backend):
         self,
         params: Optional[ToneMapParams] = None,
         shards: int = 2,
-        autoscale: bool = False,
-        max_shards: Optional[int] = None,
-        policy: Optional[AutoscalePolicy] = None,
         arena_slots: int = 4,
         plan=None,
         default_timeout_ms: Optional[float] = None,
@@ -482,41 +381,7 @@ class ShardPool(Backend):
         self.shards = shards
         self.params = params
         self.plan = plan
-        if autoscale:
-            if max_shards is None:
-                max_shards = max(shards, os.cpu_count() or shards)
-            if max_shards < shards:
-                raise ToneMapError(
-                    f"max_shards ({max_shards}) must be >= shards ({shards})"
-                )
-            self._policy = policy or AutoscalePolicy(
-                min_shards=shards, max_shards=max_shards
-            )
-            if not (
-                self._policy.min_shards
-                <= shards
-                <= self._policy.max_shards
-            ):
-                raise ToneMapError(
-                    f"shards ({shards}) must lie within the autoscale "
-                    f"bounds [{self._policy.min_shards}, "
-                    f"{self._policy.max_shards}] — only that many worker "
-                    "processes exist"
-                )
-            self._autoscaler: Optional[ShardAutoscaler] = ShardAutoscaler(
-                self._policy
-            )
-            workers = self._policy.max_shards
-        else:
-            self._policy = None
-            self._autoscaler = None
-            workers = shards
         super().__init__(arena_slots, default_timeout_ms, faults, clock)
-        self._workers = workers
-        self._active = shards
-        self._scale_ups = 0
-        self._scale_downs = 0
-        self._scale_lock = threading.Lock()
         # fork only on Linux: macOS lists it but CPython switched its
         # default to spawn because forking after BLAS/framework threads
         # start is unsafe there.  Crash respawns must not plain-fork a
@@ -540,20 +405,19 @@ class ShardPool(Backend):
         One pending task per worker forces the executor to start all
         processes, and resolving the futures proves each initializer
         ran.  At construction no process is ever forked after caller
-        threads exist — autoscaling only varies how many of these warm
-        workers a batch fans out across.  The warm-up wait is bounded:
+        threads exist.  The warm-up wait is bounded:
         a worker that cannot initialize must fail the pool loudly, not
         wedge it.
         """
         executor = ProcessPoolExecutor(
-            max_workers=self._workers,
+            max_workers=self.shards,
             mp_context=mp_context,
             initializer=_init_worker,
             initargs=(self.params, self.plan),
         )
         try:
             for future in [
-                executor.submit(_worker_ready) for _ in range(self._workers)
+                executor.submit(_worker_ready) for _ in range(self.shards)
             ]:
                 if not future.result(timeout=120.0):  # pragma: no cover
                     raise ToneMapError("shard worker failed to initialize")
@@ -681,48 +545,10 @@ class ShardPool(Backend):
         """Times the watchdog SIGKILLed the workers of an over-budget batch."""
         return self._watchdog.kills
 
-    # ------------------------------------------------------------------
-    # Autoscaling
-    # ------------------------------------------------------------------
     @property
     def active_shards(self) -> int:
-        """Workers a batch currently fans out across."""
-        return self._active
-
-    @property
-    def autoscaling(self) -> bool:
-        """Whether :meth:`observe` feeds a live autoscaler."""
-        return self._autoscaler is not None
-
-    @property
-    def scale_ups(self) -> int:
-        return self._scale_ups
-
-    @property
-    def scale_downs(self) -> int:
-        return self._scale_downs
-
-    def observe(
-        self, queue_depth: int, p95_ms: Optional[float] = None
-    ) -> int:
-        """Feed one load observation (queue depth, optional p95 latency).
-
-        The service calls this after every batch; the pool applies the
-        autoscaler's decision and returns the (possibly new) active
-        width.  A no-op without ``autoscale=True``.
-        """
-        if self._autoscaler is None:
-            return self._active
-        with self._scale_lock:
-            target = self._autoscaler.observe(
-                self._active, queue_depth, p95_ms
-            )
-            if target > self._active:
-                self._scale_ups += 1
-            elif target < self._active:
-                self._scale_downs += 1
-            self._active = target
-            return target
+        """Workers every batch fans out across: all of them."""
+        return self.shards
 
     # ------------------------------------------------------------------
     # The transport
@@ -736,7 +562,7 @@ class ShardPool(Backend):
         kinds: frozenset,
         avoid: object,
     ) -> ArenaLease:
-        """Fan one attempt out as slabs over the active workers.
+        """Fan one attempt out as one slab per worker.
 
         A dying worker breaks the whole executor (``BrokenProcessPool``):
         a crash replay, or a hedge when the watchdog killed the workers
@@ -760,7 +586,7 @@ class ShardPool(Backend):
             # (pool shutting down), the futures already submitted must
             # stay tracked so the except path can quiesce them.
             for slab_index, (lo, hi) in enumerate(
-                _slab_bounds(out.shape[0], self._active)
+                _slab_bounds(out.shape[0], self.shards)
             ):
                 futures.append(
                     executor.submit(

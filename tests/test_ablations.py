@@ -189,15 +189,6 @@ class TestRuntimeThroughputRows:
         row = runtime_throughput(size=32, frames=2, shards=1, batch_size=2)
         assert row.key == "sw-shard1"
 
-    def test_autoscaled_row_without_shards_is_labelled_as_such(self):
-        # autoscale implies a (1-worker-floor) shard pool, so the row must
-        # not masquerade as the in-process "sw-batch" baseline.
-        row = runtime_throughput(
-            size=32, frames=2, batch_size=2, autoscale=True
-        )
-        assert row.key == "sw-autoscale"
-        assert row.fps_pipelined > 0.0
-
     def test_fixed_row_labels_the_blur(self):
         row = runtime_throughput(size=32, frames=2, fixed=True, batch_size=2)
         assert "fxp" in row.bound_by

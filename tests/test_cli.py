@@ -69,20 +69,21 @@ class TestParser:
 
     def test_batch_data_plane_defaults(self):
         args = build_parser().parse_args(["batch"])
-        assert args.autoscale is False
-        assert args.min_shards is None
-        assert args.max_shards is None
+        assert args.shards is None
         assert args.arena_slots == 4
 
     def test_batch_data_plane_options(self):
         args = build_parser().parse_args(
-            ["batch", "--autoscale", "--min-shards", "2",
-             "--max-shards", "6", "--arena-slots", "8"]
+            ["batch", "--shards", "2", "--arena-slots", "8"]
         )
-        assert args.autoscale is True
-        assert args.min_shards == 2
-        assert args.max_shards == 6
+        assert args.shards == 2
         assert args.arena_slots == 8
+        # Every batch fans out across all --shards workers: the
+        # autoscaler's flags are gone, so argparse rejects them.
+        for gone in (["--autoscale"], ["--min-shards", "2"],
+                     ["--max-shards", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["batch", *gone])
 
     def test_batch_tenant_defaults(self):
         args = build_parser().parse_args(["batch"])
@@ -312,24 +313,6 @@ class TestMain:
         out = capsys.readouterr().out
         assert "shards        : 2 process(es)" in out
         assert "pre-grouped" in out
-
-    def test_batch_autoscaled(self, capsys):
-        assert main(
-            ["--size", "32", "batch", "--count", "3", "--batch-size", "2",
-             "--autoscale", "--max-shards", "2", "--arena-slots", "2"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "autoscale     : active" in out
-
-    def test_batch_contradictory_autoscale_bounds_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--size", "32", "batch", "--count", "2",
-                  "--autoscale", "--shards", "4", "--max-shards", "2"])
-
-    def test_batch_autoscale_knobs_without_autoscale_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["--size", "32", "batch", "--count", "2",
-                  "--min-shards", "2"])
 
     def test_batch_streaming_ingest(self, capsys):
         assert main(

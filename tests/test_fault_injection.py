@@ -9,7 +9,6 @@ their first slab) and assert the recovery contract of
 * a *persistently* crashing workload surfaces
   :class:`~repro.errors.ShardCrashError` instead of hanging;
 * no arena lease is leaked on any path and ``/dev/shm`` ends clean;
-* the autoscaler keeps operating across a respawn;
 * futures handed out by the ingestor always resolve — no hung callers.
 
 Persistent-crash injection goes through the first-class
@@ -172,27 +171,6 @@ class TestWorkerKillRecovery:
             out.release()
             lease.release()
             assert pool.arena.stats.leases_active == 0
-
-    def test_autoscaler_keeps_operating_after_respawn(self, wait_for_corpse):
-        stack = _stack()
-        with ShardPool(PARAMS, shards=1, autoscale=True, max_shards=2) as pool:
-            lease = pool.lease_input(stack.shape)
-            lease.array[:] = stack
-            pool.run_leased(lease).release()
-            os.kill(pool.worker_pids()[0], signal.SIGKILL)
-            wait_for_corpse(pool)
-            pool.run_leased(lease).release()  # respawn + replay
-            assert pool.worker_respawns >= 1
-            # The autoscaler state machine survived: observations still
-            # move the active width within bounds.
-            for _ in range(8):
-                pool.observe(queue_depth=8)
-            assert pool.active_shards == 2
-            for _ in range(32):
-                pool.observe(queue_depth=0)
-            assert pool.active_shards == 1
-            pool.run_leased(lease).release()
-            lease.release()
 
 
 class TestServiceAndIngestorFaultPaths:

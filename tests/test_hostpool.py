@@ -81,6 +81,29 @@ class TestParseAddress:
             parse_address(bad)
 
 
+class TestRemoteError:
+    def test_msg_err_names_map_to_verdicts_and_types(self):
+        from types import SimpleNamespace
+
+        from repro.errors import ImageError
+        from repro.runtime.backend import Hedge, Replay
+
+        host = SimpleNamespace(label="host[0]@127.0.0.1:1")
+
+        def mapped(name):
+            return HostPool._remote_error(
+                host, {"error": name, "message": "boom"}
+            )
+
+        assert isinstance(mapped("ShardTimeoutError"), Hedge)
+        assert isinstance(mapped("ShardCrashError"), Replay)
+        assert isinstance(mapped("HostUnavailableError"), Replay)
+        # An untrusted blur's bad outputs keep their type across the wire.
+        error = mapped("ImageError")
+        assert type(error) is ImageError and "boom" in str(error)
+        assert type(mapped("ValueError")) is ToneMapError
+
+
 class TestHostPoolEndToEnd:
     """One spawned 2-host fleet shared across the happy-path cases."""
 
@@ -143,10 +166,7 @@ class TestHostPoolEndToEnd:
         np.testing.assert_array_equal(got, _want(stack))
 
     def test_shard_pool_compatible_surface(self, pool):
-        assert pool.autoscaling is False
         assert pool.active_shards == 2
-        assert pool.scale_ups == 0 and pool.scale_downs == 0
-        assert pool.observe(10, p95_ms=500.0) == 2  # no host autoscaler
         assert len(pool.host_addresses()) == 2
         assert pool.hosts_lost == 0
         assert pool.data_plane_stats.worker_respawns == pool.worker_respawns

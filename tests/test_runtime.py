@@ -92,8 +92,8 @@ class TestBatchToneMapper:
 
     def test_untrusted_blur_fn_nan_is_caught(self):
         # A user-supplied blur_fn is outside the internal finiteness
-        # proof, so its outputs keep full HDRImage validation: NaN must
-        # surface as ImageError, not silently adopted garbage.
+        # proof, so the mapper scans its outputs: NaN must surface as
+        # ImageError, not silently adopted garbage.
         from repro.errors import ImageError
 
         def nan_blur(plane, kernel):
@@ -260,9 +260,12 @@ class TestUntrustedBlurOutputs:
 
     PARAMS = ToneMapParams(sigma=2.0, radius=6, blur_fn=nan_blur)
 
-    @pytest.mark.parametrize("shards", [None, 1], ids=["local", "sharded"])
-    def test_run_batch_raises(self, shards):
-        with ToneMapService(self.PARAMS, shards=shards) as service:
+    @pytest.mark.parametrize(
+        "backend", [{}, {"shards": 1}, {"hosts": 1}],
+        ids=["local", "sharded", "hosted"],
+    )
+    def test_run_batch_raises(self, backend):
+        with ToneMapService(self.PARAMS, **backend) as service:
             with pytest.raises(ImageError):
                 service.run_batch(scenes(2, size=16))
             assert service.stats.queue_depth == 0
@@ -282,6 +285,39 @@ class TestUntrustedBlurOutputs:
             with pytest.raises(ImageError):
                 future.result(timeout=60)
             assert service.pool.arena.stats.leases_active == 0
+
+    def test_half_open_breaker_counts_the_pool_run_as_a_probe(self):
+        # Bad pixels are the blur's fault, not the pool's: the probe
+        # batch still closes a half-open breaker instead of holding its
+        # probe token forever.
+        from repro.runtime import BreakerPolicy, CircuitBreaker, FakeClock
+
+        clock = FakeClock()
+        breaker = CircuitBreaker(
+            BreakerPolicy(
+                failure_threshold=1, cooldown_s=1.0, probe_batches=1
+            ),
+            clock=clock,
+        )
+        breaker.record_failure()
+        clock.advance(2.0)
+        with ToneMapService(
+            self.PARAMS, shards=1, breaker=breaker, clock=clock
+        ) as service:
+            with pytest.raises(ImageError):
+                service.run_batch(scenes(2, size=16))
+            assert breaker.state == "closed"
+            assert service.stats.reliability.brownout_batches == 0
+
+    def test_direct_shard_pool_run_batch_raises(self):
+        # The scan runs where the blur runs, so a pool used without a
+        # service refuses the outputs too, and releases their slab.
+        from repro.runtime import ShardPool
+
+        with ShardPool(self.PARAMS, shards=1) as pool:
+            with pytest.raises(ImageError):
+                pool.run_batch(scenes(2, size=16))
+            assert pool.arena.stats.leases_active == 0
 
 
 class TestEngineInputs:
@@ -315,7 +351,10 @@ class TestEngineInputs:
             want = BatchToneMapper(params).run_stack(stack)
         np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("knob", ["fused", "fused_threads", "fixed_config"])
+    @pytest.mark.parametrize("knob", [
+        "fused", "fused_threads", "fixed_config",
+        "autoscale", "max_shards", "policy", "autoscale_policy",
+    ])
     def test_removed_engine_knobs_raise_type_error(self, knob):
         from repro.runtime import HostPool, HostServer, ShardPool
 

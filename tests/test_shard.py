@@ -13,13 +13,7 @@ import pytest
 
 from repro.errors import ToneMapError
 from repro.image.synthetic import SceneParams, make_scene
-from repro.runtime import (
-    AutoscalePolicy,
-    BatchToneMapper,
-    ShardAutoscaler,
-    ShardPool,
-    ToneMapService,
-)
+from repro.runtime import BatchToneMapper, ShardPool, ToneMapService
 from repro.runtime.shard import _run_slab, _slab_bounds
 from repro.tonemap.fixed_blur import FixedBlurConfig, make_fixed_blur_fn
 from repro.tonemap.pipeline import ToneMapParams
@@ -324,104 +318,6 @@ class TestShmLeakCheck:
             pool.run_stack(stack)
             assert names() - before  # arena segments exist while open
         assert names() - before == set(), "pool close leaked /dev/shm"
-
-
-class TestAutoscaler:
-    def policy(self, **kwargs):
-        defaults = dict(
-            min_shards=1, max_shards=4, grow_patience=2, shrink_patience=3
-        )
-        defaults.update(kwargs)
-        return AutoscalePolicy(**defaults)
-
-    def test_grow_needs_sustained_pressure(self):
-        scaler = ShardAutoscaler(self.policy())
-        assert scaler.observe(1, queue_depth=5) == 1  # first hot tick
-        assert scaler.observe(1, queue_depth=5) == 2  # patience met
-
-    def test_single_burst_does_not_grow(self):
-        scaler = ShardAutoscaler(self.policy())
-        assert scaler.observe(1, queue_depth=5) == 1
-        assert scaler.observe(1, queue_depth=1) == 1  # calm resets
-        assert scaler.observe(1, queue_depth=5) == 1  # must re-earn
-
-    def test_shrink_needs_sustained_idle(self):
-        scaler = ShardAutoscaler(self.policy())
-        width = 3
-        for _ in range(2):
-            assert scaler.observe(width, queue_depth=0) == width
-        assert scaler.observe(width, queue_depth=0) == width - 1
-
-    def test_flapping_load_holds_width(self):
-        scaler = ShardAutoscaler(self.policy())
-        width = 2
-        for depth in (0, 5, 0, 5, 0, 5):
-            width = scaler.observe(width, queue_depth=depth)
-        assert width == 2
-
-    def test_bounds_respected(self):
-        scaler = ShardAutoscaler(self.policy(max_shards=2))
-        width = 2
-        for _ in range(10):
-            width = scaler.observe(width, queue_depth=10)
-        assert width == 2
-        scaler = ShardAutoscaler(self.policy(min_shards=2))
-        width = 2
-        for _ in range(10):
-            width = scaler.observe(width, queue_depth=0)
-        assert width == 2
-
-    def test_latency_signal_grows(self):
-        scaler = ShardAutoscaler(
-            self.policy(target_p95_ms=10.0, grow_patience=2)
-        )
-        assert scaler.observe(1, queue_depth=0, p95_ms=50.0) == 1
-        assert scaler.observe(1, queue_depth=0, p95_ms=50.0) == 2
-
-    def test_latency_ignored_without_target(self):
-        scaler = ShardAutoscaler(self.policy())
-        assert scaler.observe(1, queue_depth=0, p95_ms=1e6) == 1
-        assert scaler.observe(1, queue_depth=0, p95_ms=1e6) == 1
-
-    def test_policy_validation(self):
-        with pytest.raises(ToneMapError):
-            AutoscalePolicy(min_shards=0)
-        with pytest.raises(ToneMapError):
-            AutoscalePolicy(min_shards=3, max_shards=2)
-        with pytest.raises(ToneMapError):
-            AutoscalePolicy(grow_patience=0)
-
-
-class TestPoolAutoscaling:
-    def test_observe_widens_and_narrows_active_set(self):
-        policy = AutoscalePolicy(
-            min_shards=1, max_shards=2, grow_patience=2, shrink_patience=2
-        )
-        with ShardPool(PARAMS, shards=1, autoscale=True, policy=policy) as pool:
-            assert pool.active_shards == 1
-            pool.observe(queue_depth=4)
-            pool.observe(queue_depth=4)
-            assert pool.active_shards == 2
-            assert pool.scale_ups == 1
-            # Results stay bit-identical at the new width.
-            stack = np.stack([im.pixels for im in scenes(3, color=False)])
-            want = (
-                BatchToneMapper(PARAMS).run_stack(stack).astype(np.float32)
-            )
-            np.testing.assert_array_equal(pool.run_stack(stack), want)
-            pool.observe(queue_depth=0)
-            pool.observe(queue_depth=0)
-            assert pool.active_shards == 1
-            assert pool.scale_downs == 1
-
-    def test_observe_noop_without_autoscale(self):
-        with ShardPool(PARAMS, shards=2) as pool:
-            assert pool.observe(queue_depth=100) == 2
-            assert pool.scale_ups == 0
-
-    def test_max_shards_below_shards_rejected(self):
-        with pytest.raises(ToneMapError):
-            ShardPool(PARAMS, shards=3, autoscale=True, max_shards=2)
 
 
 class TestServiceSharding:
