@@ -40,16 +40,23 @@ to unlink.  All sizes are page-multiples, so a reused segment's mapping
 is always exactly as large as its class.
 
 Lifecycle hygiene: the arena owns every segment it creates and unlinks
-them all in :meth:`close`.  Unlink is unconditional — even if a leaked
-NumPy view still pins a segment's buffer (which makes ``mmap.close``
-raise ``BufferError``), the name is removed from ``/dev/shm`` and the
-kernel frees the memory when the last mapping dies.  A leak-check test
-scans ``/dev/shm`` to keep this honest (``tests/test_arena.py``).
+them all in :meth:`close`.  Unlink is unconditional.  A lease's
+``array`` is built with ``np.frombuffer``, which holds a buffer export
+on the segment's mapping, so a view that outlives :meth:`close` (the
+lease's array, any slice of it, a :class:`ResultHandle`'s pixels) pins
+the mapping: ``mmap.close`` raises ``BufferError``, the arena swallows
+it, the name still leaves ``/dev/shm``, and the pages are unmapped and
+freed when the last view dies.  Reading such a view stays valid rather
+than touching unmapped memory.  A leak-check test scans ``/dev/shm`` to
+keep this honest (``tests/test_arena.py``).
 """
 
 from __future__ import annotations
 
+import contextlib
+import math
 import mmap
+import os
 import threading
 from collections import deque
 from dataclasses import dataclass
@@ -120,13 +127,39 @@ class ArenaStats:
     bytes_materialized: int = 0
 
 
+class _SharedMemory(shared_memory.SharedMemory):
+    """A segment that a still-viewed mapping can outlive.
+
+    While a NumPy view exports the mapping, ``close()`` raises
+    ``BufferError`` and the mapping stays until its last view dies.  The
+    mapping holds its own duplicate of the segment's descriptor, so this
+    object's descriptor is released at once instead of leaking (the
+    standard close stops at the error before reaching it), and there is
+    nothing to report when this object is collected before the views.
+    """
+
+    def close(self) -> None:
+        try:
+            super().close()
+        except BufferError:
+            fd = getattr(self, "_fd", -1)
+            if fd >= 0:
+                os.close(fd)
+                self._fd = -1
+            raise
+
+    def __del__(self) -> None:
+        with contextlib.suppress(BufferError):
+            super().__del__()
+
+
 class _Segment:
     """One shared-memory segment plus its pooling metadata."""
 
     __slots__ = ("shm", "nbytes", "kind", "transient")
 
     def __init__(
-        self, shm: shared_memory.SharedMemory, nbytes: int, kind: str,
+        self, shm: _SharedMemory, nbytes: int, kind: str,
         transient: bool,
     ):
         self.shm = shm
@@ -158,9 +191,11 @@ class ArenaLease:
         self._segment = segment
         self._refs = 1
         self._lock = threading.Lock()
-        self.array: Optional[np.ndarray] = np.ndarray(
-            shape, dtype=dtype, buffer=segment.shm.buf
-        )
+        # frombuffer holds a buffer export, so the mapping cannot be
+        # unmapped while this view (or any view of it) is alive.
+        self.array: Optional[np.ndarray] = np.frombuffer(
+            segment.shm.buf, dtype, math.prod(shape)
+        ).reshape(shape)
 
     @property
     def segment_name(self) -> str:
@@ -392,7 +427,7 @@ class ShmArena:
         return ArenaLease(self, segment, tuple(shape), np.dtype(dtype))
 
     def _create(self, nbytes: int, kind: str, transient: bool) -> _Segment:
-        shm = shared_memory.SharedMemory(create=True, size=nbytes)
+        shm = _SharedMemory(create=True, size=nbytes)
         segment = _Segment(shm, nbytes, kind, transient)
         if not transient:
             self._segments.append(segment)

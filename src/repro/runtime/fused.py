@@ -30,21 +30,32 @@ module is the software analogue of the pragma:
     so the FFT transients stay block-sized; the band epilogue then reads
     its mask rows from that plane.
 
+* Every band pass runs through one five-kernel interface
+  (:mod:`repro.runtime.band_kernels`): the ring's horizontal and
+  vertical folded passes, and the epilogue steps before, between and
+  after the two ``np.power`` calls.  It has a compiled implementation
+  (a small C library built by the system compiler on first use and
+  loaded through :mod:`ctypes`) and a NumPy one, the reference and the
+  fallback wherever no compiler works or a run's arrays are not
+  C-contiguous.  Both powers, the luminance ``np.matmul`` and the plane
+  regime's FFT stay NumPy under either implementation.
 * :class:`FusedExecutor` adds the ROADMAP's threaded row-partitioned
   execution: a persistent worker pool partitions the ``(image, row)``
   space (whole images in the plane regime) into contiguous per-thread
-  chunks (NumPy's ufunc and FFT loops release the GIL, so chunks on
-  different threads really overlap), auto-sized from ``os.cpu_count()``
-  with a ``REPRO_FUSED_THREADS`` override.
+  chunks (NumPy's ufunc and FFT loops and the ``ctypes`` kernel calls
+  release the GIL, so chunks on different threads really overlap),
+  auto-sized from ``os.cpu_count()`` with a ``REPRO_FUSED_THREADS``
+  override.
 
-**Tolerance contract** (tested in ``tests/test_fused.py``): fused masks
-and outputs are **bit-identical** to the staged path wherever the staged
-blur resolves to the folded/tiled row convolution (the ring shares
-:func:`~repro.tonemap.gaussian.fold_rows_into` and replays the same
-vertical multiply-add sequence over ring rows) and throughout the plane
-regime (the plane runs the staged :func:`~repro.tonemap.gaussian._convolve_fft`
-on the same rows; each row transforms on its own, so blocking cannot
-change a bit).  Only between the two crossovers
+**Tolerance contract** (tested in ``tests/test_fused.py`` under both
+kernel implementations): fused masks and outputs are **bit-identical**
+to the staged path wherever the staged blur resolves to the
+folded/tiled row convolution (the ring replays the multiply-add order
+of :func:`~repro.tonemap.gaussian.fold_rows_into` horizontally and over
+ring rows vertically) and throughout the plane regime (the plane runs
+the staged :func:`~repro.tonemap.gaussian._convolve_fft` on the same
+rows; each row transforms on its own, so blocking cannot change a
+bit).  Only between the two crossovers
 (``fft_crossover_taps <= taps < fused_fft_min_taps``) does the ring's
 folded arithmetic meet a staged FFT, so outputs agree to the blur
 module's documented 1e-9 absolute band instead.
@@ -76,12 +87,8 @@ from repro.planner.profile import (
     active_profile,
     select_fused_h_method,
 )
-from repro.tonemap.adjust import adjust_brightness_contrast_into
-from repro.tonemap.gaussian import _convolve_fft, fold_rows_into
-from repro.tonemap.masking import (
-    masking_exponent_into,
-    nonlinear_masking_into,
-)
+from repro.runtime import band_kernels
+from repro.tonemap.gaussian import _convolve_fft
 from repro.tonemap.pipeline import ToneMapParams
 
 #: Byte budget of one block's FFT transients in the plane regime.
@@ -108,14 +115,15 @@ def band_rows_for(
 ) -> int:
     """Rows per fused band such that the band scratch stays cache-resident.
 
-    The scratch working set is ~7 float64 row buffers for gray plus
-    ~2.5 more per color channel (ring, padded rows, pair, luminance,
-    vertical accumulator, exponent, output band, float32 staging,
-    bool floor mask).  The floor of ``max(8, radius)`` keeps the
-    2·radius-row ring copy between bands amortized over at least a
-    comparable amount of compute.  Single definition shared by
-    :meth:`FusedToneMapPlan.band_rows` and the planner's band-partition
-    reporting.
+    The budget of 6 float64 rows plus 3 per channel plus one padded
+    row bounds what either kernel implementation keeps per band row:
+    ring, vertical accumulator, mask, exponent and the 2.0 base plane,
+    and per channel the colour staging row, the output band, the
+    repeated exponent and the black flags.  The floor of
+    ``max(8, radius)`` keeps the 2·radius-row ring copy between bands
+    amortized over at least a comparable amount of compute.  Single
+    definition shared by :meth:`FusedToneMapPlan.band_rows` and the
+    planner's band-partition reporting.
     """
     channels = 3 if color else 1
     per_row = 8 * width * (6 + 3 * channels) + 8 * (width + 2 * radius)
@@ -174,7 +182,9 @@ class _Workspace:
 
     ``get`` returns the cached array for a key when shape and dtype still
     match, else (re)allocates and counts the bytes — the counter behind
-    :attr:`FusedStats.intermediate_bytes`.
+    :attr:`FusedStats.intermediate_bytes`.  A ``fill`` value initialises
+    the array whenever it is (re)allocated, so scratch that is read
+    before it is written never sees a recycled buffer's contents.
 
     ``bytes_allocated`` and ``resident_bytes`` are plain ints maintained
     inside :meth:`get` so that a stats poll from another thread reads
@@ -189,12 +199,18 @@ class _Workspace:
         self.bytes_allocated = 0
         self.resident_bytes = 0
 
-    def get(self, key: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    def get(
+        self, key: str, shape: tuple, dtype=np.float64, fill=None
+    ) -> np.ndarray:
         arr = self._arrays.get(key)
         if arr is None or arr.shape != shape or arr.dtype != np.dtype(dtype):
             if arr is not None:
                 self.resident_bytes -= arr.nbytes
-            arr = np.empty(shape, dtype=dtype)
+            arr = (
+                np.empty(shape, dtype=dtype)
+                if fill is None
+                else np.full(shape, fill, dtype=dtype)
+            )
             self._arrays[key] = arr
             self.bytes_allocated += arr.nbytes
             self.resident_bytes += arr.nbytes
@@ -313,6 +329,7 @@ def _denominator(peak: float) -> np.float32:
 def _finish_band(
     plan: FusedToneMapPlan,
     ws: _Workspace,
+    kernels,
     band: int,
     blurred: np.ndarray,
     plane32: np.ndarray,
@@ -327,38 +344,39 @@ def _finish_band(
     ``blurred`` holds the band's blurred luminance rows ``[lo, lo + n)``.
     The clipped mask band (written through to ``masks_out`` when the
     caller wants masks), its exponent, and the masked, adjusted output
-    band are produced in place in band scratch, and the result lands in
-    ``out[index, lo:hi]``.
+    band are produced in band scratch, and the result lands in
+    ``out[index, lo:hi]``.  ``kernels`` run every pass but the two
+    ``np.power`` calls, which stay NumPy under either implementation
+    and get contiguous operands: a pooled plane of 2.0 as the first
+    base, and the exponent operand
+    :meth:`~repro.runtime.band_kernels.NumpyKernels.mid` returns as the
+    second.
     """
     n, width = blurred.shape
     hi = lo + n
-    color = out.ndim == 4
     masking = plan.params.masking
-    expo = ws.get("expo", (band, width))
-    out_shape = (band, width, 3) if color else (band, width)
-    oband32 = ws.get("oband32", out_shape, np.float32)
-    oband = ws.get("oband", out_shape)
-    black = ws.get("black", out_shape, bool)
+    expo = ws.get("expo", (band, width))[:n]
+    two = ws.get("two", (band, width), fill=2.0)[:n]
+    out_shape = (band,) + out.shape[2:]
+    oband = ws.get("oband", out_shape)[:n]
+    black = ws.get("black", out_shape, bool, fill=False)[:n]
     if masks_out is not None:
-        mask_band = masks_out[index, lo:hi]
+        mask = masks_out[index, lo:hi]
     else:
-        mask_band = ws.get("mask", (band, width))[:n]
-    np.clip(blurred, 0.0, 1.0, out=mask_band)
-    masking_exponent_into(mask_band, expo[:n], masking)
-
-    np.divide(plane32[lo:hi], denom, out=oband32[:n])
-    np.copyto(oband[:n], oband32[:n])
-    exponent = expo[:n, :, np.newaxis] if color else expo[:n]
-    nonlinear_masking_into(
-        oband[:n], exponent, masking, where_black=black[:n]
+        mask = ws.get("mask", (band, width))[:n]
+    kernels.pre(blurred, mask, expo, masking.strength)
+    np.power(two, expo, out=expo)
+    exponent = kernels.mid(
+        ws, band, plane32[lo:hi], denom, masking.epsilon, expo, oband, black
     )
-    adjust_brightness_contrast_into(oband[:n], plan.params.adjust)
-    out[index, lo:hi] = oband[:n]
+    np.power(oband, exponent, out=oband)
+    kernels.post(oband, black, plan.params.adjust, out[index, lo:hi])
 
 
 def _process_span(
     plan: FusedToneMapPlan,
     ws: _Workspace,
+    kernels,
     stack32: np.ndarray,
     out: np.ndarray,
     masks_out: Optional[np.ndarray],
@@ -393,50 +411,15 @@ def _process_span(
     plane32 = stack32[index]
 
     ring = ws.get("ring", (cap, width))
-    pair = ws.get("pair", (cap, width))
     padded = ws.get("pad", (cap, width + 2 * radius))
-    if color:
-        src32 = ws.get("src32", (cap, width, 3), np.float32)
-        rgb = ws.get("rgb", (cap, width, 3))
-        lum = ws.get("lum", (cap, width))
-    else:
-        src32 = ws.get("src32", (cap, width), np.float32)
+    rgb = ws.get("rgb", (cap, width, 3)) if color else None
     vert = ws.get("vert", (band, width))
 
     def fill_ring(dest: int, virtual_lo: int, virtual_hi: int) -> None:
-        """H-blur normalized luminance for virtual rows [lo, hi) → ring."""
-        n = virtual_hi - virtual_lo
-        # Normalize in float32 (the staged division dtype).  Interior
-        # rows read the plane view directly; virtual rows beyond the
-        # image replicate the edge row — the vertical clamp applied at
-        # the source, so the ring consumes like a pre-padded array.
-        interior_lo = min(max(virtual_lo, 0), height)
-        interior_hi = max(min(virtual_hi, height), 0)
-        if interior_hi > interior_lo:
-            at = interior_lo - virtual_lo
-            np.divide(
-                plane32[interior_lo:interior_hi],
-                denom,
-                out=src32[at : at + interior_hi - interior_lo],
-            )
-        for virtual in range(virtual_lo, min(virtual_hi, 0)):
-            np.divide(plane32[0], denom, out=src32[virtual - virtual_lo])
-        for virtual in range(max(virtual_lo, height), virtual_hi):
-            np.divide(
-                plane32[height - 1], denom, out=src32[virtual - virtual_lo]
-            )
-        # Luminance (float64), cast straight into the padded band with
-        # edge-replicated columns — one pass, no unpadded staging row.
-        center = padded[:n, radius : radius + width]
-        if color:
-            np.copyto(rgb[:n], src32[:n])
-            np.matmul(rgb[:n], LUMA_WEIGHTS, out=lum[:n])
-            np.copyto(center, lum[:n])
-        else:
-            np.copyto(center, src32[:n])
-        padded[:n, :radius] = center[:, :1]
-        padded[:n, radius + width :] = center[:, -1:]
-        fold_rows_into(padded[:n], coeffs, ring[dest : dest + n], pair[:n])
+        kernels.horizontal(
+            ws, plane32, denom, virtual_lo, virtual_hi - virtual_lo, padded,
+            rgb, coeffs, ring, dest,
+        )
 
     bands_executed = 0
     halo_reused = 0
@@ -457,18 +440,14 @@ def _process_span(
             halo_reused += keep
             fill_ring(keep, lo + radius, hi + radius)
 
-        # Vertical folded pass: the staged folded convolution's exact
-        # multiply-add order, with ring rows standing in for the padded
-        # columns (output row lo+t reads ring rows [t, t + 2*radius]).
-        np.multiply(coeffs[radius], ring[radius : radius + n], out=vert[:n])
-        for k in range(radius):
-            mirror = 2 * radius - k
-            np.add(ring[k : k + n], ring[mirror : mirror + n], out=pair[:n])
-            pair[:n] *= coeffs[k]
-            vert[:n] += pair[:n]
+        # Vertical folded pass: output row lo+t reads ring rows
+        # [t, t + 2*radius], the staged folded convolution's exact
+        # multiply-add order with ring rows standing in for the padded
+        # columns.
+        kernels.vertical(ws, ring, coeffs, n, vert)
         _finish_band(
-            plan, ws, band, vert[:n], plane32, denom, out, masks_out,
-            index, lo,
+            plan, ws, kernels, band, vert[:n], plane32, denom, out,
+            masks_out, index, lo,
         )
 
         bands_executed += 1
@@ -523,6 +502,7 @@ def _blur_plane(plane: np.ndarray, coeffs: np.ndarray) -> int:
 def _process_image(
     plan: FusedToneMapPlan,
     ws: _Workspace,
+    kernels,
     stack32: np.ndarray,
     out: np.ndarray,
     masks_out: Optional[np.ndarray],
@@ -560,8 +540,8 @@ def _process_image(
     bands_executed = 0
     for lo in range(0, height, band):
         _finish_band(
-            plan, ws, band, plane[lo : lo + band], plane32, denom, out,
-            masks_out, index, lo,
+            plan, ws, kernels, band, plane[lo : lo + band], plane32, denom,
+            out, masks_out, index, lo,
         )
         bands_executed += 1
     return bands_executed, churned
@@ -733,6 +713,7 @@ class FusedExecutor:
             plane_mask,
         )
         workspaces = self._acquire_workspaces(geometry, len(chunks))
+        kernels = band_kernels.select(stack32, out, masks_out)
 
         def work(index: int) -> Tuple[int, int, int]:
             ws = workspaces[index]
@@ -741,12 +722,13 @@ class FusedExecutor:
                 peak = float(peaks[image])
                 if plane_mask:
                     b, f = _process_image(
-                        plan, ws, stack32, out, masks_out, image, peak
+                        plan, ws, kernels, stack32, out, masks_out, image,
+                        peak,
                     )
                     fft_bytes += f
                 else:
                     b, h = _process_span(
-                        plan, ws, stack32, out, masks_out,
+                        plan, ws, kernels, stack32, out, masks_out,
                         image, lo, hi, peak,
                     )
                     halo += h

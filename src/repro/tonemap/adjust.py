@@ -52,25 +52,6 @@ def adjust_brightness_contrast(
     return np.clip(out, 0.0, 1.0)
 
 
-def adjust_brightness_contrast_into(
-    pixels: np.ndarray, params: AdjustParams | None = None
-) -> np.ndarray:
-    """In-place twin of :func:`adjust_brightness_contrast`.
-
-    Overwrites ``pixels`` (float64) with the remapped values using the
-    same operation order — ``((x - 0.5) * contrast + 0.5) + brightness``
-    then the unit clamp — so results are bit-identical to the allocating
-    function.  Used by the fused band engine to run step 4 without a
-    stage temporary.
-    """
-    params = params if params is not None else AdjustParams()
-    pixels -= 0.5
-    pixels *= params.contrast
-    pixels += 0.5
-    pixels += params.brightness
-    return np.clip(pixels, 0.0, 1.0, out=pixels)
-
-
 def auto_contrast(
     pixels: np.ndarray, low_percentile: float = 0.5, high_percentile: float = 99.5
 ) -> np.ndarray:

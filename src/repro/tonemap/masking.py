@@ -65,53 +65,6 @@ def masking_exponent(mask: np.ndarray, params: MaskingParams = MaskingParams()) 
     return np.power(2.0, params.strength * (2.0 * mask - 1.0))
 
 
-def masking_exponent_into(
-    mask: np.ndarray, out: np.ndarray, params: MaskingParams | None = None
-) -> np.ndarray:
-    """Allocation-free twin of :func:`masking_exponent` for clipped masks.
-
-    ``mask`` must already be unit-range (the pipeline clips the blurred
-    plane before this step, so the range check of the public function is
-    vacuous here); ``out`` is caller-owned float64 scratch of the mask's
-    shape.  The operation sequence mirrors :func:`masking_exponent`
-    exactly — ``2**(s * (2*mask - 1))`` evaluated as multiply, subtract,
-    multiply, power — so results are bit-identical.
-    """
-    params = params if params is not None else MaskingParams()
-    np.multiply(mask, 2.0, out=out)
-    out -= 1.0
-    out *= params.strength
-    return np.power(2.0, out, out=out)
-
-
-def nonlinear_masking_into(
-    pixels: np.ndarray,
-    exponent: np.ndarray,
-    params: MaskingParams | None = None,
-    where_black: np.ndarray | None = None,
-) -> np.ndarray:
-    """Apply mask-driven gamma correction in place on ``pixels``.
-
-    ``pixels`` holds the normalized (unit-range, float64) values and is
-    overwritten with the masked result; ``exponent`` is the per-pixel
-    exponent (broadcastable — color callers pass the luminance-derived
-    plane with a trailing axis).  ``where_black`` is optional caller-owned
-    bool scratch of ``pixels``'s shape.  Same clip → power → zero-floor
-    sequence as :func:`nonlinear_masking`, so results are bit-identical;
-    exists so the fused band engine can run step 3 without allocating a
-    stage temporary.
-    """
-    params = params if params is not None else MaskingParams()
-    if where_black is None:
-        where_black = np.empty(pixels.shape, dtype=bool)
-    np.less_equal(pixels, params.epsilon, out=where_black)
-    np.clip(pixels, params.epsilon, 1.0, out=pixels)
-    np.power(pixels, exponent, out=pixels)
-    # Pixels at (or below) the epsilon floor are true blacks: keep them 0.
-    pixels[where_black] = 0.0
-    return pixels
-
-
 def nonlinear_masking(
     normalized: np.ndarray,
     mask: np.ndarray,

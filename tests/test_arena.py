@@ -6,6 +6,9 @@ exact counter checks and filesystem scans, not tolerances.
 """
 
 import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -187,6 +190,48 @@ class TestHygiene:
         arena.close()
         assert shm_names() - before == set()
         assert pinned.shape == (16, 16)  # mapping itself stays valid
+
+    def test_view_outliving_close_stays_readable(self):
+        # Reading a lease's view after close() used to touch unmapped
+        # memory and kill the interpreter with SIGSEGV; run it in a
+        # child so a regression fails this test instead of the suite.
+        script = textwrap.dedent(
+            """
+            import gc
+            import numpy as np
+            from repro.runtime.arena import ShmArena
+
+            arena = ShmArena(slots=1)
+            lease = arena.lease_input((4, 64, 64), np.float32)
+            view = lease.array
+            view[...] = 1.0
+            arena.close()
+            del lease
+            gc.collect()
+            print(float(view[1:].sum()))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env=env, timeout=120,
+        )
+        assert proc.returncode == 0, (proc.returncode, proc.stderr)
+        assert proc.stdout.strip() == str(3.0 * 64 * 64)
+        assert proc.stderr == ""
+
+    def test_pinned_segments_leak_no_descriptor(self):
+        fd_dir = "/proc/self/fd"
+        if not os.path.isdir(fd_dir):  # pragma: no cover - non-Linux
+            pytest.skip("no /proc/self/fd to count descriptors")
+        with ShmArena() as warm:  # start the resource tracker first
+            warm.lease_input((8, 8)).release()
+        before = len(os.listdir(fd_dir))
+        arena = ShmArena()
+        views = [arena.lease_input((8, 8)).array for _ in range(3)]
+        arena.close()
+        del views
+        assert len(os.listdir(fd_dir)) == before
 
     def test_release_after_close_is_safe(self):
         arena = ShmArena()

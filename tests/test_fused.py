@@ -14,15 +14,23 @@ The tolerance contract under test (documented in
   the ring's folded window against a staged FFT) do outputs agree
   within the blur module's 1e-9 absolute band instead.
 
+Every bit-identity class runs twice: on the host's band kernels (the
+compiled C library wherever a compiler works) and, in its ``...Numpy``
+subclass, on the NumPy kernels a host without a compiler falls back to.
+
 Plus the steady-state allocation contract (``intermediate_bytes`` stops
 growing once per-thread scratch is warm), the row partitioner's
-exactly-once coverage, and the shared-mutable-default fix on the mapper
-constructors.
+exactly-once coverage, the band library's build, cache and fallback,
+and the shared-mutable-default fix on the mapper constructors.
 """
+
+import os
+import stat
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ToneMapError
@@ -33,13 +41,15 @@ from repro.runtime import (
     FusedToneMapPlan,
     ShardPool,
     ToneMapService,
+    band_kernels,
 )
-from repro.runtime.fused import _partition_spans
+from repro.runtime.fused import _Workspace, _partition_spans
 from repro.planner import plan_for
 from repro.planner.profile import (
     DEFAULT_FFT_CROSSOVER_TAPS,
     DEFAULT_FUSED_POOLED_GEOMETRIES,
 )
+from repro.tonemap.adjust import AdjustParams
 from repro.tonemap.masking import MaskingParams
 from repro.tonemap.pipeline import ToneMapParams, ToneMapper
 
@@ -103,6 +113,12 @@ def _plan(params, threads=None):
     return plan
 
 
+@pytest.fixture
+def numpy_kernels(monkeypatch):
+    """Run on the NumPy band kernels, as a host with no C compiler does."""
+    monkeypatch.setattr(band_kernels, "compiled_kernels", lambda: None)
+
+
 def _fused(params, stack, threads, band_bytes=None):
     plan = FusedToneMapPlan(params, band_bytes=band_bytes)
     out = np.empty(stack.shape, dtype=np.float64)
@@ -164,7 +180,58 @@ class TestToleranceContract:
         want, _ = _staged(params, stack)
         np.testing.assert_array_equal(got, want)
 
-    @settings(max_examples=20, deadline=None)
+    @pytest.mark.parametrize(
+        "shape", [(2, 24, 24), (2, 24, 24, 3)], ids=["gray", "rgb"]
+    )
+    def test_true_blacks_and_all_zero_frames(self, shape):
+        # Frame 0 is all zero (denominator 1); frame 1 holds zeros and
+        # values that normalize to <= epsilon among lit pixels.
+        params = FOLDED_PARAMS[0]
+        stack = _stack(shape, seed=11)
+        stack[0] = 0.0
+        stack[1, ::3] = 0.0
+        stack[1, 1::5] = 1e-13
+        want, want_masks = _staged(params, stack)
+        got, got_masks, _ = _fused(params, stack, threads=2)
+        np.testing.assert_array_equal(got_masks, want_masks)
+        np.testing.assert_array_equal(got, want)
+        assert not got[0].any() and not got[1, ::3].any()  # blacks stay 0
+
+    @pytest.mark.parametrize("strided", ["stack", "out", "masks"])
+    @pytest.mark.parametrize(
+        "shape", [(2, 40, 56), (2, 30, 24, 3)], ids=["gray", "rgb"]
+    )
+    def test_non_contiguous_arrays(self, shape, strided):
+        # Every other column of a twice-as-wide array: the C kernels
+        # index flat rows, so such a run must still match staged.
+        params = FOLDED_PARAMS[0]
+        stack = _stack(shape, seed=7)
+        want, want_masks = _staged(params, stack)
+        wide = shape[:2] + (2 * shape[2],) + shape[3:]
+
+        def columns(array):
+            return array[:, :, ::2]
+
+        src = stack
+        if strided == "stack":
+            src = columns(np.zeros(wide, np.float32))
+            src[...] = stack
+        out = columns(np.zeros(wide)) if strided == "out" else np.zeros(shape)
+        masks = (
+            columns(np.zeros(wide[:3])) if strided == "masks"
+            else np.zeros(shape[:3])
+        )
+        with FusedExecutor(threads=2) as executor:
+            executor.run(FusedToneMapPlan(params), src, out, masks)
+        np.testing.assert_array_equal(masks, want_masks)
+        np.testing.assert_array_equal(out, want)
+
+    # Both band-kernel classes run this property (the Numpy subclass
+    # inherits it), so hypothesis sees two executors of one function.
+    @settings(
+        max_examples=20, deadline=None,
+        suppress_health_check=[HealthCheck.differing_executors],
+    )
     @given(
         count=st.integers(min_value=1, max_value=3),
         height=st.integers(min_value=8, max_value=64),
@@ -187,6 +254,11 @@ class TestToleranceContract:
         )
         np.testing.assert_array_equal(got_masks, want_masks)
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.usefixtures("numpy_kernels")
+class TestToleranceContractNumpy(TestToleranceContract):
+    """The same contract on the NumPy band kernels."""
 
 
 class TestPlaneRegime:
@@ -259,6 +331,156 @@ class TestPlaneRegime:
         assert steady.scratch_bytes == warm.scratch_bytes
         assert steady.bands_executed == 4 * warm.bands_executed
         assert steady.fft_scratch_bytes == 4 * warm.fft_scratch_bytes
+
+
+@pytest.mark.usefixtures("numpy_kernels")
+class TestPlaneRegimeNumpy(TestPlaneRegime):
+    """The plane regime on the NumPy band kernels."""
+
+
+class TestBandKernels:
+    """The compiled band library: selection, build, cache and fallback."""
+
+    def test_compiled_kernels_in_use_where_a_compiler_is_on_path(self):
+        # A broken build must not fall back silently on a host that can
+        # compile: CI runs the bit-identity suite on the C kernels.  Runs
+        # whose arrays the C loops cannot index take the NumPy passes,
+        # which raise NumPy's errors (a read-only out).
+        if band_kernels._compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        compiled = band_kernels.compiled_kernels()
+        assert compiled is not None, "the band library did not build or load"
+        stack = _stack((1, 8, 8))
+        assert band_kernels.select(stack, np.empty_like(stack), None) is compiled
+        strided = np.empty((1, 8, 16), np.float32)[:, :, ::2]
+        assert band_kernels.select(stack, strided, None) is band_kernels.NUMPY
+        float16 = np.empty(stack.shape, np.float16)
+        assert band_kernels.select(stack, float16, None) is band_kernels.NUMPY
+        frozen = np.empty_like(stack)
+        frozen.flags.writeable = False
+        assert band_kernels.select(stack, frozen, None) is band_kernels.NUMPY
+        with FusedExecutor(threads=1) as executor, pytest.raises(ValueError):
+            executor.run(FusedToneMapPlan(FOLDED_PARAMS[0]), stack, frozen)
+
+    def test_no_compiler_falls_back_with_identical_outputs(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("PATH", str(tmp_path))  # no cc, gcc or clang
+        monkeypatch.setattr(band_kernels, "_resolved", False)
+        monkeypatch.setattr(band_kernels, "_compiled", None)
+        assert band_kernels.compiled_kernels() is None
+        params = FOLDED_PARAMS[0]
+        for shape in [(2, 33, 47), (2, 30, 24, 3)]:
+            stack = _stack(shape, seed=2)
+            out = np.empty(shape)
+            assert band_kernels.select(stack, out, None) is band_kernels.NUMPY
+            want, want_masks = _staged(params, stack)
+            got, got_masks, _ = _fused(params, stack, threads=2)
+            np.testing.assert_array_equal(got_masks, want_masks)
+            np.testing.assert_array_equal(got, want)
+
+    def test_first_use_loads_once_across_threads(self, monkeypatch):
+        from concurrent.futures import ThreadPoolExecutor as TPE
+
+        loads = []
+        library = object()
+
+        def slow_load():
+            loads.append(1)
+            time.sleep(0.05)  # hold the lock while the other threads arrive
+            return library
+
+        monkeypatch.setattr(band_kernels, "_resolved", False)
+        monkeypatch.setattr(band_kernels, "_compiled", None)
+        monkeypatch.setattr(band_kernels, "_load", slow_load)
+        with TPE(max_workers=8) as pool:
+            got = list(pool.map(lambda _: band_kernels.compiled_kernels(), range(8)))
+        assert loads == [1]
+        assert all(kernels is library for kernels in got)
+
+    def test_failed_build_leaves_nothing_behind(self, monkeypatch, tmp_path):
+        broken = tmp_path / "cc"
+        broken.write_text("#!/bin/sh\nexit 1\n")
+        broken.chmod(0o755)
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(band_kernels, "_compiler", lambda: str(broken))
+        monkeypatch.setattr(band_kernels, "_cache_dirs", lambda: iter([cache]))
+        assert band_kernels._load() is None
+        assert list(cache.iterdir()) == []  # the temporary file is gone
+
+    def test_cache_is_private_and_reused(self, monkeypatch, tmp_path):
+        if band_kernels._compiler() is None:
+            pytest.skip("no C compiler on PATH")
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(band_kernels, "_cache_dirs", lambda: iter([cache]))
+        assert band_kernels._load() is not None
+        assert stat.S_IMODE(cache.stat().st_mode) == 0o700
+        (library,) = cache.iterdir()  # published whole: no temp file left
+        assert library.name.startswith("band_kernels-")
+        built = library.stat().st_mtime_ns
+        assert band_kernels._load() is not None
+        assert library.stat().st_mtime_ns == built  # loaded, not rebuilt
+
+    def test_shared_directories_and_files_are_refused(
+        self, monkeypatch, tmp_path
+    ):
+        shared = tmp_path / "shared"
+        shared.mkdir()
+        shared.chmod(0o777)
+        assert not band_kernels._private_dir(shared)
+        monkeypatch.setattr(band_kernels, "_cache_dirs", lambda: iter([shared]))
+        assert band_kernels._cache_dir() is None
+        planted = tmp_path / "lib.so"
+        planted.write_bytes(b"")
+        planted.chmod(0o666)
+        assert not band_kernels._owned_file(planted)
+        assert os.path.exists(planted)
+
+    def test_special_values_bit_for_bit(self):
+        # NaN, signed zeros, infinities and values around epsilon through
+        # the three epilogue kernels: compare the raw bits, which
+        # assert_array_equal would not (it equates -0.0 and 0.0).
+        compiled = band_kernels.compiled_kernels()
+        if compiled is None:
+            pytest.skip("the band library is not available")
+        # eps is a float32 value, so 1.5 * eps / 1.5 ties it exactly.
+        eps = 2.0**-40
+        special = np.array(
+            [np.nan, -0.0, 0.0, -1.0, 2.0, 1.0, 0.5, -np.inf, np.inf,
+             1e-13, 1e-12, 5e-324, 0.25, -np.nan, 0.999, 1.5 * eps],
+        )
+        blurred = np.resize(special, (4, 12))
+        src32 = np.resize(special.astype(np.float32), (4, 12, 3))
+        src32[1] = src32[1, ::-1]
+
+        def epilogue(kernels, color):
+            mask = np.empty((4, 12))
+            expo = np.empty((4, 12))
+            kernels.pre(blurred, mask, expo, 0.75)
+            shape = (4, 12, 3) if color else (4, 12)
+            source = src32 if color else np.ascontiguousarray(src32[..., 0])
+            oband = np.empty(shape)
+            black = np.zeros(shape, bool)
+            exponent = kernels.mid(
+                _Workspace(), 4, source, np.float32(1.5), eps, expo, oband,
+                black,
+            )
+            exponent = np.broadcast_to(exponent, shape).copy()
+            outs = []
+            for dtype in (np.float32, np.float64):
+                dest = np.empty(shape, dtype)
+                kernels.post(oband.copy(), black, AdjustParams(0.1, 1.3), dest)
+                outs.append(dest)
+            return mask, expo, oband, black, exponent, *outs
+
+        for color in (False, True):
+            for got, want in zip(
+                epilogue(compiled, color), epilogue(band_kernels.NUMPY, color)
+            ):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                np.testing.assert_array_equal(
+                    got.view(np.uint8), want.view(np.uint8)
+                )
 
 
 class TestSteadyStateAllocation:

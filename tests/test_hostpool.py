@@ -200,7 +200,11 @@ class TestExternallyServedHost:
             assert server.net_stats.messages_received == 1
             assert server.net_stats.payload_bytes_received == stack.nbytes
             assert server.net_stats.bytes_staged == 0
-            assert server.pool.arena.stats.leases_active == 0
+            # The server thread releases its output lease after sending
+            # the reply, so the client may read the counter first.
+            assert _wait_for(
+                lambda: server.pool.arena.stats.leases_active == 0
+            )
         finally:
             server.close()
             thread.join(timeout=10)
