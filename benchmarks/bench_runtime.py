@@ -266,7 +266,7 @@ def test_sharded_outputs_exact():
 
 
 # ----------------------------------------------------------------------
-# Fused dataflow: single-pass tiled stages vs the staged stack path
+# Fused dataflow: single-pass banded stages vs the staged stack path
 # ----------------------------------------------------------------------
 #: The fused acceptance workload: 1024² frames, narrow kernel.  This is
 #: the memory-bound regime the band ring targets: the staged path
@@ -469,6 +469,43 @@ def test_fused_wide_1024(benchmark):
         fused.close()
 
 
+#: The huge-plane narrow-kernel case: one 2048² gray frame at sigma 4
+#: (25 taps).  Its float64 plane (32 MiB) leaves any last-level cache;
+#: the band ring streams it through cache-sized bands instead.
+HUGE_PLANE_SIZE = 2048
+HUGE_PLANE_PARAMS = ToneMapParams(sigma=4.0)
+
+
+def test_fused_huge_plane_2048(benchmark):
+    """The whole fused pipeline on a huge plane, one thread.
+
+    ``pixels_per_sec`` is a wall-clock band for the reference host.
+    25 taps sit at the staged FFT crossover but below
+    ``fused_fft_min_taps``: the ring's folded window meets a staged FFT,
+    so outputs agree within the blur module's 1e-9 band.
+    """
+    stack = np.random.default_rng(HUGE_PLANE_SIZE).uniform(
+        0.0, 1.0, (1, HUGE_PLANE_SIZE, HUGE_PLANE_SIZE)
+    ).astype(np.float32)
+    fused = _fused_mapper(HUGE_PLANE_PARAMS, stack, threads=1)
+    assert fused.execution_plan.fused_h_method == "folded"
+    want = BatchToneMapper(HUGE_PLANE_PARAMS).run_stack(stack)
+    np.testing.assert_allclose(
+        fused.run_stack(stack), want, rtol=0.0, atol=1e-9
+    )
+    out = np.empty(stack.shape, dtype=np.float32)
+    benchmark.pedantic(
+        lambda: fused.run_stack(stack, out=out),
+        rounds=3, iterations=1, warmup_rounds=1,
+    )
+    if benchmark.stats is not None:  # absent under --benchmark-disable
+        benchmark.extra_info["pixels"] = stack.size
+        benchmark.extra_info["taps"] = fused.kernel.taps
+        benchmark.extra_info["pixels_per_sec"] = (
+            stack.size / benchmark.stats.stats.min
+        )
+
+
 def test_planner_dispatch_1024(benchmark):
     """Planner-dispatched execution vs the hand-picked PR 5 path.
 
@@ -491,9 +528,8 @@ def test_planner_dispatch_1024(benchmark):
     )
     # The hand-picked configuration is the fused engine driven directly
     # (FusedToneMapPlan + FusedExecutor) with the folded horizontal
-    # window; plan.blur_method describes the *staged reference* path
-    # (tiled here — the 1024² plane sits exactly at
-    # tiled_min_plane_bytes), so it is not part of the match.
+    # window; plan.blur_method describes the *staged reference* path,
+    # so it is not part of the match.
     matches = float(
         plan.engine == "fused" and plan.fused_h_method == "folded"
     )

@@ -22,7 +22,6 @@ from repro.accel.geometry import BlurGeometry
 from repro.accel.linebuffer import (
     LineBuffer,
     ShiftWindow,
-    streaming_blur_plane,
     streaming_blur_plane_scalar,
 )
 from repro.accel.specs import (
@@ -43,7 +42,6 @@ __all__ = [
     "BlurGeometry",
     "LineBuffer",
     "ShiftWindow",
-    "streaming_blur_plane",
     "streaming_blur_plane_scalar",
     "naive_offload_kernel",
     "streaming_blur_kernel",

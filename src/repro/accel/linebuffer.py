@@ -7,22 +7,16 @@ starts the computation and each new streamed pixel substitutes the oldest
 one in the buffer."
 
 :class:`LineBuffer` and :class:`ShiftWindow` are the functional Python
-equivalents of the HLS idioms.  Two drivers run the full streaming
-dataflow:
+equivalents of the HLS idioms, and :func:`streaming_blur_plane_scalar`
+runs the full streaming dataflow through them one pixel per step — the
+closest mirror of the HLS inner loop, O(K) Python work per pixel, so
+it is meant for small planes and dataflow tests.  The runtime's fast
+form of the same line-buffer schedule is the fused engine's halo ring
+(:mod:`repro.runtime.fused`).
 
-* :func:`streaming_blur_plane` — the fast model: the same line-buffer
-  rotation (one row in, one row out, K BRAM rows), but each row's vertical
-  reduction and horizontal window sweep are single vectorized NumPy
-  operations instead of Python work per pixel.  Benchmarks and tests
-  exercise it; the batch runtime blurs through
-  :mod:`repro.tonemap.gaussian` and the fused band engine instead.
-* :func:`streaming_blur_plane_scalar` — the literal one-pixel-per-step
-  model, O(K) Python work per pixel; it is the closest mirror of the HLS
-  inner loop and is kept for small planes and dataflow tests.
-
-Both must agree with the batch reference in
+The model must agree with the batch reference in
 :func:`repro.tonemap.gaussian.separable_blur` to floating-point
-reassociation tolerance (property-tested): the restructuring is a pure
+reassociation tolerance (tested): the restructuring is a pure
 reordering of the arithmetic.
 """
 
@@ -71,10 +65,6 @@ class LineBuffer:
         if not 0 <= x < self.width:
             raise ToneMapError(f"column {x} out of range 0..{self.width - 1}")
         return self._data[self._order, x]
-
-    def rows_in_order(self) -> np.ndarray:
-        """All buffered rows as a ``(K, W)`` array, oldest row first."""
-        return self._data[self._order]
 
     def fill_row(self, values: np.ndarray) -> None:
         """Convenience: start a row and insert a full row of pixels."""
@@ -130,47 +120,6 @@ class ShiftWindow:
         )
 
 
-def streaming_blur_plane(plane: np.ndarray, kernel: GaussianKernel) -> np.ndarray:
-    """Separable Gaussian blur via the streaming line-buffer dataflow.
-
-    Row-vectorized: the image still flows through the rotating
-    :class:`LineBuffer` one row at a time — row *y* is emitted once row
-    ``y + radius`` has been inserted, exactly the Fig. 4 schedule — but the
-    per-row work is two NumPy reductions: the vertical pass reads the whole
-    buffer in oldest-first order and contracts it with the kernel; the
-    horizontal pass sweeps the K-wide window across the edge-padded
-    vertical result via a strided view.  Borders replicate edges by
-    pre-filling the buffer, matching the batch reference in
-    :func:`repro.tonemap.gaussian.separable_blur` to reassociation
-    tolerance (property-tested).
-    """
-    plane = np.asarray(plane, dtype=np.float64)
-    if plane.ndim != 2:
-        raise ToneMapError(f"expected a 2-D plane, got shape {plane.shape}")
-    height, width = plane.shape
-    taps, radius = kernel.taps, kernel.radius
-    coeffs = kernel.coefficients
-
-    # Vertical pass via line buffer: out_v[y] needs rows y-radius..y+radius,
-    # so row y is emitted once row y+radius has been inserted.  Replicated
-    # borders are modeled by clamping the source row index.
-    linebuf = LineBuffer(rows=taps, width=width)
-    for prefill in range(-radius, radius):
-        linebuf.fill_row(plane[_clamp(prefill, height)])
-
-    out = np.empty_like(plane)
-    padded = np.empty(width + 2 * radius, dtype=np.float64)
-    for y in range(height):
-        linebuf.fill_row(plane[_clamp(y + radius, height)])
-        vertical = coeffs @ linebuf.rows_in_order()
-        padded[radius : radius + width] = vertical
-        padded[:radius] = vertical[0]
-        padded[radius + width :] = vertical[-1]
-        windows = np.lib.stride_tricks.sliding_window_view(padded, taps)
-        out[y] = windows @ coeffs
-    return out
-
-
 def streaming_blur_plane_scalar(
     plane: np.ndarray, kernel: GaussianKernel
 ) -> np.ndarray:
@@ -180,7 +129,6 @@ def streaming_blur_plane_scalar(
     reads one line-buffer column; its result shifts into the horizontal
     window whose dot product is the output pixel.  This is O(K) Python
     work per pixel; use it on small planes (tests, demos).
-    :func:`streaming_blur_plane` is the fast path.
     """
     plane = np.asarray(plane, dtype=np.float64)
     if plane.ndim != 2:

@@ -10,7 +10,7 @@ Subcommands map one-to-one to the paper's artifacts::
     repro-experiments all [-o DIR]        # everything
     repro-experiments batch [...]         # batched tone-mapping throughput
     repro-experiments planner explain     # plan + rationale for a workload
-    repro-experiments planner calibrate   # measure this host's crossovers
+    repro-experiments planner calibrate   # measure this host's FFT crossover
 
 ``--size`` shrinks the Fig. 5 image for quick runs (timing experiments
 are analytic and unaffected).
@@ -33,15 +33,15 @@ the in-process backend, and seeded chaos injection — the counters land
 in the report); ``--plan auto`` lets the execution planner
 (:mod:`repro.planner`) pick the engine and blur path from the workload
 and the host calibration — every float workload runs the fused band
-engine, single-pass tiled stages with no full-frame intermediates
+engine, single-pass banded stages with no full-frame intermediates
 (:mod:`repro.runtime.fused`) — and ``--plan FILE`` replays a saved
 plan; without ``--plan`` batches run the staged reference engine.
 ``--threads N`` sizes the in-process mapper's fused engine (shard
 workers run one thread each).  ``serve-host --plan FILE`` loads a plan
 the same way for a serving host.  ``planner explain`` prints the plan
 and its cost rationale for a described workload without running anything;
-``planner calibrate`` measures this host's dispatch crossovers and can
-write them as a profile (``-o host.json``, activated via
+``planner calibrate`` measures this host's FFT crossover and can
+write it as a profile (``-o host.json``, activated via
 ``REPRO_PLANNER_PROFILE``).  See ``docs/architecture.md`` for the full
 data path.
 """
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     explain.add_argument(
         "--profile", type=Path, default=None,
         help="calibration profile JSON (default: the active profile — "
-             "REPRO_PLANNER_PROFILE / env overrides / built-ins)",
+             "the REPRO_PLANNER_PROFILE file, else the built-ins)",
     )
     explain.add_argument(
         "--json", action="store_true",
@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     calibrate = psub.add_parser(
         "calibrate",
-        help="measure this host's dispatch crossovers and write a "
+        help="measure this host's FFT crossover and write a "
              "calibration profile",
     )
     calibrate.add_argument(
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     calibrate.add_argument(
         "--quick", action="store_true",
-        help="tiny grids for smoke runs (CI); not a real calibration",
+        help="a tiny grid for smoke runs (CI); not a real calibration",
     )
     calibrate.add_argument(
         "--json", action="store_true",
@@ -396,13 +396,14 @@ def _load_plan(path):
     """Read an execution plan saved by ``planner explain --json``."""
     import json
 
+    from repro.errors import ToneMapError
     from repro.planner.plan import ExecutionPlan
 
     try:
         return ExecutionPlan.from_json_dict(
             json.loads(Path(path).read_text())
         )
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, ToneMapError) as exc:
         raise SystemExit(f"--plan {path}: {exc}") from exc
 
 

@@ -9,10 +9,11 @@ the HLS side of this repo schedules against
 :class:`~repro.platform.cpu.SwKernelTrace` of per-path operation
 counts, the software twin of the ``repro.hls`` operator-latency
 library).  The model's relative ordering is what makes a rationale
-legible — "folded streams 3x the memory traffic of tiled here", "the
-FFT does O(W log W) work per row regardless of taps" — and the tests
-pin that its ordering *agrees* with the calibrated decision in the
-regimes the crossover defaults were measured in.
+legible — "the unblocked folded pass streams 3x the memory traffic of
+the band ring here", "the FFT does O(W log W) work per row regardless
+of taps" — and the tests pin that its ordering *agrees* with the
+calibrated decision in the regimes the crossover defaults were
+measured in.
 
 All estimates cover the blur of one ``(batch, H, W)`` luminance volume
 plus, for the engine comparison, the surrounding stage traffic (the
@@ -48,9 +49,9 @@ def _blur_trace_sliding(
     ``ceil(taps/2)`` multiply passes (mirrored taps share a
     coefficient): each output element reads two mirrored inputs, adds
     them, multiplies by the coefficient, and accumulates.
-    ``cache_resident`` distinguishes the tiled traversal (block working
-    set stays in L2-class cache) from the unblocked folded pass on
-    planes whose three full-plane temporaries stream through memory.
+    ``cache_resident`` distinguishes the fused band ring (its working
+    set stays in L2-class cache) from the staged folded pass on planes
+    whose three full-plane temporaries stream through memory.
     """
     pairs = (taps + 1) // 2
     elements = rows * width
@@ -103,8 +104,6 @@ def estimate_blur_seconds(
     rows = frames * height  # a vertical pass transposes: same row count
     if method == "fft":
         trace = _blur_trace_fft(rows, width, taps)
-    elif method == "tiled":
-        trace = _blur_trace_sliding(rows, width, taps, cache_resident=True)
     elif method == "folded":
         resident = height * width * 8 * 3 <= _MODEL.l2.size_bytes
         trace = _blur_trace_sliding(rows, width, taps, cache_resident=resident)
@@ -118,12 +117,13 @@ def estimate_candidates(
 ) -> Dict[str, float]:
     """Model-seconds for every candidate execution path of a workload.
 
-    Keys: ``staged-folded``, ``staged-tiled``, ``staged-fft`` (blur via
-    each staged row-convolution strategy plus the staged stage traffic),
-    ``fused-folded`` (the band ring: folded blur arithmetic with
-    band-resident stage traffic — roughly one frame sweep instead of
-    several) and ``fused-fft`` (the whole-plane FFT mask: the FFT blur
-    with the same band-resident stage traffic).
+    Keys: ``staged-folded``, ``staged-fft`` (blur via each staged
+    row-convolution strategy plus the staged stage traffic),
+    ``fused-folded`` (the band ring: folded blur arithmetic on a
+    cache-resident working set with band-resident stage traffic —
+    roughly one frame sweep instead of several) and ``fused-fft`` (the
+    whole-plane FFT mask: the FFT blur with the same band-resident stage
+    traffic).
     """
     stage_staged = _MODEL.seconds(
         _stage_traffic_trace(frames, height, width, passes=3.0)
@@ -131,16 +131,16 @@ def estimate_candidates(
     stage_fused = _MODEL.seconds(
         _stage_traffic_trace(frames, height, width, passes=1.0)
     )
-    blur = {
-        method: estimate_blur_seconds(method, frames, height, width, taps)
-        for method in ("folded", "tiled", "fft")
-    }
+    folded = estimate_blur_seconds("folded", frames, height, width, taps)
+    fft = estimate_blur_seconds("fft", frames, height, width, taps)
+    ring = 2.0 * _MODEL.seconds(
+        _blur_trace_sliding(frames * height, width, taps, cache_resident=True)
+    )
     return {
-        "staged-folded": blur["folded"] + stage_staged,
-        "staged-tiled": blur["tiled"] + stage_staged,
-        "staged-fft": blur["fft"] + stage_staged,
-        "fused-folded": blur["tiled"] + stage_fused,
-        "fused-fft": blur["fft"] + stage_fused,
+        "staged-folded": folded + stage_staged,
+        "staged-fft": fft + stage_staged,
+        "fused-folded": ring + stage_fused,
+        "fused-fft": fft + stage_fused,
     }
 
 

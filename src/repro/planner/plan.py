@@ -34,12 +34,21 @@ from repro.planner.profile import (
     select_engine,
     select_fused_h_method,
 )
+from repro.tonemap.gaussian import BLUR_METHODS
 
 #: Workload dtypes the planner understands.  ``float32``/``float64``
 #: take the float pipeline (fused-eligible); ``fixed`` is the Q-format
 #: fixed-point pipeline, which is staged-only (the fused engine *is*
 #: the float blur).
 WORKLOAD_DTYPES = ("float32", "float64", "fixed")
+
+#: Allowed values of each decision field of an :class:`ExecutionPlan`.
+#: A staged plan pins a concrete blur method, never ``"auto"``.
+PLAN_CHOICES = {
+    "engine": ("fused", "staged"),
+    "blur_method": tuple(m for m in BLUR_METHODS if m != "auto"),
+    "fused_h_method": ("folded", "fft"),
+}
 
 
 @dataclass(frozen=True)
@@ -93,12 +102,6 @@ class Workload:
         return 2 * self.effective_radius + 1
 
     @property
-    def plane_bytes(self) -> int:
-        """Float64 working-set bytes of one luminance plane — the unit
-        every calibrated size crossover is expressed in."""
-        return self.height * self.width * 8
-
-    @property
     def fixed(self) -> bool:
         return self.dtype == "fixed"
 
@@ -113,7 +116,7 @@ class Workload:
 
 def _resolve_threads(requested: Optional[int]) -> int:
     """Fused worker-thread count: explicit request, else the runtime
-    default (``REPRO_FUSED_THREADS`` env, else CPU count)."""
+    default (the CPU count)."""
     if requested is not None:
         return requested
     from repro.runtime.fused import _default_threads
@@ -137,9 +140,10 @@ class ExecutionPlan:
         ``"staged"`` (stage-at-a-time with full-frame temporaries; the
         fixed-point pipeline).
     blur_method:
-        Staged row-convolution strategy (``folded``/``tiled``/``fft``)
-        — the path the staged engine runs, and the reference the fused
-        engine's tolerance contract is stated against.
+        Staged row-convolution strategy (``folded``/``fft``; ``direct``
+        only when pinned) — the path the staged engine runs, and the
+        reference the fused engine's tolerance contract is stated
+        against.
     fused_h_method:
         Mask regime the fused engine would use: ``folded`` (band ring)
         or ``fft`` (whole-plane FFT mask); meaningful when
@@ -172,6 +176,19 @@ class ExecutionPlan:
     partitions: int
     rationale: Tuple[str, ...] = ()
     cost_estimates: Tuple[Tuple[str, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        # Plans arrive from files and pins, not only from the planner: a
+        # stale or hand-edited value must fail here, not at the first
+        # batch.
+        for name, allowed in PLAN_CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ToneMapError(
+                    f"plan field {name}={value!r} is not one of "
+                    f"{allowed}; re-run `planner explain` for a current "
+                    "plan"
+                )
 
     def decision(self) -> dict:
         """The plan's load-bearing choices (what golden tests pin)."""
@@ -263,22 +280,24 @@ class Planner:
         )
 
     def plan(self, workload: Workload) -> ExecutionPlan:
-        from repro.runtime.fused import _partition_spans, band_rows_for
+        from repro.runtime.fused import (
+            BAND_BYTES,
+            _partition_spans,
+            band_rows_for,
+        )
 
         profile = self.profile
         taps = workload.taps
-        plane_bytes = workload.plane_bytes
 
         engine = select_engine(fixed=workload.fixed)
-        blur_method = select_blur_method(taps, plane_bytes, profile)
-        fused_h = select_fused_h_method(taps, plane_bytes, profile)
-        band_bytes = profile.fused_band_bytes
+        blur_method = select_blur_method(taps, profile)
+        fused_h = select_fused_h_method(taps, profile)
         band_rows = band_rows_for(
             workload.height,
             workload.width,
             workload.color,
             workload.effective_radius,
-            band_bytes,
+            BAND_BYTES,
         )
         threads = _resolve_threads(workload.threads)
         # The plane mask partitions whole images, the ring image rows.
@@ -295,7 +314,7 @@ class Planner:
             }
         rationale = self._rationale(
             workload, profile, engine, blur_method, fused_h, band_rows,
-            partitions,
+            BAND_BYTES, partitions,
         )
         return ExecutionPlan(
             workload=workload,
@@ -303,7 +322,7 @@ class Planner:
             engine=engine,
             blur_method=blur_method,
             fused_h_method=fused_h,
-            band_bytes=band_bytes,
+            band_bytes=BAND_BYTES,
             band_rows=band_rows,
             threads=threads,
             partitions=partitions,
@@ -321,6 +340,7 @@ class Planner:
         blur_method: str,
         fused_h: str,
         band_rows: int,
+        band_bytes: int,
         partitions: int,
     ) -> list:
         taps = workload.taps
@@ -352,21 +372,12 @@ class Planner:
                 f"{profile.fft_crossover_taps} — O(W log W) per row beats "
                 f"{(taps + 1) // 2} folded multiply passes"
             )
-        elif blur_method == "tiled":
-            lines.append(
-                f"blur=tiled: taps {taps} < fft_crossover_taps "
-                f"{profile.fft_crossover_taps} and plane "
-                f"{workload.plane_bytes} B >= tiled_min_plane_bytes "
-                f"{profile.tiled_min_plane_bytes} — block rows so the "
-                "folded working set stays cache-resident"
-            )
         else:
             lines.append(
                 f"blur=folded: taps {taps} < fft_crossover_taps "
-                f"{profile.fft_crossover_taps} and plane "
-                f"{workload.plane_bytes} B < tiled_min_plane_bytes "
-                f"{profile.tiled_min_plane_bytes} — temporaries stay "
-                "cached, blocking would only add loop overhead"
+                f"{profile.fft_crossover_taps} — "
+                f"{(taps + 1) // 2} folded multiply passes beat the "
+                "transforms"
             )
         if engine == "fused":
             mask = "plane" if fused_h == "fft" else "ring"
@@ -374,8 +385,7 @@ class Planner:
             lines.append(
                 f"fused mask={mask} (fused_h={fused_h}), "
                 f"band_rows={band_rows} (band budget "
-                f"{profile.fused_band_bytes} B), {partitions} {unit} "
-                "partition(s)"
+                f"{band_bytes} B), {partitions} {unit} partition(s)"
             )
         return lines
 
@@ -411,7 +421,9 @@ def pinned(plan: ExecutionPlan, **changes) -> ExecutionPlan:
 
     The escape hatch for operators who want the planner's record-keeping
     but a specific path: ``pinned(plan, engine="staged")`` keeps the
-    workload, profile, and rationale but notes the pin.
+    workload, profile, and rationale but notes the pin.  An unknown
+    field, or a decision value outside :data:`PLAN_CHOICES`, raises
+    :class:`~repro.errors.ToneMapError`.
     """
     allowed = {
         "engine", "blur_method", "fused_h_method", "band_bytes", "threads",

@@ -4,20 +4,17 @@ This module is the planner's foundation and deliberately imports nothing
 from the rest of the package (or from the tonemap/runtime modules that
 consult it), so the hot paths can read it without import cycles:
 
-* :class:`CalibrationProfile` — the serialized host calibration: every
-  dispatch crossover (the ``DEFAULT_*`` constants below, each
-  overridable by its ``REPRO_*`` env var) collected into one frozen,
-  JSON-round-trippable record with provenance.
+* :class:`CalibrationProfile` — the serialized host calibration: the
+  two dispatch crossovers (the ``DEFAULT_*`` constants below) collected
+  into one frozen, JSON-round-trippable record with provenance.
 * :func:`active_profile` — the **call-time** resolution every dispatch
-  decision goes through.  Nothing is captured at import any more: the
+  decision goes through.  Nothing is captured at import: the
   resolution order is (1) a profile pinned programmatically with
   :func:`set_active_profile` / :func:`override`, else (2) the file named
-  by ``REPRO_PLANNER_PROFILE``, else (3) the built-in defaults — and in
-  cases (2)-(3) the historical per-threshold env vars are overlaid
-  *fresh on every call*, so exporting ``REPRO_FFT_CROSSOVER_TAPS`` (or
-  un-exporting it) moves the very next dispatch without
-  ``importlib.reload``.  Env vars thereby remain explicit overrides
-  that pin a decision; they are no longer the decision mechanism.
+  by ``REPRO_PLANNER_PROFILE``, else (3) the built-in defaults.  The
+  file is re-read when its path or mtime changes, so pointing the
+  variable at a new calibration moves the very next dispatch without
+  ``importlib.reload``.
 * :func:`select_blur_method` / :func:`select_fused_h_method` /
   :func:`select_engine` — the *single* definitions of the dispatch
   formulas.  ``repro.tonemap.gaussian`` applies them per blur call,
@@ -50,16 +47,6 @@ PROFILE_VERSION = 1
 #: row convolution from the folded sliding-window path to the FFT path.
 DEFAULT_FFT_CROSSOVER_TAPS = 25
 
-#: Plane size (bytes of float64 data) at which ``method="auto"``
-#: switches narrow-kernel convolution from ``folded`` to the
-#: cache-blocked ``tiled`` path.  8 MiB ~ the working set leaving
-#: last-level cache on commodity parts: below it the folded temporaries
-#: stay cached and blocking only adds loop overhead; from it upward the
-#: tiled path wins by the memory-traffic ratio (measured 1.4-1.55x at
-#: 1024²-3072², sigma 4, on the reference host — see
-#: ``benchmarks/bench_blur.py``).
-DEFAULT_TILED_MIN_PLANE_BYTES = 1 << 23
-
 #: Kernel width at which the fused engine leaves the band ring for the
 #: whole-plane FFT mask.  Deliberately above the staged path's FFT
 #: crossover: the ring's folded window stays ahead of a transform
@@ -69,49 +56,8 @@ DEFAULT_TILED_MIN_PLANE_BYTES = 1 << 23
 #: 1.9-2.5x vs ring 0.7-1.0x).
 DEFAULT_FUSED_FFT_MIN_TAPS = 33
 
-#: Byte budget for one fused band's float64 scratch working set.
-#: 4 MiB keeps a band plus its halo ring resident in commodity
-#: last-level caches (the same neighbourhood as the blur module's
-#: tiled crossover) while leaving bands wide enough to amortize the
-#: per-band Python overhead (measured best of 2-32 MiB at 1024² on the
-#: reference host).
-DEFAULT_FUSED_BAND_BYTES = 1 << 22
-
-#: How many distinct scratch geometries (frame shape × radius × band
-#: budget × mask regime) one fused executor keeps warm.  Each geometry
-#: retains up to ``threads`` workspaces; beyond the cap the
-#: least-recently-used geometry's scratch is dropped (and re-warmed on
-#: return — visible as an ``intermediate_bytes`` bump), so
-#: arbitrarily-shaped traffic cannot grow resident scratch without
-#: bound.
-DEFAULT_FUSED_POOLED_GEOMETRIES = 8
-
-#: Env var naming a profile JSON file to load as the base calibration.
+#: Env var naming the calibration profile JSON file to dispatch with.
 PROFILE_ENV = "REPRO_PLANNER_PROFILE"
-
-#: Per-threshold env overrides (the historical interface, still honored
-#: — but now read at call time, overlaid on the base profile).
-THRESHOLD_ENV_VARS = {
-    "fft_crossover_taps": "REPRO_FFT_CROSSOVER_TAPS",
-    "tiled_min_plane_bytes": "REPRO_TILED_MIN_PLANE_BYTES",
-    "fused_fft_min_taps": "REPRO_FUSED_FFT_MIN_TAPS",
-    "fused_band_bytes": "REPRO_FUSED_BAND_BYTES",
-    "fused_pooled_geometries": "REPRO_FUSED_POOLED_GEOMETRIES",
-}
-
-
-def _env_positive_int(name: str, default: int) -> int:
-    """An env-var override (must be a positive int); malformed or
-    non-positive values fall back to the default rather than poisoning
-    the dispatch."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return value if value > 0 else default
 
 
 @dataclass(frozen=True)
@@ -123,18 +69,9 @@ class CalibrationProfile:
     fft_crossover_taps:
         Kernel width (taps) at which the staged row convolution leaves
         the folded sliding window for the FFT.
-    tiled_min_plane_bytes:
-        Plane size (float64 bytes) at which narrow-kernel convolution
-        switches from ``folded`` to the cache-blocked ``tiled``
-        traversal.
     fused_fft_min_taps:
         Kernel width at which the fused engine leaves the band ring's
         folded window for the whole-plane FFT mask.
-    fused_band_bytes:
-        Scratch budget for one fused band's working set.
-    fused_pooled_geometries:
-        Distinct scratch geometries a fused executor keeps warm (not a
-        dispatch crossover, but host-memory calibration all the same).
     host / source / calibrated:
         Provenance: free-form host description, where the numbers came
         from (``"defaults"``, ``"calibration"``, ``"override"``, a file
@@ -144,23 +81,14 @@ class CalibrationProfile:
     """
 
     fft_crossover_taps: int = DEFAULT_FFT_CROSSOVER_TAPS
-    tiled_min_plane_bytes: int = DEFAULT_TILED_MIN_PLANE_BYTES
     fused_fft_min_taps: int = DEFAULT_FUSED_FFT_MIN_TAPS
-    fused_band_bytes: int = DEFAULT_FUSED_BAND_BYTES
-    fused_pooled_geometries: int = DEFAULT_FUSED_POOLED_GEOMETRIES
     host: str = "builtin defaults"
     source: str = "defaults"
     calibrated: bool = False
     version: int = PROFILE_VERSION
 
     def __post_init__(self) -> None:
-        for name in (
-            "fft_crossover_taps",
-            "tiled_min_plane_bytes",
-            "fused_fft_min_taps",
-            "fused_band_bytes",
-            "fused_pooled_geometries",
-        ):
+        for name in ("fft_crossover_taps", "fused_fft_min_taps"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(
@@ -244,8 +172,8 @@ _PINNED: List[CalibrationProfile] = []
 _FILE_CACHE: dict = {}
 
 
-def _base_profile() -> CalibrationProfile:
-    """The env-file profile or the defaults (no per-field env overlay)."""
+def _file_profile() -> CalibrationProfile:
+    """The ``REPRO_PLANNER_PROFILE`` file's profile, else the defaults."""
     path = os.environ.get(PROFILE_ENV)
     if not path:
         return CalibrationProfile()
@@ -266,24 +194,13 @@ def active_profile() -> CalibrationProfile:
     """The profile every dispatch decision consults, resolved *now*.
 
     A programmatically pinned profile wins outright (tests and the
-    calibrator pin per-case without touching the environment); otherwise
-    the base profile (env file or defaults) is overlaid with any
-    per-threshold env vars, read fresh so exports made after import
-    still take effect.
+    calibrator pin per-case without touching the environment);
+    otherwise the ``REPRO_PLANNER_PROFILE`` file, else the defaults.
     """
     with _PIN_LOCK:
         if _PINNED:
             return _PINNED[-1]
-    profile = _base_profile()
-    overrides = {}
-    for field_name, env_name in THRESHOLD_ENV_VARS.items():
-        current = getattr(profile, field_name)
-        value = _env_positive_int(env_name, current)
-        if value != current:
-            overrides[field_name] = value
-    if overrides:
-        profile = replace(profile, **overrides, source="env-override")
-    return profile
+    return _file_profile()
 
 
 def set_active_profile(
@@ -291,7 +208,7 @@ def set_active_profile(
 ) -> None:
     """Pin *profile* as the active calibration (``None`` unpins all).
 
-    A pinned profile is used verbatim — no env overlay — so a test or a
+    A pinned profile wins over ``REPRO_PLANNER_PROFILE``, so a test or a
     service that loaded a specific calibration gets exactly it.
     """
     with _PIN_LOCK:
@@ -306,9 +223,8 @@ class override:
     >>> with override(fft_crossover_taps=5):
     ...     ...  # every ``method="auto"`` dispatch in here sees taps>=5 as FFT
 
-    Overlays the currently active profile, so nesting composes.  This is
-    the per-case re-pinning mechanism the env-var module constants never
-    offered: no ``importlib.reload``, no process restart.
+    Overlays the currently active profile, so nesting composes: no
+    ``importlib.reload``, no process restart.
     """
 
     def __init__(self, **thresholds):
@@ -333,37 +249,32 @@ class override:
 # The dispatch formulas (single definitions, shared by every consumer)
 # ----------------------------------------------------------------------
 def select_blur_method(
-    taps: int, plane_bytes: int, profile: Optional[CalibrationProfile] = None
+    taps: int, profile: Optional[CalibrationProfile] = None
 ) -> str:
-    """Staged row-convolution strategy for a kernel/plane combination.
+    """Staged row-convolution strategy for a kernel width.
 
-    FFT once the kernel is wide enough to amortize the transforms;
-    below that, the cache-blocked tiled traversal when the plane's
-    working set spills last-level cache, else the plain folded window.
+    FFT once the kernel is wide enough to amortize the transforms, else
+    the folded sliding window.
     """
     profile = profile if profile is not None else active_profile()
-    if taps >= profile.fft_crossover_taps:
-        return "fft"
-    if plane_bytes >= profile.tiled_min_plane_bytes:
-        return "tiled"
-    return "folded"
+    return "fft" if taps >= profile.fft_crossover_taps else "folded"
 
 
 def select_fused_h_method(
-    taps: int, plane_bytes: int, profile: Optional[CalibrationProfile] = None
+    taps: int, profile: Optional[CalibrationProfile] = None
 ) -> str:
     """Mask regime of the fused engine: ``"folded"`` or ``"fft"``.
 
     ``"folded"`` is the band ring (folded horizontal window plus the
     vertical pass over ring rows); ``"fft"`` is the whole-plane mask,
     which runs the staged FFT row convolution itself.  Wherever the
-    staged dispatch resolves folded/tiled this must return ``"folded"``
-    (the bit-identity contract requires the exact same arithmetic).  In
-    the staged FFT regime the ring's folded window stays ahead up to
+    staged dispatch resolves folded this must return ``"folded"`` (the
+    bit-identity contract requires the exact same arithmetic).  In the
+    staged FFT regime the ring's folded window stays ahead up to
     ``fused_fft_min_taps``; from there the plane mask wins.
     """
     profile = profile if profile is not None else active_profile()
-    if select_blur_method(taps, plane_bytes, profile) != "fft":
+    if select_blur_method(taps, profile) != "fft":
         return "folded"
     return "fft" if taps >= profile.fused_fft_min_taps else "folded"
 

@@ -1,4 +1,4 @@
-"""Fused single-pass tone mapping: tiled band dataflow + worker threads.
+"""Fused single-pass tone mapping: band dataflow + worker threads.
 
 The paper's accelerator owes its throughput to a fused streaming
 dataflow — normalization, Gaussian blur, masking, and adjustment run
@@ -10,8 +10,8 @@ whole working set streams through main memory four-plus times.  This
 module is the software analogue of the pragma:
 
 * :class:`FusedToneMapPlan` decomposes every image into **row bands**
-  sized so one band's scratch stays resident in last-level cache (the
-  profile's ``fused_band_bytes``), and runs mask → exponent → gamma →
+  sized so one band's scratch stays resident in last-level cache
+  (:data:`BAND_BYTES`), and runs mask → exponent → gamma →
   adjust over each band in one pass, writing the output band straight
   into the caller's buffer.
 * The mask (the blurred luminance) comes from one of two regimes,
@@ -44,13 +44,12 @@ module is the software analogue of the pragma:
   space (whole images in the plane regime) into contiguous per-thread
   chunks (NumPy's ufunc and FFT loops and the ``ctypes`` kernel calls
   release the GIL, so chunks on different threads really overlap),
-  auto-sized from ``os.cpu_count()`` with a ``REPRO_FUSED_THREADS``
-  override.
+  sized by the plan, else from ``os.cpu_count()``.
 
 **Tolerance contract** (tested in ``tests/test_fused.py`` under both
 kernel implementations): fused masks and outputs are **bit-identical**
 to the staged path wherever the staged blur resolves to the
-folded/tiled row convolution (the ring replays the multiply-add order
+folded row convolution (the ring replays the multiply-add order
 of :func:`~repro.tonemap.gaussian.fold_rows_into` horizontally and over
 ring rows vertically) and throughout the plane regime (the plane runs
 the staged :func:`~repro.tonemap.gaussian._convolve_fft` on the same
@@ -81,12 +80,7 @@ import numpy as np
 
 from repro.errors import ToneMapError
 from repro.image.color import LUMA_WEIGHTS
-from repro.planner.profile import (
-    CalibrationProfile,
-    _env_positive_int,
-    active_profile,
-    select_fused_h_method,
-)
+from repro.planner.profile import CalibrationProfile, select_fused_h_method
 from repro.runtime import band_kernels
 from repro.tonemap.gaussian import _convolve_fft
 from repro.tonemap.pipeline import ToneMapParams
@@ -101,12 +95,25 @@ from repro.tonemap.pipeline import ToneMapParams
 #: the reference host.
 PLANE_FFT_BLOCK_BYTES = 1 << 21
 
+#: Default byte budget for one band's float64 scratch working set
+#: (:func:`band_rows_for`).  4 MiB keeps a band plus its halo ring
+#: resident in commodity last-level caches while leaving bands wide
+#: enough to amortize the per-band call overhead (measured best of
+#: 2-32 MiB at 1024² on the reference host).
+BAND_BYTES = 1 << 22
+
+#: How many distinct scratch geometries (frame shape × radius × band
+#: budget × mask regime) one :class:`FusedExecutor` keeps warm.  Each
+#: geometry retains up to ``threads`` workspaces; beyond the cap the
+#: least-recently-used geometry's scratch is dropped (and re-warmed on
+#: return — visible as an ``intermediate_bytes`` bump), so
+#: arbitrarily-shaped traffic cannot grow resident scratch without
+#: bound.
+POOLED_GEOMETRIES = 8
+
 
 def _default_threads() -> int:
-    """Worker-thread default: ``REPRO_FUSED_THREADS`` env, else CPU count."""
-    override = _env_positive_int("REPRO_FUSED_THREADS", 0)
-    if override > 0:
-        return override
+    """Worker-thread default: the CPU count."""
     return os.cpu_count() or 1
 
 
@@ -261,9 +268,7 @@ class FusedToneMapPlan:
         fused engine *is* the blur implementation (custom/fixed-point
         blurs take the staged path).
     band_bytes:
-        Scratch budget per band; defaults to the active calibration
-        profile's ``fused_band_bytes`` (resolved at construction, so
-        ``REPRO_FUSED_BAND_BYTES`` takes effect without a reload).
+        Scratch budget per band; defaults to :data:`BAND_BYTES`.
     profile:
         Calibration profile pinning the horizontal-pass dispatch.  When
         ``None`` (the default), :meth:`h_method` consults
@@ -288,16 +293,13 @@ class FusedToneMapPlan:
         self.params = params
         self.kernel = params.kernel()
         self.profile = profile
-        if band_bytes is None:
-            source = profile if profile is not None else active_profile()
-            band_bytes = source.fused_band_bytes
-        self.band_bytes = band_bytes
+        self.band_bytes = BAND_BYTES if band_bytes is None else band_bytes
 
-    def h_method(self, height: int, width: int) -> str:
+    def h_method(self) -> str:
         """Mask regime: ``"folded"`` (band ring) or ``"fft"`` (plane).
 
         Wherever the staged ``method="auto"`` dispatch resolves to
-        folded/tiled, this returns ``"folded"`` — the bit-identity
+        folded, this returns ``"folded"`` — the bit-identity
         contract requires the ring's folded arithmetic.  In the staged
         FFT regime the ring's folded window stays ahead up to the
         profile's ``fused_fft_min_taps``; from there the whole-plane
@@ -306,7 +308,7 @@ class FusedToneMapPlan:
         call time, like every dispatch decision.
         """
         return select_fused_h_method(
-            self.kernel.coefficients.size, height * width * 8, self.profile
+            self.kernel.coefficients.size, self.profile
         )
 
     def band_rows(self, height: int, width: int, color: bool) -> int:
@@ -554,9 +556,8 @@ class FusedExecutor:
     Parameters
     ----------
     threads:
-        Worker-thread count; ``None`` reads ``REPRO_FUSED_THREADS`` and
-        falls back to ``os.cpu_count()``.  With one thread the caller's
-        thread executes inline (no pool hop).
+        Worker-thread count; ``None`` uses ``os.cpu_count()``.  With
+        one thread the caller's thread executes inline (no pool hop).
 
     One executor may serve many concurrent callers (the service's batch
     threads all funnel through their mapper's executor): scratch lives
@@ -589,14 +590,10 @@ class FusedExecutor:
         # mixed-shape traffic through one executor keeps one warm
         # scratch set per shape instead of reallocating on every
         # alternation (the same size-classing idea as the arena's input
-        # pools).  Insertion order tracks recency; geometries beyond the
-        # profile's ``fused_pooled_geometries`` are evicted LRU-first so
-        # unbounded shape diversity cannot grow scratch without bound.
+        # pools).  Insertion order tracks recency; geometries beyond
+        # :data:`POOLED_GEOMETRIES` are evicted LRU-first so unbounded
+        # shape diversity cannot grow scratch without bound.
         self._free: "OrderedDict[tuple, List[_Workspace]]" = OrderedDict()
-        # Captured once per executor: the scratch cap is host-memory
-        # calibration, not per-call dispatch, so it rides the profile
-        # active when the pool is built.
-        self._pooled_geometries = active_profile().fused_pooled_geometries
         self._lock = threading.Lock()
         self._runs = 0
         self._frames = 0
@@ -641,7 +638,7 @@ class FusedExecutor:
             # raising and leaking.
             self._free.setdefault(key, []).extend(workspaces)
             self._free.move_to_end(key)
-            while len(self._free) > self._pooled_geometries:
+            while len(self._free) > POOLED_GEOMETRIES:
                 _, evicted = self._free.popitem(last=False)  # LRU geometry
                 gone = set(map(id, evicted))
                 # Keep the cumulative-allocation counter monotonic: an
@@ -700,7 +697,7 @@ class FusedExecutor:
 
         # The plane regime partitions whole images (a chunk of one-row
         # "images"); the ring regime partitions the (image, row) space.
-        plane_mask = plan.h_method(height, width) == "fft"
+        plane_mask = plan.h_method() == "fft"
         chunks = _partition_spans(
             count, 1 if plane_mask else height, self.threads
         )

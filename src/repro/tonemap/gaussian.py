@@ -32,40 +32,24 @@ FPGA), so the software reference carries three row-convolution strategies:
     once the kernel is wide; at the paper's default (sigma 16 -> 97 taps)
     it is by far the fastest path.
 
-``tiled``
-    The folded kernel applied to cache-sized row blocks.  Row convolution
-    is independent per row, so blocking the leading axis is *bit-identical*
-    to ``folded`` — but on huge planes the folded path streams three
-    full-plane temporaries through main memory per mirrored-tap pair,
-    while the tiled path keeps each block's working set resident in
-    last-level cache and touches main memory roughly once per pass.  Worth
-    it for narrow kernels (wide ones go to the FFT anyway) on planes too
-    large to cache.
-
 ``method="auto"`` (the default) picks ``fft`` once the kernel reaches
-the calibrated ``fft_crossover_taps``, otherwise ``tiled`` when the
-plane is at least ``tiled_min_plane_bytes`` and ``folded`` below that.
-Both crossovers live in the planner's calibration profile
+the calibrated ``fft_crossover_taps``, otherwise ``folded``.  The
+crossover lives in the planner's calibration profile
 (:func:`repro.planner.profile.active_profile`, resolved on every call):
-the built-in defaults were chosen from the benchmark suite
+the built-in default was chosen from the benchmark suite
 (``benchmarks/bench_blur.py``) — the FFT path wins from roughly two
-dozen taps upward on any plane large enough to care about, the tiled
-path wins once the plane's working set spills last-level cache
-(measured 1.4-1.55x at 1024²-3072² for sigma 4 on the reference host;
-``test_tiled_speedup_vs_folded`` records the trajectory) — and the
-values only need to be in the right neighbourhood because every side
-of a crossover is fast.  Pass ``method=`` explicitly to pin a path
-(tests and the equivalence suite do), use
-``repro.planner.profile.override(...)`` to re-pin a crossover for a
+dozen taps upward on any plane large enough to care about — and it only
+needs to be in the right neighbourhood because both sides of the
+crossover are fast.  Pass ``method=`` explicitly to pin a path (tests
+and the equivalence suite do), use
+``repro.planner.profile.override(...)`` to re-pin the crossover for a
 scope, or calibrate a profile with ``repro.planner.calibrate`` for a
 different host.
 
 **Tolerance contract:** every fast path agrees with ``direct`` to an
 absolute tolerance of 1e-9 on unit-range planes (enforced by
-``tests/test_blur_fastpaths.py``); ``tiled`` is additionally bit-identical
-to ``folded`` (same arithmetic, different traversal).  Bit-exactness
-across the *other* paths is not promised — pin ``method`` if replaying
-bit-identical floats matters.
+``tests/test_blur_fastpaths.py``).  Bit-exactness across paths is not
+promised — pin ``method`` if replaying bit-identical floats matters.
 """
 
 from __future__ import annotations
@@ -78,20 +62,13 @@ import numpy as np
 
 from repro.errors import ToneMapError
 
-# Dispatch thresholds live in the planner's calibration profile
-# (single source of truth, resolved at *call* time so env overrides and
+# The dispatch crossover lives in the planner's calibration profile
+# (single source of truth, resolved at *call* time so profile files and
 # per-case pins work without importlib.reload).
 from repro.planner.profile import CalibrationProfile, select_blur_method
 
-#: Byte budget for one tiled row block: the padded block plus the folded
-#: pass's two block-sized temporaries must stay cache-resident across all
-#: ``radius`` mirrored-tap iterations, so the sweet spot sits near the
-#: per-core L2, not the shared L3 (256 KiB benched ~15 % faster than
-#: 1 MiB blocks at 3072²).
-TILE_BLOCK_BYTES = 1 << 18
-
 #: Valid ``method=`` arguments of :func:`separable_blur` / :func:`blur_batch`.
-BLUR_METHODS = ("auto", "direct", "folded", "fft", "tiled")
+BLUR_METHODS = ("auto", "direct", "folded", "fft")
 
 
 @dataclass(frozen=True)
@@ -228,46 +205,16 @@ def _convolve_fft(arr: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     return full[..., 2 * radius : 2 * radius + width]
 
 
-def _convolve_tiled(arr: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """Cache-blocked folded convolution along the last axis.
-
-    Rows convolve independently, so the leading axes are flattened to a
-    row list and processed in blocks sized by :data:`TILE_BLOCK_BYTES`.
-    Each block runs the exact :func:`_convolve_folded` arithmetic, so the
-    result is bit-identical to the unblocked path; only the traversal
-    order (and therefore the cache behaviour) changes.  1-D input falls
-    back to the plain folded pass — there is nothing to block.
-    """
-    if arr.ndim < 2:
-        return _convolve_folded(arr, coefficients)
-    width = arr.shape[-1]
-    radius = (coefficients.size - 1) // 2
-    # C-order output and input: the block writes below must go through a
-    # reshape *view* (an F-ordered empty_like would make reshape copy and
-    # the writes would vanish into a temporary).
-    out = np.empty(arr.shape, dtype=np.float64)
-    rows = np.ascontiguousarray(arr).reshape(-1, width)
-    out_rows = out.reshape(-1, width)
-    padded_row_bytes = (width + 2 * radius) * 8
-    block = max(1, TILE_BLOCK_BYTES // padded_row_bytes)
-    for lo in range(0, rows.shape[0], block):
-        out_rows[lo : lo + block] = _convolve_folded(
-            rows[lo : lo + block], coefficients
-        )
-    return out
-
-
 def _select_method(
     method: str,
     taps: int,
-    nbytes: int = 0,
     profile: Optional[CalibrationProfile] = None,
 ) -> str:
-    """Resolve ``"auto"`` against the calibrated crossovers; validate.
+    """Resolve ``"auto"`` against the calibrated crossover; validate.
 
-    The crossovers come from the planner's *active* calibration profile
-    (resolved per call — env overrides, profile files, and
-    ``repro.planner.profile.override`` all take effect immediately), or
+    The crossover comes from the planner's *active* calibration profile
+    (resolved per call — profile files and
+    ``repro.planner.profile.override`` take effect immediately), or
     from an explicitly pinned ``profile``.
     """
     if method not in BLUR_METHODS:
@@ -276,14 +223,13 @@ def _select_method(
         )
     if method != "auto":
         return method
-    return select_blur_method(taps, nbytes, profile)
+    return select_blur_method(taps, profile)
 
 
 _CONVOLVERS = {
     "direct": _convolve_direct,
     "folded": _convolve_folded,
     "fft": _convolve_fft,
-    "tiled": _convolve_tiled,
 }
 
 
@@ -301,8 +247,7 @@ def separable_blur(
     if plane.ndim != 2:
         raise ToneMapError(f"separable_blur expects a 2-D plane, got {plane.shape}")
     coeffs = kernel.coefficients
-    resolved = _select_method(method, coeffs.size, plane.nbytes)
-    convolve = _CONVOLVERS[resolved]
+    convolve = _CONVOLVERS[_select_method(method, coeffs.size)]
     horizontal = convolve(plane, coeffs)
     vertical = convolve(np.ascontiguousarray(horizontal.T), coeffs).T
     return np.ascontiguousarray(vertical)
@@ -344,12 +289,7 @@ def blur_batch(
         )
     coeffs = kernel.coefficients
     count, height, width = planes.shape
-    # Dispatch on per-plane size: the chunking below already bounds how
-    # many planes one pass touches, so a single plane's working set is
-    # what decides whether blocking pays.
-    convolve = _CONVOLVERS[
-        _select_method(method, coeffs.size, height * width * planes.itemsize)
-    ]
+    convolve = _CONVOLVERS[_select_method(method, coeffs.size)]
     chunk = max(1, BATCH_CHUNK_BYTES // (height * width * planes.itemsize))
     if count <= chunk:
         return _blur_stack(planes, coeffs, convolve)

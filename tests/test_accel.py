@@ -12,7 +12,7 @@ from repro.accel import (
     make_variants,
     naive_offload_kernel,
     streaming_blur_kernel,
-    streaming_blur_plane,
+    streaming_blur_plane_scalar,
     streaming_pragmas,
 )
 from repro.errors import FlowError, ToneMapError
@@ -113,7 +113,7 @@ class TestStreamingBlur:
         rng = np.random.default_rng(8)
         plane = rng.uniform(0, 1, (20, 26))
         kernel = GaussianKernel(sigma=1.5, radius=3)
-        streamed = streaming_blur_plane(plane, kernel)
+        streamed = streaming_blur_plane_scalar(plane, kernel)
         batch = separable_blur(plane, kernel)
         np.testing.assert_allclose(streamed, batch, atol=1e-12)
 
@@ -122,14 +122,16 @@ class TestStreamingBlur:
         plane = rng.uniform(0, 1, (12, 33))
         kernel = GaussianKernel(sigma=1.0, radius=2)
         np.testing.assert_allclose(
-            streaming_blur_plane(plane, kernel),
+            streaming_blur_plane_scalar(plane, kernel),
             separable_blur(plane, kernel),
             atol=1e-12,
         )
 
     def test_requires_2d(self):
         with pytest.raises(ToneMapError):
-            streaming_blur_plane(np.zeros(8), GaussianKernel(sigma=1.0))
+            streaming_blur_plane_scalar(
+                np.zeros(8), GaussianKernel(sigma=1.0)
+            )
 
 
 class TestKernelSpecs:

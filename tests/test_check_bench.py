@@ -273,7 +273,7 @@ class TestCommittedBaseline:
             "test_shard_zero_copy_data_plane::copies_per_frame",
             "test_shard_zero_copy_data_plane::shm_allocs_per_batch",
             "test_shard_zero_copy_data_plane::frames_per_sec",
-            "test_huge_plane_narrow_kernel[tiled]::pixels_per_sec",
+            "test_fused_huge_plane_2048::pixels_per_sec",
             "test_two_tenant_contention_small::light_p95_x_solo",
             "test_fused_vs_staged_1024::intermediate_bytes",
             "test_fused_vs_staged_1024::speedup_vs_staged",

@@ -1,5 +1,7 @@
 """Tests for the repro-experiments CLI."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -251,6 +253,31 @@ class TestMain:
         with pytest.raises(SystemExit, match="--plan"):
             main(["--size", "32", "batch", "--count", "2",
                   "--plan", str(tmp_path / "missing.json")])
+
+    @pytest.mark.parametrize("edit,needle", [
+        # A workload the planner could never have emitted: Workload's
+        # own validation raises ToneMapError, not ValueError.
+        (lambda plan: plan["workload"].update(height=-4), "shape"),
+        # A decision value no engine runs: caught at load, not at the
+        # first batch inside blur_batch.
+        (lambda plan: plan.update(blur_method="bogus"), "blur_method"),
+        # A plan saved while the cache-blocked traversal still existed.
+        (lambda plan: plan.update(blur_method="tiled"), "blur_method"),
+    ], ids=["negative-height", "bogus-blur", "tiled-blur"])
+    def test_batch_bad_plan_file_exits_cleanly(
+        self, capsys, tmp_path, edit, needle
+    ):
+        assert main(["planner", "explain", "--height", "32", "--width",
+                     "32", "--sigma", "2", "--threads", "1", "--json"]) == 0
+        plan = json.loads(capsys.readouterr().out)
+        plan["engine"] = "staged"
+        edit(plan)
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text(json.dumps(plan))
+        with pytest.raises(SystemExit, match=f"--plan .*{needle}") as exc:
+            main(["--size", "64", "batch", "--plan", str(plan_file)])
+        if needle == "blur_method":
+            assert "planner explain" in str(exc.value)
 
     def test_batch_threads_require_fused(self):
         with pytest.raises(SystemExit):

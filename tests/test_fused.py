@@ -3,7 +3,7 @@
 The tolerance contract under test (documented in
 ``src/repro/runtime/fused.py`` and ``docs/architecture.md``):
 
-* where the staged blur resolves to the folded/tiled row convolution
+* where the staged blur resolves to the folded row convolution
   (``taps < fft_crossover_taps``), fused masks and outputs are
   **bit-identical** to the staged path, for every shape, thread count,
   and band size;
@@ -43,17 +43,18 @@ from repro.runtime import (
     ToneMapService,
     band_kernels,
 )
-from repro.runtime.fused import _Workspace, _partition_spans
-from repro.planner import plan_for
-from repro.planner.profile import (
-    DEFAULT_FFT_CROSSOVER_TAPS,
-    DEFAULT_FUSED_POOLED_GEOMETRIES,
+from repro.runtime.fused import (
+    POOLED_GEOMETRIES,
+    _partition_spans,
+    _Workspace,
 )
+from repro.planner import plan_for
+from repro.planner.profile import DEFAULT_FFT_CROSSOVER_TAPS
 from repro.tonemap.adjust import AdjustParams
 from repro.tonemap.masking import MaskingParams
 from repro.tonemap.pipeline import ToneMapParams, ToneMapper
 
-#: Narrow kernels resolve to folded/tiled -> bit-identical contract;
+#: Narrow kernels resolve to folded -> bit-identical contract;
 #: wide ones to the FFT -> 1e-9 band at worst (taps 97 runs the plane
 #: mask, which TestPlaneRegime pins bit for bit).  (taps = 2*radius + 1.)
 FOLDED_PARAMS = [
@@ -275,7 +276,7 @@ class TestPlaneRegime:
     )
     def test_bit_identical_to_staged(self, params, shape, threads):
         plan = FusedToneMapPlan(params)
-        assert plan.h_method(*shape[1:3]) == "fft"  # suite invariant
+        assert plan.h_method() == "fft"  # suite invariant
         stack = _stack(shape, seed=len(shape) + threads)
         staged = BatchToneMapper(params)
         want64 = staged.run_stack(stack)
@@ -503,20 +504,20 @@ class TestSteadyStateAllocation:
 
     def test_geometry_pool_is_bounded_lru(self):
         # Arbitrary shape diversity must not grow resident scratch
-        # without bound: beyond DEFAULT_FUSED_POOLED_GEOMETRIES distinct
-        # geometries the LRU geometry's workspaces are evicted, and the
+        # without bound: beyond POOLED_GEOMETRIES distinct geometries
+        # the LRU geometry's workspaces are evicted, and the
         # cumulative allocation counter stays monotonic across that.
         params = ToneMapParams(sigma=2.0, radius=6)
         plan = FusedToneMapPlan(params)
         with FusedExecutor(threads=2) as executor:
-            for step in range(DEFAULT_FUSED_POOLED_GEOMETRIES + 4):
+            for step in range(POOLED_GEOMETRIES + 4):
                 width = 16 + 2 * step
                 stack = _stack((1, 24, width), seed=step)
                 executor.run(plan, stack, np.empty_like(stack))
-            assert len(executor._free) <= DEFAULT_FUSED_POOLED_GEOMETRIES
+            assert len(executor._free) <= POOLED_GEOMETRIES
             assert (
                 len(executor._workspaces)
-                <= 2 * DEFAULT_FUSED_POOLED_GEOMETRIES
+                <= 2 * POOLED_GEOMETRIES
             )
             before = executor.stats.intermediate_bytes
             stack = _stack((1, 24, 16))  # evicted geometry: re-warms
@@ -533,7 +534,7 @@ class TestSteadyStateAllocation:
         plan = FusedToneMapPlan(params)
         shapes = [
             (1, 24, 16 + 2 * i)
-            for i in range(DEFAULT_FUSED_POOLED_GEOMETRIES + 4)
+            for i in range(POOLED_GEOMETRIES + 4)
         ]
         stacks = [_stack(s, seed=i) for i, s in enumerate(shapes)]
         with FusedExecutor(threads=2) as executor:
@@ -542,7 +543,7 @@ class TestSteadyStateAllocation:
             with TPE(max_workers=len(stacks)) as pool:
                 for _ in range(4):
                     list(pool.map(run_one, stacks))
-            assert len(executor._free) <= DEFAULT_FUSED_POOLED_GEOMETRIES
+            assert len(executor._free) <= POOLED_GEOMETRIES
 
     def test_fft_scratch_counted_separately(self):
         # Ring regime: zero FFT scratch.  Plane regime: every block
@@ -710,13 +711,16 @@ class TestValidationAndDefaults:
         with pytest.raises(ToneMapError):
             FusedExecutor(threads=0)
 
-    def test_threads_default_reads_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FUSED_THREADS", "3")
-        assert FusedExecutor().threads == 3
-        monkeypatch.setenv("REPRO_FUSED_THREADS", "not-a-number")
+    def test_threads_default_is_cpu_count(self, monkeypatch):
         import os
 
-        assert FusedExecutor().threads == (os.cpu_count() or 1)
+        # The retired REPRO_FUSED_THREADS variable is no longer read.
+        monkeypatch.setenv("REPRO_FUSED_THREADS", "3")
+        with FusedExecutor() as executor:
+            assert executor.threads == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        with FusedExecutor() as executor:
+            assert executor.threads == 1
 
     def test_default_params_not_shared_between_mappers(self):
         # The old `params: ToneMapParams = ToneMapParams()` default was

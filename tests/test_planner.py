@@ -6,10 +6,11 @@ Covers the contracts the equivalence and golden suites build on:
   :class:`repro.tonemap.gaussian.GaussianKernel` exactly);
 * :class:`ExecutionPlan` serialization — JSON round-trip (golden
   snapshots) and pickling (ShardPool ships plans to workers);
-* **call-time** threshold resolution: env vars exported *after* import
-  move the very next dispatch — no ``importlib.reload`` — and
-  ``planner.override`` re-pins per case (the regression tests for the
-  import-time ``_env_positive_int`` reads this PR removed);
+* **call-time** threshold resolution: a ``REPRO_PLANNER_PROFILE`` file
+  named *after* import moves the very next dispatch — no
+  ``importlib.reload`` — and ``planner.override`` re-pins per case;
+* decision-field validation: a plan (loaded or pinned) whose engine,
+  blur method or mask regime is not an allowed value fails at once;
 * calibration-profile round-trips: write → load → identical plans, in
   this process and across a process boundary, plus the deliberate
   fallback-to-defaults for missing/corrupt/stale profile files.
@@ -87,7 +88,6 @@ class TestWorkload:
 
     def test_derived_properties(self):
         w = Workload(height=10, width=20, dtype="fixed")
-        assert w.plane_bytes == 10 * 20 * 8
         assert w.fixed
         assert not Workload(height=10, width=20).fixed
 
@@ -101,22 +101,19 @@ class TestWorkload:
 
 class TestDispatchFormulas:
     def test_blur_method_regimes(self):
-        prof = CalibrationProfile(
-            fft_crossover_taps=25, tiled_min_plane_bytes=1000
-        )
-        assert select_blur_method(25, 0, prof) == "fft"
-        assert select_blur_method(24, 1000, prof) == "tiled"
-        assert select_blur_method(24, 999, prof) == "folded"
+        prof = CalibrationProfile(fft_crossover_taps=25)
+        assert select_blur_method(25, prof) == "fft"
+        assert select_blur_method(24, prof) == "folded"
 
     def test_fused_h_follows_staged_below_crossover(self):
         prof = CalibrationProfile(
             fft_crossover_taps=25, fused_fft_min_taps=33
         )
         # Staged non-fft => folded (the bit-identity contract).
-        assert select_fused_h_method(23, 0, prof) == "folded"
+        assert select_fused_h_method(23, prof) == "folded"
         # Staged fft but below the band-FFT crossover => still folded.
-        assert select_fused_h_method(25, 0, prof) == "folded"
-        assert select_fused_h_method(33, 0, prof) == "fft"
+        assert select_fused_h_method(25, prof) == "folded"
+        assert select_fused_h_method(33, prof) == "fft"
 
     def test_engine_selection(self):
         # Every float workload runs fused (ring or plane mask); only the
@@ -168,8 +165,7 @@ class TestExecutionPlan:
         seconds = [s for _, s in plan.cost_estimates]
         assert seconds == sorted(seconds)
         assert {name for name, _ in plan.cost_estimates} == {
-            "staged-folded", "staged-tiled", "staged-fft", "fused-folded",
-            "fused-fft",
+            "staged-folded", "staged-fft", "fused-folded", "fused-fft",
         }
 
     def test_json_round_trip(self):
@@ -194,24 +190,50 @@ class TestExecutionPlan:
         with pytest.raises(ToneMapError):
             pinned(self._plan(), band_rows=3)
 
+    @pytest.mark.parametrize("field,value", [
+        ("engine", "gpu"),
+        ("blur_method", "tiled"),  # what plans saved by older code carry
+        ("blur_method", "auto"),  # a plan pins a concrete method
+        ("fused_h_method", "tiled"),
+    ])
+    def test_pinned_rejects_unknown_decision_values(self, field, value):
+        with pytest.raises(ToneMapError, match=f"{field}=.*planner explain"):
+            pinned(self._plan(), **{field: value})
+
+    @pytest.mark.parametrize("field", ["engine", "fused_h_method"])
+    def test_from_json_rejects_unknown_decision_values(self, field):
+        # Plan files carrying a bad blur_method are covered end to end
+        # by the CLI tests (tests/test_cli.py).
+        data = self._plan(sigma=2.0).to_json_dict()
+        data[field] = "bogus"
+        with pytest.raises(ToneMapError, match=f"{field}=.*planner explain"):
+            ExecutionPlan.from_json_dict(data)
+
 
 class TestCallTimeResolution:
-    """The regression tests for the import-time env-read removal."""
+    """The active profile is resolved per call, never at import."""
 
-    def test_env_export_after_import_moves_the_next_plan(self, monkeypatch):
+    def test_env_export_after_import_moves_the_next_plan(
+        self, monkeypatch, tmp_path
+    ):
         assert plan_for(
             height=8, width=8, radius=12, threads=1
         ).fused_h_method == "folded"
-        monkeypatch.setenv("REPRO_FUSED_FFT_MIN_TAPS", "25")
+        path = CalibrationProfile(fused_fft_min_taps=25).save(
+            tmp_path / "profile.json"
+        )
+        monkeypatch.setenv("REPRO_PLANNER_PROFILE", str(path))
         plan = plan_for(height=8, width=8, radius=12, threads=1)  # taps 25
         assert (plan.engine, plan.fused_h_method) == ("fused", "fft")
-        assert plan.profile.source == "env-override"
-        monkeypatch.delenv("REPRO_FUSED_FFT_MIN_TAPS")
+        assert plan.profile.source == str(path)
+        monkeypatch.delenv("REPRO_PLANNER_PROFILE")
         assert plan_for(
             height=8, width=8, radius=12, threads=1
         ).fused_h_method == "folded"
 
-    def test_gaussian_dispatch_sees_env_without_reload(self, monkeypatch):
+    def test_gaussian_dispatch_sees_env_without_reload(
+        self, monkeypatch, tmp_path
+    ):
         import numpy as np
 
         from repro.tonemap.gaussian import separable_blur
@@ -219,7 +241,10 @@ class TestCallTimeResolution:
         plane = np.random.default_rng(3).random((16, 16))
         kernel = GaussianKernel(sigma=2.0, radius=6)  # taps 13: folded
         reference = separable_blur(plane, kernel, method="fft")
-        monkeypatch.setenv("REPRO_FFT_CROSSOVER_TAPS", "13")
+        path = CalibrationProfile(fft_crossover_taps=13).save(
+            tmp_path / "profile.json"
+        )
+        monkeypatch.setenv("REPRO_PLANNER_PROFILE", str(path))
         auto = separable_blur(plane, kernel, method="auto")
         # Auto now routes through the FFT: identical to the explicit
         # fft call, not to the folded path.
@@ -229,17 +254,20 @@ class TestCallTimeResolution:
         base = active_profile().fft_crossover_taps
         with planner.override(fft_crossover_taps=5) as outer:
             assert active_profile() is outer
-            with planner.override(tiled_min_plane_bytes=10) as inner:
+            with planner.override(fused_fft_min_taps=40) as inner:
                 assert inner.fft_crossover_taps == 5
                 assert active_profile() is inner
             assert active_profile() is outer
         assert active_profile().fft_crossover_taps == base
 
-    def test_set_active_profile_pins_verbatim(self, monkeypatch):
+    def test_set_active_profile_pins_verbatim(self, monkeypatch, tmp_path):
         pinned_profile = CalibrationProfile(fft_crossover_taps=7)
         set_active_profile(pinned_profile)
-        # Pinned profiles win outright — env overlay does not apply.
-        monkeypatch.setenv("REPRO_FFT_CROSSOVER_TAPS", "99")
+        # Pinned profiles win outright over the profile file.
+        path = CalibrationProfile(fft_crossover_taps=99).save(
+            tmp_path / "profile.json"
+        )
+        monkeypatch.setenv("REPRO_PLANNER_PROFILE", str(path))
         assert active_profile() is pinned_profile
         set_active_profile(None)
         assert active_profile().fft_crossover_taps == 99
@@ -259,7 +287,6 @@ class TestProfileRoundTrip:
     def test_save_load_identical_plans(self, tmp_path):
         profile = CalibrationProfile(
             fft_crossover_taps=19,
-            tiled_min_plane_bytes=4096,
             fused_fft_min_taps=27,
             host="test host",
             source="calibration",
@@ -323,7 +350,20 @@ class TestProfileRoundTrip:
         with pytest.raises(ValueError):
             CalibrationProfile(fft_crossover_taps=0)
         with pytest.raises(ValueError):
-            CalibrationProfile.from_json_dict({"tiled_min_plane_bytes": -5})
+            CalibrationProfile.from_json_dict({"fused_fft_min_taps": -5})
+
+    def test_retired_fields_are_ignored_on_load(self):
+        # Profiles written before the two sizing fields became engine
+        # constants (and the tiled crossover went away) still load: the
+        # loader drops unknown keys rather than bumping the version.
+        profile = CalibrationProfile.from_json_dict({
+            "fft_crossover_taps": 19,
+            "tiled_min_plane_bytes": 8388608,
+            "fused_band_bytes": 4194304,
+            "fused_pooled_geometries": 8,
+            "version": PROFILE_VERSION,
+        })
+        assert profile == CalibrationProfile(fft_crossover_taps=19)
 
     def test_env_profile_file_is_picked_up_at_call_time(
         self, tmp_path, monkeypatch
@@ -334,9 +374,9 @@ class TestProfileRoundTrip:
         monkeypatch.setenv("REPRO_PLANNER_PROFILE", str(path))
         prof = active_profile()
         assert prof.fft_crossover_taps == 11 and prof.calibrated
-        # Per-threshold env vars overlay the file-loaded base profile.
+        # The retired per-threshold variables no longer overlay it.
         monkeypatch.setenv("REPRO_FFT_CROSSOVER_TAPS", "13")
-        assert active_profile().fft_crossover_taps == 13
+        assert active_profile() is prof
         monkeypatch.delenv("REPRO_FFT_CROSSOVER_TAPS")
         monkeypatch.delenv("REPRO_PLANNER_PROFILE")
         assert active_profile().fft_crossover_taps == (

@@ -10,6 +10,7 @@ pin its per-workload winner but never its absolute numbers.
 """
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -58,10 +59,11 @@ GOLDEN = [
         "fused-folded",
     ),
     (
-        # Exactly at tiled_min_plane_bytes (8 MiB plane): tiled blur.
+        # An 8 MiB plane with a narrow kernel: plane size does not move
+        # the dispatch, so the staged reference is folded here too.
         dict(height=1024, width=1024, batch=2, sigma=2.5, radius=8, threads=2),
         dict(
-            engine="fused", blur_method="tiled", fused_h_method="folded",
+            engine="fused", blur_method="folded", fused_h_method="folded",
             band_bytes=4194304, band_rows=51, partitions=2,
         ),
         "fused-folded",
@@ -147,9 +149,7 @@ class TestReferenceProfileFile:
         profile = CalibrationProfile.load(REFERENCE_PROFILE)
         defaults = CalibrationProfile()
         assert profile.fft_crossover_taps == defaults.fft_crossover_taps
-        assert profile.tiled_min_plane_bytes == defaults.tiled_min_plane_bytes
         assert profile.fused_fft_min_taps == defaults.fused_fft_min_taps
-        assert profile.fused_band_bytes == defaults.fused_band_bytes
         assert profile.calibrated is True
 
     def test_reference_profile_records_provenance(self):
@@ -157,7 +157,9 @@ class TestReferenceProfileFile:
         assert raw["version"] == CalibrationProfile().version
         assert "provenance" in raw  # ignored by the loader, kept for humans
         assert set(raw["provenance"]["measurements"]) == {
-            "fft_crossover_taps", "tiled_min_plane_bytes",
-            "fused_fft_min_taps", "fused_band_bytes",
-            "fused_pooled_geometries",
+            "fft_crossover_taps", "fused_fft_min_taps",
+        }
+        # The file holds exactly the profile's fields plus provenance.
+        assert set(raw) - {"provenance"} == {
+            f.name for f in fields(CalibrationProfile)
         }

@@ -323,7 +323,7 @@ class TestUntrustedBlurOutputs:
 class TestEngineInputs:
     """``(params, plan)`` are the only engine inputs."""
 
-    @pytest.mark.parametrize("method", ["folded", "tiled", "fft"])
+    @pytest.mark.parametrize("method", ["folded", "fft"])
     def test_staged_plan_runs_its_blur_method(self, method):
         # A staged plan pinned to a blur method must run it, not the
         # active profile's auto choice (fft at sigma 16).  The reference
@@ -342,9 +342,7 @@ class TestEngineInputs:
         )
         got = BatchToneMapper(params, plan=plan).run_stack(stack)
         forced = {
-            "folded": dict(fft_crossover_taps=10**6,
-                           tiled_min_plane_bytes=1 << 40),
-            "tiled": dict(fft_crossover_taps=10**6, tiled_min_plane_bytes=1),
+            "folded": dict(fft_crossover_taps=10**6),
             "fft": dict(fft_crossover_taps=1),
         }[method]
         with planner.override(**forced):
