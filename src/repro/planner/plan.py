@@ -189,6 +189,13 @@ class ExecutionPlan:
                     f"{allowed}; re-run `planner explain` for a current "
                     "plan"
                 )
+        for name in ("band_bytes", "band_rows", "threads", "partitions"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:  # bool is no count
+                raise ToneMapError(
+                    f"plan field {name}={value!r} is not an int >= 1; "
+                    "re-run `planner explain` for a current plan"
+                )
 
     def decision(self) -> dict:
         """The plan's load-bearing choices (what golden tests pin)."""

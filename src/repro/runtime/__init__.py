@@ -46,10 +46,11 @@ four composable stages (diagrammed in ``docs/architecture.md``):
   :class:`~repro.runtime.service.ServiceStats`.
 * :class:`~repro.runtime.ingest.ToneMapIngestor` — the streaming edge:
   continuous single-image arrivals (blocking or ``asyncio``) carrying a
-  ``tenant`` identity, parked in per-tenant bounded queues
+  ``tenant`` identity, admitted under per-tenant bounds
   (:class:`~repro.runtime.ingest.TenantConfig`: weight, queue limit,
   ``block`` / ``reject`` / ``shed-oldest``
-  :class:`~repro.runtime.ingest.BackpressurePolicy`), coalesced into
+  :class:`~repro.runtime.ingest.BackpressurePolicy`), parked in one
+  arrival-ordered queue per frame shape, coalesced into
   same-shape batches across tenants by a
   :class:`~repro.runtime.ingest.DeficitRoundRobin` scheduler under a
   latency deadline and a dispatch gate — no tenant can monopolize the

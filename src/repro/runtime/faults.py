@@ -47,17 +47,6 @@ single-host :class:`~repro.runtime.shard.ShardPool`):
     machine-died scenario host respawn and hedged "another host"
     replay exist for (``host_loss_*`` field names).
 
-One kind drives **load generators** rather than the dispatch path
-(pools treat it as inert):
-
-``overload-storm``
-    The attempt is marked as part of a demand surge: a chaos load
-    generator (the ``overload`` benchmark, a drill script) consults it
-    to decide when to flood the ingestor past capacity, so the
-    SLO degradation ladder (:mod:`repro.runtime.overload`) is
-    exercised on a seeded, reproducible schedule instead of an ad-hoc
-    sleep loop (``overload_storm_*`` field names).
-
 Faults are keyed by **dispatch attempt index**: the pool consumes one
 index per ``run_leased`` attempt (replays included), so ``kill@4``
 kills exactly one attempt and its replay runs clean, while
@@ -90,7 +79,6 @@ from repro.errors import ToneMapError
 #: ``slow-link`` or ``slow_link``.
 FAULT_KINDS = (
     "kill", "hang", "exhaust", "slow", "partition", "slow_link", "host_loss",
-    "overload_storm",
 )
 
 #: The kinds that act on the networked hop (inert on a single-host pool).
@@ -108,7 +96,6 @@ _KIND_SALT = {
     "partition": 0x165667B1,
     "slow_link": 0xD3A2646C,
     "host_loss": 0xFD7046C5,
-    "overload_storm": 0x94D049BB,
 }
 
 
@@ -134,13 +121,12 @@ class FaultPlan:
         Seeds every probabilistic draw and the jitter magnitudes; two
         runs with the same plan observe identical fault schedules.
     kill_batches / hang_batches / exhaust_batches / slow_batches /
-    partition_batches / slow_link_batches / host_loss_batches /
-    overload_storm_batches:
+    partition_batches / slow_link_batches / host_loss_batches:
         Dispatch-attempt indices (0-based, replays included) that
         suffer the respective fault.
     kill_probability / hang_probability / exhaust_probability /
     slow_probability / partition_probability / slow_link_probability /
-    host_loss_probability / overload_storm_probability:
+    host_loss_probability:
         Per-attempt fault probability in ``[0, 1]``, drawn
         deterministically from ``seed`` and the attempt index.
     hang_ms:
@@ -159,7 +145,6 @@ class FaultPlan:
     partition_batches: Tuple[int, ...] = ()
     slow_link_batches: Tuple[int, ...] = ()
     host_loss_batches: Tuple[int, ...] = ()
-    overload_storm_batches: Tuple[int, ...] = ()
     kill_probability: float = 0.0
     hang_probability: float = 0.0
     exhaust_probability: float = 0.0
@@ -167,7 +152,6 @@ class FaultPlan:
     partition_probability: float = 0.0
     slow_link_probability: float = 0.0
     host_loss_probability: float = 0.0
-    overload_storm_probability: float = 0.0
     hang_ms: float = 30000.0
     jitter_ms: float = 2.0
 

@@ -5,28 +5,31 @@ The paper frames tone mapping as a continuous imaging workload (video
 frames arriving one by one), but batching only pays when same-shape frames
 are stacked.  :class:`ToneMapIngestor` bridges the two: submissions are
 admitted one at a time (from threads via :meth:`submit` or from an
-``asyncio`` event loop via :meth:`submit_async`), parked in per-tenant
-queues, and flushed to the backing
+``asyncio`` event loop via :meth:`submit_async`), parked in one
+arrival-ordered queue per frame shape, and flushed to the backing
 :class:`~repro.runtime.service.ToneMapService` as coalesced same-shape
 batches when either a shape has ``batch_size`` frames waiting or its
 oldest occupant has waited ``max_delay_ms`` — the classic
 batching-under-a-latency-deadline trade.
 
 **Multi-tenant fairness.**  Every submission carries a ``tenant``
-identity.  Arrivals land in that tenant's bounded queue (its own
+identity.  Admission bounds stay per tenant (each tenant has its own
 ``queue_limit`` and admission policy, so one tenant exhausting its
-budget never evicts or blocks another), and a deficit-round-robin
-scheduler (:class:`DeficitRoundRobin`) assembles each batch by granting
-seats to tenants in proportion to their :class:`TenantConfig.weight` —
-so a batch coalesces frames *across* tenants and a heavy tenant with a
-thousand queued frames cannot push a light tenant's single frame behind
-them.  Crucially, frames wait in tenant queues (where the scheduler can
-reorder them), not in the service's FIFO thread pool: the ingestor
-dispatches at most ``max_inflight_batches`` concurrent batches — enough
-to keep every pool thread busy, never enough to recreate a deep FIFO
-downstream.  This is the software analogue of the paper's data-mover
-discipline: the accelerator stays saturated from a short, fair,
-scheduler-controlled queue.
+budget never evicts or blocks another); admitted frames of all tenants
+wait in one arrival-ordered list per frame shape.  A
+deficit-round-robin scheduler (:class:`DeficitRoundRobin`) assembles
+each batch by granting seats to tenants in proportion to their
+:class:`TenantConfig.weight`, and EDF picks which of a tenant's queued
+frames fill its seats — so a batch coalesces frames *across* tenants
+and a heavy tenant with a thousand queued frames cannot push a light
+tenant's single frame behind them.  Crucially, frames wait in the
+ingestor's shape queues (where the scheduler can reorder them), not in
+the service's FIFO thread pool: the ingestor dispatches at most
+``max_inflight_batches`` concurrent batches — enough to keep every pool
+thread busy, never enough to recreate a deep FIFO downstream.  This is
+the software analogue of the paper's data-mover discipline: the
+accelerator stays saturated from a short, fair, scheduler-controlled
+queue.
 
 Admission control per tenant (and globally) supports three
 :class:`backpressure policies <BackpressurePolicy>`:
@@ -64,10 +67,10 @@ the ``priority=`` argument).  Classes layer *on top of* DRR, they do not
 replace it: fairness still decides how many seats each tenant gets per
 batch, and the class + deadline decide *which* of the tenant's queued
 frames fill those seats — earliest absolute deadline first, class rank
-breaking ties (EDF inside the tenant queue).  Shedding is class-aware
-in the same spirit: ``shed-oldest`` victimizes best-effort frames
-first, then standard, and an interactive frame is never shed before its
-deadline has actually expired.
+breaking ties (EDF among the tenant's queued frames).  Shedding is
+class-aware in the same spirit: ``shed-oldest`` victimizes best-effort
+frames first, then standard, and an interactive frame is never shed
+before its deadline has actually expired.
 
 **Overload ladder.**  With ``overload=`` set, an
 :class:`~repro.runtime.overload.OverloadController` watches the
@@ -146,12 +149,12 @@ class BackpressurePolicy(enum.Enum):
 class ServiceClass(enum.Enum):
     """Priority class of one submission.
 
-    The class decides two things: EDF tie-breaking inside a tenant's
-    queue (interactive frames outrank standard outrank best-effort when
-    deadlines are equal or absent) and shed order (best-effort sheds
-    first, standard next; an interactive frame is only ever shed once
-    its own deadline has expired).  It never changes how many seats a
-    tenant gets — that stays DRR's job.
+    The class decides two things: EDF tie-breaking among a tenant's
+    queued frames (interactive frames outrank standard outrank
+    best-effort when deadlines are equal or absent) and shed order
+    (best-effort sheds first, standard next; an interactive frame is
+    only ever shed once its own deadline has expired).  It never
+    changes how many seats a tenant gets — that stays DRR's job.
     """
 
     INTERACTIVE = "interactive"
@@ -205,6 +208,25 @@ def _edf_key(pending: "_Pending"):
     )
 
 
+def _resolve(
+    future: Future, result=None, exc: Optional[BaseException] = None
+) -> bool:
+    """Settle ``future`` with ``exc``, else ``result``.
+
+    Returns False when the caller cancelled the future first: its
+    outcome is simply dropped, and settling the rest of a batch or a
+    shed storm must go on.
+    """
+    try:
+        if exc is not None:
+            future.set_exception(exc)
+        else:
+            future.set_result(result)
+    except futures_module.InvalidStateError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class TenantConfig:
     """Scheduling and admission parameters of one tenant.
@@ -245,7 +267,7 @@ class TenantConfig:
 
 
 class DeficitRoundRobin:
-    """Weighted fair seat allocation across tenant queues.
+    """Weighted fair seat allocation across tenants' backlogs.
 
     Classic deficit round robin with unit frame cost (every seat in a
     same-shape batch is the same size): each tenant's deficit grows by
@@ -253,7 +275,7 @@ class DeficitRoundRobin:
     Deficits persist *across* allocations while a tenant stays
     backlogged — so fractional weights (0.5 = one seat every other
     rotation) and leftover seats are honored over time — and reset when
-    its queue drains (a tenant cannot bank credit while idle, the
+    its backlog drains (a tenant cannot bank credit while idle, the
     property that makes DRR starvation-free).
 
     Deterministic and clock-free so tests can drive it grant by grant;
@@ -315,9 +337,12 @@ class DeficitRoundRobin:
         return grants
 
 
-@dataclass
+@dataclass(eq=False)
 class _Pending:
-    """One admitted frame waiting in its tenant's queue."""
+    """One admitted frame waiting in its shape's queue.
+
+    Compared and hashed by identity: field equality would compare images.
+    """
 
     name: str
     future: Future
@@ -333,7 +358,7 @@ class _TenantState:
     """Mutable per-tenant bookkeeping (guarded by the ingestor lock)."""
 
     __slots__ = (
-        "name", "weight", "queue_limit", "policy", "queues", "in_flight",
+        "name", "weight", "queue_limit", "policy", "in_flight",
         "submitted", "served", "rejected", "shed", "queue_peak",
         "latencies_ms",
     )
@@ -343,7 +368,6 @@ class _TenantState:
         self.weight = config.weight
         self.queue_limit = config.queue_limit
         self.policy = config.policy
-        self.queues: Dict[tuple, deque] = {}
         self.in_flight = 0
         self.submitted = 0
         self.served = 0
@@ -498,7 +522,9 @@ class ToneMapIngestor:
         self._space = threading.Condition(self._lock)
         self._tenants: Dict[str, _TenantState] = {}
         self._drr = DeficitRoundRobin()
-        self._shape_totals: Dict[tuple, int] = {}
+        # Queued (admitted, not yet dispatched) frames of every tenant,
+        # one arrival-ordered list per frame shape: [0] is the oldest.
+        self._queued: Dict[tuple, List[_Pending]] = {}
         self._in_flight = 0
         self._dispatched = 0
         self._closed = False
@@ -559,7 +585,7 @@ class ToneMapIngestor:
         """Admit one image (blocking API); resolves to its output.
 
         Applies the tenant's (then the global) backpressure policy when
-        a queue limit is hit, then parks the frame in the tenant's queue
+        a queue limit is hit, then parks the frame in its shape's queue
         for the DRR scheduler to batch.
 
         ``deadline_ms`` (default: the ingestor's ``default_deadline_ms``)
@@ -571,10 +597,10 @@ class ToneMapIngestor:
         in-process backend cannot stop a thread and ignores it).
 
         ``priority`` names the frame's :class:`ServiceClass` (enum or
-        string; default ``standard``): EDF rank inside the tenant queue
-        and shed protection — see the module docstring.  Best-effort
-        frames are rejected outright while the overload ladder sits at
-        ``shed_best_effort`` or above.
+        string; default ``standard``): EDF rank among the tenant's
+        queued frames and shed protection — see the module docstring.
+        Best-effort frames are rejected outright while the overload
+        ladder sits at ``shed_best_effort`` or above.
         """
         if not isinstance(image, HDRImage):
             raise ToneMapError(f"expected HDRImage, got {type(image)!r}")
@@ -658,12 +684,10 @@ class ToneMapIngestor:
                 ),
                 service_class=service_class,
             )
-            shape = image.pixels.shape
-            state.queues.setdefault(shape, deque()).append(pending)
+            self._queued.setdefault(image.pixels.shape, []).append(pending)
             state.in_flight += 1
             state.submitted += 1
             state.queue_peak = max(state.queue_peak, state.in_flight)
-            self._shape_totals[shape] = self._shape_totals.get(shape, 0) + 1
             self._in_flight += 1
             self._queue_peak = max(self._queue_peak, self._in_flight)
             self._arrived.notify()
@@ -711,6 +735,36 @@ class ToneMapIngestor:
     # ------------------------------------------------------------------
     # Shedding
     # ------------------------------------------------------------------
+    def _unqueue_locked(self, doomed) -> List[_Pending]:
+        """Take every queued frame ``doomed(frame)`` selects out of its
+        queue; returns them, each shape's in arrival order.
+
+        The one exit of a queued frame that will never be dispatched:
+        each loses its queue entry, its tenant and global in-flight
+        slots and its image, and blocked submitters are woken once.
+        Callers only pick the victims, count them and settle their
+        futures.  Queued frames hold no arena slots (the producer write
+        happens at dispatch), so there is nothing else to release — the
+        slot-accounting tests assert exactly that.
+        """
+        dropped: List[_Pending] = []
+        for shape, queue in list(self._queued.items()):
+            victims = [pending for pending in queue if doomed(pending)]
+            if not victims:
+                continue
+            gone = set(victims)
+            queue[:] = [pending for pending in queue if pending not in gone]
+            if not queue:
+                del self._queued[shape]
+            dropped.extend(victims)
+        for pending in dropped:
+            self._tenants[pending.tenant].in_flight -= 1
+            pending.image = None
+        if dropped:
+            self._in_flight -= len(dropped)
+            self._space.notify_all()
+        return dropped
+
     def _shed_one_locked(
         self, state: Optional[_TenantState] = None
     ) -> bool:
@@ -721,8 +775,10 @@ class ToneMapIngestor:
         interactive frame is only ever a candidate once its own
         deadline has already expired — a queue of purely standard
         frames therefore sheds exactly the oldest frame, the pre-class
-        behaviour.  ``state`` narrows the search to one tenant (its own
-        limit was hit); ``None`` sheds across all tenants.  Victims of
+        behaviour; an exact tie in enqueue time (only a fake clock makes
+        one) goes to the earlier arrival in a shape's queue.  ``state``
+        narrows the search to one tenant (its own limit was hit);
+        ``None`` sheds across all tenants.  Victims of
         one storm share a single coalesced
         :class:`ServiceOverloadedError` — the context is created once
         per storm (reset at the next dispatch) and its ``shed_count``
@@ -733,50 +789,34 @@ class ToneMapIngestor:
         scope*: each tenant limit gets its own context (its ``tenant``
         names that tenant) and the global limit gets its own
         (``tenant=None``, since it may shed several tenants' frames) —
-        concurrent storms never cross-attribute metadata.  Queued
-        frames hold no arena slots (the producer write happens at
-        dispatch), so there is nothing to release before signalling —
-        the slot-accounting tests assert exactly that.
+        concurrent storms never cross-attribute metadata.
         """
-        candidates = [state] if state is not None else self._tenants.values()
         now = self._clock.now()
-        victim_state: Optional[_TenantState] = None
-        victim_shape: Optional[tuple] = None
-        victim_index: Optional[int] = None
-        best: Optional[tuple] = None
-        for tenant_state in candidates:
-            for shape, queue in tenant_state.queues.items():
-                for index, pending in enumerate(queue):
-                    if (
-                        pending.service_class is ServiceClass.INTERACTIVE
-                        and not (
-                            pending.deadline is not None
-                            and pending.deadline <= now
-                        )
-                    ):
-                        continue  # interactive never sheds pre-deadline
-                    key = (
-                        _SHED_RANK[pending.service_class],
-                        pending.enqueued_at,
+        victim = min(
+            (
+                pending
+                for queue in self._queued.values()
+                for pending in queue
+                if (state is None or pending.tenant == state.name)
+                # An interactive frame never sheds before its deadline.
+                and (
+                    pending.service_class is not ServiceClass.INTERACTIVE
+                    or (
+                        pending.deadline is not None
+                        and pending.deadline <= now
                     )
-                    if best is None or key < best:
-                        best = key
-                        victim_state = tenant_state
-                        victim_shape = shape
-                        victim_index = index
-        if victim_state is None:
+                )
+            ),
+            key=lambda pending: (
+                _SHED_RANK[pending.service_class],
+                pending.enqueued_at,
+            ),
+            default=None,
+        )
+        if victim is None:
             return False
-        queue = victim_state.queues[victim_shape]
-        victim = queue[victim_index]
-        del queue[victim_index]
-        if not queue:
-            del victim_state.queues[victim_shape]
-        self._shape_totals[victim_shape] -= 1
-        if self._shape_totals[victim_shape] <= 0:
-            del self._shape_totals[victim_shape]
-        victim_state.in_flight -= 1
-        victim_state.shed += 1
-        self._in_flight -= 1
+        self._unqueue_locked(lambda pending: pending is victim)
+        self._tenants[victim.tenant].shed += 1
         self._shed += 1
         scope = state.name if state is not None else None
         storm = self._storms.get(scope)
@@ -792,11 +832,7 @@ class ToneMapIngestor:
                 tenant=scope,
             )
         storm.shed_count += 1
-        victim.image = None
-        try:
-            victim.future.set_exception(storm)
-        except futures_module.InvalidStateError:
-            pass  # the caller cancelled it first
+        _resolve(victim.future, exc=storm)
         return True
 
     def _expire_due_locked(self, now: float) -> None:
@@ -812,44 +848,24 @@ class ToneMapIngestor:
         shedding; their remaining budget rides into the pool as the
         batch timeout instead.
         """
-        for state in self._tenants.values():
-            for shape in list(state.queues):
-                queue = state.queues[shape]
-                survivors = deque()
-                for pending in queue:
-                    if pending.deadline is None or pending.deadline > now:
-                        survivors.append(pending)
-                        continue
-                    self._shape_totals[shape] -= 1
-                    if self._shape_totals[shape] <= 0:
-                        del self._shape_totals[shape]
-                    state.in_flight -= 1
-                    self._in_flight -= 1
-                    self._deadline_shed += 1
-                    elapsed_ms = (now - pending.enqueued_at) * 1e3
-                    budget_ms = (
-                        pending.deadline - pending.enqueued_at
-                    ) * 1e3
-                    pending.image = None
-                    try:
-                        pending.future.set_exception(
-                            DeadlineExceededError(
-                                f"frame {pending.name!r} waited "
-                                f"{elapsed_ms:.1f} ms, past its "
-                                f"{budget_ms:.1f} ms budget",
-                                tenant=pending.tenant,
-                                elapsed_ms=elapsed_ms,
-                                deadline_ms=budget_ms,
-                            )
-                        )
-                    except futures_module.InvalidStateError:
-                        pass  # the caller cancelled it first
-                if len(survivors) != len(queue):
-                    if survivors:
-                        state.queues[shape] = survivors
-                    else:
-                        del state.queues[shape]
-                    self._space.notify_all()
+        expired = self._unqueue_locked(
+            lambda pending: pending.deadline is not None
+            and pending.deadline <= now
+        )
+        self._deadline_shed += len(expired)
+        for pending in expired:
+            elapsed_ms = (now - pending.enqueued_at) * 1e3
+            budget_ms = (pending.deadline - pending.enqueued_at) * 1e3
+            _resolve(
+                pending.future,
+                exc=DeadlineExceededError(
+                    f"frame {pending.name!r} waited {elapsed_ms:.1f} ms, "
+                    f"past its {budget_ms:.1f} ms budget",
+                    tenant=pending.tenant,
+                    elapsed_ms=elapsed_ms,
+                    deadline_ms=budget_ms,
+                ),
+            )
 
     def _shed_class_locked(
         self, service_class: ServiceClass, reason: str, ladder: bool
@@ -862,109 +878,55 @@ class ToneMapIngestor:
         deterministic coalesced
         :class:`~repro.errors.ServiceOverloadedError` naming ``reason``.
         """
-        storm: Optional[ServiceOverloadedError] = None
-        dropped = 0
-        for state in self._tenants.values():
-            for shape in list(state.queues):
-                queue = state.queues[shape]
-                victims = [
-                    pending for pending in queue
-                    if pending.service_class is service_class
-                ]
-                if not victims:
-                    continue
-                survivors = deque(
-                    pending for pending in queue
-                    if pending.service_class is not service_class
-                )
-                self._shape_totals[shape] -= len(victims)
-                if self._shape_totals[shape] <= 0:
-                    del self._shape_totals[shape]
-                state.in_flight -= len(victims)
-                state.shed += len(victims)
-                self._in_flight -= len(victims)
-                self._shed += len(victims)
-                if ladder:
-                    self._ladder_shed += len(victims)
-                if storm is None:
-                    storm = ServiceOverloadedError(
-                        f"{service_class.value} frame dropped ({reason})",
-                        tenant=None,
-                    )
-                for victim in victims:
-                    storm.shed_count += 1
-                    victim.image = None
-                    try:
-                        victim.future.set_exception(storm)
-                    except futures_module.InvalidStateError:
-                        pass  # the caller cancelled it first
-                dropped += len(victims)
-                if survivors:
-                    state.queues[shape] = survivors
-                else:
-                    del state.queues[shape]
-        if dropped:
-            self._space.notify_all()
-        return dropped
+        victims = self._unqueue_locked(
+            lambda pending: pending.service_class is service_class
+        )
+        self._shed += len(victims)
+        if ladder:
+            self._ladder_shed += len(victims)
+        storm = ServiceOverloadedError(
+            f"{service_class.value} frame dropped ({reason})",
+            tenant=None,
+            shed_count=len(victims),
+        )
+        for victim in victims:
+            self._tenants[victim.tenant].shed += 1
+            _resolve(victim.future, exc=storm)
+        return len(victims)
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _oldest_locked(self, shape: tuple) -> float:
-        """Earliest enqueue time among queued frames of one shape."""
-        return min(
-            state.queues[shape][0].enqueued_at
-            for state in self._tenants.values()
-            if state.queues.get(shape)
-        )
-
     def _select_locked(self, shape: tuple, seats: int) -> List[_Pending]:
         """Pop one batch's frames for ``shape``, seats granted by DRR.
 
         DRR decides how many seats each tenant gets; EDF decides which
         of the tenant's queued frames take them (earliest deadline
-        first, class rank then arrival breaking ties).  The frames left
-        behind keep their arrival order — ``_oldest_locked`` and the
-        shed scan rely on queues staying arrival-ordered.
+        first, class rank then arrival breaking ties).  The batch and
+        the frames left behind both keep arrival order — the flush
+        scan and the shed scan rely on each queue staying
+        arrival-ordered, and fairness decides *membership* of the
+        batch, not a reshuffle of frames that all complete together.
         """
+        queue = self._queued[shape]
+        backlog: Dict[str, List[_Pending]] = {}
+        for pending in queue:
+            backlog.setdefault(pending.tenant, []).append(pending)
+        # Tenant registration order, which DRR's rotation is built from.
         queued = {
-            name: len(state.queues[shape])
-            for name, state in self._tenants.items()
-            if state.queues.get(shape)
+            name: len(backlog[name]) for name in self._tenants
+            if name in backlog
         }
         weights = {name: self._tenants[name].weight for name in queued}
         grants = self._drr.allocate(queued, weights, seats)
-        items: List[_Pending] = []
+        if seats >= len(queue):
+            del self._queued[shape]
+            return queue
+        chosen = set()
         for name, take in grants.items():
-            queue = self._tenants[name].queues[shape]
-            if take >= len(queue):
-                items.extend(queue)
-                queue.clear()
-            else:
-                chosen = set(
-                    sorted(
-                        range(len(queue)),
-                        key=lambda index: _edf_key(queue[index]),
-                    )[:take]
-                )
-                items.extend(
-                    queue[index] for index in sorted(chosen)
-                )
-                self._tenants[name].queues[shape] = deque(
-                    queue[index]
-                    for index in range(len(queue))
-                    if index not in chosen
-                )
-                queue = self._tenants[name].queues[shape]
-            if not queue:
-                del self._tenants[name].queues[shape]
-        self._shape_totals[shape] -= len(items)
-        if self._shape_totals[shape] <= 0:
-            del self._shape_totals[shape]
-        # Slot order is arrival order: fairness decides *membership* of
-        # the batch, not a reshuffle of frames that all complete together.
-        items.sort(key=lambda pending: pending.enqueued_at)
-        return items
+            chosen.update(sorted(backlog[name], key=_edf_key)[:take])
+        self._queued[shape] = [p for p in queue if p not in chosen]
+        return [p for p in queue if p in chosen]
 
     def _ready_flushes_locked(self, flush_all: bool) -> List[_Flush]:
         """Assemble every batch that may dispatch right now.
@@ -978,8 +940,7 @@ class ToneMapIngestor:
         ``max_delay_ms`` — cross-shape latency is part of the fairness
         contract, batching efficiency is not.  The dispatch gate caps
         how many batches may be in the service at once — ready frames
-        beyond it stay in tenant queues where the DRR scheduler keeps
-        them fair.
+        beyond it stay queued where the DRR scheduler keeps them fair.
         """
         now = self._clock.now()
         self._expire_due_locked(now)
@@ -989,18 +950,18 @@ class ToneMapIngestor:
             full_shape: Optional[tuple] = None
             expired_shape: Optional[tuple] = None
             expired_at: Optional[float] = None
-            for shape, total in self._shape_totals.items():
-                oldest = self._oldest_locked(shape)
+            for shape, queue in self._queued.items():
+                oldest = queue[0].enqueued_at
                 if flush_all or now - oldest >= self.max_delay:
                     if expired_at is None or oldest < expired_at:
                         expired_at = oldest
                         expired_shape = shape
-                elif full_shape is None and total >= batch_size:
+                elif full_shape is None and len(queue) >= batch_size:
                     full_shape = shape
             chosen = expired_shape if expired_shape is not None else full_shape
             if chosen is None:
                 break
-            seats = min(batch_size, self._shape_totals[chosen])
+            seats = min(batch_size, len(self._queued[chosen]))
             flushes.append(
                 _Flush(items=self._select_locked(chosen, seats), shape=chosen)
             )
@@ -1016,15 +977,16 @@ class ToneMapIngestor:
         plus any queued frame's latency budget (so expiry sheds happen
         on time, not at the next unrelated arrival)."""
         deadlines = [
-            self._oldest_locked(shape) + self.max_delay
-            for shape in self._shape_totals
+            queue[0].enqueued_at + self.max_delay
+            for queue in self._queued.values()
         ]
-        for state in self._tenants.values():
-            for queue in state.queues.values():
-                for pending in queue:
-                    if pending.deadline is not None:
-                        deadlines.append(pending.deadline)
-        return min(deadlines) if deadlines else None
+        deadlines.extend(
+            pending.deadline
+            for queue in self._queued.values()
+            for pending in queue
+            if pending.deadline is not None
+        )
+        return min(deadlines, default=None)
 
     def _coalesce_loop(self) -> None:
         """Background thread: waits for ready batches or expired deadlines."""
@@ -1036,7 +998,7 @@ class ToneMapIngestor:
                     )
                     if batches:
                         break
-                    if self._closed and not self._shape_totals:
+                    if self._closed and not self._queued:
                         return
                     if self._dispatched >= self.max_inflight_batches:
                         # Gate saturated: no deadline can make a batch
@@ -1119,17 +1081,12 @@ class ToneMapIngestor:
         # ... then resolve the futures *before* releasing the queue
         # slots: close() returns once nothing is in flight, and its
         # contract is that every future handed out earlier has resolved
-        # by then.  A future the caller cancelled while it waited raises
-        # InvalidStateError on set_* — its result is simply dropped, but
-        # it must not prevent the rest of the batch from resolving.
+        # by then.
         for index, pending in enumerate(flush.items):
-            try:
-                if exc is not None:
-                    pending.future.set_exception(exc)
-                else:
-                    pending.future.set_result(outputs[index])
-            except futures_module.InvalidStateError:
-                if exc is None and self.lease_results:
+            if exc is not None:
+                _resolve(pending.future, exc=exc)
+            elif not _resolve(pending.future, outputs[index]):
+                if self.lease_results:
                     # Nobody will ever see this frame's handle: release
                     # its reference so the slab can recycle.
                     outputs[index].release()

@@ -180,20 +180,15 @@ def fixed_point_blur_plane(
 
     Returns float64 values (the exact reals the output bits represent), so
     it is drop-in compatible with
-    :data:`~repro.tonemap.pipeline.ToneMapParams.blur_fn`.
+    :data:`~repro.tonemap.pipeline.ToneMapParams.blur_fn`.  A one-plane
+    :func:`fixed_point_blur_batch`, so the two share one code path.
     """
     plane = np.asarray(plane, dtype=np.float64)
     if plane.ndim != 2:
         raise ToneMapError(
             f"fixed_point_blur_plane expects a 2-D plane, got {plane.shape}"
         )
-    coeff_raws = config.quantized_coefficients(kernel)
-    data = FixedArray.from_float(plane, config.data_fmt)
-    horizontal = _fixed_pass_rows(data.raw, coeff_raws, config)
-    vertical = _fixed_pass_rows(
-        np.ascontiguousarray(horizontal.T), coeff_raws, config
-    ).T
-    return FixedArray(np.ascontiguousarray(vertical), config.data_fmt).to_float()
+    return fixed_point_blur_batch(plane[np.newaxis], kernel, config)[0]
 
 
 def fixed_point_blur_batch(
@@ -203,16 +198,14 @@ def fixed_point_blur_batch(
 ) -> np.ndarray:
     """Bit-accurate fixed-point blur of a stacked ``(N, H, W)`` batch.
 
-    The batched counterpart of :func:`fixed_point_blur_plane`: one
-    quantization of the whole stack, one horizontal and one vertical folded
-    pass over all N planes per array operation.  Every element goes through
-    the identical integer arithmetic as the per-plane path (the pass
-    operates along the last axis either way), so the result is **bit-exact**
-    against ``fixed_point_blur_plane`` applied plane-by-plane — asserted in
-    ``tests/test_blur_fastpaths.py`` — while folding the mirrored taps
-    across the whole stack amortizes the Python-level tap loop over N
-    planes.  This is the batch runtime's fixed-point hot path (see
-    ``docs/benchmarks.md`` for how its throughput is tracked).
+    One quantization of the whole stack, one horizontal and one vertical
+    folded pass over all N planes per array operation.  The pass operates
+    along the last axis, so each plane's integer arithmetic does not
+    depend on its batchmates, and :func:`fixed_point_blur_plane` is this
+    call on a one-plane stack; folding the mirrored taps across the whole
+    stack amortizes the Python-level tap loop over N planes.  This is the
+    batch runtime's fixed-point hot path (see ``docs/benchmarks.md`` for
+    how its throughput is tracked).
     """
     planes = np.asarray(planes, dtype=np.float64)
     if planes.ndim != 3:

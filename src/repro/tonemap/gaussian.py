@@ -241,16 +241,13 @@ def separable_blur(
     Horizontal pass then vertical pass, matching the two hardware passes of
     the accelerator.  Output has the same shape as the input.  ``method``
     selects the row-convolution strategy (see the module's performance
-    notes); the default ``"auto"`` dispatches on kernel width.
+    notes); the default ``"auto"`` dispatches on kernel width.  A
+    one-plane :func:`blur_batch`, so the two share one code path.
     """
     plane = np.asarray(plane, dtype=np.float64)
     if plane.ndim != 2:
         raise ToneMapError(f"separable_blur expects a 2-D plane, got {plane.shape}")
-    coeffs = kernel.coefficients
-    convolve = _CONVOLVERS[_select_method(method, coeffs.size)]
-    horizontal = convolve(plane, coeffs)
-    vertical = convolve(np.ascontiguousarray(horizontal.T), coeffs).T
-    return np.ascontiguousarray(vertical)
+    return blur_batch(plane[np.newaxis], kernel, method)[0]
 
 
 #: Per-chunk budget of plane bytes for :func:`blur_batch`.  Convolving the
@@ -276,11 +273,12 @@ def blur_batch(
 ) -> np.ndarray:
     """Blur a stacked ``(N, H, W)`` batch of planes in one vectorized run.
 
-    Bit-identical to :func:`separable_blur` applied per plane (same
-    method): each row's convolution is independent, so stacking only
-    changes how many rows one array pass covers.  The stack is processed
-    in cache-sized chunks of whole planes (:data:`BATCH_CHUNK_BYTES`) —
-    the hot path of :class:`repro.runtime.BatchToneMapper`.
+    Horizontal pass then vertical pass over every plane at once; each
+    row's convolution is independent, so stacking only changes how many
+    rows one array pass covers, and :func:`separable_blur` is this call
+    on a one-plane stack.  The stack is processed in cache-sized chunks
+    of whole planes (:data:`BATCH_CHUNK_BYTES`) — the hot path of
+    :class:`repro.runtime.BatchToneMapper`.
     """
     planes = np.asarray(planes, dtype=np.float64)
     if planes.ndim != 3:

@@ -27,3 +27,27 @@ def _wait_for_corpse(pool, timeout=30.0):
 def wait_for_corpse():
     """``wait_for_corpse(pool)``: call between ``os.kill`` and dispatch."""
     return _wait_for_corpse
+
+
+def _assert_ledger_closed(stats):
+    """Every frame an ingestor admitted ended in one terminal outcome.
+
+    Call on ``ToneMapIngestor.stats`` after ``close()`` or ``drain()``
+    in a run where no batch failed: each submitted frame was served,
+    shed (shed-oldest, the overload ladder or drain) or expired past
+    its deadline — exactly one of the three.
+    """
+    submitted = sum(tenant.submitted for tenant in stats.tenants)
+    served = sum(tenant.served for tenant in stats.tenants)
+    shed = sum(tenant.shed for tenant in stats.tenants)
+    expired = stats.reliability.deadline_shed
+    assert submitted == served + shed + expired, (
+        f"ledger open: {submitted} submitted != {served} served + "
+        f"{shed} shed + {expired} deadline-shed"
+    )
+
+
+@pytest.fixture
+def assert_ledger_closed():
+    """``assert_ledger_closed(stats)``: the ingestor frame-ledger identity."""
+    return _assert_ledger_closed

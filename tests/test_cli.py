@@ -263,7 +263,14 @@ class TestMain:
         (lambda plan: plan.update(blur_method="bogus"), "blur_method"),
         # A plan saved while the cache-blocked traversal still existed.
         (lambda plan: plan.update(blur_method="tiled"), "blur_method"),
-    ], ids=["negative-height", "bogus-blur", "tiled-blur"])
+        # Numeric fields are checked at load too, not by the engine that
+        # first reads them.
+        (lambda plan: plan.update(threads=0), "threads"),
+        (lambda plan: plan.update(band_bytes="big"), "band_bytes"),
+        (lambda plan: plan.update(partitions=-3), "partitions"),
+        (lambda plan: plan.update(band_rows=True), "band_rows"),
+    ], ids=["negative-height", "bogus-blur", "tiled-blur", "zero-threads",
+            "string-band-bytes", "negative-partitions", "bool-band-rows"])
     def test_batch_bad_plan_file_exits_cleanly(
         self, capsys, tmp_path, edit, needle
     ):
@@ -276,7 +283,7 @@ class TestMain:
         plan_file.write_text(json.dumps(plan))
         with pytest.raises(SystemExit, match=f"--plan .*{needle}") as exc:
             main(["--size", "64", "batch", "--plan", str(plan_file)])
-        if needle == "blur_method":
+        if needle != "shape":
             assert "planner explain" in str(exc.value)
 
     def test_batch_threads_require_fused(self):

@@ -77,7 +77,9 @@ def _wait_for(predicate, timeout_s=30.0, interval_s=0.02):
 
 
 class TestIngestorDrain:
-    def test_drain_flushes_queued_sheds_best_effort_refuses_new(self):
+    def test_drain_flushes_queued_sheds_best_effort_refuses_new(
+        self, assert_ledger_closed
+    ):
         params, gate = gated_params()
         with ToneMapService(params, batch_size=1, max_workers=1) as service:
             ingestor = ToneMapIngestor(
@@ -106,6 +108,7 @@ class TestIngestorDrain:
                 assert future.result(timeout=0).pixels.shape == (24, 24, 3)
             # drain closed the ingestor (close is now a no-op) ...
             ingestor.close()
+            assert_ledger_closed(ingestor.stats)
             with pytest.raises(ToneMapError, match="draining|closed"):
                 ingestor.submit(scenes(1, base=902)[0])
             # ... but the borrowed service stays open — the caller owns it.

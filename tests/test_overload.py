@@ -10,7 +10,6 @@ deterministic.
 
 import threading
 import time
-from collections import deque
 from concurrent.futures import Future
 
 import numpy as np
@@ -306,12 +305,8 @@ def park(ingestor, tenant, name, service_class, deadline=None, at=0.0):
             name, Future(), at, None, tenant,
             deadline=deadline, service_class=service_class,
         )
-        shape = (8, 8, 3)
-        state.queues.setdefault(shape, deque()).append(pending)
+        ingestor._queued.setdefault((8, 8, 3), []).append(pending)
         state.in_flight += 1
-        ingestor._shape_totals[shape] = (
-            ingestor._shape_totals.get(shape, 0) + 1
-        )
         ingestor._in_flight += 1
         return pending
 
@@ -319,12 +314,7 @@ def park(ingestor, tenant, name, service_class, deadline=None, at=0.0):
 def clear_queues(ingestor):
     """Drop fabricated frames so close() does not wait on them."""
     with ingestor._lock:
-        for state in ingestor._tenants.values():
-            for shape, queue in list(state.queues.items()):
-                state.in_flight -= len(queue)
-                ingestor._in_flight -= len(queue)
-                del state.queues[shape]
-        ingestor._shape_totals.clear()
+        ingestor._unqueue_locked(lambda pending: True)
 
 
 @pytest.fixture
@@ -423,7 +413,9 @@ class TestClassAwareShedding:
 
 
 class TestLadderEndToEnd:
-    def test_storm_walks_the_ladder_and_protects_interactive(self):
+    def test_storm_walks_the_ladder_and_protects_interactive(
+        self, assert_ledger_closed
+    ):
         # 1 gated worker, dispatch gate 1: submissions pile up to a
         # known depth, then completions drain it one frame at a time —
         # each completion is one ladder observation at a deterministic
@@ -464,6 +456,7 @@ class TestLadderEndToEnd:
                         scenes(1, base=901)[0], priority="best_effort"
                     )
                 stats = ingestor.stats
+            assert_ledger_closed(ingestor.stats)
         reliability = stats.reliability
         assert reliability.ladder_rung == LADDER_BROWNOUT
         assert reliability.ladder_transitions == 2

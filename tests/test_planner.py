@@ -195,6 +195,7 @@ class TestExecutionPlan:
         ("blur_method", "tiled"),  # what plans saved by older code carry
         ("blur_method", "auto"),  # a plan pins a concrete method
         ("fused_h_method", "tiled"),
+        ("threads", 0),
     ])
     def test_pinned_rejects_unknown_decision_values(self, field, value):
         with pytest.raises(ToneMapError, match=f"{field}=.*planner explain"):

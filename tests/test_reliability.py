@@ -88,6 +88,8 @@ class TestFaultPlan:
             FaultPlan(hang_ms=0)
         with pytest.raises(ToneMapError):
             FaultPlan.from_spec("explode@3")
+        with pytest.raises(ToneMapError, match="unknown fault kind"):
+            FaultPlan.from_spec("overload-storm@1")
         with pytest.raises(ToneMapError):
             FaultPlan.from_spec("kill@notanumber")
 
@@ -235,7 +237,9 @@ class TestDeadlineShedding:
             "window_interior", SceneParams(height=size, width=size, seed=seed)
         )
 
-    def test_expired_frame_sheds_with_deadline_error(self):
+    def test_expired_frame_sheds_with_deadline_error(
+        self, assert_ledger_closed
+    ):
         clock = FakeClock()
         with ToneMapService(PARAMS, batch_size=8) as service:
             with ToneMapIngestor(
@@ -258,6 +262,7 @@ class TestDeadlineShedding:
                 assert survivor.result(timeout=30) is not None
                 stats = ingestor.stats
                 assert stats.reliability.deadline_shed == 1
+            assert_ledger_closed(ingestor.stats)
 
     def test_default_deadline_applies_to_every_frame(self):
         clock = FakeClock()

@@ -1,9 +1,10 @@
 """Concurrency soak: hammer the multi-tenant runtime and hold invariants.
 
 Marked ``slow``: the default CI test job deselects it (``-m "not
-slow"``) and the nightly job runs it with a longer duration via
-``SOAK_SECONDS``.  The tier-1 local run keeps the default short soak so
-the invariants stay continuously exercised.
+slow"``), the per-PR fault-injection job runs it with a 3 s soak, and
+the nightly job runs it with a longer duration via ``SOAK_SECONDS``.
+The tier-1 local run keeps the default short soak so the invariants
+stay continuously exercised.
 
 Invariants held under sustained mixed-shape multi-tenant load:
 

@@ -374,7 +374,9 @@ class TestCrossTenantCoalescing:
 
 
 class TestShedStormCoalescing:
-    def test_storm_victims_share_one_error_context(self):
+    def test_storm_victims_share_one_error_context(
+        self, assert_ledger_closed
+    ):
         params, gate = gated_params()
         with ToneMapService(params, batch_size=8, max_workers=1) as service:
             ingestor = ToneMapIngestor(
@@ -402,6 +404,7 @@ class TestShedStormCoalescing:
             ingestor.close()
             for future in survivors:
                 assert future.result(timeout=30) is not None
+            assert_ledger_closed(ingestor.stats)
 
     def test_new_storm_gets_fresh_context_after_dispatch(self):
         import time as _time
