@@ -60,6 +60,7 @@ from repro.experiments.fig8 import run_fig8
 from repro.experiments.runner import run_all_experiments
 from repro.experiments.table2 import run_table2
 from repro.experiments.workload import paper_workload
+from repro.planner import calibrate
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,32 +318,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="emit the plan as JSON (replayable via 'batch --plan FILE')",
     )
-    calibrate = psub.add_parser(
+    calibrate.add_arguments(psub.add_parser(
         "calibrate",
         help="measure this host's FFT crossover and write a "
              "calibration profile",
-    )
-    calibrate.add_argument(
-        "--size", type=int, default=768, dest="cal_size",
-        help="plane edge for the FFT-crossover sweep (default 768)",
-    )
-    calibrate.add_argument(
-        "--rounds", type=int, default=3,
-        help="timing rounds per point, best-of (default 3)",
-    )
-    calibrate.add_argument(
-        "--quick", action="store_true",
-        help="a tiny grid for smoke runs (CI); not a real calibration",
-    )
-    calibrate.add_argument(
-        "--json", action="store_true",
-        help="emit the full sweep as JSON instead of the report",
-    )
-    calibrate.add_argument(
-        "-o", "--output", type=Path, default=None,
-        help="write the calibration profile JSON here (activate via "
-             "REPRO_PLANNER_PROFILE)",
-    )
+    ))
     return parser
 
 
@@ -695,6 +675,7 @@ def run_serve_host(args) -> int:
 
     from repro.errors import ToneMapError
     from repro.runtime.hostpool import HostServer
+    from repro.runtime.shard import ShardPool
 
     if args.shards < 1:
         raise SystemExit(f"--shards must be >= 1, got {args.shards}")
@@ -705,12 +686,14 @@ def run_serve_host(args) -> int:
     plan = None if args.plan is None else _load_plan(args.plan)
     try:
         server = HostServer(
-            params=_params(args),
-            shards=args.shards,
-            plan=plan,
-            arena_slots=args.arena_slots,
-            default_timeout_ms=args.shard_timeout_ms,
-            faults=args.fault_plan,
+            ShardPool(
+                params=_params(args),
+                shards=args.shards,
+                plan=plan,
+                arena_slots=args.arena_slots,
+                default_timeout_ms=args.shard_timeout_ms,
+                faults=args.fault_plan,
+            ),
             bind=args.bind,
             port=args.port,
         )
@@ -738,16 +721,7 @@ def run_serve_host(args) -> int:
 def run_planner(args) -> int:
     """The ``planner`` subcommand: explain a plan or calibrate the host."""
     if args.planner_command == "calibrate":
-        from repro.planner.calibrate import main as calibrate_main
-
-        argv = ["--size", str(args.cal_size), "--rounds", str(args.rounds)]
-        if args.quick:
-            argv.append("--quick")
-        if args.json:
-            argv.append("--json")
-        if args.output is not None:
-            argv += ["-o", str(args.output)]
-        return calibrate_main(argv)
+        return calibrate.run(args)
 
     import json
 

@@ -116,11 +116,9 @@ def run_calibration(
     return {"fft": fft, "profile": profile, "size": size}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro planner calibrate",
-        description=__doc__.splitlines()[0],
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> None:
+    """The calibration flags, shared with ``repro-experiments planner
+    calibrate`` (whose arguments :func:`run` takes as they are)."""
     parser.add_argument(
         "--size", type=int, default=768,
         help="plane edge for the FFT-crossover sweep (default 768)",
@@ -142,8 +140,19 @@ def main(argv=None) -> int:
         help="write the calibration profile JSON here (load it via "
         "REPRO_PLANNER_PROFILE or CalibrationProfile.load)",
     )
-    args = parser.parse_args(argv)
 
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro planner calibrate",
+        description=__doc__.splitlines()[0],
+    )
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
+
+
+def run(args: argparse.Namespace) -> int:
+    """Calibrate as the parsed :func:`add_arguments` flags ask."""
     result = run_calibration(
         size=args.size, rounds=args.rounds, quick=args.quick
     )

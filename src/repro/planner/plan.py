@@ -147,7 +147,8 @@ class ExecutionPlan:
     fused_h_method:
         Mask regime the fused engine would use: ``folded`` (band ring)
         or ``fft`` (whole-plane FFT mask); meaningful when
-        ``engine == "fused"``.
+        ``engine == "fused"``.  The engine derives it from the kernel
+        width and the profile, so a plan must record that same regime.
     band_bytes / band_rows:
         Fused band scratch budget and the resulting rows per band for
         this workload's geometry.
@@ -196,6 +197,13 @@ class ExecutionPlan:
                     f"plan field {name}={value!r} is not an int >= 1; "
                     "re-run `planner explain` for a current plan"
                 )
+        regime = select_fused_h_method(self.workload.taps, self.profile)
+        if self.fused_h_method != regime:
+            raise ToneMapError(
+                f"plan field fused_h_method={self.fused_h_method!r} is not "
+                f"the regime its workload and profile select ({regime!r}); "
+                "re-run `planner explain` for a current plan"
+            )
 
     def decision(self) -> dict:
         """The plan's load-bearing choices (what golden tests pin)."""
@@ -430,11 +438,11 @@ def pinned(plan: ExecutionPlan, **changes) -> ExecutionPlan:
     but a specific path: ``pinned(plan, engine="staged")`` keeps the
     workload, profile, and rationale but notes the pin.  An unknown
     field, or a decision value outside :data:`PLAN_CHOICES`, raises
-    :class:`~repro.errors.ToneMapError`.
+    :class:`~repro.errors.ToneMapError`.  The mask regime
+    (``fused_h_method``) is no pin: the engine derives it from the
+    kernel width and the plan's profile.
     """
-    allowed = {
-        "engine", "blur_method", "fused_h_method", "band_bytes", "threads",
-    }
+    allowed = {"engine", "blur_method", "band_bytes", "threads"}
     unknown = set(changes) - allowed
     if unknown:
         raise ToneMapError(

@@ -78,15 +78,16 @@ outputs, honestly slower).  All of it is observable as
 everywhere through :mod:`repro.runtime.clock`.
 
 The **multi-host tier** (PR 9) scales the same stack across machines:
-:class:`~repro.runtime.hostpool.HostServer` serves a host's
-``ShardPool`` over the length-prefixed zero-copy wire protocol in
+:class:`~repro.runtime.hostpool.HostServer` serves the ``ShardPool`` it
+is handed over the length-prefixed zero-copy wire protocol in
 :mod:`repro.runtime.net` (scatter-gather ``sendmsg`` / ``recv_into``
 straight between arena slots and the socket, every staging byte
 counted in :class:`~repro.runtime.net.NetStats`), and
 :class:`~repro.runtime.hostpool.HostPool` routes batches across N such
-hosts with the reliability machinery generalized one level up — host
-respawn, replay-on-another-host, hedged timeouts, and breaker brownout
-when every host is gone
+hosts with the reliability machinery generalized one level up — each
+host ``live``, ``lost`` (one revive thread respawns or reconnects it)
+or ``draining`` (rolling restart), replay-on-another-host, hedged
+timeouts, and breaker brownout when every host is gone
 (:class:`~repro.errors.HostUnavailableError`).  ``ToneMapService(
 hosts=2)`` spawns a local fleet; ``repro-experiments serve-host``
 runs one serving host; chaos plans gain ``partition`` / ``slow-link``

@@ -33,9 +33,10 @@ Three more kinds cover the **network hop** of the multi-host tier
 single-host :class:`~repro.runtime.shard.ShardPool`):
 
 ``partition``
-    The victim dispatch's connection to its host is severed mid-flight
-    — the network-partition scenario: the host is healthy but this
-    client cannot reach it, so the batch must replay on another host.
+    The victim attempt loses the host it picked before anything is
+    sent — the network-partition scenario: the host is healthy but
+    this client cannot reach it, so the pool marks the host lost (its
+    revive thread reconnects it) and the batch replays on another host.
 ``slow-link``
     The dispatch's send is delayed by the seeded jitter — a congested
     or lossy link, distinct from ``slow`` so a plan can jitter the
@@ -43,9 +44,11 @@ single-host :class:`~repro.runtime.shard.ShardPool`):
     field names; the spec syntax accepts both ``slow-link`` and
     ``slow_link``).
 ``host-loss``
-    The victim dispatch's serving host process is SIGKILLed — the
-    machine-died scenario host respawn and hedged "another host"
-    replay exist for (``host_loss_*`` field names).
+    The victim attempt's host process group is SIGKILLed before the
+    send, which then finds the link torn — the machine-died scenario
+    host respawn and "another host" replay exist for (``host_loss_*``
+    field names).  A host the pool did not spawn cannot be killed from
+    the client, so there the fault acts as ``partition``.
 
 Faults are keyed by **dispatch attempt index**: the pool consumes one
 index per ``run_leased`` attempt (replays included), so ``kill@4``

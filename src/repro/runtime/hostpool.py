@@ -12,10 +12,11 @@ every fallback byte counted in ``DataPlaneStats.net.bytes_staged``.
 Two classes:
 
 * :class:`HostServer` — the serving side.  One per host process: it
-  owns a :class:`~repro.runtime.shard.ShardPool` (the host's workers),
-  accepts client connections, and serves ``MSG_RUN`` frames.  Incoming
-  payloads land **directly in an arena input slot** (the receive sink
-  leases the slot before the payload bytes are read), the batch runs
+  serves, and closes, the :class:`~repro.runtime.shard.ShardPool` it is
+  handed (the host's workers), accepts client connections, and serves
+  ``MSG_RUN`` frames.  Incoming payloads land **directly in an arena
+  input slot** (the receive sink leases the slot before the payload
+  bytes are read), the batch runs
   through ``run_leased``, and the result slab is sent back by
   reference — the wire hop adds zero staging copies on the host.
   ``repro-tonemap serve-host`` wraps it for the command line.
@@ -28,40 +29,47 @@ Two classes:
   request on one connection, so concurrency comes from the service's
   thread pool spreading batches over hosts.
 
-**Host failure lifecycle.**  A connection failure (refused, reset,
-truncated frame, injected partition) marks the host **dead**
-(``hosts_lost``) and the batch replays on another live host; a socket
-*timeout* is a budget signal, not a death — the connection is severed
-and the batch is hedged elsewhere.  A background revive thread
-reconnects a dead host and health-checks it (``MSG_PING``); a
+**Host failure lifecycle.**  Each host is in one state, guarded by the
+pool's ``_state`` condition: ``live`` (routed to), ``lost`` or
+``draining``.  A connection failure (refused, reset, truncated frame,
+injected partition) moves a live host to **lost** (``hosts_lost``)
+and the batch replays on another live host; a socket *timeout* is a
+budget signal, not a loss — the connection is severed and the batch is
+hedged elsewhere.  Entering ``lost`` starts the host's one revive
+thread, which reconnects it and health-checks it (``MSG_PING``); a
 pool-owned host whose process died is **respawned** first
 (``worker_respawns`` counts these), a merely partitioned host heals by
-reconnection alone.  When no host is live for :data:`REVIVE_WAIT_S`,
-:class:`~repro.errors.HostUnavailableError` surfaces.  It subclasses
-``ShardCrashError``, so a service breaker browns the batch out to the
-in-process mapper exactly as it does for a single-host pool failure —
-callers see latency, not errors.
+reconnection alone.  Moving the host back to ``live`` is that thread's
+last act.  :meth:`HostPool.rolling_restart` alone moves a host to
+``draining`` and back.  When no host is live for
+:data:`REVIVE_WAIT_S`, :class:`~repro.errors.HostUnavailableError`
+surfaces.  It subclasses ``ShardCrashError``, so a service breaker
+browns the batch out to the in-process mapper exactly as it does for a
+single-host pool failure — callers see latency, not errors.
 
 **Fault injection.**  The pool consumes the *network* kinds of a
-:class:`~repro.runtime.faults.FaultPlan` client-side: ``partition``
-severs the victim's connection mid-flight, ``slow_link`` sleeps seeded
-jitter before the send, ``host_loss`` SIGKILLs the serving host's
-process group.  Worker kinds (``kill`` / ``hang`` / ``exhaust`` /
-``slow``) are executed by each host's *own* pool — spawned hosts
-receive the plan spec, so one chaos plan exercises both tiers (each
-endpoint consumes its own attempt stream, so worker-kind indices are
+:class:`~repro.runtime.faults.FaultPlan` client-side, in each attempt:
+``slow_link`` sleeps seeded jitter before the send, ``host_loss``
+SIGKILLs the picked host's process group (the exchange then finds the
+link torn), and ``partition`` — like ``host_loss`` on a host the pool
+did not spawn — loses the picked host before the send and replays the
+batch.  Worker kinds (``kill`` / ``hang`` / ``exhaust`` / ``slow``)
+are executed by each host's *own* pool — spawned hosts receive the
+plan spec, so one chaos plan exercises both tiers (each endpoint
+consumes its own attempt stream, so worker-kind indices are
 host-local).
 """
 
 from __future__ import annotations
 
+import functools
 import multiprocessing as mp
 import os
 import signal
 import socket
 import sys
 import threading
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -110,6 +118,12 @@ REVIVE_WAIT_S = 30.0
 #: promptly (the shard watchdog polls the same way).
 _POLL_S = 0.05
 
+#: The states of a host (see the module docstring).  Only
+#: ``HostPool._mark_lost`` enters ``LOST`` and only that host's revive
+#: thread leaves it; only ``rolling_restart`` enters and leaves
+#: ``DRAINING``.
+LIVE, LOST, DRAINING = "live", "lost", "draining"
+
 
 def parse_address(value: Union[str, Tuple[str, int]]) -> HostAddress:
     """Normalize ``"host:port"`` / ``(host, port)`` to a tuple."""
@@ -135,13 +149,14 @@ def parse_address(value: Union[str, Tuple[str, int]]) -> HostAddress:
 class HostServer:
     """Serve tone-map batches over the wire protocol from one host.
 
-    Owns a :class:`~repro.runtime.shard.ShardPool` and a listening TCP
-    socket; each accepted connection gets a serving thread that loops
-    frames until the client hangs up.  Incoming ``MSG_RUN`` payloads
-    are received straight into a leased arena input slot (zero staging
-    copies), run through the pool, and answered with ``MSG_OK``
-    carrying the output slab by reference — or ``MSG_ERR`` carrying the
-    failure class and message, which the client re-raises on its side.
+    Serves ``pool`` (a :class:`~repro.runtime.shard.ShardPool`, which
+    the server then owns and closes) on a listening TCP socket; each
+    accepted connection gets a serving thread that loops frames until
+    the client hangs up.  Incoming ``MSG_RUN`` payloads are received
+    straight into a leased arena input slot (zero staging copies), run
+    through the pool, and answered with ``MSG_OK`` carrying the output
+    slab by reference — or ``MSG_ERR`` carrying the failure class and
+    message, which the client re-raises on its side.
 
     ``port=0`` binds an ephemeral port; read :attr:`address` after
     construction.  Use :meth:`serve_forever` on a dedicated (main)
@@ -151,31 +166,19 @@ class HostServer:
 
     def __init__(
         self,
-        params: Optional[ToneMapParams] = None,
-        shards: int = 2,
-        plan=None,
-        arena_slots: int = 4,
-        default_timeout_ms: Optional[float] = None,
-        faults=None,
+        pool: ShardPool,
         bind: str = "127.0.0.1",
         port: int = 0,
         clock: Clock = MONOTONIC,
     ):
-        self._pool = ShardPool(
-            params=params,
-            shards=shards,
-            plan=plan,
-            arena_slots=arena_slots,
-            default_timeout_ms=default_timeout_ms,
-            faults=faults,
-            clock=clock,
-        )
+        self._pool = pool
         self._clock = clock
         self._net = NetCounters()
         self._closed = False
         self._conn_lock = threading.Lock()
-        self._conns: set = set()
-        self._threads: List[threading.Thread] = []
+        # Open connections and the thread serving each; a thread drops
+        # its entry when its client goes.
+        self._conns: Dict[socket.socket, threading.Thread] = {}
         # In-flight RUN requests; drain() waits for this to hit zero so
         # a SIGTERM never swallows a reply the client is owed.
         self._run_state = threading.Condition()
@@ -214,15 +217,13 @@ class HostServer:
                 if self._closed:
                     conn.close()
                     break
-                self._conns.add(conn)
-                thread = threading.Thread(
+                thread = self._conns[conn] = threading.Thread(
                     target=self._serve_connection,
                     args=(conn,),
                     name="repro-host-conn",
                     daemon=True,
                 )
-                self._threads.append(thread)
-            thread.start()
+                thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
         """Serve one client until clean close or a wire error."""
@@ -262,7 +263,7 @@ class HostServer:
                     self._release(holder)
         finally:
             with self._conn_lock:
-                self._conns.discard(conn)
+                self._conns.pop(conn, None)
             try:
                 conn.close()
             except OSError:
@@ -310,49 +311,44 @@ class HostServer:
 
     def _serve_run(self, conn: socket.socket, meta: dict, holder: dict) -> None:
         """Execute one received batch and send the reply frame."""
+        in_lease: ArenaLease = holder["lease"]
+        timeout = meta.get("timeout")
         with self._run_state:
             self._active_runs += 1
         try:
-            self._serve_run_counted(conn, meta, holder)
+            try:
+                # run_leased validates the wire budget before it
+                # dispatches: a zero, negative or NaN timeout is refused
+                # with the host's workers untouched.
+                out_lease = self._pool.run_leased(
+                    in_lease,
+                    timeout=None if timeout is None else float(timeout),
+                )
+            except Exception as exc:  # noqa: BLE001 - becomes a typed reply
+                send_message(
+                    conn,
+                    MSG_ERR,
+                    {"error": type(exc).__name__, "message": str(exc)},
+                    counters=self._net,
+                )
+                return
+            try:
+                send_message(
+                    conn,
+                    MSG_OK,
+                    {
+                        "shape": list(out_lease.array.shape),
+                        "dtype": "float32",
+                    },
+                    payload=out_lease.array,
+                    counters=self._net,
+                )
+            finally:
+                out_lease.release()
         finally:
             with self._run_state:
                 self._active_runs -= 1
                 self._run_state.notify_all()
-
-    def _serve_run_counted(
-        self, conn: socket.socket, meta: dict, holder: dict
-    ) -> None:
-        in_lease: ArenaLease = holder["lease"]
-        timeout = meta.get("timeout")
-        try:
-            # run_leased validates the wire budget before it dispatches:
-            # a zero, negative or NaN timeout is refused with the host's
-            # workers untouched.
-            out_lease = self._pool.run_leased(
-                in_lease,
-                timeout=None if timeout is None else float(timeout),
-            )
-        except Exception as exc:  # noqa: BLE001 - becomes a typed reply
-            send_message(
-                conn,
-                MSG_ERR,
-                {"error": type(exc).__name__, "message": str(exc)},
-                counters=self._net,
-            )
-            return
-        try:
-            send_message(
-                conn,
-                MSG_OK,
-                {
-                    "shape": list(out_lease.array.shape),
-                    "dtype": "float32",
-                },
-                payload=out_lease.array,
-                counters=self._net,
-            )
-        finally:
-            out_lease.release()
 
     @staticmethod
     def _release(holder: dict) -> None:
@@ -391,8 +387,7 @@ class HostServer:
         except OSError:
             pass
         with self._conn_lock:
-            conns = list(self._conns)
-            threads = list(self._threads)
+            conns = dict(self._conns)
         for conn in conns:
             try:
                 conn.shutdown(socket.SHUT_RDWR)
@@ -402,7 +397,7 @@ class HostServer:
                 conn.close()
             except OSError:
                 pass
-        for thread in threads:
+        for thread in conns.values():
             thread.join(timeout=5.0)
         self._pool.close()
 
@@ -416,11 +411,12 @@ class HostServer:
 def _host_main(pipe, kwargs: dict) -> None:
     """Entry point of a spawned host process.
 
-    Builds the server, reports the bound address back through ``pipe``,
-    and serves until SIGTERM (mapped to a clean ``SystemExit`` so the
-    ``finally`` joins the host's worker processes — a host that dies
-    *un*gracefully is what ``os.killpg`` on our own process group is
-    for, see :meth:`HostPool._inject_host_loss`).
+    Builds the server around a ``ShardPool(**kwargs)``, reports the
+    bound address back through ``pipe``, and serves until SIGTERM
+    (mapped to a clean ``SystemExit`` so the ``finally`` joins the
+    host's worker processes — a host that dies *un*gracefully is what
+    ``os.killpg`` on our own process group is for, see
+    :func:`_kill_group`).
     """
     # Own process group: the host's ShardPool workers join it, so a
     # chaos SIGKILL of the group takes the whole host down at once
@@ -430,7 +426,7 @@ def _host_main(pipe, kwargs: dict) -> None:
     except OSError:  # pragma: no cover - already a group leader
         pass
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(0))
-    server = HostServer(**kwargs)
+    server = HostServer(ShardPool(**kwargs))
     try:
         pipe.send(server.address)
         pipe.close()
@@ -449,28 +445,15 @@ def _host_main(pipe, kwargs: dict) -> None:
 class _Host:
     """Client-side record of one serving host."""
 
-    __slots__ = (
-        "index",
-        "address",
-        "process",
-        "sock",
-        "lock",
-        "alive",
-        "reviving",
-        "draining",
-        "partitioned",
-    )
+    __slots__ = ("index", "address", "process", "sock", "lock", "state")
 
-    def __init__(self, index: int, address: HostAddress, process=None):
+    def __init__(self, index: int, address: HostAddress):
         self.index = index
         self.address = address
-        self.process = process  # mp.Process for pool-owned hosts
+        self.process = None  # mp.Process for pool-owned hosts
         self.sock: Optional[socket.socket] = None
         self.lock = threading.Lock()  # serializes this host's wire I/O
-        self.alive = True
-        self.reviving = False
-        self.draining = False  # excluded from routing (rolling restart)
-        self.partitioned = False  # armed by the partition fault
+        self.state = LIVE  # guarded by the pool's _state condition
 
     @property
     def label(self) -> str:
@@ -517,29 +500,22 @@ class HostPool(Backend):
         default_timeout_ms: Optional[float] = None,
         faults=None,
         clock: Clock = MONOTONIC,
-        _processes: Optional[Sequence] = None,
-        _spawn_kwargs: Optional[dict] = None,
-        _spawn_context=None,
     ):
         addresses = [parse_address(value) for value in hosts]
         if not addresses:
             raise ToneMapError("HostPool needs at least one host")
         super().__init__(arena_slots, default_timeout_ms, faults, clock)
-        processes = list(_processes) if _processes is not None else []
         self._hosts = [
-            _Host(
-                index,
-                address,
-                processes[index] if index < len(processes) else None,
-            )
-            for index, address in enumerate(addresses)
+            _Host(index, address) for index, address in enumerate(addresses)
         ]
         self._net = NetCounters()
-        self._spawn_kwargs = _spawn_kwargs
-        self._spawn_context = _spawn_context
-        # Host liveness/membership lives under the backend's _state:
-        # revivals notify waiters in _pick_host that a host came back.
-        self._revive_threads: List[threading.Thread] = []
+        # Starts one host process and returns (address, process); set by
+        # spawn_local, whose pool owns its hosts' processes.
+        self._spawn = None
+        # Host states live under the backend's _state: revivals notify
+        # waiters in _pick_host that a host came back.  The set holds
+        # the revive threads still running.
+        self._revivers: set = set()
         self._hosts_drained = 0
         self._hosts_lost = 0
         self._timeouts = 0
@@ -578,37 +554,42 @@ class HostPool(Backend):
             if "forkserver" in mp.get_all_start_methods()
             else mp.get_context("spawn")
         )
-        spawn_kwargs = {
-            "params": params,
-            "shards": shards_per_host,
-            "plan": plan,
-            "arena_slots": arena_slots,
-            "default_timeout_ms": default_timeout_ms,
-            "faults": (
-                injector.plan.to_spec() if injector is not None else None
-            ),
-        }
+        spawn = functools.partial(
+            _spawn_host,
+            context,
+            {
+                "params": params,
+                "shards": shards_per_host,
+                "plan": plan,
+                "arena_slots": arena_slots,
+                "default_timeout_ms": default_timeout_ms,
+                "faults": (
+                    injector.plan.to_spec() if injector is not None else None
+                ),
+            },
+        )
         addresses: List[HostAddress] = []
         processes: List = []
         try:
             for _ in range(count):
-                address, process = _spawn_host(context, spawn_kwargs)
+                address, process = spawn()
                 addresses.append(address)
                 processes.append(process)
+            pool = cls(
+                addresses,
+                arena_slots=arena_slots,
+                default_timeout_ms=default_timeout_ms,
+                faults=injector,
+                clock=clock,
+            )
         except BaseException:
             for process in processes:
                 _terminate_host(process)
             raise
-        return cls(
-            addresses,
-            arena_slots=arena_slots,
-            default_timeout_ms=default_timeout_ms,
-            faults=injector,
-            clock=clock,
-            _processes=processes,
-            _spawn_kwargs=spawn_kwargs,
-            _spawn_context=context,
-        )
+        pool._spawn = spawn
+        for host, process in zip(pool._hosts, processes):
+            host.process = process
+        return pool
 
     # ------------------------------------------------------------------
     # Introspection
@@ -617,14 +598,11 @@ class HostPool(Backend):
     def active_shards(self) -> int:
         """Live hosts a batch can currently route to."""
         with self._state:
-            return sum(
-                1 for host in self._hosts
-                if host.alive and not host.draining
-            )
+            return sum(1 for host in self._hosts if host.state == LIVE)
 
     @property
     def hosts_lost(self) -> int:
-        """Hosts declared dead (connection lost, partitioned, killed)."""
+        """Hosts declared lost (connection lost, partitioned, killed)."""
         with self._count_lock:
             return self._hosts_lost
 
@@ -663,11 +641,17 @@ class HostPool(Backend):
                 self.faults.plan.jitter_s(index, kind="slow_link")
             )
         host = self._pick_host(avoid)
-        if "host_loss" in kinds:
-            self._inject_host_loss(host)
-        if "partition" in kinds:
-            host.partitioned = True
+        if "host_loss" in kinds and host.process is not None:
+            _kill_group(host.process)  # the exchange finds the link torn
         try:
+            if "partition" in kinds or (
+                "host_loss" in kinds and host.process is None
+            ):
+                # An injected partition, or a host this pool cannot
+                # kill: the link drops before the send.
+                raise WireProtocolError(
+                    f"injected fault cut the link to {host.label}"
+                )
             return self._dispatch(
                 host, in_lease.array[: out.shape[0]], out, timeout
             )
@@ -683,7 +667,7 @@ class HostPool(Backend):
             ) from exc
         except (WireProtocolError, OSError) as exc:
             # The connection (or the host behind it) died.  Mark it
-            # lost — a revive thread heals it in the background.
+            # lost — its revive thread heals it in the background.
             self._mark_lost(host)
             raise Replay(
                 f"lost {host.label} (hosts lost so far: {self.hosts_lost})",
@@ -702,10 +686,7 @@ class HostPool(Backend):
         deadline = self._clock.now() + REVIVE_WAIT_S
         with self._state:
             while True:
-                live = [
-                    host for host in self._hosts
-                    if host.alive and not host.draining
-                ]
+                live = [host for host in self._hosts if host.state == LIVE]
                 if live:
                     preferred = (
                         [host for host in live if host is not avoid] or live
@@ -775,14 +756,6 @@ class HostPool(Backend):
             return out.take().array
 
         with host.lock:
-            if host.partitioned:
-                # Injected partition: the link drops mid-flight, which
-                # the client observes as a torn connection.
-                host.partitioned = False
-                self._close_sock(host)
-                raise WireProtocolError(
-                    f"injected network partition to {host.label}"
-                )
             try:
                 if host.sock is None:
                     host.sock = self._connect(host)
@@ -848,7 +821,7 @@ class HostPool(Backend):
             host.sock = None
 
     def _sever(self, host: _Host) -> None:
-        """Drop a host's connection without declaring the host dead."""
+        """Drop a host's connection without declaring the host lost."""
         with host.lock:
             self._close_sock(host)
 
@@ -856,26 +829,28 @@ class HostPool(Backend):
     # Failure handling / revival
     # ------------------------------------------------------------------
     def _mark_lost(self, host: _Host) -> None:
-        """Declare a host dead and start its background revival."""
+        """Move a live host to ``lost`` and start its one revive thread.
+
+        A host that is already lost has its revive thread; a draining
+        one is ``rolling_restart``'s to replace — neither counts a loss.
+        """
         self._sever(host)
         with self._state:
-            if not host.alive or self._closed:
+            if host.state != LIVE or self._closed:
                 return
-            host.alive = False
-            start_revive = not host.reviving
-            host.reviving = True
-            if start_revive:
-                thread = threading.Thread(
-                    target=self._revive,
-                    args=(host,),
-                    name=f"repro-host-revive-{host.index}",
-                    daemon=True,
-                )
-                self._revive_threads.append(thread)
+            host.state = LOST
+            thread = threading.Thread(
+                target=self._revive,
+                args=(host,),
+                name=f"repro-host-revive-{host.index}",
+                daemon=True,
+            )
+            self._revivers.add(thread)
+            # Started under the lock: _shutdown never joins a thread
+            # that has not started.
+            thread.start()
         with self._count_lock:
             self._hosts_lost += 1
-        if start_revive:
-            thread.start()
 
     def _revive(self, host: _Host) -> None:
         """Bring a lost host back: respawn its process, then reconnect.
@@ -885,90 +860,64 @@ class HostPool(Backend):
         died is restarted with the original recipe (counted in
         ``worker_respawns``); a partitioned host just needs a working
         connection + PING again.  Retries with capped backoff until it
-        succeeds or the pool closes.
+        succeeds or the pool closes.  Moving the host back to ``live``
+        is the thread's last act, so a loss reported after it starts a
+        new revival.
         """
         backoff = 0.05
+        revived = False
         try:
-            while not self._closed:
+            while not revived and not self._closed:
                 try:
                     if (
                         host.process is not None
                         and not host.process.is_alive()
                     ):
-                        self._respawn_host(host)
-                    sock = self._connect(host)
-                    try:
-                        sock.settimeout(5.0)
-                        send_message(sock, MSG_PING, {}, counters=self._net)
-                        frame = recv_message(sock, counters=self._net)
-                        if frame is None or frame[0] != MSG_PONG:
-                            raise WireProtocolError(
-                                f"{host.label} failed its health check"
-                            )
-                    except BaseException:
-                        sock.close()
-                        raise
-                except (
-                    WireProtocolError,
-                    OSError,
-                    ToneMapError,
-                ):
+                        if not self._replace_process(host):
+                            break  # the pool closed
+                        with self._count_lock:
+                            self._respawns += 1
+                    self._ping(host)
+                    revived = True
+                except (WireProtocolError, OSError, ToneMapError):
                     self._clock.sleep(backoff)
                     backoff = min(backoff * 2.0, 1.0)
-                    continue
-                with host.lock:
-                    self._close_sock(host)
-                    host.sock = sock
-                with self._state:
-                    host.alive = True
-                    self._state.notify_all()
-                return
         finally:
             with self._state:
-                host.reviving = False
-            if self._closed:
-                # close() may have missed a process this thread spawned
-                # after its terminate pass — never leave one behind.
-                _terminate_host(host.process)
+                if revived:
+                    host.state = LIVE
+                self._revivers.discard(threading.current_thread())
+                self._state.notify_all()
 
-    def _respawn_host(self, host: _Host) -> None:
-        """Restart a dead pool-owned host process (same recipe)."""
-        if self._spawn_kwargs is None or self._spawn_context is None:
-            raise ToneMapError(
-                f"{host.label} died and this pool does not own its "
-                "processes — restart it externally"
-            )
+    def _ping(self, host: _Host) -> None:
+        """Health-check ``host`` on a new connection; raise if it fails.
+
+        The next dispatch opens its own connection, to the address the
+        host has then.
+        """
+        with self._connect(host) as sock:
+            sock.settimeout(5.0)
+            send_message(sock, MSG_PING, {}, counters=self._net)
+            frame = recv_message(sock, counters=self._net)
+        if frame is None or frame[0] != MSG_PONG:
+            raise WireProtocolError(f"{host.label} failed its health check")
+
+    def _replace_process(self, host: _Host) -> bool:
+        """Terminate a pool-owned host's process, spawn its successor
+        with the same recipe and install the successor's address.
+
+        Returns False, with no process left behind, when the pool closed
+        during the spawn.
+        """
         _terminate_host(host.process)
-        address, process = _spawn_host(self._spawn_context, self._spawn_kwargs)
+        address, process = self._spawn()
         with self._state:
             if self._closed:
                 _terminate_host(process)
-                raise ToneMapError("pool closed during host respawn")
+                return False
             host.address = address
             host.process = process
-        with self._count_lock:
-            self._respawns += 1
-
-    def _inject_host_loss(self, host: _Host) -> None:
-        """Chaos: take the serving host down hard (SIGKILL its group).
-
-        External (non-owned) hosts cannot be killed from here, so the
-        fault degrades to a partition — the client-observable symptom
-        is identical (the connection tears, the host stops answering).
-        """
-        process = host.process
-        if process is None or process.pid is None:
-            host.partitioned = True
-            return
-        if process.is_alive():
-            try:
-                os.killpg(process.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError, OSError):
-                try:
-                    os.kill(process.pid, signal.SIGKILL)
-                except (ProcessLookupError, PermissionError, OSError):
-                    pass
-            process.join(timeout=10.0)
+        return True
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -987,18 +936,20 @@ class HostPool(Backend):
         currently on its wire finishes first — terminate the process,
         spawn a replacement with the same recipe, and install the new
         address.  Peers absorb the traffic meanwhile: ``_pick_host``
-        skips draining hosts, and a batch that raced onto this host
-        just before the flag flipped either completes on the old
+        routes only to live hosts, and a batch that raced onto this host
+        just before it left the set either completes on the old
         process (the swap waits for the lock) or reconnects to the new
         address (``_connect`` reads ``host.address`` under the lock).
-        Either way no admitted frame is lost — the chaos benchmark
-        ``test_rolling_restart_small`` gates ``frames_lost == 0``.
+        A batch that fails on a draining host replays elsewhere without
+        counting a loss.  Either way no admitted frame is lost — the
+        chaos benchmark ``test_rolling_restart_small`` gates
+        ``frames_lost == 0``.
 
         Returns the number of hosts restarted.  Raises
         :class:`~repro.errors.ToneMapError` when the pool does not own
         its host processes (external hosts restart externally).
         """
-        if self._spawn_kwargs is None or self._spawn_context is None:
+        if self._spawn is None:
             raise ToneMapError(
                 "rolling_restart needs a pool that owns its host "
                 "processes (HostPool.spawn_local / ToneMapService(hosts=N))"
@@ -1006,41 +957,31 @@ class HostPool(Backend):
         restarted = 0
         for host in self._hosts:
             with self._state:
-                if self._closed:
-                    break
-                # A host mid-revival is already being replaced; wait
-                # briefly for the reviver, then skip it if still busy.
+                # A lost host is already being replaced; wait briefly
+                # for its reviver, then skip it if it is still lost.
                 deadline = self._clock.now() + REVIVE_WAIT_S
                 while (
-                    host.reviving
+                    host.state == LOST
                     and not self._closed
                     and self._clock.now() < deadline
                 ):
                     self._state.wait(timeout=_POLL_S)
-                if self._closed or host.reviving:
+                if self._closed:
+                    break
+                if host.state == LOST:
                     continue
-                host.draining = True
+                host.state = DRAINING
             try:
                 with host.lock:
                     self._close_sock(host)
-                    _terminate_host(host.process)
-                    address, process = _spawn_host(
-                        self._spawn_context, self._spawn_kwargs
-                    )
-                    with self._state:
-                        if self._closed:
-                            _terminate_host(process)
-                            break
-                        host.address = address
-                        host.process = process
-                        host.alive = True
-                        host.partitioned = False
+                    if not self._replace_process(host):
+                        break
                 restarted += 1
                 with self._count_lock:
                     self._hosts_drained += 1
             finally:
                 with self._state:
-                    host.draining = False
+                    host.state = LIVE
                     self._state.notify_all()
         return restarted
 
@@ -1053,8 +994,8 @@ class HostPool(Backend):
         interpreter exit.
         """
         with self._state:
-            revive_threads = list(self._revive_threads)
-        for thread in revive_threads:
+            revivers = list(self._revivers)
+        for thread in revivers:
             # Generous: a thread can be inside a respawn, which waits
             # up to 120 s for the new host to report its address.
             thread.join(timeout=150.0)
@@ -1100,6 +1041,20 @@ def _spawn_host(context, spawn_kwargs: dict) -> Tuple[HostAddress, object]:
     return (str(address[0]), int(address[1])), process
 
 
+def _kill_group(process) -> None:
+    """SIGKILL a live host process's group: the host and its workers."""
+    if not process.is_alive():
+        return
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except OSError:
+        try:
+            os.kill(process.pid, signal.SIGKILL)
+        except OSError:
+            pass
+    process.join(timeout=10.0)
+
+
 def _terminate_host(process) -> None:
     """Stop one host process: SIGTERM (graceful), then SIGKILL the group."""
     if process is None:
@@ -1108,14 +1063,6 @@ def _terminate_host(process) -> None:
         if process.is_alive():
             process.terminate()  # SIGTERM → clean SystemExit in the host
             process.join(timeout=10.0)
-        if process.is_alive():  # pragma: no cover - stuck host
-            try:
-                os.killpg(process.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError, OSError):
-                try:
-                    os.kill(process.pid, signal.SIGKILL)
-                except (ProcessLookupError, PermissionError, OSError):
-                    pass
-            process.join(timeout=5.0)
+        _kill_group(process)  # a host stuck past its SIGTERM
     except (ValueError, OSError):  # pragma: no cover - already reaped
         pass

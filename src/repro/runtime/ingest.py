@@ -109,7 +109,7 @@ from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass, replace
 from numbers import Real
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     DeadlineExceededError,
@@ -178,6 +178,11 @@ _SHED_RANK = {
 
 #: Ladder index at and above which best-effort admission is suspended.
 _SHED_INDEX = rung_index(LADDER_SHED)
+
+#: Dropped queued frames, each with the error its future settles with:
+#: what the shedding helpers return under the lock for
+#: ``ToneMapIngestor._settle`` to settle after it is released.
+_Dropped = List[Tuple["_Pending", BaseException]]
 
 
 def _coerce_class(
@@ -661,12 +666,22 @@ class ToneMapIngestor:
                     # oldest queued frame goes (whoever queued it — the
                     # per-tenant limits are what keep a heavy tenant
                     # from farming the global shed).
-                    self._shed_one_locked(state if over_tenant else None)
+                    dropped := self._shed_one_locked(
+                        state if over_tenant else None
+                    )
                 ):
-                    continue
-                # BLOCK, or SHED_OLDEST with nothing left to shed (every
-                # admitted image is already executing): wait for a slot.
-                self._space.wait()
+                    # Settle the victim without the lock (its callbacks
+                    # may call back in), then look at the limits again.
+                    self._lock.release()
+                    try:
+                        self._settle(dropped)
+                    finally:
+                        self._lock.acquire()
+                else:
+                    # BLOCK, or SHED_OLDEST with nothing left to shed
+                    # (every admitted image is already executing): wait
+                    # for a slot.
+                    self._space.wait()
                 if self._closed or self._draining:
                     raise ToneMapError(
                         "ingestor is draining" if self._draining
@@ -740,11 +755,11 @@ class ToneMapIngestor:
         queue; returns them, each shape's in arrival order.
 
         The one exit of a queued frame that will never be dispatched:
-        each loses its queue entry, its tenant and global in-flight
-        slots and its image, and blocked submitters are woken once.
-        Callers only pick the victims, count them and settle their
-        futures.  Queued frames hold no arena slots (the producer write
-        happens at dispatch), so there is nothing else to release — the
+        each loses its queue entry and its image here, and its tenant
+        and global in-flight slots in :meth:`_settle`.  Callers only
+        pick the victims, count them and name their errors.  Queued
+        frames hold no arena slots (the producer write happens at
+        dispatch), so there is nothing else to release — the
         slot-accounting tests assert exactly that.
         """
         dropped: List[_Pending] = []
@@ -758,17 +773,32 @@ class ToneMapIngestor:
                 del self._queued[shape]
             dropped.extend(victims)
         for pending in dropped:
-            self._tenants[pending.tenant].in_flight -= 1
             pending.image = None
-        if dropped:
+        return dropped
+
+    def _settle(self, dropped: _Dropped) -> None:
+        """Settle dropped frames' futures, then free their slots.
+
+        Called without the lock, so a done-callback may call back into
+        the ingestor.  Like :meth:`_complete`, it settles before it
+        frees: :meth:`close` returns once nothing is in flight, and
+        every future handed out must have resolved by then.
+        """
+        if not dropped:
+            return
+        for pending, exc in dropped:
+            _resolve(pending.future, exc=exc)
+        with self._lock:
+            for pending, _ in dropped:
+                self._tenants[pending.tenant].in_flight -= 1
             self._in_flight -= len(dropped)
             self._space.notify_all()
-        return dropped
 
     def _shed_one_locked(
         self, state: Optional[_TenantState] = None
-    ) -> bool:
-        """Drop one still-queued frame, class-aware; True if one was shed.
+    ) -> _Dropped:
+        """Drop one still-queued frame, class-aware; returns it and its
+        error, or nothing when no frame may be shed.
 
         The victim is the *oldest frame of the most sheddable class*
         present: best-effort frames go first, then standard, and an
@@ -814,7 +844,7 @@ class ToneMapIngestor:
             default=None,
         )
         if victim is None:
-            return False
+            return []
         self._unqueue_locked(lambda pending: pending is victim)
         self._tenants[victim.tenant].shed += 1
         self._shed += 1
@@ -832,10 +862,9 @@ class ToneMapIngestor:
                 tenant=scope,
             )
         storm.shed_count += 1
-        _resolve(victim.future, exc=storm)
-        return True
+        return [(victim, storm)]
 
-    def _expire_due_locked(self, now: float) -> None:
+    def _expire_due_locked(self, now: float) -> _Dropped:
         """Shed every queued frame whose latency budget has expired.
 
         Computing a result nobody can use anymore would only steal batch
@@ -853,24 +882,27 @@ class ToneMapIngestor:
             and pending.deadline <= now
         )
         self._deadline_shed += len(expired)
+        dropped: _Dropped = []
         for pending in expired:
             elapsed_ms = (now - pending.enqueued_at) * 1e3
             budget_ms = (pending.deadline - pending.enqueued_at) * 1e3
-            _resolve(
-                pending.future,
-                exc=DeadlineExceededError(
+            dropped.append((
+                pending,
+                DeadlineExceededError(
                     f"frame {pending.name!r} waited {elapsed_ms:.1f} ms, "
                     f"past its {budget_ms:.1f} ms budget",
                     tenant=pending.tenant,
                     elapsed_ms=elapsed_ms,
                     deadline_ms=budget_ms,
                 ),
-            )
+            ))
+        return dropped
 
     def _shed_class_locked(
         self, service_class: ServiceClass, reason: str, ladder: bool
-    ) -> int:
-        """Drop every queued frame of one class; returns the count.
+    ) -> _Dropped:
+        """Drop every queued frame of one class; returns them and their
+        error.
 
         Used when the overload ladder enters ``shed_best_effort``
         (``ladder=True``, counted in ``ladder_shed``) and by
@@ -891,8 +923,7 @@ class ToneMapIngestor:
         )
         for victim in victims:
             self._tenants[victim.tenant].shed += 1
-            _resolve(victim.future, exc=storm)
-        return len(victims)
+        return [(victim, storm) for victim in victims]
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -928,7 +959,9 @@ class ToneMapIngestor:
         self._queued[shape] = [p for p in queue if p not in chosen]
         return [p for p in queue if p in chosen]
 
-    def _ready_flushes_locked(self, flush_all: bool) -> List[_Flush]:
+    def _ready_flushes_locked(
+        self, now: float, flush_all: bool
+    ) -> List[_Flush]:
         """Assemble every batch that may dispatch right now.
 
         A shape is ready when it has ``batch_size`` frames queued
@@ -942,8 +975,6 @@ class ToneMapIngestor:
         how many batches may be in the service at once — ready frames
         beyond it stay queued where the DRR scheduler keeps them fair.
         """
-        now = self._clock.now()
-        self._expire_due_locked(now)
         batch_size = self.service.batch_size
         flushes: List[_Flush] = []
         while self._dispatched < self.max_inflight_batches:
@@ -993,10 +1024,12 @@ class ToneMapIngestor:
         while True:
             with self._lock:
                 while True:
+                    now = self._clock.now()
+                    expired = self._expire_due_locked(now)
                     batches = self._ready_flushes_locked(
-                        flush_all=self._closed
+                        now, flush_all=self._closed
                     )
-                    if batches:
+                    if batches or expired:
                         break
                     if self._closed and not self._queued:
                         return
@@ -1015,6 +1048,7 @@ class ToneMapIngestor:
                             else max(0.0, deadline - self._clock.now())
                         )
                     self._arrived.wait(timeout=timeout)
+            self._settle(expired)
             for batch in batches:
                 self._dispatch(batch)
 
@@ -1098,15 +1132,17 @@ class ToneMapIngestor:
             self._space.notify_all()
             # A freed gate slot may unblock the scheduler.
             self._arrived.notify_all()
-            rung_changed = self._observe_overload_locked()
+            rung_changed, dropped = self._observe_overload_locked()
+        self._settle(dropped)
         if rung_changed:
             # Apply the freshest rung outside the lock: concurrent
             # completions may race here, but each applies the rung the
             # controller holds *now*, so the service converges on it.
             self.service.apply_overload_rung(self._overload.rung)
 
-    def _observe_overload_locked(self) -> bool:
-        """Feed the ladder one observation; True if the rung changed.
+    def _observe_overload_locked(self) -> Tuple[bool, _Dropped]:
+        """Feed the ladder one observation; returns whether the rung
+        changed and the frames that change dropped.
 
         Runs at batch-completion cadence.  Entering
         ``shed_best_effort`` from below drops already-queued best-effort
@@ -1114,24 +1150,24 @@ class ToneMapIngestor:
         squat on seats for the rest of the storm.
         """
         if self._overload is None:
-            return False
+            return False, []
         ordered = sorted(self._latencies_ms)
         p95_ms = _percentile(ordered, 0.95) if ordered else None
         rung = self._overload.observe(p95_ms, self._in_flight)
         if rung == self._ladder_rung:
-            return False
+            return False, []
         previous = self._ladder_rung
         self._ladder_rung = rung
         if (
             rung_index(rung) >= _SHED_INDEX
             and rung_index(previous) < _SHED_INDEX
         ):
-            self._shed_class_locked(
+            return True, self._shed_class_locked(
                 ServiceClass.BEST_EFFORT,
                 reason=f"overload ladder rung={rung}",
                 ladder=True,
             )
-        return True
+        return True, []
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -1208,10 +1244,11 @@ class ToneMapIngestor:
             if self._closed:
                 return
             self._draining = True
-            self._shed_class_locked(
+            dropped = self._shed_class_locked(
                 ServiceClass.BEST_EFFORT, reason="drain", ladder=False
             )
             self._space.notify_all()  # wake blocked submitters to fail
+        self._settle(dropped)
         self.close()
 
     def close(self) -> None:

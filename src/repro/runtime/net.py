@@ -49,7 +49,7 @@ from __future__ import annotations
 import json
 import struct
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
 from repro.errors import WireProtocolError
@@ -123,17 +123,12 @@ class NetCounters:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._stats = NetStats()
+        self._counts = dict.fromkeys(NetStats.__dataclass_fields__, 0)
 
     def _bump(self, **deltas: int) -> None:
         with self._lock:
-            self._stats = replace(
-                self._stats,
-                **{
-                    name: getattr(self._stats, name) + delta
-                    for name, delta in deltas.items()
-                },
-            )
+            for name, delta in deltas.items():
+                self._counts[name] += delta
 
     def count_sent(self, wire_bytes: int, payload_bytes: int) -> None:
         self._bump(
@@ -156,7 +151,7 @@ class NetCounters:
     def stats(self) -> NetStats:
         """A consistent snapshot of the counters."""
         with self._lock:
-            return self._stats
+            return NetStats(**self._counts)
 
 
 def _byte_view(buffer) -> memoryview:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -364,7 +364,11 @@ class ToneMapService:
         self._draining = False
         self._closed = False
         self._lock = threading.Lock()
-        self._stats = ServiceStats()
+        # The counters behind ``stats``; the snapshot is built on read.
+        self._counts = dict(
+            images=0, pixels=0, seconds=0.0, batches=0, queue_depth=0,
+            queue_peak=0,
+        )
         self._latencies_ms: deque = deque(maxlen=LATENCY_WINDOW)
 
     # ------------------------------------------------------------------
@@ -378,12 +382,10 @@ class ToneMapService:
                     "service is draining" if self._draining
                     else "service is closed"
                 )
-            self._stats = replace(
-                self._stats,
-                queue_depth=self._stats.queue_depth + 1,
-                queue_peak=max(
-                    self._stats.queue_peak, self._stats.queue_depth + 1
-                ),
+            counts = self._counts
+            counts["queue_depth"] += 1
+            counts["queue_peak"] = max(
+                counts["queue_peak"], counts["queue_depth"]
             )
 
     def run_batch(self, images: Sequence[HDRImage]) -> tuple[HDRImage, ...]:
@@ -398,9 +400,7 @@ class ToneMapService:
     def _abort_batch(self) -> None:
         """Undo :meth:`_admit_batch` for a batch that failed."""
         with self._lock:
-            self._stats = replace(
-                self._stats, queue_depth=self._stats.queue_depth - 1
-            )
+            self._counts["queue_depth"] -= 1
 
     def _finish_batch(self, start: float, images: int, pixels: int) -> None:
         """Record one completed batch.
@@ -413,14 +413,12 @@ class ToneMapService:
         elapsed = self._clock.now() - start
         with self._lock:
             self._latencies_ms.append(elapsed * 1e3)
-            self._stats = replace(
-                self._stats,
-                images=self._stats.images + images,
-                pixels=self._stats.pixels + pixels,
-                seconds=self._stats.seconds + elapsed,
-                batches=self._stats.batches + 1,
-                queue_depth=self._stats.queue_depth - 1,
-            )
+            counts = self._counts
+            counts["images"] += images
+            counts["pixels"] += pixels
+            counts["seconds"] += elapsed
+            counts["batches"] += 1
+            counts["queue_depth"] -= 1
 
     # ------------------------------------------------------------------
     # Overload ladder hooks
@@ -686,9 +684,9 @@ class ToneMapService:
         with self._lock:
             ordered = sorted(self._latencies_ms)
             brownouts = self._brownout_batches
-            snapshot = self._stats
-        return replace(
-            snapshot,
+            counts = dict(self._counts)
+        return ServiceStats(
+            **counts,
             latency_p50_ms=_percentile(ordered, 0.50),
             latency_p95_ms=_percentile(ordered, 0.95),
             latency_p99_ms=_percentile(ordered, 0.99),

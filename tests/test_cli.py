@@ -242,6 +242,20 @@ class TestMain:
         assert "engine=staged" in out
         assert "fixed-point 16-bit" in out
 
+    def test_planner_calibrate_writes_a_loadable_profile(
+        self, capsys, tmp_path
+    ):
+        from repro.planner.profile import CalibrationProfile
+
+        path = tmp_path / "host.json"
+        # The subcommand's --size sits next to the global one.
+        assert main(["--size", "64", "planner", "calibrate", "--size",
+                     "48", "--quick", "--rounds", "1", "-o", str(path)]) == 0
+        assert "(48x48 plane, best of 1)" in capsys.readouterr().out
+        profile = CalibrationProfile.load(path)
+        assert isinstance(profile, CalibrationProfile)
+        assert not profile.calibrated  # --quick is no real calibration
+
     def test_batch_plan_file_replayed(self, capsys, tmp_path):
         plan_file = tmp_path / "plan.json"
         assert main(["planner", "explain", "--height", "32", "--width",
@@ -269,8 +283,14 @@ class TestMain:
         (lambda plan: plan.update(band_bytes="big"), "band_bytes"),
         (lambda plan: plan.update(partitions=-3), "partitions"),
         (lambda plan: plan.update(band_rows=True), "band_rows"),
+        # A hand-edited profile whose crossovers select the plane mask
+        # for this kernel, while the plan still records the band ring.
+        (lambda plan: plan["profile"].update(
+            fft_crossover_taps=5, fused_fft_min_taps=5
+        ), "fused_h_method"),
     ], ids=["negative-height", "bogus-blur", "tiled-blur", "zero-threads",
-            "string-band-bytes", "negative-partitions", "bool-band-rows"])
+            "string-band-bytes", "negative-partitions", "bool-band-rows",
+            "regime-against-profile"])
     def test_batch_bad_plan_file_exits_cleanly(
         self, capsys, tmp_path, edit, needle
     ):

@@ -28,6 +28,7 @@ from repro.runtime import (
     FaultPlan,
     HostPool,
     HostServer,
+    ShardPool,
     ToneMapIngestor,
     ToneMapService,
 )
@@ -200,7 +201,7 @@ class TestHostPoolDrain:
         ]
 
     def test_rolling_restart_requires_owned_hosts(self):
-        server = HostServer(PARAMS, shards=1, arena_slots=2)
+        server = HostServer(ShardPool(PARAMS, shards=1, arena_slots=2))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

@@ -31,6 +31,7 @@ from repro.runtime import (
     ToneMapIngestor,
     ToneMapService,
 )
+from repro.runtime import hostpool as hostpool_module
 from repro.runtime.hostpool import parse_address
 from repro.runtime.net import (
     MSG_ERR,
@@ -187,7 +188,7 @@ class TestExternallyServedHost:
 
     def test_in_process_server_serves_a_pool(self):
         stack = _stack(seed=4)
-        server = HostServer(PARAMS, shards=1, arena_slots=4)
+        server = HostServer(ShardPool(PARAMS, shards=1, arena_slots=4))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -212,6 +213,89 @@ class TestExternallyServedHost:
     def test_spawn_local_validates_count(self):
         with pytest.raises(ToneMapError, match="hosts must be >= 1"):
             HostPool.spawn_local(0, PARAMS)
+
+
+class _HookedCondition:
+    """A condition that calls ``after`` each time a ``with`` block on it
+    ends (the lock already released); everything else delegates."""
+
+    def __init__(self, inner, after):
+        self._inner = inner
+        self._after = after
+
+    def __enter__(self):
+        return self._inner.__enter__()
+
+    def __exit__(self, *exc):
+        result = self._inner.__exit__(*exc)
+        self._after()
+        return result
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class TestHostStates:
+    def test_loss_on_a_draining_host_counts_nothing(self):
+        # A draining host is rolling_restart's to replace: a batch that
+        # fails on it replays elsewhere, with no loss and no revival.
+        server = HostServer(ShardPool(PARAMS, shards=1, arena_slots=2))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with HostPool([server.address]) as pool:
+                host = pool._hosts[0]
+                with pool._state:
+                    host.state = hostpool_module.DRAINING
+                pool._mark_lost(host)
+                assert host.state == hostpool_module.DRAINING
+                assert pool.hosts_lost == 0 and not pool._revivers
+                assert pool.active_shards == 0
+        finally:
+            server.close()
+            thread.join(timeout=10)
+
+    def test_loss_right_after_a_revival_starts_a_new_revival(
+        self, monkeypatch
+    ):
+        # Regression: a batch thread that lost the host in the gap
+        # between the revive thread making it live and that thread
+        # finishing found a revival "still running", so no thread ever
+        # revived it again — the healthy host stayed out of rotation.
+        monkeypatch.setattr(hostpool_module, "REVIVE_WAIT_S", 2.0)
+        stack = _stack(frames=2, seed=7)
+        server = HostServer(ShardPool(PARAMS, shards=1, arena_slots=2))
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with HostPool([server.address]) as pool:
+                host = pool._hosts[0]
+                fired = []
+
+                def after():
+                    # Once, on the revive thread, as soon as a critical
+                    # section left the host live again.
+                    if fired or not threading.current_thread().name.startswith(
+                        "repro-host-revive"
+                    ):
+                        return
+                    fired.append(True)
+                    if pool.active_shards == 1:
+                        pool._mark_lost(host)
+                    else:
+                        fired.clear()
+
+                pool._state = _HookedCondition(pool._state, after)
+                pool._mark_lost(host)
+                assert _wait_for(lambda: pool.active_shards == 1, 10.0)
+                assert fired and pool.hosts_lost == 2
+                assert not pool._revivers  # finished threads are dropped
+                np.testing.assert_array_equal(
+                    pool.run_stack(stack), _want(stack)
+                )
+        finally:
+            server.close()
+            thread.join(timeout=10)
 
 
 class TestFixedPointParams:
@@ -251,7 +335,7 @@ class TestWireTimeoutValidation:
 
     def test_bad_timeouts_get_an_error_with_workers_untouched(self):
         stack = _stack(frames=2, seed=6)
-        server = HostServer(PARAMS, shards=1, arena_slots=2)
+        server = HostServer(ShardPool(PARAMS, shards=1, arena_slots=2))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
@@ -369,7 +453,9 @@ class TestHostChaos:
         # batch (the only host again), whose third host attempt is clean.
         stack = _stack(seed=41)
         plan = FaultPlan(hang_batches=(0, 1), hang_ms=30_000.0)
-        server = HostServer(PARAMS, shards=1, arena_slots=2, faults=plan)
+        server = HostServer(
+            ShardPool(PARAMS, shards=1, arena_slots=2, faults=plan)
+        )
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:

@@ -5,17 +5,23 @@ the queue state is deterministic rather than racy.
 """
 
 import asyncio
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.errors import ServiceOverloadedError, ToneMapError
+from repro.errors import (
+    DeadlineExceededError,
+    ServiceOverloadedError,
+    ToneMapError,
+)
 from repro.image.synthetic import SceneParams, make_scene
 from repro.runtime import (
     BackpressurePolicy,
     BatchToneMapper,
+    FakeClock,
     FaultPlan,
     ToneMapIngestor,
     ToneMapService,
@@ -255,6 +261,112 @@ class TestLifecycle:
                 future = ingestor.submit(scenes(1)[0])
                 with pytest.raises(ValueError):
                     future.result(timeout=30)
+
+
+class TestDropCallbacks:
+    """A dropped frame's future settles after the ingestor lock is
+    released, so its done-callbacks may call back into the ingestor.
+
+    Regression: each drop path settled under the lock, and a callback
+    that read ``stats`` deadlocked the thread that dropped the frame.
+    A wedged ingestor cannot be closed, so each test fails first.
+    """
+
+    def test_shed_oldest_victim_callback_reads_stats(
+        self, assert_ledger_closed
+    ):
+        with ToneMapService(PARAMS, batch_size=8) as service:
+            ingestor = ToneMapIngestor(
+                service, max_delay_ms=60_000, queue_limit=1,
+                policy="shed-oldest",
+            )
+            seen, admitted = [], []
+            first = ingestor.submit(scenes(1, base=0)[0])
+            first.add_done_callback(
+                lambda future: seen.append(ingestor.stats.shed)
+            )
+            submitter = threading.Thread(
+                target=lambda: admitted.append(
+                    ingestor.submit(scenes(1, base=1)[0])
+                ),
+                daemon=True,
+            )
+            submitter.start()
+            submitter.join(timeout=5)
+            assert not submitter.is_alive(), "submit wedged in a callback"
+            assert seen == [1]
+            with pytest.raises(ServiceOverloadedError):
+                first.result(timeout=0)
+            ingestor.close()
+            assert admitted[0].result(timeout=30) is not None
+            assert_ledger_closed(ingestor.stats)
+
+    def test_expired_frame_callback_reads_stats(self, assert_ledger_closed):
+        clock = FakeClock(start=100.0)
+        with ToneMapService(PARAMS, batch_size=8) as service:
+            ingestor = ToneMapIngestor(
+                service, max_delay_ms=60_000, clock=clock
+            )
+            seen, settled = [], threading.Event()
+            future = ingestor.submit(scenes(1)[0], deadline_ms=20)
+
+            def read_stats(future):
+                seen.append(ingestor.stats.reliability.deadline_shed)
+                settled.set()
+
+            future.add_done_callback(read_stats)
+            clock.advance(1.0)  # the coalescer expires the frame
+            assert settled.wait(timeout=5), "coalescer wedged in a callback"
+            assert seen == [1]
+            with pytest.raises(DeadlineExceededError):
+                future.result(timeout=0)
+            ingestor.close()
+            assert_ledger_closed(ingestor.stats)
+
+    def test_shed_storm_from_many_threads_frees_every_slot(
+        self, assert_ledger_closed
+    ):
+        # Six submitters shed each other's frames (nothing dispatches
+        # before close), and every victim's slot is freed after the lock
+        # was released and retaken: a lost update would leave a frame
+        # "in flight" (close would hang) or open the ledger.
+        images = scenes(8, size=8)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ToneMapService(PARAMS, batch_size=64) as service:
+                ingestor = ToneMapIngestor(
+                    service, max_delay_ms=60_000, queue_limit=3,
+                    policy="shed-oldest",
+                )
+
+                def submit_many():
+                    for image in images * 5:
+                        ingestor.submit(image).add_done_callback(
+                            lambda future: ingestor.stats
+                        )
+
+                threads = [
+                    threading.Thread(target=submit_many, daemon=True)
+                    for _ in range(6)
+                ]
+                for thread in threads:
+                    thread.start()
+                deadline = time.monotonic() + 30
+                for thread in threads:
+                    thread.join(timeout=max(0.0, deadline - time.monotonic()))
+                assert not any(thread.is_alive() for thread in threads)
+                closer = threading.Thread(target=ingestor.close, daemon=True)
+                closer.start()
+                closer.join(timeout=30)
+                assert not closer.is_alive(), "close() waits on a lost slot"
+                stats = ingestor.stats
+                assert stats.queue_depth == 0
+                assert sum(t.submitted for t in stats.tenants) == 240
+                assert stats.shed == 237  # all but the last three queued
+                assert_ledger_closed(stats)
+        finally:
+            sys.setswitchinterval(previous)
 
 
 class TestValidation:

@@ -314,7 +314,19 @@ def park(ingestor, tenant, name, service_class, deadline=None, at=0.0):
 def clear_queues(ingestor):
     """Drop fabricated frames so close() does not wait on them."""
     with ingestor._lock:
-        ingestor._unqueue_locked(lambda pending: True)
+        dropped = ingestor._unqueue_locked(lambda pending: True)
+    ingestor._settle(
+        [(pending, ToneMapError("cleared")) for pending in dropped]
+    )
+
+
+def shed_one(ingestor, tenant=None):
+    """One shed-oldest pick, settled; True if a frame was shed."""
+    with ingestor._lock:
+        state = None if tenant is None else ingestor._tenant_locked(tenant)
+        dropped = ingestor._shed_one_locked(state)
+    ingestor._settle(dropped)
+    return bool(dropped)
 
 
 @pytest.fixture
@@ -339,8 +351,7 @@ class TestClassAwareShedding:
         cheap = park(
             ingestor, "t", "cheap", ServiceClass.BEST_EFFORT, at=5.0
         )
-        with ingestor._lock:
-            assert ingestor._shed_one_locked() is True
+        assert shed_one(ingestor) is True
         with pytest.raises(ServiceOverloadedError):
             cheap.future.result(timeout=0)
         assert not std.future.done()
@@ -349,8 +360,7 @@ class TestClassAwareShedding:
         ingestor, _ = quiet_ingestor
         old = park(ingestor, "t", "old", ServiceClass.STANDARD, at=1.0)
         new = park(ingestor, "t", "new", ServiceClass.STANDARD, at=2.0)
-        with ingestor._lock:
-            assert ingestor._shed_one_locked() is True
+        assert shed_one(ingestor) is True
         assert old.future.done() and not new.future.done()
 
     def test_interactive_protected_until_its_deadline_expires(
@@ -361,20 +371,17 @@ class TestClassAwareShedding:
             ingestor, "t", "ui", ServiceClass.INTERACTIVE,
             deadline=clock.now() + 5.0, at=1.0,
         )
-        with ingestor._lock:
-            # Pre-deadline: the only queued frame is untouchable.
-            assert ingestor._shed_one_locked() is False
+        # Pre-deadline: the only queued frame is untouchable.
+        assert shed_one(ingestor) is False
         clock.advance(6.0)
-        with ingestor._lock:
-            assert ingestor._shed_one_locked() is True
+        assert shed_one(ingestor) is True
         with pytest.raises(ServiceOverloadedError):
             ui.future.result(timeout=0)
 
     def test_interactive_without_deadline_never_sheds(self, quiet_ingestor):
         ingestor, _ = quiet_ingestor
         park(ingestor, "t", "ui", ServiceClass.INTERACTIVE, at=1.0)
-        with ingestor._lock:
-            assert ingestor._shed_one_locked() is False
+        assert shed_one(ingestor) is False
 
     def test_tenant_scope_narrows_the_search(self, quiet_ingestor):
         ingestor, _ = quiet_ingestor
@@ -382,9 +389,7 @@ class TestClassAwareShedding:
             ingestor, "other", "cheap", ServiceClass.BEST_EFFORT, at=1.0
         )
         mine = park(ingestor, "mine", "std", ServiceClass.STANDARD, at=2.0)
-        with ingestor._lock:
-            state = ingestor._tenant_locked("mine")
-            assert ingestor._shed_one_locked(state) is True
+        assert shed_one(ingestor, "mine") is True
         # Scoped to "mine": its standard frame goes, not the globally
         # more sheddable best-effort frame of the other tenant.
         assert mine.future.done() and not other.future.done()
@@ -400,7 +405,8 @@ class TestClassAwareShedding:
             dropped = ingestor._shed_class_locked(
                 ServiceClass.BEST_EFFORT, reason="drain", ladder=False
             )
-        assert dropped == 3
+        ingestor._settle(dropped)
+        assert len(dropped) == 3
         errors = set()
         for victim in victims:
             with pytest.raises(ServiceOverloadedError, match="drain"):

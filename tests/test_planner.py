@@ -190,11 +190,18 @@ class TestExecutionPlan:
         with pytest.raises(ToneMapError):
             pinned(self._plan(), band_rows=3)
 
+    @pytest.mark.parametrize("regime", ["tiled", "fft"])
+    def test_pinned_refuses_the_mask_regime(self, regime):
+        # The engine derives the regime from the kernel width and the
+        # profile: a pinned "fft" was recorded while the band ring ran.
+        plan = plan_for(64, 64, batch=2, sigma=2.0, threads=1)
+        with pytest.raises(ToneMapError, match="unknown plan fields"):
+            pinned(plan, fused_h_method=regime)
+
     @pytest.mark.parametrize("field,value", [
         ("engine", "gpu"),
         ("blur_method", "tiled"),  # what plans saved by older code carry
         ("blur_method", "auto"),  # a plan pins a concrete method
-        ("fused_h_method", "tiled"),
         ("threads", 0),
     ])
     def test_pinned_rejects_unknown_decision_values(self, field, value):

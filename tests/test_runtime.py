@@ -360,10 +360,12 @@ class TestEngineInputs:
             BatchToneMapper, ShardPool, HostServer, HostPool.spawn_local,
             ToneMapService,
         ]
+        # The required first argument of the host pool (a count) and
+        # the server (its pool), so only the knob can raise.
+        firsts = {HostPool.spawn_local: (1,), HostServer: (None,)}
         for construct in constructors:
-            args = (1,) if construct is HostPool.spawn_local else ()
-            with pytest.raises(TypeError):
-                construct(*args, **{knob: None})
+            with pytest.raises(TypeError, match=knob):
+                construct(*firsts.get(construct, ()), **{knob: None})
 
 
 class TestRunStack:
