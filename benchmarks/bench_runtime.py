@@ -274,15 +274,16 @@ def test_sharded_outputs_exact():
 #: per stage, the fused path streams the frame once through band
 #: scratch, with the masks bit-identical.  Between the two FFT
 #: crossovers (sigma 4, taps 25) the ring measures ~1.4x under the 1e-9
-#: band; from fused_fft_min_taps upward the whole-plane FFT mask takes
-#: over, gated separately by ``test_fused_wide_1024``.
+#: band; the ring also runs the paper's sigma 16, gated separately by
+#: ``test_fused_wide_1024``, and the whole-plane FFT mask takes over
+#: only from fused_fft_min_taps (193 taps).
 FUSED_SIZE = 1024
 FUSED_FRAMES = 3
 FUSED_PARAMS = ToneMapParams(sigma=2.0)
 
 #: The paper's own configuration (sigma 16, 97 taps) as the repository
 #: benchmark's ``paper_wide`` workload runs it: batches of 4 1024² RGB
-#: frames on 2 fused threads, one whole image per partition.
+#: frames on 2 fused threads, the band ring over row partitions.
 WIDE_FRAMES = 4
 WIDE_PARAMS = ToneMapParams(sigma=16.0)
 
@@ -421,13 +422,18 @@ def test_fused_threads_1024(benchmark):
 
 
 def test_fused_wide_1024(benchmark):
-    """The paper's sigma-16 workload on the fused whole-plane FFT mask.
+    """The paper's sigma-16 workload on the fused band ring.
 
     Two machine-independent gates, strict in ``benchmarks/baseline.json``:
     ``outputs_exact`` is 1.0 only when the fused float32 outputs equal
-    the staged ``run_stack`` bit for bit (the plane mask runs the staged
-    FFT on the same rows), and the steady-state ``intermediate_bytes``
-    delta must be 0 (the pooled mask planes are allocated once).
+    the staged ``run_stack`` bit for bit, and the steady-state
+    ``intermediate_bytes`` delta must be 0 (the pooled ring scratch is
+    allocated once).  The ring's folded window meets the staged FFT
+    blur here, which the tolerance contract bounds by 1e-9 only; the
+    two float64 masks differ by about 1e-15 (at most 6.7e-16 on this
+    input, 1.2e-15 on perfbench's ``paper_wide`` frames), some eight
+    orders of magnitude below one float32 step of a unit output, so
+    the float32 outputs round to the same values on this input.
     ``speedup_vs_staged`` is a wall-clock band for the reference host,
     timed interleaved like the narrow-kernel case.
     """
@@ -440,7 +446,7 @@ def test_fused_wide_1024(benchmark):
     staged = BatchToneMapper(WIDE_PARAMS)
     fused = _fused_mapper(WIDE_PARAMS, stack, threads=2)
     try:
-        fused.run_stack(stack, out=out)  # warm: pooled planes allocated
+        fused.run_stack(stack, out=out)  # warm: pooled scratch allocated
         before = fused.fused_stats
         benchmark.pedantic(
             lambda: fused.run_stack(stack, out=out),
@@ -454,7 +460,11 @@ def test_fused_wide_1024(benchmark):
         assert after.threads_used == 2
         staged.run_stack(stack, out=want)
         exact = float(np.array_equal(out, want))
-        assert exact == 1.0, "the plane mask must match staged bit for bit"
+        assert exact == 1.0, (
+            "the ring's float32 outputs must match staged bit for bit: "
+            "its mask is within ~1e-15 of the staged FFT's, far below "
+            "one float32 step"
+        )
         if benchmark.stats is not None:  # skip discarded timings in quick mode
             staged_s, fused_s = _best_interleaved(
                 lambda: staged.run_stack(stack, out=want),

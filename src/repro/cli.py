@@ -10,7 +10,7 @@ Subcommands map one-to-one to the paper's artifacts::
     repro-experiments all [-o DIR]        # everything
     repro-experiments batch [...]         # batched tone-mapping throughput
     repro-experiments planner explain     # plan + rationale for a workload
-    repro-experiments planner calibrate   # measure this host's FFT crossover
+    repro-experiments planner calibrate   # measure this host's crossovers
 
 ``--size`` shrinks the Fig. 5 image for quick runs (timing experiments
 are analytic and unaffected).
@@ -40,8 +40,9 @@ plan; without ``--plan`` batches run the staged reference engine.
 workers run one thread each).  ``serve-host --plan FILE`` loads a plan
 the same way for a serving host.  ``planner explain`` prints the plan
 and its cost rationale for a described workload without running anything;
-``planner calibrate`` measures this host's FFT crossover and can
-write it as a profile (``-o host.json``, activated via
+``planner calibrate`` measures this host's two crossovers (staged
+folded vs FFT, fused band ring vs whole-plane FFT mask) and can
+write them as a profile (``-o host.json``, activated via
 ``REPRO_PLANNER_PROFILE``).  See ``docs/architecture.md`` for the full
 data path.
 """
@@ -320,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     calibrate.add_arguments(psub.add_parser(
         "calibrate",
-        help="measure this host's FFT crossover and write a "
+        help="measure this host's dispatch crossovers and write a "
              "calibration profile",
     ))
     return parser

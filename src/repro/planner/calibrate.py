@@ -1,21 +1,26 @@
-"""Measure this host's FFT crossover and write a calibration profile.
+"""Measure this host's two dispatch crossovers and write a profile.
 
-``repro.tonemap.gaussian`` dispatches ``method="auto"`` on one
-calibrated crossover: ``fft_crossover_taps`` (folded sliding window →
-FFT row convolution).  The built-in default was measured on the
-reference host; a different FFT build or cache hierarchy moves it.
-This module re-measures the crossover *here* and writes it as a
+The dispatch runs on two calibrated crossovers.  ``fft_crossover_taps``
+moves the staged ``method="auto"`` row convolution from the folded
+sliding window to the FFT; ``fused_fft_min_taps`` moves the fused
+engine's mask from the band ring to the whole-plane FFT.  The built-in
+defaults were measured on the reference host; a different FFT build,
+cache hierarchy or band-kernel build (compiled or NumPy) moves them.
+This module re-measures both *here* and writes them as a
 :class:`~repro.planner.profile.CalibrationProfile`:
 
     PYTHONPATH=src python -m repro.cli planner calibrate -o host.json
     export REPRO_PLANNER_PROFILE=host.json
 
-The sweep times :func:`separable_blur` with the method pinned, so the
-numbers are end-to-end (both separable passes), not synthetic.  The
-crossover is the smallest grid point from which the FFT wins at every
-remaining grid point — a single noisy win does not move the dispatch.
-``--quick`` shrinks the grid for smoke runs (CI / tests); use the
-defaults (or larger ``--rounds``) for a real calibration.
+The FFT sweep times :func:`separable_blur` with the method pinned; the
+fused sweep times a :class:`~repro.runtime.fused.FusedExecutor` over an
+RGB stack with the mask regime pinned, on whichever band kernels load
+on this host.  Both are end to end (both separable passes; the whole
+fused pass), not synthetic.  Each crossover is the smallest grid point
+from which the challenger wins at every remaining grid point — a
+single noisy win does not move the dispatch.  ``--quick`` shrinks the
+grids and frames for smoke runs (CI / tests); use the defaults (or
+larger ``--rounds``) for a real calibration.
 """
 
 from __future__ import annotations
@@ -32,11 +37,18 @@ from repro.planner.profile import (
     CalibrationProfile,
     active_profile,
 )
+from repro.runtime.fused import FusedExecutor, FusedToneMapPlan
 from repro.tonemap.gaussian import GaussianKernel, separable_blur
+from repro.tonemap.pipeline import ToneMapParams
 
 #: Radii swept for the folded-vs-FFT crossover (taps = 2r + 1).
 RADIUS_GRID = (4, 6, 8, 10, 12, 14, 16, 20, 24, 32)
 QUICK_RADIUS_GRID = (4, 8, 12)
+
+#: Radii swept for the fused band-ring-vs-plane crossover: taps 25 to
+#: 289, the paper's sigma 16 (97 taps) among them.
+FUSED_RADIUS_GRID = (12, 16, 24, 48, 72, 96, 144)
+QUICK_FUSED_RADIUS_GRID = (12, 48)
 
 
 def _best_seconds(fn, rounds: int) -> float:
@@ -86,17 +98,55 @@ def sweep_fft_taps(size: int, rounds: int, grid) -> dict:
     return {"rows": rows, "recommended": int(crossover)}
 
 
-def build_profile(fft: dict, quick: bool = False) -> CalibrationProfile:
-    """Assemble a profile from the sweep result.
+def sweep_fused_taps(size: int, rounds: int, grid) -> dict:
+    """Fused band ring vs whole-plane FFT mask across kernel widths.
 
-    The FFT crossover comes from the sweep; ``fused_fft_min_taps`` is
-    carried over from the currently active profile (it calibrates
-    against the fused benchmark suite, not this sweep) — the provenance
-    string records both facts.
+    Times :meth:`FusedExecutor.run` on one ``size``² RGB frame per
+    worker thread, with each regime pinned through the plan's profile.
     """
+    rows = []
+    with FusedExecutor() as executor:
+        rng = np.random.default_rng(2018)
+        shape = (executor.threads, size, size, 3)
+        stack = rng.uniform(0.0, 2.0, shape).astype(np.float32)
+        out = np.empty(shape, dtype=np.float32)
+        for radius in grid:
+            params = ToneMapParams(sigma=max(radius / 3.0, 0.5), radius=radius)
+            taps = params.kernel().taps
+            seconds = {}
+            for regime, profile in (
+                ("ring", CalibrationProfile(fused_fft_min_taps=taps + 1)),
+                ("plane", CalibrationProfile(
+                    fft_crossover_taps=taps, fused_fft_min_taps=taps
+                )),
+            ):
+                plan = FusedToneMapPlan(params, profile=profile)
+                executor.run(plan, stack, out)  # warm the scratch
+                seconds[regime] = _best_seconds(
+                    lambda: executor.run(plan, stack, out), rounds
+                )
+            rows.append(
+                {
+                    "taps": taps,
+                    "incumbent_s": seconds["ring"],
+                    "challenger_s": seconds["plane"],
+                }
+            )
+    crossover = _stable_crossover(rows, "taps")
+    if crossover is None:
+        # The plane never stabilized as the winner: keep every measured
+        # kernel on the ring.
+        crossover = rows[-1]["taps"] + 2
+    return {"rows": rows, "recommended": int(crossover), "stack": shape}
+
+
+def build_profile(
+    fft: dict, fused: dict, quick: bool = False
+) -> CalibrationProfile:
+    """Assemble a profile from the two sweeps' recommendations."""
     return CalibrationProfile(
         fft_crossover_taps=fft["recommended"],
-        fused_fft_min_taps=active_profile().fused_fft_min_taps,
+        fused_fft_min_taps=fused["recommended"],
         host=f"{platform.node() or 'unknown'} ({platform.machine()})",
         source="calibration" + (" (quick)" if quick else ""),
         calibrated=not quick,
@@ -108,12 +158,15 @@ def run_calibration(
     rounds: int = 3,
     quick: bool = False,
 ) -> dict:
-    """Run the sweep and build the profile."""
+    """Run both sweeps and build the profile."""
     radius_grid = QUICK_RADIUS_GRID if quick else RADIUS_GRID
+    fused_grid = QUICK_FUSED_RADIUS_GRID if quick else FUSED_RADIUS_GRID
     size = min(size, 256) if quick else size
     fft = sweep_fft_taps(size, rounds, radius_grid)
-    profile = build_profile(fft, quick=quick)
-    return {"fft": fft, "profile": profile, "size": size}
+    fused = sweep_fused_taps(min(size, 128) if quick else size, rounds,
+                             fused_grid)
+    profile = build_profile(fft, fused, quick=quick)
+    return {"fft": fft, "fused": fused, "profile": profile, "size": size}
 
 
 def add_arguments(parser: argparse.ArgumentParser) -> None:
@@ -121,7 +174,7 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
     calibrate`` (whose arguments :func:`run` takes as they are)."""
     parser.add_argument(
         "--size", type=int, default=768,
-        help="plane edge for the FFT-crossover sweep (default 768)",
+        help="frame edge for both crossover sweeps (default 768)",
     )
     parser.add_argument(
         "--rounds", type=int, default=3,
@@ -156,14 +209,18 @@ def run(args: argparse.Namespace) -> int:
     result = run_calibration(
         size=args.size, rounds=args.rounds, quick=args.quick
     )
-    fft = result["fft"]
+    fft, fused = result["fft"], result["fused"]
     profile: CalibrationProfile = result["profile"]
 
     if args.output is not None:
-        profile.save(args.output, extra={"sweeps": {"fft": fft}})
+        profile.save(
+            args.output, extra={"sweeps": {"fft": fft, "fused": fused}}
+        )
 
     if args.json:
-        payload = {"fft": fft, "profile": profile.to_json_dict()}
+        payload = {
+            "fft": fft, "fused": fused, "profile": profile.to_json_dict()
+        }
         print(json.dumps(payload, indent=2))
         return 0
 
@@ -174,6 +231,13 @@ def run(args: argparse.Namespace) -> int:
         winner = "fft" if row["challenger_s"] < row["incumbent_s"] else "folded"
         print(f"  taps {row['taps']:>3}: folded {row['incumbent_s']*1e3:8.2f} ms"
               f"   fft {row['challenger_s']*1e3:8.2f} ms   -> {winner}")
+    print(f"fused mask sweep ({'x'.join(map(str, fused['stack']))} RGB "
+          f"stack, one frame per thread, best of {args.rounds}):")
+    for row in fused["rows"]:
+        plane_wins = row["challenger_s"] < row["incumbent_s"]
+        winner = "plane" if plane_wins else "ring"
+        print(f"  taps {row['taps']:>3}: ring {row['incumbent_s']*1e3:8.2f} ms"
+              f"   plane {row['challenger_s']*1e3:8.2f} ms   -> {winner}")
     print()
     print(f"current dispatch: fft_crossover_taps="
           f"{current.fft_crossover_taps} "
@@ -181,6 +245,8 @@ def run(args: argparse.Namespace) -> int:
           f"(source: {current.source})")
     print(f"recommended for this host: fft_crossover_taps="
           f"{fft['recommended']}")
+    print(f"                           fused_fft_min_taps="
+          f"{fused['recommended']}")
     if args.output is not None:
         print(f"profile written to {args.output} "
               f"(activate it with REPRO_PLANNER_PROFILE={args.output})")

@@ -370,16 +370,16 @@ class Planner:
                 f"engine=fused: taps {taps} >= fused_fft_min_taps "
                 f"{profile.fused_fft_min_taps} — whole-plane FFT mask "
                 "computed once per image, then the band epilogue; "
-                "bit-identical to staged (measured ~2x staged at sigma 16 "
-                "on the reference host)"
+                "bit-identical to staged, and past the measured crossover "
+                "where the transform overtakes the ring's folded window"
             )
         else:
             lines.append(
                 f"engine=fused: band ring — taps {taps} < "
                 f"fused_fft_min_taps {profile.fused_fft_min_taps} or a "
                 "non-FFT staged blur; the folded window beats staged "
-                "execution for narrow kernels (measured 1.4-1.9x on the "
-                "reference host)"
+                "execution (measured 1.4-1.9x for narrow kernels and "
+                "~5x at sigma 16 on the reference host)"
             )
         if blur_method == "fft":
             lines.append(

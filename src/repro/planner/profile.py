@@ -7,6 +7,8 @@ consult it), so the hot paths can read it without import cycles:
 * :class:`CalibrationProfile` — the serialized host calibration: the
   two dispatch crossovers (the ``DEFAULT_*`` constants below) collected
   into one frozen, JSON-round-trippable record with provenance.
+  ``planner calibrate`` measures both on a host; the fused one moves
+  most with whether the band kernels compiled there.
 * :func:`active_profile` — the **call-time** resolution every dispatch
   decision goes through.  Nothing is captured at import: the
   resolution order is (1) a profile pinned programmatically with
@@ -48,13 +50,16 @@ PROFILE_VERSION = 1
 DEFAULT_FFT_CROSSOVER_TAPS = 25
 
 #: Kernel width at which the fused engine leaves the band ring for the
-#: whole-plane FFT mask.  Deliberately above the staged path's FFT
-#: crossover: the ring's folded window stays ahead of a transform
-#: until the kernel is this wide (4 x 1024² RGB over staged, 1-2
-#: threads on the reference host: taps 25 ring 2.0-3.3x vs plane
-#: 1.5-2.3x; taps 33 plane 1.7-2.2x vs ring 1.3-1.7x; taps 97 plane
-#: 1.9-2.5x vs ring 0.7-1.0x).
-DEFAULT_FUSED_FFT_MIN_TAPS = 33
+#: whole-plane FFT mask.  Far above the staged path's FFT crossover:
+#: on the compiled band kernels the ring's folded window stays ahead of
+#: a transform up to about 190 taps, so the paper's sigma 16 (97 taps)
+#: runs on the ring.  Ring/plane time per frame at taps 97/145/193/289
+#: on the 2-core reference host: 0.57/0.71/0.99/1.66 (4 x 1024² RGB,
+#: 2 threads), 0.70/0.73/1.02/1.24 (1 thread), 0.52/0.60/1.03/1.66
+#: (4 x 1024² gray, 2 threads).  On the NumPy band kernels (no C
+#: compiler) the plane wins from 33 taps; ``planner calibrate``
+#: measures the crossover on such a host.
+DEFAULT_FUSED_FFT_MIN_TAPS = 193
 
 #: Env var naming the calibration profile JSON file to dispatch with.
 PROFILE_ENV = "REPRO_PLANNER_PROFILE"
@@ -284,9 +289,10 @@ def select_engine(fixed: bool = False) -> str:
 
     The fused engine is float-only (it *is* the blur), so fixed-point
     workloads stay staged.  Every float workload runs fused, whatever
-    the kernel width: the band ring for narrow kernels (measured
-    1.4-1.9x staged on the reference host), the whole-plane FFT mask
-    from ``fused_fft_min_taps`` upward (measured ~2x staged at sigma 16,
-    bit-identical) — :func:`select_fused_h_method` picks between them.
+    the kernel width: the band ring below ``fused_fft_min_taps``
+    (measured 1.4-1.9x staged for narrow kernels and 5.1-5.4x at sigma
+    16, 4 x 1024² RGB on 2 threads, on the reference host), the whole-plane
+    FFT mask from there upward (bit-identical to staged) —
+    :func:`select_fused_h_method` picks between them.
     """
     return "staged" if fixed else "fused"

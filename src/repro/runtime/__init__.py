@@ -13,9 +13,10 @@ four composable stages (diagrammed in ``docs/architecture.md``):
   :class:`~repro.runtime.fused.FusedExecutor`): the software analogue of
   the paper's ``DATAFLOW`` pragma.  All four stages run in one pass over
   cache-sized row bands (vertical blur halos come from a reusable
-  line-buffer ring; wide kernels read their mask rows from a pooled
-  whole-plane FFT blur instead), partitioned across a persistent thread
-  pool, with zero stage temporaries after warm-up
+  line-buffer ring, the paper's sigma 16 included; kernels past the
+  fused crossover, 193 taps by default, read their mask rows from a
+  pooled whole-plane FFT blur instead), partitioned across a persistent
+  thread pool, with zero stage temporaries after warm-up
   (:class:`~repro.runtime.fused.FusedStats` proves it).  An
   :class:`~repro.planner.plan.ExecutionPlan` selects it: pass
   ``plan=`` to the mapper, pool, host or service — every float plan

@@ -13,7 +13,10 @@ interface:
   :mod:`ctypes`.  Each C loop replays its NumPy pass's per-element
   operation order, so masks and outputs are bit-identical under either
   implementation, and ``ctypes`` drops the GIL for every call, so the
-  fused threads overlap as they do on NumPy's loops.
+  fused threads overlap as they do on NumPy's loops.  Its folded
+  passes hold 16 outputs in registers across every tap, and the
+  vertical pass walks the ring in 16-column strips whose rows stay in
+  L1 across a band (the ring's row stride is padded for it).
 
 Three operations stay NumPy in both: the two ``np.power`` calls and the
 luminance ``np.matmul``.  NumPy's SIMD ``power`` differs from libm
@@ -81,10 +84,11 @@ class NumpyKernels:
         staged path's edge-replicate padding) are normalized, reduced to
         luminance (``rgb`` is the colour staging buffer, ``None`` for
         gray), edge-padded in ``padded`` and folded horizontally into
-        ``ring[dest : dest + n]``."""
-        height = plane32.shape[0]
+        ``ring[dest : dest + n]``.  The ring's rows are padded past the
+        frame width; only their first ``width`` values are written."""
+        height, width = plane32.shape[:2]
         radius = (coeffs.size - 1) // 2
-        width = ring.shape[1]
+        ring = ring[:, :width]
         center = padded[:n, radius : radius + width]
         # The float32 division loop runs whatever the out dtype, so
         # dividing straight into float64 scratch widens exactly like the
@@ -114,6 +118,7 @@ class NumpyKernels:
         ``[t, t + 2 * radius]`` for ``t < n`` -- the staged folded
         arithmetic, run down the columns of the ring."""
         radius = (coeffs.size - 1) // 2
+        ring = ring[:, : vert.shape[1]]
         pair = ws.get("pair", ring.shape)
         fold_rows_into(
             ring[: n + 2 * radius].T, coeffs, vert[:n].T, pair[:n].T
@@ -173,8 +178,8 @@ class CompiledKernels:
         p, i = ctypes.c_void_p, ctypes.c_ssize_t
         f, d = ctypes.c_float, ctypes.c_double
         self._normalize = _declare(lib.rk_normalize, p, i, i, i, i, f, p, i)
-        self._hfold = _declare(lib.rk_hfold, p, i, i, i, p, p)
-        self._vfold = _declare(lib.rk_vfold, p, i, i, i, p, p)
+        self._hfold = _declare(lib.rk_hfold, p, i, i, i, p, p, i)
+        self._vfold = _declare(lib.rk_vfold, p, i, i, i, i, p, p)
         self._pre = _declare(lib.rk_pre, p, i, d, p, p)
         self._mid = _declare(lib.rk_mid, p, i, i, f, d, p, p, p, p)
         self._post = _declare(lib.rk_post, p, p, i, d, d, p, ctypes.c_int)
@@ -199,15 +204,16 @@ class CompiledKernels:
             np.matmul(
                 rgb[:n], LUMA_WEIGHTS, out=padded[:n, radius : radius + width]
             )
+        stride = ring.shape[1]
         self._hfold(
             _ptr(padded), n, width, radius, _ptr(coeffs),
-            _ptr(ring) + 8 * dest * width,
+            _ptr(ring) + 8 * dest * stride, stride,
         )
 
     def vertical(self, ws, ring, coeffs, n, vert) -> None:
         self._vfold(
-            _ptr(ring), n, ring.shape[1], (coeffs.size - 1) // 2,
-            _ptr(coeffs), _ptr(vert),
+            _ptr(ring), ring.shape[1], n, vert.shape[1],
+            (coeffs.size - 1) // 2, _ptr(coeffs), _ptr(vert),
         )
 
     def pre(self, blurred, mask, expo, strength) -> None:

@@ -18,17 +18,21 @@ module is the software analogue of the pragma:
   chosen by the profile's ``fused_fft_min_taps`` crossover
   (:meth:`FusedToneMapPlan.h_method`):
 
-  - **ring** (narrow kernels): the vertical blur halo (``radius`` rows
-    above and below a band) comes from a reusable **line-buffer ring**
-    of horizontally-blurred rows, mirroring the paper's line-buffer
+  - **ring** (every kernel below the crossover, the paper's sigma 16
+    among them): the vertical blur halo (``radius`` rows above and
+    below a band) comes from a reusable **line-buffer ring** of
+    horizontally-blurred rows, mirroring the paper's line-buffer
     architecture: consecutive bands share ``2 * radius`` ring rows, so
-    every image row is horizontally convolved exactly once.
-  - **plane** (wide kernels): the wide stencil is computed once per
-    image ("at root") into a pooled ``(H, W)`` workspace plane with the
-    staged path's own FFT row convolution, on row blocks for the
-    horizontal pass and transposed column blocks for the vertical pass,
-    so the FFT transients stay block-sized; the band epilogue then reads
-    its mask rows from that plane.
+    every image row is horizontally convolved exactly once.  The ring's
+    rows are padded to an odd number of cache lines
+    (:func:`_ring_stride`) for the compiled vertical pass's strips.
+  - **plane** (kernels past the crossover, 193 taps by default): the
+    wide stencil is computed once per image ("at root") into a pooled
+    ``(H, W)`` workspace plane with the staged path's own FFT row
+    convolution, on row blocks for the horizontal pass and transposed
+    column blocks for the vertical pass, so the FFT transients stay
+    block-sized; the band epilogue then reads its mask rows from that
+    plane.
 
 * Every band pass runs through one five-kernel interface
   (:mod:`repro.runtime.band_kernels`): the ring's horizontal and
@@ -55,9 +59,10 @@ ring rows vertically) and throughout the plane regime (the plane runs
 the staged :func:`~repro.tonemap.gaussian._convolve_fft` on the same
 rows; each row transforms on its own, so blocking cannot change a
 bit).  Only between the two crossovers
-(``fft_crossover_taps <= taps < fused_fft_min_taps``) does the ring's
-folded arithmetic meet a staged FFT, so outputs agree to the blur
-module's documented 1e-9 absolute band instead.
+(``fft_crossover_taps <= taps < fused_fft_min_taps``: taps 25 to 191
+under the default profile, the paper's sigma 16 among them) does the
+ring's folded arithmetic meet a staged FFT, so outputs agree to the
+blur module's documented 1e-9 absolute band instead.
 
 **Steady-state allocation contract**: per-thread scratch (the plane
 included) is allocated on first use (or when the frame geometry changes)
@@ -115,6 +120,15 @@ POOLED_GEOMETRIES = 8
 def _default_threads() -> int:
     """Worker-thread default: the CPU count."""
     return os.cpu_count() or 1
+
+
+def _ring_stride(width: int) -> int:
+    """Values per line-buffer ring row: ``width`` rounded up to whole
+    64-byte cache lines, and an odd number of them.  The compiled
+    vertical pass walks the ring in 16-column strips; at an odd line
+    count a strip's rows spread over every L1 set, where a 1024-wide
+    ring's 8 KiB rows would all land in the same few sets."""
+    return 8 * (-(-width // 8) | 1)
 
 
 def band_rows_for(
@@ -412,7 +426,7 @@ def _process_span(
     denom = _denominator(peak)
     plane32 = stack32[index]
 
-    ring = ws.get("ring", (cap, width))
+    ring = ws.get("ring", (cap, _ring_stride(width)))
     padded = ws.get("pad", (cap, width + 2 * radius))
     rgb = ws.get("rgb", (cap, width, 3)) if color else None
     vert = ws.get("vert", (band, width))

@@ -540,11 +540,14 @@ class HostPool(Backend):
 
         Each host process binds an ephemeral port, reports it back over
         a pipe, and runs ``shards_per_host`` workers built from
-        ``(params, plan)``, both pickled to the host.  The pool owns
-        the processes: a host that dies is respawned with the same
-        recipe, and :meth:`close` terminates them all.  The fault
-        plan's spec (if any) ships to every host so worker-kind faults
-        inject there while the pool injects the network kinds here.
+        ``(params, plan)``, both pickled to the host.  Every process
+        starts before the first address is awaited, so the hosts start
+        up side by side; if one fails to report, every host already
+        started is terminated.  The pool owns the processes: a host that
+        dies is respawned with the same recipe, and :meth:`close`
+        terminates them all.  The fault plan's spec (if any) ships to
+        every host so worker-kind faults inject there while the pool
+        injects the network kinds here.
         """
         if count < 1:
             raise ToneMapError(f"hosts must be >= 1, got {count}")
@@ -554,27 +557,21 @@ class HostPool(Backend):
             if "forkserver" in mp.get_all_start_methods()
             else mp.get_context("spawn")
         )
-        spawn = functools.partial(
-            _spawn_host,
-            context,
-            {
-                "params": params,
-                "shards": shards_per_host,
-                "plan": plan,
-                "arena_slots": arena_slots,
-                "default_timeout_ms": default_timeout_ms,
-                "faults": (
-                    injector.plan.to_spec() if injector is not None else None
-                ),
-            },
-        )
-        addresses: List[HostAddress] = []
-        processes: List = []
+        spawn_kwargs = {
+            "params": params,
+            "shards": shards_per_host,
+            "plan": plan,
+            "arena_slots": arena_slots,
+            "default_timeout_ms": default_timeout_ms,
+            "faults": (
+                injector.plan.to_spec() if injector is not None else None
+            ),
+        }
+        started: List = []
         try:
             for _ in range(count):
-                address, process = spawn()
-                addresses.append(address)
-                processes.append(process)
+                started.append(_start_host(context, spawn_kwargs))
+            addresses = [_host_address(*host) for host in started]
             pool = cls(
                 addresses,
                 arena_slots=arena_slots,
@@ -583,11 +580,12 @@ class HostPool(Backend):
                 clock=clock,
             )
         except BaseException:
-            for process in processes:
+            for process, conn in started:
+                conn.close()
                 _terminate_host(process)
             raise
-        pool._spawn = spawn
-        for host, process in zip(pool._hosts, processes):
+        pool._spawn = functools.partial(_spawn_host, context, spawn_kwargs)
+        for host, (process, _) in zip(pool._hosts, started):
             host.process = process
         return pool
 
@@ -1010,8 +1008,9 @@ class HostPool(Backend):
 # ----------------------------------------------------------------------
 # Spawn plumbing
 # ----------------------------------------------------------------------
-def _spawn_host(context, spawn_kwargs: dict) -> Tuple[HostAddress, object]:
-    """Start one host process; returns its reported address."""
+def _start_host(context, spawn_kwargs: dict) -> Tuple[object, object]:
+    """Start one host process; returns it and the pipe end its address
+    arrives on (:func:`_host_address`)."""
     parent_conn, child_conn = context.Pipe()
     process = context.Process(
         target=_host_main,
@@ -1021,6 +1020,12 @@ def _spawn_host(context, spawn_kwargs: dict) -> Tuple[HostAddress, object]:
     )
     process.start()
     child_conn.close()
+    return process, parent_conn
+
+
+def _host_address(process, parent_conn) -> HostAddress:
+    """Wait for a started host to report its address; a host that does
+    not report is terminated."""
     try:
         if not parent_conn.poll(timeout=120.0):
             raise ToneMapError(
@@ -1038,7 +1043,13 @@ def _spawn_host(context, spawn_kwargs: dict) -> Tuple[HostAddress, object]:
         raise
     finally:
         parent_conn.close()
-    return (str(address[0]), int(address[1])), process
+    return str(address[0]), int(address[1])
+
+
+def _spawn_host(context, spawn_kwargs: dict) -> Tuple[HostAddress, object]:
+    """Start one host process; returns its reported address."""
+    process, parent_conn = _start_host(context, spawn_kwargs)
+    return _host_address(process, parent_conn), process
 
 
 def _kill_group(process) -> None:

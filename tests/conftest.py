@@ -4,6 +4,8 @@ import time
 
 import pytest
 
+from repro.runtime import band_kernels
+
 
 def _wait_for_corpse(pool, timeout=30.0):
     """Block until a shard pool's executor has noticed a killed worker.
@@ -51,3 +53,9 @@ def _assert_ledger_closed(stats):
 def assert_ledger_closed():
     """``assert_ledger_closed(stats)``: the ingestor frame-ledger identity."""
     return _assert_ledger_closed
+
+
+@pytest.fixture
+def numpy_kernels(monkeypatch):
+    """Run on the NumPy band kernels, as a host with no C compiler does."""
+    monkeypatch.setattr(band_kernels, "compiled_kernels", lambda: None)

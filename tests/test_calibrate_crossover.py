@@ -2,6 +2,8 @@
 the call-time profile resolution the dispatch reads it through
 (``REPRO_PLANNER_PROFILE`` and ``planner.override``)."""
 
+import json
+
 from repro.planner import calibrate
 
 
@@ -48,23 +50,50 @@ class TestSweeps:
         ) == 0
         assert f"REPRO_PLANNER_PROFILE={path}" in capsys.readouterr().out
         profile = CalibrationProfile.load(path)
-        assert profile.fft_crossover_taps > 0
-        assert profile.fused_fft_min_taps == (
-            CalibrationProfile().fused_fft_min_taps
-        )
+        sweeps = json.loads(path.read_text())["sweeps"]
+        assert profile.fft_crossover_taps == sweeps["fft"]["recommended"]
+        assert profile.fused_fft_min_taps == sweeps["fused"]["recommended"]
 
     def test_json_output_is_parseable(self, capsys):
-        import json
-
         assert calibrate.main(["--quick", "--rounds", "1", "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["fft"]["recommended"] > 0
-        assert set(data) == {"fft", "profile"}
+        assert set(data) == {"fft", "fused", "profile"}
         assert set(data["profile"]) == {
             "fft_crossover_taps", "fused_fft_min_taps", "host", "source",
             "calibrated", "version",
         }
         assert all("taps" in row for row in data["fft"]["rows"])
+        assert all("taps" in row for row in data["fused"]["rows"])
+
+    def test_fused_sweep_sets_the_profile_on_numpy_kernels(
+        self, numpy_kernels, monkeypatch
+    ):
+        # A host without a compiler runs the NumPy ring, which the
+        # plane overtakes at a narrower kernel than the compiled ring:
+        # the profile takes whatever this host's sweep recommends.
+        from repro.runtime import band_kernels
+
+        passes = []
+        vertical = band_kernels.NUMPY.vertical
+        monkeypatch.setattr(
+            band_kernels.NUMPY, "vertical",
+            lambda *args: passes.append(1) or vertical(*args),
+        )
+        result = calibrate.run_calibration(rounds=1, quick=True)
+        assert passes  # the ring ran on the NumPy kernels
+        fused = result["fused"]
+        taps = [2 * r + 1 for r in calibrate.QUICK_FUSED_RADIUS_GRID]
+        assert [row["taps"] for row in fused["rows"]] == taps
+        assert all(
+            row["incumbent_s"] > 0 and row["challenger_s"] > 0
+            for row in fused["rows"]
+        )
+        crossover = calibrate._stable_crossover(fused["rows"], "taps")
+        assert fused["recommended"] == (
+            taps[-1] + 2 if crossover is None else crossover
+        )
+        assert result["profile"].fused_fft_min_taps == fused["recommended"]
 
 
 class TestEnvOverrides:

@@ -9,10 +9,13 @@ The tolerance contract under test (documented in
   and band size;
 * from ``fused_fft_min_taps`` upward the whole-plane FFT mask runs the
   staged transform itself, so masks and outputs are **bit-identical**
-  again;
+  again (the plane-regime tests pin that crossover at
+  :data:`PLANE_MIN_TAPS`, so the plane keeps its coverage at taps 37
+  and 97, which the default crossover leaves to the ring);
 * only in between (``fft_crossover_taps <= taps < fused_fft_min_taps``:
-  the ring's folded window against a staged FFT) do outputs agree
-  within the blur module's 1e-9 absolute band instead.
+  the ring's folded window against a staged FFT, the paper's sigma 16
+  among them) do outputs agree within the blur module's 1e-9 absolute
+  band instead.
 
 Every bit-identity class runs twice: on the host's band kernels (the
 compiled C library wherever a compiler works) and, in its ``...Numpy``
@@ -33,6 +36,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import planner
 from repro.errors import ToneMapError
 from repro.image.synthetic import SceneParams, make_scene
 from repro.runtime import (
@@ -46,17 +50,20 @@ from repro.runtime import (
 from repro.runtime.fused import (
     POOLED_GEOMETRIES,
     _partition_spans,
+    _ring_stride,
     _Workspace,
 )
 from repro.planner import plan_for
 from repro.planner.profile import DEFAULT_FFT_CROSSOVER_TAPS
 from repro.tonemap.adjust import AdjustParams
+from repro.tonemap.gaussian import GaussianKernel
 from repro.tonemap.masking import MaskingParams
 from repro.tonemap.pipeline import ToneMapParams, ToneMapper
 
 #: Narrow kernels resolve to folded -> bit-identical contract;
-#: wide ones to the FFT -> 1e-9 band at worst (taps 97 runs the plane
-#: mask, which TestPlaneRegime pins bit for bit).  (taps = 2*radius + 1.)
+#: wide ones to the staged FFT while the fused engine keeps its band
+#: ring -> the 1e-9 band (taps 97, the paper default, runs the ring
+#: below the default fused_fft_min_taps).  (taps = 2*radius + 1.)
 FOLDED_PARAMS = [
     ToneMapParams(sigma=2.0, radius=6),
     ToneMapParams(sigma=3.0, radius=11),
@@ -65,7 +72,10 @@ FFT_PARAMS = [
     ToneMapParams(sigma=4.0),   # taps 25, at the crossover
     ToneMapParams(sigma=16.0),  # the paper default, taps 97
 ]
-#: Kernels at or above fused_fft_min_taps: the whole-plane FFT mask.
+#: The fused_fft_min_taps the plane-regime tests pin, so PLANE_PARAMS
+#: run the whole-plane FFT mask whatever the default crossover.
+PLANE_MIN_TAPS = 33
+#: Kernels at or above PLANE_MIN_TAPS: the whole-plane FFT mask.
 PLANE_PARAMS = [
     ToneMapParams(sigma=6.0),   # taps 37
     ToneMapParams(sigma=16.0),  # the paper default, taps 97
@@ -80,6 +90,9 @@ PLANE_SHAPES = [
     (3, 48, 48, 3),
     (4, 97, 130, 3),
 ]
+#: Frames around the compiled ring's 16-column blocks: one column, a
+#: width below one block, a one-column tail, and a 2-column tail.
+ODD_SHAPES = [(2, 5, 1), (1, 40, 15), (2, 23, 17, 3), (1, 9, 130, 3)]
 SHAPES = [
     (3, 40, 56),        # gray, several images
     (2, 33, 47),        # odd geometry
@@ -112,12 +125,6 @@ def _plan(params, threads=None):
     )
     assert plan.engine == "fused"
     return plan
-
-
-@pytest.fixture
-def numpy_kernels(monkeypatch):
-    """Run on the NumPy band kernels, as a host with no C compiler does."""
-    monkeypatch.setattr(band_kernels, "compiled_kernels", lambda: None)
 
 
 def _fused(params, stack, threads, band_bytes=None):
@@ -154,6 +161,7 @@ class TestToleranceContract:
     )
     def test_fft_paths_within_band(self, params, shape, threads):
         assert params.kernel().taps >= DEFAULT_FFT_CROSSOVER_TAPS
+        assert FusedToneMapPlan(params).h_method() == "folded"  # the ring
         stack = _stack(shape)
         want, want_masks = _staged(params, stack)
         got, got_masks, _ = _fused(params, stack, threads)
@@ -263,7 +271,14 @@ class TestToleranceContractNumpy(TestToleranceContract):
 
 
 class TestPlaneRegime:
-    """taps >= fused_fft_min_taps: bit-identical to staged ``run_stack``."""
+    """taps >= fused_fft_min_taps: bit-identical to staged ``run_stack``.
+
+    Every case runs under a profile pinned at :data:`PLANE_MIN_TAPS`."""
+
+    @pytest.fixture(autouse=True)
+    def _plane_profile(self):
+        with planner.override(fused_fft_min_taps=PLANE_MIN_TAPS):
+            yield
 
     @pytest.mark.parametrize("threads", THREADS)
     @pytest.mark.parametrize(
@@ -437,6 +452,65 @@ class TestBandKernels:
         assert not band_kernels._owned_file(planted)
         assert os.path.exists(planted)
 
+    @pytest.mark.parametrize("width", [1, 7, 15, 16, 17, 40, 130])
+    @pytest.mark.parametrize("radius", [1, 6, 48])
+    @pytest.mark.parametrize("color", [False, True], ids=["gray", "rgb"])
+    def test_ring_passes_match_numpy(self, width, radius, color):
+        # The compiled ring passes against the NumPy reference, bit for
+        # bit: 16-column blocks with a tail (17, 40, 130), frames
+        # narrower than one block (1, 7, 15), a radius wider than the
+        # 21-row frame (48), two fills at different ring offsets, and a
+        # ring whose rows are padded past the width.
+        compiled = band_kernels.compiled_kernels()
+        if compiled is None:
+            pytest.skip("the band library is not available")
+        coeffs = GaussianKernel(
+            sigma=max(radius / 3.0, 0.5), radius=radius
+        ).coefficients
+        band = 9
+        cap = band + 2 * radius
+        stride = _ring_stride(width)
+        assert stride >= width and stride % 16 == 8  # odd cache lines
+        shape = (1, 21, width) + ((3,) if color else ())
+        plane32 = _stack(shape, seed=width + radius)[0]
+        results = []
+        for kernels in (compiled, band_kernels.NUMPY):
+            ws = _Workspace()
+            ring = np.full((cap, stride), np.nan)
+            padded = np.empty((cap, width + 2 * radius))
+            rgb = np.empty((cap, width, 3)) if color else None
+            vert = np.empty((band, width))
+            half = cap // 2
+            for dest, n in ((0, half), (half, cap - half)):
+                kernels.horizontal(
+                    ws, plane32, np.float32(1.5), dest - radius, n, padded,
+                    rgb, coeffs, ring, dest,
+                )
+            kernels.vertical(ws, ring, coeffs, band, vert)
+            assert np.isnan(ring[:, width:]).all()  # padding untouched
+            results.append((ring[:, :width], vert))
+        for got, want in zip(*results):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize(
+        "shape", ODD_SHAPES, ids=["x".join(map(str, s)) for s in ODD_SHAPES]
+    )
+    @pytest.mark.parametrize("sigma", [0.5, 2.0, 16.0])
+    def test_ring_runs_match_numpy(self, monkeypatch, shape, sigma):
+        # Whole fused runs, masks included: the compiled ring equals the
+        # NumPy ring bit for bit, at sigma 16 too, where both sit
+        # within 1e-9 of the staged FFT.
+        if band_kernels.compiled_kernels() is None:
+            pytest.skip("the band library is not available")
+        params = ToneMapParams(sigma=sigma)
+        assert FusedToneMapPlan(params).h_method() == "folded"
+        stack = _stack(shape, seed=len(shape))
+        compiled = _fused(params, stack, threads=2, band_bytes=1 << 12)
+        monkeypatch.setattr(band_kernels, "compiled_kernels", lambda: None)
+        reference = _fused(params, stack, threads=2, band_bytes=1 << 12)
+        for got, want in zip(compiled[:2], reference[:2]):
+            np.testing.assert_array_equal(got, want)
+
     def test_special_values_bit_for_bit(self):
         # NaN, signed zeros, infinities and values around epsilon through
         # the three epilogue kernels: compare the raw bits, which
@@ -562,7 +636,9 @@ class TestSteadyStateAllocation:
         padded, n_fft = 48 + 96, 48 + 2 * 96
         per_pass = 48 * (8 * padded + 16 * (n_fft // 2 + 1) + 8 * n_fft)
         expected = 2 * per_pass + 48 * 48 * 8
-        with FusedExecutor(threads=1) as executor:
+        with planner.override(
+            fused_fft_min_taps=PLANE_MIN_TAPS
+        ), FusedExecutor(threads=1) as executor:
             executor.run(wide, stack, np.empty_like(stack))
             first = executor.stats
             assert first.fft_scratch_bytes == expected
@@ -584,7 +660,10 @@ class TestSteadyStateAllocation:
         plan = FusedToneMapPlan(ToneMapParams(sigma=16.0))
         stack = _stack((1, 1024, 1024), seed=2)
         out = np.empty_like(stack)
-        with FusedExecutor(threads=1) as executor:
+        with planner.override(
+            fused_fft_min_taps=PLANE_MIN_TAPS
+        ), FusedExecutor(threads=1) as executor:
+            assert plan.h_method() == "fft"
             executor.run(plan, stack, out)  # warm: pooled plane + bands
             tracemalloc.start()
             try:

@@ -215,6 +215,62 @@ class TestExternallyServedHost:
             HostPool.spawn_local(0, PARAMS)
 
 
+class TestSpawnLocal:
+    """``spawn_local`` starts every host before it awaits any address."""
+
+    def _record(self, monkeypatch, fail_second=False):
+        events, processes = [], []
+        start = hostpool_module._start_host
+        address = hostpool_module._host_address
+
+        def recording_start(context, spawn_kwargs):
+            process, conn = start(context, spawn_kwargs)
+            processes.append(process)
+            events.append(("start", process.pid))
+            return process, conn
+
+        def recording_address(process, conn):
+            events.append(("await", process.pid))
+            if fail_second and len(events) == 4:
+                raise ToneMapError("host did not report")
+            return address(process, conn)
+
+        monkeypatch.setattr(hostpool_module, "_start_host", recording_start)
+        monkeypatch.setattr(
+            hostpool_module, "_host_address", recording_address
+        )
+        return events, processes
+
+    def test_hosts_start_before_the_first_address_is_awaited(
+        self, monkeypatch
+    ):
+        events, processes = self._record(monkeypatch)
+        with HostPool.spawn_local(
+            2, PARAMS, shards_per_host=1, arena_slots=2
+        ) as pool:
+            assert [kind for kind, _ in events] == [
+                "start", "start", "await", "await",
+            ]
+            assert [pid for _, pid in events[2:]] == [
+                process.pid for process in processes
+            ]
+            assert [host.process for host in pool._hosts] == processes
+            stack = _stack(frames=2, seed=9)
+            np.testing.assert_array_equal(pool.run_stack(stack), _want(stack))
+        assert not any(process.is_alive() for process in processes)
+
+    def test_a_host_that_fails_to_report_leaves_no_process(
+        self, monkeypatch
+    ):
+        events, processes = self._record(monkeypatch, fail_second=True)
+        with pytest.raises(ToneMapError, match="did not report"):
+            HostPool.spawn_local(2, PARAMS, shards_per_host=1, arena_slots=2)
+        assert len(processes) == 2 and len(events) == 4
+        for process in processes:
+            process.join(timeout=10)
+            assert not process.is_alive()
+
+
 class _HookedCondition:
     """A condition that calls ``after`` each time a ``with`` block on it
     ends (the lock already released); everything else delegates."""

@@ -42,7 +42,7 @@ from repro.planner import (
     select_fused_h_method,
     set_active_profile,
 )
-from repro.planner.profile import PROFILE_VERSION
+from repro.planner.profile import DEFAULT_FUSED_FFT_MIN_TAPS, PROFILE_VERSION
 from repro.tonemap.gaussian import GaussianKernel
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -139,11 +139,19 @@ class TestExecutionPlan:
         assert plan.partitions <= plan.threads == 2
 
     def test_wide_kernel_plans_fused_plane(self):
-        plan = self._plan(sigma=16.0, batch=3)  # taps 97
+        ring = self._plan(sigma=16.0, batch=1)  # taps 97: the band ring
+        assert ring.engine == "fused"
+        assert ring.blur_method == "fft"
+        assert ring.fused_h_method == "folded"
+        assert ring.partitions == 2  # row chunks of the one image
+        assert "band ring" in "\n".join(ring.rationale)
+        taps = DEFAULT_FUSED_FFT_MIN_TAPS  # past the crossover
+        plan = self._plan(sigma=32.0, radius=(taps - 1) // 2, batch=1)
+        assert plan.workload.taps == taps
         assert plan.engine == "fused"
         assert plan.blur_method == "fft"
         assert plan.fused_h_method == "fft"
-        assert plan.partitions == 2  # whole images, not row chunks
+        assert plan.partitions == 1  # whole images, not row chunks
         assert "whole-plane FFT mask" in "\n".join(plan.rationale)
 
     def test_fixed_dtype_is_staged_only(self):

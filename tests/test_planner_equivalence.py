@@ -11,10 +11,13 @@ stack execution under the fused tolerance contract:
   *arithmetic*);
 * within the blur module's **1e-9 absolute band** where the staged path
   resolves to the FFT but the plan keeps the fused engine on its folded
-  window (taps in ``[fft_crossover_taps, fused_fft_min_taps)``);
+  window (taps in ``[fft_crossover_taps, fused_fft_min_taps)``, the
+  paper's sigma 16 among them);
 * **bit-identical again** from ``fused_fft_min_taps`` upward, where the
   plan switches the fused engine to the whole-plane FFT mask, which
-  runs the staged FFT row convolution on the same rows.
+  runs the staged FFT row convolution on the same rows (checked under
+  a profile pinned at :data:`PLANE_MIN_TAPS`, so small frames and
+  kernels reach the plane).
 
 Three regimes x generated cases >= 200 examples total.
 """
@@ -23,6 +26,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import planner
 from repro.planner import plan_for
 from repro.runtime import BatchToneMapper
 from repro.tonemap.pipeline import ToneMapParams
@@ -30,7 +34,9 @@ from repro.tonemap.pipeline import ToneMapParams
 #: Reference-profile crossovers (asserted against the active profile in
 #: each test so a drifted default invalidates the regime split loudly).
 FFT_CROSSOVER_TAPS = 25
-FUSED_FFT_MIN_TAPS = 33
+FUSED_FFT_MIN_TAPS = 193
+#: The fused_fft_min_taps TestPlaneRegime pins.
+PLANE_MIN_TAPS = 33
 
 dims = st.integers(min_value=8, max_value=40)
 batches = st.integers(min_value=1, max_value=3)
@@ -95,15 +101,16 @@ class TestFoldedRegime:
 
 
 class TestFftBandRegime:
-    """taps in [25, 31]: staged reference takes the full-plane FFT, the
-    plan keeps the fused folded window — 1e-9 absolute band."""
+    """taps in [25, 97]: staged reference takes the full-plane FFT, the
+    plan keeps the fused folded window — 1e-9 absolute band, up to the
+    paper's sigma 16."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         height=dims,
         width=dims,
         batch=batches,
-        radius=st.integers(min_value=12, max_value=15),
+        radius=st.integers(min_value=12, max_value=48),
         threads=threads_st,
         seed=seeds,
     )
@@ -121,8 +128,9 @@ class TestFftBandRegime:
 
 
 class TestPlaneRegime:
-    """taps >= 33: the plan runs the fused whole-plane FFT mask — the
-    staged transform on the same rows, so equality is exact."""
+    """taps >= 33 under a profile pinned at 33: the plan runs the fused
+    whole-plane FFT mask — the staged transform on the same rows, so
+    equality is exact."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -137,9 +145,11 @@ class TestPlaneRegime:
     def test_bit_identical(
         self, height, width, batch, radius, threads, color, seed
     ):
-        planned, reference, plan = _planned_vs_staged(
-            height, width, batch, radius, threads, color, seed
-        )
+        with planner.override(fused_fft_min_taps=PLANE_MIN_TAPS):
+            planned, reference, plan = _planned_vs_staged(
+                height, width, batch, radius, threads, color, seed
+            )
+        assert plan.profile.fused_fft_min_taps == PLANE_MIN_TAPS
         assert plan.engine == "fused"
         assert plan.blur_method == "fft"
         assert plan.fused_h_method == "fft"
