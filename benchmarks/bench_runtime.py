@@ -799,7 +799,7 @@ CHAOS_BATCH = 4
 CHAOS_BATCHES = 6
 #: One of everything, keyed to dispatch-attempt indices (six batches run
 #: serially, so the mapping is exact): attempt 0 is jittered, attempt 1
-#: hangs until the watchdog breaks it (the hedge is attempt 2), attempt 3
+#: hangs until its budget kills it (the hedge is attempt 2), attempt 3
 #: exhausts the arena onto transient slabs, and attempts 4/5 are batch
 #: 3's first try and its hedge — both killed, which spends the retry
 #: budget and trips the breaker into brownout for the rest of the run.
@@ -850,8 +850,8 @@ def test_chaos_recovery_small(benchmark):
     replay for the hang and first kill, arena overflow for the
     exhaustion, in-process brownout once the breaker opens),
     ``watchdog_kills`` and ``brownout_batches`` must be nonzero (the
-    recovery paths really fired; a silently-disabled watchdog or breaker
-    would zero them while the outputs still pass).  The recorded rate is
+    recovery paths really fired; a budget or breaker that silently
+    stopped firing would zero them while the outputs still pass).  The recorded rate is
     the brownout-recovery throughput trajectory for the reference host.
     """
     rng = np.random.default_rng(8)
@@ -886,7 +886,7 @@ def test_chaos_recovery_small(benchmark):
         reliability = service.stats.reliability
         kills = service.pool.watchdog_kills
         assert lost == 0, f"chaos run lost {lost} frames"
-        assert kills >= 1, "the hung batch must be watchdog-killed"
+        assert kills >= 1, "the hung batch must be killed at its budget"
         assert reliability.brownout_batches >= 1, (
             "the killed batch must brown out through the breaker"
         )

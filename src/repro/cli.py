@@ -28,7 +28,7 @@ the images through the :class:`repro.runtime.ToneMapIngestor` front-end
 arena) instead of submitting them as one pre-grouped
 workload; ``--deadline-ms`` / ``--shard-timeout-ms`` / ``--breaker`` /
 ``--fault-plan`` arm the reliability layer (per-frame latency budgets,
-the hung-shard watchdog + hedged replay, circuit-breaker brownout to
+per-attempt shard budgets + hedged replay, circuit-breaker brownout to
 the in-process backend, and seeded chaos injection — the counters land
 in the report); ``--plan auto`` lets the execution planner
 (:mod:`repro.planner`) pick the engine and blur path from the workload
@@ -201,9 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     batch.add_argument(
         "--shard-timeout-ms", type=float, default=None,
-        help="per-attempt batch execution budget on the shard pool: the "
-             "watchdog SIGKILLs workers that hold a batch past it and "
-             "hedge-replays the batch once (requires --shards or "
+        help="per-attempt batch execution budget on the shard pool: an "
+             "attempt still running at it SIGKILLs its workers and the "
+             "batch is hedge-replayed once (requires --shards or "
              "--hosts)",
     )
     batch.add_argument(
@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--shard-timeout-ms", type=float, default=None,
         help="per-attempt batch execution budget on this host's pool "
-             "(arms the shard watchdog)",
+             "(an attempt still running at it SIGKILLs its workers)",
     )
     serve.add_argument(
         "--fault-plan", default=None, metavar="SPEC",

@@ -126,12 +126,13 @@ class HostUnavailableError(ShardCrashError):
 class ShardTimeoutError(ReproError):
     """A sharded batch exceeded its execution budget and replay failed.
 
-    The pool's watchdog SIGKILLs workers that hold a batch past its
-    budget (an explicit ``timeout`` or the p95-derived hang threshold)
-    and replays the batch once on a respawned worker set — a *hedged
-    replay*.  This error surfaces only when the replay budget is
-    exhausted too: the batch hung repeatedly, or the remaining deadline
-    budget cannot fit another attempt.
+    A batch attempt still running at its budget (an explicit
+    ``timeout``, the pool's ``default_timeout_ms`` or the frames'
+    remaining deadline) SIGKILLs its own workers, and the batch is
+    replayed once on a respawned worker set — a *hedged replay*.  This
+    error surfaces only when the replay budget is exhausted too: the
+    batch hung repeatedly, or the remaining deadline budget cannot fit
+    another attempt.
 
     Attributes
     ----------

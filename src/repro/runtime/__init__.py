@@ -66,12 +66,12 @@ On top of the data plane sits the **reliability layer** (PR 8): frames
 carry end-to-end latency budgets (``submit(..., deadline_ms=...)`` —
 expired frames shed with
 :class:`~repro.errors.DeadlineExceededError`, the remaining budget
-rides into the pool as the batch timeout), a shard watchdog SIGKILLs
-hung workers and hedge-replays their batches
-(:class:`~repro.errors.ShardTimeoutError` past the budget), and a
-:class:`~repro.runtime.reliability.CircuitBreaker` browns persistent
-shard failure out to the service's local backend (bit-identical
-outputs, honestly slower).  All of it is observable as
+rides into the pool as the batch timeout), a shard attempt SIGKILLs
+its hung workers when its budget runs out and the batch is
+hedge-replayed (:class:`~repro.errors.ShardTimeoutError` past the
+hedge), and a :class:`~repro.runtime.reliability.CircuitBreaker`
+browns persistent shard failure out to the service's local backend
+(bit-identical outputs, honestly slower).  All of it is observable as
 :class:`~repro.runtime.reliability.ReliabilityStats` on
 ``ServiceStats`` and chaos-testable via seedable
 :class:`~repro.runtime.faults.FaultPlan` injection

@@ -180,10 +180,8 @@ class Backend:
     """
 
     # Counters a transport lacks read zero: the workers a batch fans out
-    # across (both pools), the worker watchdog (both pools) and host
-    # loss (HostPool).
+    # across (both pools) and host loss (HostPool).
     active_shards = 0
-    watchdog_kills = 0
     hosts_lost = 0
 
     def __init__(
@@ -217,6 +215,7 @@ class Backend:
         self._bytes_served = 0
         self._respawns = 0
         self._hedged_replays = 0
+        self._watchdog_kills = 0
 
     def _attempt(
         self,
@@ -352,15 +351,13 @@ class Backend:
                 with self._count_lock:
                     self._hedged_replays += 1
 
-    def run_stack(
-        self, stack: np.ndarray, zero_copy: bool = False
-    ) -> np.ndarray | ArenaLease:
+    def run_stack(self, stack: np.ndarray) -> np.ndarray:
         """Tone-map an ``(N, H, W[, 3])`` float stack.
 
         One counted staging copy moves the caller's array into a pooled
-        arena stack.  Returns a freshly materialized float32 stack, or
-        with ``zero_copy=True`` the output lease — read ``lease.array``
-        and ``release()`` (or ``materialize()``) it.
+        arena stack; returns a freshly materialized float32 stack.  For
+        results that stay in the arena, lease an input stack and call
+        :meth:`run_leased`.
         """
         stack = np.ascontiguousarray(stack, dtype=np.float32)
         if stack.ndim not in (3, 4):
@@ -377,7 +374,7 @@ class Backend:
             out_lease = self.run_leased(in_lease)
         finally:
             in_lease.release()
-        return out_lease if zero_copy else out_lease.materialize()
+        return out_lease.materialize()
 
     def run_batch(self, images: Sequence[HDRImage]) -> tuple[HDRImage, ...]:
         """Tone-map a same-shape batch; drop-in for ``BatchToneMapper.map``.
@@ -410,6 +407,13 @@ class Backend:
         """Batches hedged after a timeout-shaped failed attempt."""
         with self._count_lock:
             return self._hedged_replays
+
+    @property
+    def watchdog_kills(self) -> int:
+        """Attempts ended at their budget: a shard attempt that SIGKILLed
+        its workers, or a host exchange whose connection was severed."""
+        with self._count_lock:
+            return self._watchdog_kills
 
     @property
     def net_stats(self) -> NetStats:

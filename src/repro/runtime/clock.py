@@ -1,8 +1,8 @@
 """Injectable monotonic time for the serving runtime.
 
 The reliability layer is built out of timers: the ingestor's coalescing
-deadline and per-frame latency budgets, the shard watchdog's hang
-threshold, the circuit breaker's failure window and cooldown.  Testing
+deadline and per-frame latency budgets, each shard attempt's execution
+budget, the circuit breaker's failure window and cooldown.  Testing
 timers with real sleeps makes the chaos suite slow and flaky, so every
 component that *reads* time takes a :class:`Clock` and defaults to the
 singleton :data:`MONOTONIC` — production code pays one attribute lookup,

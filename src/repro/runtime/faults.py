@@ -1,6 +1,6 @@
 """First-class chaos injection for the serving runtime.
 
-The reliability layer (shard watchdog, hedged replay, circuit-breaker
+The reliability layer (attempt budgets, hedged replay, circuit-breaker
 brownout — see :mod:`repro.runtime.shard` and
 :mod:`repro.runtime.service`) exists to absorb faults that are, by
 nature, rare and unreproducible in a unit test.  This module makes them
@@ -17,8 +17,9 @@ Four fault kinds, mirroring the real failure modes:
     segfault scenario the generation-counted respawn absorbs.
 ``hang``
     The victim worker sleeps ``hang_ms`` before touching its slab — the
-    stuck-I/O / livelock scenario only the watchdog can detect (a hung
-    worker never breaks the process pool by itself).
+    stuck-I/O / livelock scenario only the attempt budget can end (a
+    hung worker never breaks the process pool by itself, so the attempt
+    kills its workers when the budget runs out).
 ``exhaust``
     The batch's output lease is forced onto the arena's transient
     overflow path, as if every ring slab were held by slow consumers —
@@ -133,9 +134,9 @@ class FaultPlan:
         Per-attempt fault probability in ``[0, 1]``, drawn
         deterministically from ``seed`` and the attempt index.
     hang_ms:
-        How long a hung worker sleeps.  Pick well past the watchdog
-        budget under test — a "hang" that finishes before the watchdog
-        fires is just a slow batch.
+        How long a hung worker sleeps.  Pick well past the attempt
+        budget under test — a "hang" that finishes before the budget
+        runs out is just a slow batch.
     jitter_ms:
         Upper bound of the ``slow`` and ``slow-link`` dispatch delays.
     """

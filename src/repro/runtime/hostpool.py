@@ -115,7 +115,7 @@ REVIVE_WAIT_S = 30.0
 
 #: Real-time interval at which clock-deadline waits re-read the
 #: injected clock, so a ``FakeClock`` advanced by a test is noticed
-#: promptly (the shard watchdog polls the same way).
+#: promptly (a budgeted shard attempt polls the same way).
 _POLL_S = 0.05
 
 #: The states of a host (see the module docstring).  Only
@@ -484,8 +484,8 @@ class HostPool(Backend):
         Ring/pool depth per size class of the client arena.
     default_timeout_ms:
         Per-attempt execution budget forwarded to the serving host
-        (arming *its* watchdog) when ``run_leased`` gets no explicit
-        ``timeout``.
+        (where *its* pool's attempts enforce it) when ``run_leased``
+        gets no explicit ``timeout``.
     faults:
         Chaos plan/spec/injector; the pool consumes the network kinds
         (``partition`` / ``slow_link`` / ``host_loss``) client-side.
@@ -518,7 +518,6 @@ class HostPool(Backend):
         self._revivers: set = set()
         self._hosts_drained = 0
         self._hosts_lost = 0
-        self._timeouts = 0
         self._rr = 0
 
     # ------------------------------------------------------------------
@@ -605,12 +604,6 @@ class HostPool(Backend):
             return self._hosts_lost
 
     @property
-    def watchdog_kills(self) -> int:
-        """Timed-out attempts whose connection the pool severed."""
-        with self._count_lock:
-            return self._timeouts
-
-    @property
     def net_stats(self) -> NetStats:
         """Wire counters of the client endpoint."""
         return self._net.stats
@@ -659,7 +652,7 @@ class HostPool(Backend):
             # reconnected on its next dispatch.
             self._sever(host)
             with self._count_lock:
-                self._timeouts += 1
+                self._watchdog_kills += 1
             raise Hedge(
                 f"timed out on the wire to {host.label}", where=host
             ) from exc
@@ -706,10 +699,10 @@ class HostPool(Backend):
         """Socket budget for one request-response exchange.
 
         Deliberately looser than the host-side execution budget: the
-        host's own watchdog + hedge machinery gets first claim on a
-        hang (it answers with a typed ``ShardTimeoutError``), so the
-        wire budget only has to catch a host that stopped answering
-        at all.
+        host pool's own attempts kill a hang at that budget and hedge
+        it (answering with a typed ``ShardTimeoutError`` once the hedge
+        is spent), so the wire budget only has to catch a host that
+        stopped answering at all.
         """
         if timeout is None:
             return None
@@ -792,11 +785,11 @@ class HostPool(Backend):
     def _remote_error(host: _Host, meta: dict) -> Exception:
         """Map a MSG_ERR frame to an attempt verdict or a typed error.
 
-        A host that answers at all is alive: its own watchdog and hedge
-        giving up is a hedge here, its own pool crashing past its replay
-        a replay — both on another host when one is live.  An untrusted
-        ``blur_fn``'s bad outputs stay an :class:`ImageError`, as on
-        every other backend.
+        A host that answers at all is alive: its own attempt budget and
+        hedge giving up is a hedge here, its own pool crashing past its
+        replay a replay — both on another host when one is live.  An
+        untrusted ``blur_fn``'s bad outputs stay an :class:`ImageError`,
+        as on every other backend.
         """
         name = meta.get("error", "ToneMapError")
         message = f"{host.label}: {meta.get('message', 'unknown failure')}"

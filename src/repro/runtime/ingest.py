@@ -1063,8 +1063,8 @@ class ToneMapIngestor:
         """
         names = [pending.name for pending in flush.items]
         # The batch inherits the tightest remaining frame budget as its
-        # execution timeout: the pool's watchdog then bounds a hung
-        # worker by exactly the latency promise the frames carry.
+        # execution timeout: each pool attempt then kills a hung worker
+        # at exactly the latency promise the frames carry.
         deadlines = [
             pending.deadline
             for pending in flush.items

@@ -7,7 +7,7 @@ software-fallback analogue of the paper's ARM path when the FPGA
 accelerator is unavailable.  This module decides *when* to take it.
 
 A :class:`CircuitBreaker` watches shard-level failures (crashes the
-respawn could not absorb, watchdog timeouts past the hedge budget).
+respawn could not absorb, attempt timeouts past the hedge budget).
 After ``failure_threshold`` failures inside ``window_s`` it **opens**:
 the service stops offering batches to the pool and *browns out* to the
 in-process mapper — slower, but it always works and the outputs are
@@ -50,11 +50,11 @@ class ReliabilityStats:
         budget expired while queued (failed with
         :class:`~repro.errors.DeadlineExceededError`).
     hedged_replays:
-        Batches replayed on a respawned worker set after the watchdog
-        killed a hung attempt.
+        Batches replayed on a respawned worker set after an attempt
+        killed its hung workers at its budget.
     watchdog_kills:
-        Watchdog firings — each SIGKILLed the worker set of one
-        over-budget batch.
+        Attempts ended at their budget — each SIGKILLed the worker set
+        it had submitted to (on a host pool: severed its connection).
     breaker_state:
         Current breaker state (``disabled`` when the service was built
         without one, else ``closed`` / ``open`` / ``half_open``).

@@ -155,7 +155,7 @@ class ServiceStats:
     reliability:
         Reliability-layer counters
         (:class:`~repro.runtime.reliability.ReliabilityStats`): deadline
-        sheds, watchdog kills, hedged replays, breaker state and
+        sheds, budget kills, hedged replays, breaker state and
         brownout batches.  All zeros / ``disabled`` for a service built
         without deadlines or a breaker.
     tenants:
@@ -252,7 +252,7 @@ class ToneMapService:
         reference engine everywhere.
     shard_timeout_ms:
         Default execution budget per sharded batch; an attempt still
-        running at the budget is killed by the pool's watchdog and
+        running at the budget kills its workers and the batch is
         hedge-replayed (see :class:`~repro.runtime.shard.ShardPool`).
         Requires ``shards``.
     breaker:
@@ -270,7 +270,8 @@ class ToneMapService:
         (see :mod:`repro.runtime.faults`).  ``None`` consults the
         ``REPRO_FAULT_PLAN`` environment variable.
     clock:
-        Injectable monotonic time source for the breaker and watchdog.
+        Injectable monotonic time source for the breaker and the
+        pool's attempt budgets.
 
     Use as a context manager or call :meth:`close` when done.
     """
@@ -519,7 +520,7 @@ class ToneMapService:
         the ring when the last frame's handle is released.
 
         ``timeout`` (seconds) is the batch's remaining execution budget,
-        forwarded to the pool's watchdog machinery.
+        forwarded to the pool as each attempt's budget.
         """
         start = self._clock.now()
         try:

@@ -25,9 +25,11 @@ executor, releases the batch's output slab, respawns the worker set
 counted), and reports a crash replay to the backend, which re-dispatches
 the batch: its input frames still sit untouched in the arena.  Only a
 persistently crashing workload (the replay dies too) surfaces
-:class:`~repro.errors.ShardCrashError`.  ``tests/test_fault_injection.py``
-SIGKILLs real workers to hold the no-leak / no-hang / respawn-and-serve
-contract.
+:class:`~repro.errors.ShardCrashError`.  A *hung* worker is silent, so
+an attempt with a budget kills its own worker set when the budget runs
+out, and the same path hedges the batch instead.
+``tests/test_fault_injection.py`` SIGKILLs real workers to hold the
+no-leak / no-hang / respawn-and-serve contract.
 
 Workers attach to a segment **once** and cache the mapping by name —
 valid for the life of the arena, because pooled segments are only
@@ -72,7 +74,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import shared_memory
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -102,6 +104,11 @@ _WORKER_SEGMENTS: Dict[str, shared_memory.SharedMemory] = {}
 _SHM_HAS_TRACK = "track" in inspect.signature(
     shared_memory.SharedMemory.__init__
 ).parameters
+
+#: Real-time slice a budgeted attempt waits on a slab before it re-reads
+#: the injected clock, so a ``FakeClock`` advanced by a test is noticed
+#: within a slice.
+_POLL_S = 0.005
 
 
 def _init_worker(params: ToneMapParams, plan=None) -> None:
@@ -219,106 +226,25 @@ def _slab_bounds(count: int, shards: int) -> list[tuple[int, int]]:
     return bounds
 
 
-# ----------------------------------------------------------------------
-# Hung-shard watchdog
-# ----------------------------------------------------------------------
-class _WatchToken:
-    """One watched batch attempt: its kill deadline and whether it fired."""
+def _executor_pids(executor: ProcessPoolExecutor) -> List[int]:
+    """PIDs of ``executor``'s worker processes (``[]`` once torn down).
 
-    __slots__ = ("deadline", "expired")
-
-    def __init__(self, deadline: float):
-        self.deadline = deadline
-        self.expired = False
-
-
-class _Watchdog:
-    """Kills the worker set when a watched batch overruns its budget.
-
-    A crashed worker announces itself (``BrokenProcessPool``); a *hung*
-    one is silent — ``future.result()`` would block forever.  The
-    watchdog turns hangs into crashes: :meth:`watch` registers a batch
-    attempt's deadline, and a single lazy daemon thread SIGKILLs the
-    current worker processes once any watched deadline passes, which
-    breaks the pool and lets the attempt's crash path (quiesce →
-    respawn) take over.  The token's ``expired`` flag is how the
-    attempt tells a watchdog kill (a hedge) from an organic crash (a
-    crash replay).
-
-    Time comes from the injected clock, but wake-ups poll on a short
-    real-time interval — so tests driving a
-    :class:`~repro.runtime.clock.FakeClock` see the kill within
-    ``poll_s`` of advancing it, without the watchdog needing to know
-    the clock is fake.
+    The executor's management thread mutates ``_processes`` while
+    workers start and die, and a shut-down executor sets it to
+    ``None``, so the dict is copied under try/except.
     """
-
-    def __init__(self, kill_fn, clock: Clock = MONOTONIC,
-                 poll_s: float = 0.005):
-        self._kill_fn = kill_fn
-        self._clock = clock
-        self._poll_s = poll_s
-        self._cond = threading.Condition(threading.Lock())
-        self._tokens: Set[_WatchToken] = set()
-        self._kills = 0
-        self._thread: Optional[threading.Thread] = None
-        self._closed = False
-
-    def watch(self, deadline: float) -> _WatchToken:
-        """Register a batch attempt; kill the workers at ``deadline``."""
-        token = _WatchToken(deadline)
-        with self._cond:
-            if self._closed:
-                raise ToneMapError("watchdog is closed")
-            self._tokens.add(token)
-            if self._thread is None:
-                self._thread = threading.Thread(
-                    target=self._loop, name="shard-watchdog", daemon=True
-                )
-                self._thread.start()
-            self._cond.notify()
-        return token
-
-    def cancel(self, token: _WatchToken) -> None:
-        """Stop watching ``token`` (the attempt finished on its own)."""
-        with self._cond:
-            self._tokens.discard(token)
-
-    @property
-    def kills(self) -> int:
-        """Watchdog firings — each one SIGKILLed the worker set once."""
-        with self._cond:
-            return self._kills
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._tokens.clear()
-            self._cond.notify()
-        thread = self._thread
-        if thread is not None:
-            thread.join(timeout=2.0)
-
-    def _loop(self) -> None:
-        while True:
-            with self._cond:
-                if self._closed:
-                    return
-                now = self._clock.now()
-                due = [t for t in self._tokens if t.deadline <= now]
-                for token in due:
-                    token.expired = True
-                    self._tokens.discard(token)
-                if due:
-                    self._kills += len(due)
-                elif self._tokens:
-                    self._cond.wait(self._poll_s)
-                    continue
-                else:
-                    self._cond.wait()
-                    continue
-            # Fire outside the lock: the kill walks executor state and
-            # must not hold up watch()/cancel() on the batch threads.
-            self._kill_fn()
+    try:
+        processes = executor._processes
+        if not processes:
+            return []
+        return [
+            process.pid
+            for process in list(processes.values())
+            if process.pid is not None
+        ]
+    except (AttributeError, TypeError, RuntimeError):
+        # _processes gone (shutdown), None, or mutated mid-copy.
+        return []
 
 
 class ShardPool(Backend):
@@ -347,8 +273,8 @@ class ShardPool(Backend):
     default_timeout_ms / faults / clock:
         The attempt budget, chaos plan and time source of
         :class:`~repro.runtime.backend.Backend`.  An attempt still
-        running at its budget is SIGKILLed by the shard watchdog and
-        hedged on the respawned workers.
+        running at its budget SIGKILLs its workers and is hedged on the
+        respawned set.
 
     Workers start with ``fork`` on Linux (cheap start-up, inherited
     imports) and ``spawn`` elsewhere (forking after BLAS/framework
@@ -394,7 +320,6 @@ class ShardPool(Backend):
         self._respawn_lock = threading.Lock()
         self._generation = 0
         self._reap_lock = threading.Lock()
-        self._watchdog = _Watchdog(self._kill_workers, clock=clock)
         self._executor = self._spawn_executor(self._mp_context)
 
     def _spawn_executor(
@@ -492,58 +417,10 @@ class ShardPool(Backend):
 
         Exposed for operational tooling and the fault-injection tests
         (which SIGKILL one to prove the pool recovers); the list is a
-        snapshot — workers may be respawned at any time.
-
-        Safe against the races the watchdog's ``_kill_workers`` already
-        defends against: the executor's management thread mutates
-        ``_processes`` while workers start and die, ``_executor`` itself
-        is swapped mid-:meth:`_respawn`, and a shut-down executor sets
-        ``_processes`` to ``None``.  The read snapshots one executor
-        reference and copies its process dict under try/except; a
+        snapshot — workers may be respawned at any time, and a
         torn-down executor yields ``[]``, never an exception.
         """
-        executor = self._executor  # one reference: respawn swaps it
-        try:
-            processes = executor._processes
-            if not processes:
-                return []
-            return [
-                process.pid
-                for process in list(processes.values())
-                if process.pid is not None
-            ]
-        except (AttributeError, TypeError, RuntimeError):
-            # _processes gone (shutdown), None, or mutated mid-copy.
-            return []
-
-    # ------------------------------------------------------------------
-    # Watchdog
-    # ------------------------------------------------------------------
-    def _kill_workers(self) -> None:
-        """SIGKILL the current worker set (watchdog fire path).
-
-        Racy by design: the executor may be mid-respawn or shutting
-        down, and a pid may have already exited.  Every failure mode is
-        benign — a worker we miss either belongs to a fresh generation
-        (innocent) or is already dead — so swallow them all rather than
-        let the watchdog thread die.
-        """
-        try:
-            pids = self.worker_pids()
-        except Exception:
-            return
-        for pid in pids:
-            if pid is None:
-                continue
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError, OSError):
-                pass
-
-    @property
-    def watchdog_kills(self) -> int:
-        """Times the watchdog SIGKILLed the workers of an over-budget batch."""
-        return self._watchdog.kills
+        return _executor_pids(self._executor)
 
     @property
     def active_shards(self) -> int:
@@ -562,12 +439,15 @@ class ShardPool(Backend):
         kinds: frozenset,
         avoid: object,
     ) -> ArenaLease:
-        """Fan one attempt out as one slab per worker.
+        """Fan one attempt out as one slab per worker, within its budget.
 
-        A dying worker breaks the whole executor (``BrokenProcessPool``):
-        a crash replay, or a hedge when the watchdog killed the workers
-        at this attempt's budget, or free when another batch's respawn
-        had already replaced the executor this attempt ran on.
+        A hung worker never breaks the pool by itself, so a budgeted
+        attempt kills the worker set it submitted to once its budget
+        runs out (see :meth:`_wait_until`).  A dying worker breaks the
+        whole executor (``BrokenProcessPool``): a hedge when this
+        attempt killed the workers at its budget, else a crash replay,
+        or free when another batch's respawn had already replaced the
+        executor this attempt ran on.
         """
         generation = self._generation
         executor = self._executor
@@ -575,11 +455,8 @@ class ShardPool(Backend):
             self._clock.sleep(self.faults.plan.jitter_s(index))
         out_lease = out.take(force_transient="exhaust" in kinds)
         directive = self.faults.worker_directive(kinds) if kinds else None
-        token = (
-            None
-            if timeout is None
-            else self._watchdog.watch(self._clock.now() + timeout)
-        )
+        deadline = None if timeout is None else self._clock.now() + timeout
+        killed = False
         futures = []
         try:
             # Plain loop, not a comprehension: if a submit raises midway
@@ -602,6 +479,8 @@ class ShardPool(Backend):
                     )
                 )
             for future in futures:
+                if deadline is not None and not killed:
+                    killed = self._wait_until(executor, future, deadline)
                 future.result()
         except BrokenProcessPool as exc:
             # The broken executor's futures are already resolved, but
@@ -610,15 +489,14 @@ class ShardPool(Backend):
             # it finishes terminating the other workers).  Join the
             # whole broken executor before the slab goes back to the
             # ring, and hand it back before the (slow) respawn.
-            self._quiesce(token, futures)
+            self._quiesce(futures)
             self._shutdown_broken(executor)
             out.release()
             stale = self._generation != generation
             self._respawn(generation)
-            if token is not None and token.expired:
+            if killed:
                 raise Hedge(
-                    "was killed by the shard watchdog at its execution "
-                    "budget"
+                    "had its shard workers killed at its execution budget"
                 ) from exc
             if stale:
                 raise FreeReplay() from exc
@@ -627,22 +505,41 @@ class ShardPool(Backend):
                 f"{self.worker_respawns})"
             ) from exc
         except BaseException:
-            self._quiesce(token, futures)
+            self._quiesce(futures)
             raise
-        if token is not None:
-            self._watchdog.cancel(token)
         return out_lease
 
-    def _quiesce(self, token: Optional[_WatchToken], futures: list) -> None:
-        """Stop watching a failed attempt and wait out its running slabs.
+    def _wait_until(self, executor, future, deadline: float) -> bool:
+        """Wait for one slab until ``deadline`` on the injected clock.
+
+        The wait runs in :data:`_POLL_S` real-time slices and re-reads
+        the clock between them.  Past the deadline it SIGKILLs the
+        workers of ``executor`` — the set this attempt submitted to,
+        never one another batch has just respawned — counts one kill and
+        returns True; the slab's future then fails with
+        ``BrokenProcessPool``.
+        """
+        while not wait((future,), timeout=_POLL_S).done:
+            if self._clock.now() >= deadline:
+                for pid in _executor_pids(executor):
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except OSError:
+                        pass  # already exited
+                with self._count_lock:
+                    self._watchdog_kills += 1
+                return True
+        return False
+
+    @staticmethod
+    def _quiesce(futures: list) -> None:
+        """Wait out a failed attempt's running slabs.
 
         The surviving slab workers still write the output segment (and
         read the input) until they finish; releasing the slab before
         that would recycle it to a concurrent batch — silent cross-batch
         corruption.  Cancel what hasn't started, wait out what has.
         """
-        if token is not None:
-            self._watchdog.cancel(token)
         for future in futures:
             future.cancel()
         wait(futures)
@@ -650,11 +547,10 @@ class ShardPool(Backend):
     def _shutdown(self) -> None:
         """Shut the workers down, waiting for running slabs.
 
-        The watchdog outlives the executor shutdown on purpose: if a
-        hung batch is still in flight, ``shutdown(wait=True)`` only
-        returns once the watchdog frees it.  Shutdown goes through the
-        exactly-once guard — a crash-handling batch may be reaping this
-        same executor concurrently (see :meth:`_shutdown_broken`).
+        A hung slab still lets ``shutdown(wait=True)`` return when its
+        attempt has a budget: the attempt kills the workers once the
+        budget runs out.  Shutdown goes through the exactly-once guard —
+        a crash-handling batch may be reaping this same executor
+        concurrently (see :meth:`_shutdown_broken`).
         """
         self._shutdown_broken(self._executor)
-        self._watchdog.close()

@@ -2,11 +2,13 @@
 
 Where ``test_reliability.py`` unit-tests the mechanisms on a fake
 clock, these scenarios inject *real* faults — in-worker SIGKILL, hangs
-the watchdog must break, arena exhaustion, slow jitter — through
-:class:`repro.runtime.FaultPlan` and assert the end-to-end recovery
-contract:
+only the attempt budget can break, arena exhaustion, slow jitter —
+through :class:`repro.runtime.FaultPlan` and assert the end-to-end
+recovery contract:
 
-* a hung batch is watchdog-killed and hedge-replayed, bit-identically;
+* a hung batch's attempt kills its workers at its budget and the batch
+  is hedge-replayed, bit-identically — the budget runs on the pool's
+  injected clock;
 * a *persistently* hung batch surfaces
   :class:`~repro.errors.ShardTimeoutError` with honest attributes;
 * arena exhaustion degrades to transient (copy-out) slabs, not failure;
@@ -18,6 +20,8 @@ contract:
 
 Everything here is marked ``fault`` for the per-PR chaos CI job.
 """
+
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import pytest
@@ -33,6 +37,7 @@ from repro.image.synthetic import SceneParams, make_scene
 from repro.runtime import (
     BatchToneMapper,
     BreakerPolicy,
+    FakeClock,
     FaultPlan,
     ShardPool,
     ToneMapIngestor,
@@ -44,7 +49,7 @@ pytestmark = pytest.mark.fault
 
 PARAMS = ToneMapParams(sigma=2.0, radius=6)
 
-#: Long enough that only the watchdog can end the hang, short enough not
+#: Long enough that only the attempt budget can end the hang, short enough not
 #: to matter if a test fails and the worker is reaped by pool close.
 HANG_MS = 30_000.0
 #: Per-attempt budget: generous against CI noise, tiny against HANG_MS.
@@ -108,6 +113,32 @@ class TestWatchdogAndHedgedReplay:
             lease.release()
             np.testing.assert_array_equal(got, _want(stack))
             assert pool.watchdog_kills >= 1 and pool.hedged_replays == 1
+
+    def test_budget_follows_the_injected_clock(self):
+        # Real time alone never ends the budget: the hung attempt runs
+        # on, unkilled, until the test moves the pool's clock past it.
+        stack = _stack(seed=5)
+        clock = FakeClock()
+        plan = FaultPlan(hang_batches=(0,), hang_ms=HANG_MS)
+        with ShardPool(PARAMS, shards=2, faults=plan, clock=clock) as pool:
+            lease = pool.lease_input(stack.shape)
+            lease.array[:] = stack
+            with ThreadPoolExecutor(max_workers=1) as runner:
+                future = runner.submit(
+                    lambda: pool.run_leased(
+                        lease, timeout=TIMEOUT_S
+                    ).materialize()
+                )
+                done, _ = wait([future], timeout=1.5)
+                assert not done
+                assert pool.watchdog_kills == 0
+                clock.advance(2 * TIMEOUT_S)
+                got = future.result(timeout=60)
+            lease.release()
+            np.testing.assert_array_equal(got, _want(stack))
+            assert pool.watchdog_kills == 1
+            assert pool.hedged_replays == 1
+            assert pool.arena.stats.leases_active == 0
 
 
 class TestArenaExhaustion:

@@ -211,8 +211,8 @@ class TestMain:
         assert "staged full-plane FFT" not in captured.err
 
     def test_batch_fused_wide_kernel_runs_without_note(self, capsys):
-        # Default sigma 16 runs the fused whole-plane FFT mask, which
-        # beats the staged path: no advice to narrow the kernel.
+        # Default sigma 16 runs the fused engine's compiled band ring,
+        # which beats the staged path: no advice to narrow the kernel.
         assert main(
             ["--size", "32", "batch", "--count", "2", "--plan", "auto"]
         ) == 0

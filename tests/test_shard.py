@@ -186,7 +186,12 @@ class TestZeroCopyDataPlane:
     def test_zero_copy_matches_copy_path_bit_for_bit(self, float_pool):
         stack = np.stack([im.pixels for im in scenes(4, color=False)])
         copied = float_pool.run_stack(stack)
-        lease = float_pool.run_stack(stack, zero_copy=True)
+        in_lease = float_pool.lease_input(stack.shape)
+        try:
+            in_lease.array[:] = stack
+            lease = float_pool.run_leased(in_lease)
+        finally:
+            in_lease.release()
         try:
             np.testing.assert_array_equal(lease.array, copied)
         finally:
