@@ -4,15 +4,16 @@
 Section III-C: "the width must be 8, 16, 32, or 64 bits" for hardware
 function arguments, and the paper picks 16.  This example shows what that
 choice costs and buys: PSNR/SSIM of the tone-mapped output for each legal
-width (plus the demonstration that an unaligned width is rejected), and
-the ~6 dB/bit growth a designer would expect.
+width, the ~6 dB/bit growth a designer would expect, and the widths that
+are rejected: 32 bits, whose 64-bit coefficient product does not fit the
+int64 model, and an unaligned width, which cannot cross the bus.
 
 Run:  python examples/quality_vs_bitwidth.py [size]
 """
 
 import sys
 
-from repro.errors import BusAlignmentError
+from repro.errors import BusAlignmentError, FixedPointError
 from repro.experiments.workload import paper_workload
 from repro.fixedpoint import FixedFormat, Overflow, Quant
 from repro.image.metrics import psnr, ssim
@@ -44,7 +45,11 @@ def main() -> None:
 
     for width in (8, 16, 32):
         params = fixed_params(workload.params, width)
-        out = ToneMapper(params).run(workload.image).output
+        try:
+            out = ToneMapper(params).run(workload.image).output
+        except FixedPointError as exc:
+            print(f"{width:6d} rejected by the int64 model: {exc}")
+            continue
         p = psnr(reference, out, 1.0)
         s = float(ssim(reference, out, 1.0))
         marker = "   <- the paper's choice" if width == 16 else ""

@@ -67,20 +67,6 @@ class BlurGeometry:
     def element_bytes(self) -> int:
         return self.element_bits // 8
 
-    @property
-    def plane_bytes(self) -> int:
-        """Bytes of one image plane at the datapath width."""
-        return self.pixels * self.element_bytes
-
     def kernel(self) -> GaussianKernel:
         """The Gaussian kernel this geometry implies."""
         return GaussianKernel(sigma=self.sigma, radius=self.radius)
-
-    def with_element_bits(self, bits: int) -> "BlurGeometry":
-        return BlurGeometry(
-            height=self.height,
-            width=self.width,
-            radius=self.radius,
-            sigma=self.sigma,
-            element_bits=bits,
-        )

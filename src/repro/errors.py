@@ -179,7 +179,3 @@ class PowerError(ReproError):
 
 class FlowError(ReproError):
     """The SDSoC co-design flow was driven with inconsistent inputs."""
-
-
-class CalibrationError(ReproError):
-    """A calibration constant is out of its documented validity range."""

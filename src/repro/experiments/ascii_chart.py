@@ -64,18 +64,3 @@ def horizontal_bar_chart(
         )
     return "\n".join(lines)
 
-
-def simple_bar_chart(
-    rows: Sequence[Tuple[str, float]],
-    unit: str,
-    width: int = 50,
-    title: str = "",
-) -> str:
-    """Render plain (non-stacked) horizontal bars."""
-    stacked = [(label, {"value": value}) for label, value in rows]
-    text = horizontal_bar_chart(stacked, unit=unit, width=width, title=title)
-    # Drop the one-segment legend line; it adds nothing.
-    lines = text.split("\n")
-    return "\n".join(
-        line for line in lines if not line.strip().startswith("[#=value]")
-    )

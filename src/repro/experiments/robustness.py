@@ -51,10 +51,6 @@ class RobustnessStudy:
     def max_psnr_db(self) -> float:
         return max(r.psnr_db for r in self.results)
 
-    @property
-    def min_ssim(self) -> float:
-        return min(r.ssim for r in self.results)
-
     def render(self) -> str:
         lines = ["QUALITY ROBUSTNESS: FxP vs FlP across scene classes"]
         for r in self.results:

@@ -21,15 +21,6 @@ class Table2Row:
     paper_total_seconds: float
     result: ImplementationResult
 
-    @property
-    def blur_ratio(self) -> float:
-        """Model blur time / paper blur time."""
-        return self.blur_seconds / self.paper_blur_seconds
-
-    @property
-    def total_ratio(self) -> float:
-        return self.total_seconds / self.paper_total_seconds
-
 
 @dataclass(frozen=True)
 class Table2:

@@ -196,12 +196,6 @@ class FixedArray:
         fmt = self._fmt.mul_result(other._fmt)
         return FixedArray(self._raw * other._raw, fmt)
 
-    def mul_scalar(self, coeff: ApFixed) -> "FixedArray":
-        """Multiply every element by a scalar coefficient (exact)."""
-        _check_width(self._fmt.word_length + coeff.fmt.word_length)
-        fmt = self._fmt.mul_result(coeff.fmt)
-        return FixedArray(self._raw * np.int64(coeff.raw), fmt)
-
     def _coerce(self, other: Union["FixedArray", ApFixed]) -> "FixedArray":
         if isinstance(other, FixedArray):
             return other

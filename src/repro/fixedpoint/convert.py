@@ -48,10 +48,6 @@ class QuantizationErrorStats:
     snr_db: float
     saturated_fraction: float
 
-    @property
-    def is_exact(self) -> bool:
-        return self.max_abs_error == 0.0
-
 
 def value_range(values: np.ndarray) -> RangeReport:
     """Observed min/max of a float array."""

@@ -143,11 +143,6 @@ class FixedFormat:
         return self.raw_max * self.resolution
 
     @property
-    def range_span(self) -> float:
-        """Width of the representable interval, ``max_value - min_value``."""
-        return self.max_value - self.min_value
-
-    @property
     def is_bus_aligned(self) -> bool:
         """Whether ``W`` is a legal SDSoC accelerator-argument width."""
         return self.word_length in BUS_ALIGNED_WIDTHS

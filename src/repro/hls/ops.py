@@ -49,27 +49,6 @@ class OpKind(enum.Enum):
     LOAD = "load"
     STORE = "store"
 
-    @property
-    def is_float(self) -> bool:
-        return self in _FLOAT_OPS
-
-    @property
-    def is_memory(self) -> bool:
-        return self in (OpKind.LOAD, OpKind.STORE)
-
-
-_FLOAT_OPS = {
-    OpKind.FADD,
-    OpKind.FSUB,
-    OpKind.FMUL,
-    OpKind.FDIV,
-    OpKind.FCMP,
-    OpKind.FTOI,
-    OpKind.ITOF,
-    OpKind.FEXP,
-    OpKind.FLOG,
-}
-
 
 @dataclass(frozen=True)
 class OpSpec:
@@ -116,12 +95,6 @@ class OperatorLibrary:
 
     def latency(self, kind: OpKind) -> int:
         return self._specs[kind].latency
-
-    def with_overrides(self, overrides: Mapping[OpKind, OpSpec]) -> "OperatorLibrary":
-        """A copy of this library with some specs replaced."""
-        merged = dict(self._specs)
-        merged.update(overrides)
-        return OperatorLibrary(merged)
 
     def chain_latency(self, chain) -> int:
         """Total latency of a dependence chain of operations."""

@@ -73,17 +73,6 @@ class ResourceUsage:
             "BRAM18": frac(self.bram18, limits.bram18),
         }
 
-    @property
-    def max_utilization_key(self) -> str:
-        """Name of the resource with the largest absolute count (info only)."""
-        counts = {
-            "LUT": self.lut,
-            "FF": self.ff,
-            "DSP": self.dsp,
-            "BRAM18": self.bram18,
-        }
-        return max(counts, key=counts.get)
-
 
 def _array_resources(kernel: Kernel) -> ResourceUsage:
     lut = ff = bram = 0

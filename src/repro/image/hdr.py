@@ -110,11 +110,6 @@ class HDRImage:
         """Number of pixels (not samples): ``H * W``."""
         return self.height * self.width
 
-    @property
-    def sample_count(self) -> int:
-        """Number of scalar samples: ``H * W * channels``."""
-        return self.pixel_count * self.channels
-
     # ------------------------------------------------------------------
     # Derived planes
     # ------------------------------------------------------------------

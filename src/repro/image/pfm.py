@@ -98,10 +98,3 @@ def _read_token(fh) -> bytes:
                 return token
             continue
         token += ch
-
-
-def roundtrip_equal(image: HDRImage, path: PathLike) -> bool:
-    """Write then re-read *image*; True when pixel-exact (float32)."""
-    write_pfm(image, path)
-    back = read_pfm(path)
-    return bool(np.array_equal(back.pixels, image.pixels))

@@ -61,10 +61,6 @@ class CacheStats:
     def miss_rate(self) -> float:
         return self.misses / self.accesses if self.accesses else 0.0
 
-    @property
-    def hit_rate(self) -> float:
-        return 1.0 - self.miss_rate if self.accesses else 0.0
-
 
 class CacheSim:
     """Single-level set-associative LRU cache simulator.
@@ -130,14 +126,3 @@ class CacheHierarchy:
         if self.l2.access(address):
             return self.l2_hit_cycles
         return self.memory_cycles
-
-    def average_cycles(self, addresses) -> float:
-        """Mean access cost over a trace."""
-        total = 0
-        count = 0
-        for addr in addresses:
-            total += self.access_cycles(int(addr))
-            count += 1
-        if count == 0:
-            raise PlatformError("empty address trace")
-        return total / count

@@ -32,11 +32,6 @@ class ClockDomain:
         return self.freq_mhz * 1e6
 
     @property
-    def period_s(self) -> float:
-        """Clock period in seconds."""
-        return 1.0 / self.freq_hz
-
-    @property
     def period_ns(self) -> float:
         return 1e9 / self.freq_hz
 

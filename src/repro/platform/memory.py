@@ -81,10 +81,6 @@ class BramModel:
         if self.ports_per_bank < 1:
             raise PlatformError("ports_per_bank must be >= 1")
 
-    @property
-    def total_bytes(self) -> int:
-        return self.total_bram18 * self.bits_per_bram18 // 8
-
     def brams_for(self, depth: int, width_bits: int) -> int:
         """BRAM18 primitives needed for a ``depth x width`` memory."""
         if depth < 1 or width_bits < 1:

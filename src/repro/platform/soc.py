@@ -60,11 +60,6 @@ class ZynqSoC:
         """Wall time of PS cycles."""
         return self.ps_clock.cycles_to_seconds(cycles)
 
-    @property
-    def clock_ratio(self) -> float:
-        """PS frequency / PL frequency (the CPU's raw clock advantage)."""
-        return self.ps_clock.freq_mhz / self.pl_clock.freq_mhz
-
     def with_pl_clock(self, freq_mhz: float) -> "ZynqSoC":
         """A copy of the SoC at a different PL clock (DSE sweeps)."""
         return ZynqSoC(

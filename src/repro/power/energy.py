@@ -59,12 +59,6 @@ class EnergyReport:
     def overhead_j(self) -> float:
         return sum(r.overhead_j for r in self.rails.values())
 
-    @property
-    def average_power_w(self) -> float:
-        if self.duration_s <= 0:
-            raise PowerError("duration must be positive for average power")
-        return self.total_j / self.duration_s
-
     def rail(self, rail: Rail) -> RailEnergy:
         return self.rails[rail]
 

@@ -110,7 +110,3 @@ class PmBusMonitor:
             rail: trace.energy_j(duration)
             for rail, trace in self.measure(timeline).items()
         }
-
-    def measured_total_energy(self, timeline: PowerTimeline) -> float:
-        """Total energy across rails, as measured."""
-        return sum(self.measure_energy(timeline).values())

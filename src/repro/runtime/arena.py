@@ -108,11 +108,10 @@ class ArenaStats:
     pooled_segments / pooled_bytes:
         Segments currently resident (pooled, whether free or leased).
     bytes_copied_in:
-        Parent-side staging bytes copied into input stacks: by
-        :meth:`~repro.runtime.backend.Backend.run_stack` and by
-        :func:`~repro.runtime.backend.stage_images`, which every
-        image-level service and ``run_batch`` call goes through.  The
-        leased path leaves this flat — producers write frames directly.
+        Parent-side staging bytes copied into input stacks by
+        :meth:`~repro.runtime.service.ToneMapService.map_many`, the one
+        image-level entry.  The leased path leaves this flat — producers
+        write frames directly.
     bytes_materialized:
         Bytes copied out of output slabs by :meth:`ArenaLease.materialize`
         (the safety fallback).  The lease path leaves this flat.

@@ -6,9 +6,9 @@ reading a shared-memory arena (:class:`~repro.runtime.shard.ShardPool`),
 serving hosts behind a socket
 (:class:`~repro.runtime.hostpool.HostPool`) and the caller's own
 process (:class:`LocalBackend`) — and :class:`Backend` is what they
-share: the owned arena and the data-plane surface
-(``lease_input`` / ``run_leased`` / ``run_stack`` / ``run_batch``,
-counted by :class:`DataPlaneStats`), the ``drain`` admission gate, and
+share: the owned arena and the one data-plane call (``lease_input`` +
+``run_leased``, counted by :class:`DataPlaneStats`), the ``drain``
+admission gate, and
 the attempt policy — one fault-plan draw per attempt, one crash replay
 and one hedge per batch, and the only place the terminal
 :class:`~repro.errors.ShardCrashError` /
@@ -26,12 +26,11 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import ShardCrashError, ShardTimeoutError, ToneMapError
-from repro.image.hdr import HDRImage
 from repro.runtime.arena import ArenaLease, ArenaStats, ShmArena
 from repro.runtime.clock import MONOTONIC, Clock
 from repro.runtime.faults import resolve_injector
@@ -140,32 +139,6 @@ class OutputSlot:
         lease, self.lease = self.lease, None
         if lease is not None:
             lease.release()
-
-
-def stage_images(arena: ShmArena, images: Sequence[HDRImage]) -> ArenaLease:
-    """Write a same-shape batch into a leased arena input stack.
-
-    No ``np.stack`` staging: each frame is copied once, straight into
-    its slot, and counted as copy-in.  The caller owns the lease.
-    """
-    if len(images) == 0:
-        raise ToneMapError("batch must contain at least one image")
-    for image in images:
-        if not isinstance(image, HDRImage):
-            raise ToneMapError(f"expected HDRImage, got {type(image)!r}")
-        if image.pixels.shape != images[0].pixels.shape:
-            raise ToneMapError(
-                f"batch images must share one shape; got "
-                f"{images[0].pixels.shape} and {image.pixels.shape} "
-                "(group by shape first)"
-            )
-    in_lease = arena.lease_input(
-        (len(images),) + images[0].pixels.shape, np.float32
-    )
-    for i, image in enumerate(images):
-        in_lease.array[i] = image.pixels
-    arena._count_copy_in(in_lease.nbytes)
-    return in_lease
 
 
 class Backend:
@@ -350,48 +323,6 @@ class Backend:
                 hedges -= 1
                 with self._count_lock:
                     self._hedged_replays += 1
-
-    def run_stack(self, stack: np.ndarray) -> np.ndarray:
-        """Tone-map an ``(N, H, W[, 3])`` float stack.
-
-        One counted staging copy moves the caller's array into a pooled
-        arena stack; returns a freshly materialized float32 stack.  For
-        results that stay in the arena, lease an input stack and call
-        :meth:`run_leased`.
-        """
-        stack = np.ascontiguousarray(stack, dtype=np.float32)
-        if stack.ndim not in (3, 4):
-            raise ToneMapError(
-                f"run_stack expects (N, H, W) or (N, H, W, 3), got "
-                f"{stack.shape}"
-            )
-        if stack.shape[0] == 0:
-            raise ToneMapError("batch must contain at least one image")
-        in_lease = self.arena.lease_input(stack.shape, np.float32)
-        try:
-            in_lease.array[:] = stack
-            self.arena._count_copy_in(stack.nbytes)
-            out_lease = self.run_leased(in_lease)
-        finally:
-            in_lease.release()
-        return out_lease.materialize()
-
-    def run_batch(self, images: Sequence[HDRImage]) -> tuple[HDRImage, ...]:
-        """Tone-map a same-shape batch; drop-in for ``BatchToneMapper.map``.
-
-        The outputs are read-only views into one materialized buffer —
-        no per-image re-copy or re-validation, since the pipeline's
-        output invariants hold by construction.
-        """
-        in_lease = stage_images(self.arena, images)
-        try:
-            out = self.run_leased(in_lease).materialize()
-        finally:
-            in_lease.release()
-        return tuple(
-            HDRImage.adopt(out[i], name=f"{images[i].name}:tonemapped")
-            for i in range(len(images))
-        )
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

@@ -18,7 +18,7 @@ how the bit-accurate fixed-point model keeps up with the float path in a
 batch.  :meth:`BatchToneMapper.run_stack` is the raw-array entry point
 every serving backend runs on arena stacks (shard workers, and the
 in-process :class:`~repro.runtime.backend.LocalBackend`);
-:meth:`BatchToneMapper.map` is the image-level reference they are
+:meth:`BatchToneMapper.run` is the image-level reference they are
 compared against.  Throughput of both paths is tracked by
 ``benchmarks/bench_runtime.py`` (see ``docs/benchmarks.md``).
 
@@ -30,11 +30,12 @@ mask → adjust run in one pass over cache-sized row bands (optionally
 partitioned across threads), with no stage temporaries after warm-up —
 the software analogue of the paper's ``DATAFLOW`` pragma.  Outputs
 follow the fused tolerance contract: bit-identical to staged, except
-between the two FFT crossovers (25-32 taps by default), where the band
-ring's folded window meets a staged FFT and the blur module's 1e-9 band
-applies.  The fused engine is float-only: it *is* the blur, so a mapper
-whose ``params.blur_fn`` is set runs staged with that blur whatever the
-plan says.  Without a plan the mapper is the staged reference engine.
+between the two FFT crossovers (25 <= taps < 193 by default, the
+paper's sigma 16 among them), where the band ring's folded window meets
+a staged FFT and the blur module's 1e-9 band applies.  The fused engine
+is float-only: it *is* the blur, so a mapper whose ``params.blur_fn`` is
+set runs staged with that blur whatever the plan says.  Without a plan
+the mapper is the staged reference engine.
 """
 
 from __future__ import annotations
@@ -317,7 +318,3 @@ class BatchToneMapper:
         # No mask volume: fused mask bands live and die in per-thread
         # scratch, staged masks in one sub-batch's buffer.
         return self._run(stack, out, None)
-
-    def map(self, images: Sequence[HDRImage]) -> tuple[HDRImage, ...]:
-        """Convenience: batched run returning only the output images."""
-        return self.run(images).outputs

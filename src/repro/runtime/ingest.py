@@ -364,7 +364,7 @@ class _TenantState:
 
     __slots__ = (
         "name", "weight", "queue_limit", "policy", "in_flight",
-        "submitted", "served", "rejected", "shed", "queue_peak",
+        "submitted", "served", "rejected", "shed", "failed", "queue_peak",
         "latencies_ms",
     )
 
@@ -378,6 +378,7 @@ class _TenantState:
         self.served = 0
         self.rejected = 0
         self.shed = 0
+        self.failed = 0
         self.queue_peak = 0
         self.latencies_ms: deque = deque(maxlen=LATENCY_WINDOW)
 
@@ -1109,6 +1110,8 @@ class ToneMapIngestor:
                 state = self._tenants[pending.tenant]
                 if exc is None:
                     state.served += 1
+                else:
+                    state.failed += 1
                 latency_ms = (done_at - pending.enqueued_at) * 1e3
                 state.latencies_ms.append(latency_ms)
                 self._latencies_ms.append(latency_ms)
@@ -1193,6 +1196,7 @@ class ToneMapIngestor:
                     served=state.served,
                     rejected=state.rejected,
                     shed=state.shed,
+                    failed=state.failed,
                     queue_depth=state.in_flight,
                     queue_peak=state.queue_peak,
                     latency_p50_ms=_percentile(

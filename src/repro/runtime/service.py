@@ -9,8 +9,11 @@ additionally partitioned across worker **processes**
 (:class:`~repro.runtime.shard.ShardPool`), which frees the fixed-point
 model's Python-level glue from the GIL entirely.
 
-Every batch takes one path, whatever its entry point: its frames sit
-in the backend's shared-memory arena and the stack runs through one
+A batch enters one of two ways: :meth:`ToneMapService.map_many` for
+images, or :meth:`~ToneMapService.lease_input` +
+:meth:`~ToneMapService.submit_stack` for a stack the producer wrote
+into the arena itself.  Either way its frames sit in the backend's
+shared-memory arena and the stack runs through one
 :class:`~repro.runtime.backend.Backend` — a shard pool, a host pool, or
 in process a :class:`~repro.runtime.backend.LocalBackend` over the
 service's own mapper, which is also a pooled service's brownout target.
@@ -53,7 +56,7 @@ from repro.errors import (
 )
 from repro.image.hdr import HDRImage
 from repro.runtime.arena import ArenaLease, ResultHandle
-from repro.runtime.backend import LocalBackend, stage_images
+from repro.runtime.backend import LocalBackend
 from repro.runtime.batch import BatchToneMapper
 from repro.runtime.clock import MONOTONIC, Clock
 from repro.runtime.faults import resolve_injector
@@ -90,10 +93,11 @@ class TenantStats:
         The tenant identity frames were submitted under.
     weight:
         The tenant's deficit-round-robin scheduling weight.
-    submitted / served / rejected / shed:
+    submitted / served / rejected / shed / failed:
         Admission outcomes: frames submitted, frames tone-mapped to
         completion, frames refused at admission (``reject`` policy),
-        frames dropped to admit newer arrivals (``shed-oldest``).
+        frames dropped to admit newer arrivals (``shed-oldest``),
+        frames whose batch failed (their futures hold the error).
     queue_depth / queue_peak:
         This tenant's frames currently in flight (admitted, unfinished)
         and the high-water mark.
@@ -109,6 +113,7 @@ class TenantStats:
     served: int = 0
     rejected: int = 0
     shed: int = 0
+    failed: int = 0
     queue_depth: int = 0
     queue_peak: int = 0
     latency_p50_ms: float = 0.0
@@ -375,8 +380,13 @@ class ToneMapService:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _admit_batch(self) -> None:
-        """Count one batch into the queue-depth stat at submission time."""
+    def _submit(self, run, *args) -> Future:
+        """Admit one batch and queue ``run(*args)`` on the thread pool.
+
+        The batch counts toward ``queue_depth`` from this moment — queued
+        behind the thread pool is still "admitted but not finished" —
+        and ``run`` owns it from then on.
+        """
         with self._lock:
             if self._draining or self._closed:
                 raise ToneMapError(
@@ -388,18 +398,16 @@ class ToneMapService:
             counts["queue_peak"] = max(
                 counts["queue_peak"], counts["queue_depth"]
             )
-
-    def run_batch(self, images: Sequence[HDRImage]) -> tuple[HDRImage, ...]:
-        """Tone-map one same-shape batch synchronously, recording stats.
-
-        The caller's thread blocks for the duration (use
-        :meth:`submit_batch` to overlap batches).
-        """
-        self._admit_batch()
-        return self._run_admitted(images)
+        try:
+            return self._executor.submit(run, *args)
+        except BaseException:
+            # Executor shut down mid-submit: the batch never entered the
+            # pool, so it must not haunt queue_depth forever.
+            self._abort_batch()
+            raise
 
     def _abort_batch(self) -> None:
-        """Undo :meth:`_admit_batch` for a batch that failed."""
+        """Undo :meth:`_submit`'s admission for a batch that failed."""
         with self._lock:
             self._counts["queue_depth"] -= 1
 
@@ -439,18 +447,6 @@ class ToneMapService:
         forced = rung_index(rung) >= rung_index(LADDER_BROWNOUT)
         with self._lock:
             self._forced_brownout = forced
-
-    def _run_admitted(self, images: Sequence[HDRImage]) -> tuple[HDRImage, ...]:
-        """Execute one batch already counted by :meth:`_admit_batch`:
-        stage its frames into the backend's arena, then run the stack."""
-        try:
-            in_lease = stage_images(self._pool.arena, images)
-        except BaseException:
-            self._abort_batch()
-            raise
-        return self._run_leased_admitted(
-            in_lease, len(images), [image.name for image in images]
-        )
 
     def _execute_stack(
         self,
@@ -575,19 +571,14 @@ class ToneMapService:
         release (see the lease lifecycle table in
         ``docs/architecture.md``).
         """
-        self._admit_batch()
-        try:
-            return self._executor.submit(
-                self._run_leased_admitted,
-                in_lease,
-                count,
-                list(names),
-                lease_results,
-                timeout,
-            )
-        except BaseException:
-            self._abort_batch()
-            raise
+        return self._submit(
+            self._run_leased_admitted,
+            in_lease,
+            count,
+            list(names),
+            lease_results,
+            timeout,
+        )
 
     def lease_input(self, frame_shape: tuple) -> ArenaLease:
         """Lease an arena input stack sized for one coalesced batch.
@@ -599,44 +590,16 @@ class ToneMapService:
             (self.batch_size,) + tuple(frame_shape), np.float32
         )
 
-    def submit_batch(
-        self, images: Sequence[HDRImage]
-    ) -> "Future[tuple[HDRImage, ...]]":
-        """Queue one same-shape batch on the pool; resolves to its outputs.
-
-        The batch counts toward ``queue_depth`` from this moment — queued
-        behind the thread pool is still "admitted but not finished".
-        """
-        self._admit_batch()
-        try:
-            return self._executor.submit(self._run_admitted, list(images))
-        except BaseException:
-            # Executor shut down mid-submit: the batch never entered the
-            # pool, so it must not haunt queue_depth forever.
-            self._abort_batch()
-            raise
-
-    def submit(self, image: HDRImage) -> "Future[HDRImage]":
-        """Queue a single image; resolves to its tone-mapped output."""
-        self._admit_batch()
-        try:
-            return self._executor.submit(
-                lambda: self._run_admitted([image])[0]
-            )
-        except BaseException:
-            self._abort_batch()
-            raise
-
     def map_many(self, images: Sequence[HDRImage]) -> list[HDRImage]:
         """Tone-map many images, preserving input order.
 
         Images are grouped by shape (a batch must be rectangular), each
         group is chopped into ``batch_size`` chunks, and the chunks run
-        concurrently on the pool.
+        concurrently on the pool.  A chunk is staged into the arena
+        inside its own pooled task, so at most ``workers`` chunks hold
+        arena stacks at once.
         """
         images = list(images)
-        if not images:
-            return []
         groups: dict[tuple, list[int]] = {}
         for index, image in enumerate(images):
             if not isinstance(image, HDRImage):
@@ -647,15 +610,34 @@ class ToneMapService:
         for indices in groups.values():
             for lo in range(0, len(indices), self.batch_size):
                 chunk = indices[lo : lo + self.batch_size]
-                futures.append(
-                    (chunk, self.submit_batch([images[i] for i in chunk]))
+                future = self._submit(
+                    self._stage_and_run, [images[i] for i in chunk]
                 )
+                futures.append((chunk, future))
 
         outputs: list[Optional[HDRImage]] = [None] * len(images)
         for chunk, future in futures:
             for position, output in zip(chunk, future.result()):
                 outputs[position] = output
         return outputs  # type: ignore[return-value]
+
+    def _stage_and_run(self, images: list[HDRImage]) -> tuple[HDRImage, ...]:
+        """Run one admitted same-shape chunk: copy each frame once,
+        straight into its slot of a leased arena stack (counted as
+        copy-in), then run the stack."""
+        try:
+            in_lease = self._pool.lease_input(
+                (len(images),) + images[0].pixels.shape
+            )
+            for slot, image in enumerate(images):
+                in_lease.array[slot] = image.pixels
+        except BaseException:
+            self._abort_batch()
+            raise
+        self._pool.arena._count_copy_in(in_lease.nbytes)
+        return self._run_leased_admitted(
+            in_lease, len(images), [image.name for image in images]
+        )
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

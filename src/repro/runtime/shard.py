@@ -14,9 +14,9 @@ Unlike the PR 2 incarnation, segments are *persistent*: the pool owns a
 :class:`~repro.runtime.arena.ShmArena` whose pooled input stacks and
 output-slab ring are reused across batches, so steady-state serving does
 zero SHM allocations and zero parent-side staging copies.  The data
-plane surface (``run_leased`` / ``run_stack`` / ``run_batch``) and the
-attempt policy come from :class:`~repro.runtime.backend.Backend`; this
-module is the process-pool transport underneath.
+plane (``lease_input`` + ``run_leased``) and the attempt policy come
+from :class:`~repro.runtime.backend.Backend`; this module is the
+process-pool transport underneath.
 
 **Crash recovery.**  A worker dying (OOM kill, segfault) breaks the
 whole ``ProcessPoolExecutor``.  The failed attempt quiesces the broken

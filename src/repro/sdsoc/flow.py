@@ -65,11 +65,6 @@ class ImplementationResult:
         return sum(stage.seconds for stage in self.stage_times)
 
     @property
-    def rest_seconds(self) -> float:
-        """PS time outside the blur (Table II: total minus blur)."""
-        return self.total_seconds - self.blur_seconds
-
-    @property
     def ps_seconds(self) -> float:
         """Time the PS is actively computing (Fig. 6's PS bar)."""
         return self.total_seconds - self.pl_busy_seconds - self.transfer_seconds

@@ -38,10 +38,6 @@ class AdjustParams:
         if self.contrast <= 0:
             raise ToneMapError(f"contrast must be positive, got {self.contrast}")
 
-    @property
-    def is_identity(self) -> bool:
-        return self.brightness == 0.0 and self.contrast == 1.0
-
 
 def adjust_brightness_contrast(
     pixels: np.ndarray, params: AdjustParams = AdjustParams()

@@ -2,6 +2,7 @@
 
 import time
 
+import numpy as np
 import pytest
 
 from repro.runtime import band_kernels
@@ -34,18 +35,19 @@ def wait_for_corpse():
 def _assert_ledger_closed(stats):
     """Every frame an ingestor admitted ended in one terminal outcome.
 
-    Call on ``ToneMapIngestor.stats`` after ``close()`` or ``drain()``
-    in a run where no batch failed: each submitted frame was served,
-    shed (shed-oldest, the overload ladder or drain) or expired past
-    its deadline — exactly one of the three.
+    Call on ``ToneMapIngestor.stats`` after ``close()`` or ``drain()``:
+    each submitted frame was served, shed (shed-oldest, the overload
+    ladder or drain), expired past its deadline or failed with its
+    batch — exactly one of the four.
     """
     submitted = sum(tenant.submitted for tenant in stats.tenants)
     served = sum(tenant.served for tenant in stats.tenants)
     shed = sum(tenant.shed for tenant in stats.tenants)
+    failed = sum(tenant.failed for tenant in stats.tenants)
     expired = stats.reliability.deadline_shed
-    assert submitted == served + shed + expired, (
+    assert submitted == served + shed + expired + failed, (
         f"ledger open: {submitted} submitted != {served} served + "
-        f"{shed} shed + {expired} deadline-shed"
+        f"{shed} shed + {expired} deadline-shed + {failed} failed"
     )
 
 
@@ -53,6 +55,24 @@ def _assert_ledger_closed(stats):
 def assert_ledger_closed():
     """``assert_ledger_closed(stats)``: the ingestor frame-ledger identity."""
     return _assert_ledger_closed
+
+
+def _run_materialized(backend, stack):
+    """One batch through a backend's data plane: lease an arena input
+    stack, write ``stack`` into it, ``run_leased``, and return the
+    materialized float32 outputs."""
+    in_lease = backend.lease_input(np.shape(stack))
+    try:
+        in_lease.array[:] = stack
+        return backend.run_leased(in_lease).materialize()
+    finally:
+        in_lease.release()
+
+
+@pytest.fixture
+def run_materialized():
+    """``run_materialized(backend, stack)``: one leased batch's outputs."""
+    return _run_materialized
 
 
 @pytest.fixture

@@ -28,11 +28,6 @@ class TestGeometry:
         geom = BlurGeometry()
         assert geom.pixels == 1024 * 1024
         assert geom.taps == 57
-        assert geom.plane_bytes == 4 << 20
-
-    def test_element_width_change(self):
-        fxp = BlurGeometry().with_element_bits(16)
-        assert fxp.plane_bytes == 2 << 20
 
     def test_kernel_derivation(self):
         k = GEOM.kernel()

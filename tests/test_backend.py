@@ -198,13 +198,13 @@ class TestValidationAndCounters:
         with ScriptedBackend([None, Replay("a"), None, None]) as backend:
             _run(backend, stack).release()
             _run(backend, stack, count=2).release()
-            got = backend.run_stack(stack)
+            got = _run(backend, stack).materialize()
             np.testing.assert_array_equal(got, stack * 2)
             stats = backend.data_plane_stats
             assert (stats.batches, stats.frames) == (3, 8)
             assert stats.bytes_served == 8 * 8 * 8 * 4
-            # run_stack's copy-in and materialize are the only staging.
-            assert stats.bytes_staged == 2 * stack.nbytes
+            # The materialize is the only staging.
+            assert stats.bytes_staged == stack.nbytes
 
     def test_concurrent_batches_lose_no_count(self, stack):
         threads, per_thread = 8, 25
@@ -233,22 +233,6 @@ class TestValidationAndCounters:
         assert stats.frames == threads * per_thread * len(stack)
         assert backend.arena.stats.leases_active == 0
         backend.drain()  # in-flight count is back at zero: returns at once
-
-    def test_run_batch_goes_through_run_leased(self, stack):
-        images = [
-            HDRImage.adopt(frame, name=f"f{i}")
-            for i, frame in enumerate(stack)
-        ]
-        with ScriptedBackend([None]) as backend:
-            outputs = backend.run_batch(images)
-            assert [o.name for o in outputs] == [
-                "f0:tonemapped", "f1:tonemapped", "f2:tonemapped"
-            ]
-            got = np.stack([o.pixels for o in outputs])
-            np.testing.assert_array_equal(got, stack * 2)
-            small = HDRImage.adopt(stack[0, :4], name="small")
-            with pytest.raises(ToneMapError, match="one shape"):
-                backend.run_batch(images[:1] + [small])
 
 
 class TestAdmissionGate:
@@ -323,7 +307,9 @@ class TestLocalBackend:
             out = _run(backend, stack, count=2)
             np.testing.assert_array_equal(out.array, stack[:2] * 2)
             out.release()
-            np.testing.assert_array_equal(backend.run_stack(stack), stack * 2)
+            np.testing.assert_array_equal(
+                _run(backend, stack).materialize(), stack * 2
+            )
             stats = backend.data_plane_stats
             assert (stats.batches, stats.frames) == (2, 5)
             assert backend.arena.stats.leases_active == 0
@@ -412,11 +398,11 @@ class TestLocalBackend:
         with ToneMapService(
             params, batch_size=2, shards=1, arena_slots=2, faults=plan
         ) as service:
-            healthy = service.run_batch(images)
+            healthy = service.map_many(images)
             injector = service.pool.faults
             assert injector.attempts == 1
             service.apply_overload_rung(LADDER_BROWNOUT)
-            browned = service.run_batch(images)
+            browned = service.map_many(images)
             assert injector.attempts == 1
             assert service.stats.reliability.brownout_batches == 1
         for got, want in zip(browned, healthy):

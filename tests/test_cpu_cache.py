@@ -47,7 +47,7 @@ class TestCacheSim:
         sim = CacheSim(A9_L1D)
         addresses = list(range(0, 16 * 1024, 4)) * 3
         stats = sim.run_trace(addresses)
-        assert stats.hit_rate > 0.9
+        assert stats.miss_rate < 0.1
 
     def test_lru_eviction(self):
         cfg = CacheConfig(size_bytes=4 * 32, line_bytes=32, ways=4)  # 1 set
@@ -85,10 +85,6 @@ class TestCacheHierarchy:
             h.access_cycles(addr)
         costs = [h.access_cycles(a) for a in span]
         assert np.mean(costs) <= h.l2_hit_cycles + 1
-
-    def test_average_cycles_empty_rejected(self):
-        with pytest.raises(PlatformError):
-            CacheHierarchy().average_cycles([])
 
 
 class TestAnalyticCpuModel:

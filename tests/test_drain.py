@@ -113,7 +113,7 @@ class TestIngestorDrain:
             with pytest.raises(ToneMapError, match="draining|closed"):
                 ingestor.submit(scenes(1, base=902)[0])
             # ... but the borrowed service stays open — the caller owns it.
-            service.submit(scenes(1, base=903)[0]).result(timeout=30)
+            service.map_many(scenes(1, base=903))
 
     def test_close_serves_queued_best_effort_frames(self):
         # close() is the zero-refusal flush: unlike drain(), queued
@@ -137,44 +137,49 @@ class TestIngestorDrain:
 class TestServiceDrain:
     def test_drain_finishes_admitted_then_refuses(self):
         with ToneMapService(PARAMS, batch_size=2) as service:
-            futures = [service.submit(image) for image in scenes(3)]
+            futures = []
+            for image in scenes(3):
+                lease = service.lease_input(image.pixels.shape)
+                lease.array[0] = image.pixels
+                futures.append(service.submit_stack(lease, 1, [image.name]))
             service.drain()
             for future in futures:
-                assert future.result(timeout=0).pixels.shape == (24, 24, 3)
+                (output,) = future.result(timeout=0)
+                assert output.pixels.shape == (24, 24, 3)
             with pytest.raises(ToneMapError, match="drain|closed"):
-                service.submit(scenes(1)[0])
+                service.map_many(scenes(1))
 
-    def test_drain_closes_the_shard_pool_gracefully(self):
+    def test_drain_closes_the_shard_pool_gracefully(self, run_materialized):
         images = scenes(2, size=16)
         with ToneMapService(
             PARAMS, batch_size=2, shards=1, arena_slots=2
         ) as service:
             pool = service.pool
-            service.run_batch(images)
+            service.map_many(images)
             service.drain()
             # The pool was drained (graceful), not just closed: it now
             # refuses leases as a drained pool.
             with pytest.raises(ToneMapError, match="draining|closed"):
-                pool.run_stack(_stack(frames=2, size=16))
+                run_materialized(pool, _stack(frames=2, size=16))
 
-    def test_shard_pool_drain_refuses_new_leases(self):
+    def test_shard_pool_drain_refuses_new_leases(self, run_materialized):
         with ToneMapService(
             PARAMS, batch_size=2, shards=1, arena_slots=2
         ) as service:
             pool = service.pool
-            got = pool.run_stack(_stack(frames=2, size=16, seed=7))
+            got = run_materialized(pool, _stack(frames=2, size=16, seed=7))
             np.testing.assert_array_equal(
                 got, _want(_stack(frames=2, size=16, seed=7))
             )
             pool.drain()
-            # run_stack hits the closed arena first; run_leased's own
+            # lease_input hits the closed arena first; run_leased's own
             # guard is the draining message — either way it refuses.
             with pytest.raises(ToneMapError, match="draining|closed"):
-                pool.run_stack(_stack(frames=2, size=16))
+                run_materialized(pool, _stack(frames=2, size=16))
 
 
 class TestHostPoolDrain:
-    def test_drain_waits_for_in_flight_then_refuses(self):
+    def test_drain_waits_for_in_flight_then_refuses(self, run_materialized):
         stack = _stack(seed=11)
         want = _want(stack)
         results = []
@@ -182,7 +187,7 @@ class TestHostPoolDrain:
             2, PARAMS, shards_per_host=1, arena_slots=4
         ) as pool:
             loader = threading.Thread(
-                target=lambda: results.append(pool.run_stack(stack))
+                target=lambda: results.append(run_materialized(pool, stack))
             )
             loader.start()
             time.sleep(0.05)  # let the batch reach the wire
@@ -193,7 +198,7 @@ class TestHostPoolDrain:
             assert len(results) == 1
             np.testing.assert_array_equal(results[0], want)
             with pytest.raises(ToneMapError, match="draining|closed"):
-                pool.run_stack(stack)
+                run_materialized(pool, stack)
         # No reviver thread survives a drain (close joins them).
         assert not [
             t for t in threading.enumerate()
@@ -215,7 +220,9 @@ class TestHostPoolDrain:
 
 @pytest.mark.fault
 class TestRollingRestartChaos:
-    def test_rolling_restart_under_faulted_load_loses_nothing(self):
+    def test_rolling_restart_under_faulted_load_loses_nothing(
+        self, run_materialized
+    ):
         # Slow links jitter the wire while every host is cycled under
         # sustained load: the contract is the bench gate's — zero
         # admitted frames lost, outputs bit-identical throughout.
@@ -235,7 +242,7 @@ class TestRollingRestartChaos:
                     i = index % len(batches)
                     index += 1
                     try:
-                        got = pool.run_stack(batches[i])
+                        got = run_materialized(pool, batches[i])
                         np.testing.assert_array_equal(got, wants[i])
                         served[0] += 1
                     except Exception as exc:  # noqa: BLE001
@@ -256,13 +263,15 @@ class TestRollingRestartChaos:
             assert served[0] >= 1
             # The restarted fleet is whole and still serving.
             assert _wait_for(lambda: pool.active_shards == 2)
-            got = pool.run_stack(batches[0])
+            got = run_materialized(pool, batches[0])
             np.testing.assert_array_equal(got, wants[0])
 
 
 class TestServeHostSignals:
     @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGINT])
-    def test_signal_drains_and_releases_shm_segments(self, signum):
+    def test_signal_drains_and_releases_shm_segments(
+        self, signum, run_materialized
+    ):
         before = set(os.listdir("/dev/shm"))
         repo = Path(__file__).resolve().parent.parent
         env = dict(os.environ)
@@ -296,7 +305,7 @@ class TestServeHostSignals:
             )
             with HostPool([address]) as client:
                 np.testing.assert_array_equal(
-                    client.run_stack(stack), want
+                    run_materialized(client, stack), want
                 )
             created = set(os.listdir("/dev/shm")) - before
             assert created  # the arena lives in /dev/shm

@@ -18,7 +18,7 @@ from repro.experiments import (
     run_fig8,
     run_table2,
 )
-from repro.experiments.ascii_chart import horizontal_bar_chart, simple_bar_chart
+from repro.experiments.ascii_chart import horizontal_bar_chart
 from repro.power.rails import Rail
 
 FLOW = make_paper_flow()
@@ -58,8 +58,10 @@ class TestTable2:
     def test_every_row_within_3x_of_paper(self):
         # Shape criterion: same order of magnitude everywhere.
         for row in TABLE2.rows:
-            assert 1 / 3 < row.blur_ratio < 3, row.key
-            assert 1 / 3 < row.total_ratio < 3, row.key
+            blur_ratio = row.blur_seconds / row.paper_blur_seconds
+            total_ratio = row.total_seconds / row.paper_total_seconds
+            assert 1 / 3 < blur_ratio < 3, row.key
+            assert 1 / 3 < total_ratio < 3, row.key
 
     def test_headline_metrics(self):
         assert TABLE2.blur_speedup >= 10.0
@@ -223,10 +225,6 @@ class TestAsciiChart:
             title="T",
         )
         assert "T" in text and "a" in text and "3.000 s" in text
-
-    def test_simple_chart(self):
-        text = simple_bar_chart([("a", 1.0), ("b", 2.0)], unit="J")
-        assert "a" in text and "2.000 J" in text
 
     def test_inconsistent_segments_rejected(self):
         with pytest.raises(ReproError):

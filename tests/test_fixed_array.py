@@ -124,11 +124,6 @@ class TestFixedArrayArithmetic:
         np.testing.assert_allclose(c.to_float(), [0.25, -0.125])
         assert c.fmt == FMT.mul_result(COEFF)
 
-    def test_mul_scalar_coefficient(self):
-        a = FixedArray.from_float(np.array([0.5, 1.0]), FMT)
-        k = ApFixed.from_float(0.25, COEFF)
-        np.testing.assert_allclose(a.mul_scalar(k).to_float(), [0.125, 0.25])
-
     def test_add_with_apfixed_broadcast(self):
         a = FixedArray.from_float(np.array([0.5, 0.25]), FMT)
         k = ApFixed.from_float(0.25, FMT)

@@ -94,7 +94,7 @@ class TestQuantizationErrorStats:
     def test_exact_signal(self):
         fmt = FixedFormat(16, 2, quant=Quant.RND)
         stats = quantization_error_stats(np.array([0.5, 0.25, -0.125]), fmt)
-        assert stats.is_exact
+        assert stats.max_abs_error == 0.0
         assert stats.snr_db == math.inf
         assert stats.saturated_fraction == 0.0
 

@@ -88,10 +88,6 @@ class TestRanges:
         assert not fmt.representable(2.0)
         assert not fmt.representable(100.0)
 
-    def test_range_span(self):
-        fmt = FixedFormat(8, 8, signed=False)
-        assert fmt.range_span == 255.0
-
 
 class TestFormatAlgebra:
     def test_add_result_grows_one_int_bit(self):

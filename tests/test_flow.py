@@ -48,7 +48,8 @@ class TestTableIIShape:
         # PS-side remainder (paper: 19.10 / 19.27 vs 26.66).
         for key in ("pragmas", "fxp"):
             result = RESULTS[key]
-            assert result.rest_seconds / result.total_seconds > 0.9
+            rest_seconds = result.total_seconds - result.blur_seconds
+            assert rest_seconds / result.total_seconds > 0.9
 
     def test_fxp_total_slightly_above_pragmas_total(self):
         # Paper Table II: 19.27 > 19.10 — the PS-side conversion eats the
@@ -69,9 +70,6 @@ class TestResultStructure:
         for result in RESULTS.values():
             assert result.total_seconds == pytest.approx(
                 sum(s.seconds for s in result.stage_times)
-            )
-            assert result.rest_seconds == pytest.approx(
-                result.total_seconds - result.blur_seconds
             )
 
     def test_sw_variant_has_no_hardware(self):

@@ -840,15 +840,14 @@ class TestRuntimeWiring:
             assert g.name == w.name
         assert got.pixels == want.pixels
 
-    def test_shard_workers_fused_bit_identical(self):
-        images = self._scenes(4, size=24)
-        want = BatchToneMapper(self.PARAMS).map(images)
+    def test_shard_workers_fused_bit_identical(self, run_materialized):
+        stack = np.stack([image.pixels for image in self._scenes(4, size=24)])
+        want = BatchToneMapper(self.PARAMS).run_stack(stack).astype(np.float32)
         with ShardPool(
             self.PARAMS, shards=2, plan=_plan(self.PARAMS)
         ) as pool:
-            got = pool.run_batch(images)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g.pixels, w.pixels)
+            got = run_materialized(pool, stack)
+        np.testing.assert_array_equal(got, want)
 
     def test_shard_fused_threads_default_to_one(self):
         # Each worker process running the plan's cpu_count() fused
@@ -869,7 +868,7 @@ class TestRuntimeWiring:
         finally:
             mapper.close()
 
-    def test_fused_plan_yields_to_fixed_blur_in_shards(self):
+    def test_fused_plan_yields_to_fixed_blur_in_shards(self, run_materialized):
         # The float plan reaches the workers with fixed-point params:
         # each worker's mapper runs the fixed blur staged, bit-identical.
         from dataclasses import replace
@@ -877,12 +876,11 @@ class TestRuntimeWiring:
         from repro.tonemap.fixed_blur import make_fixed_blur_fn
 
         params = replace(self.PARAMS, blur_fn=make_fixed_blur_fn())
-        images = self._scenes(4, size=24)
-        want = BatchToneMapper(params).map(images)
+        stack = np.stack([image.pixels for image in self._scenes(4, size=24)])
+        want = BatchToneMapper(params).run_stack(stack).astype(np.float32)
         with ShardPool(params, shards=2, plan=_plan(self.PARAMS)) as pool:
-            got = pool.run_batch(images)
-        for g, w in zip(got, want):
-            np.testing.assert_array_equal(g.pixels, w.pixels)
+            got = run_materialized(pool, stack)
+        np.testing.assert_array_equal(got, want)
 
     def test_service_fused_matches_staged(self):
         images = self._scenes(5, size=24)
@@ -899,7 +897,7 @@ class TestRuntimeWiring:
         from repro.runtime import ToneMapIngestor
 
         images = self._scenes(6, size=24)
-        want = BatchToneMapper(self.PARAMS).map(images)
+        want = BatchToneMapper(self.PARAMS).run(images).outputs
         with ToneMapService(
             self.PARAMS, batch_size=3, shards=2, plan=_plan(self.PARAMS)
         ) as service:

@@ -24,7 +24,6 @@ class TestConstruction:
         assert img.channels == 3
         assert img.is_color
         assert img.pixel_count == 24
-        assert img.sample_count == 72
 
     def test_single_channel_3d_squeezed(self):
         img = HDRImage(np.ones((4, 4, 1), dtype=np.float32))

@@ -6,19 +6,6 @@ from repro.errors import HlsError
 from repro.hls import DEFAULT_LIBRARY, OpKind, OpSpec, OperatorLibrary
 
 
-class TestOpKind:
-    def test_float_classification(self):
-        assert OpKind.FADD.is_float
-        assert OpKind.FMUL.is_float
-        assert not OpKind.ADD.is_float
-        assert not OpKind.LOAD.is_float
-
-    def test_memory_classification(self):
-        assert OpKind.LOAD.is_memory
-        assert OpKind.STORE.is_memory
-        assert not OpKind.FADD.is_memory
-
-
 class TestOpSpec:
     def test_valid(self):
         spec = OpSpec(latency=3, lut=10, ff=20, dsp=1)
@@ -72,12 +59,3 @@ class TestOperatorLibrary:
     def test_missing_spec_rejected(self):
         with pytest.raises(HlsError, match="missing"):
             OperatorLibrary({OpKind.FADD: OpSpec(latency=4)})
-
-    def test_with_overrides(self):
-        fast = DEFAULT_LIBRARY.with_overrides(
-            {OpKind.FADD: OpSpec(latency=1, lut=100)}
-        )
-        assert fast.latency(OpKind.FADD) == 1
-        assert DEFAULT_LIBRARY.latency(OpKind.FADD) == 4  # original intact
-        # Other specs inherited.
-        assert fast.latency(OpKind.FMUL) == DEFAULT_LIBRARY.latency(OpKind.FMUL)

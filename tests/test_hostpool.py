@@ -4,12 +4,11 @@ The single-host suite proves batches move between processes as
 pointers; this suite proves the same batches cross a *socket* — the
 repo's model of the paper's CPU→FPGA AXI hop — bit-identically and
 with every staging byte counted.  The non-fault classes run a real
-2-host localhost fleet end-to-end (leased path, ``run_stack`` /
-``run_batch``, the service + ingestor front end, an externally-served
-host).  The ``fault``-marked chaos class then injects the network
-fault kinds — ``host-loss``, ``slow-link``, ``partition`` — and
-asserts the PR 9 recovery contract: zero frames lost, dead hosts
-respawned, outputs unchanged.
+2-host localhost fleet end-to-end (the leased path, the service +
+ingestor front end, an externally-served host).  The ``fault``-marked
+chaos class then injects the network fault kinds — ``host-loss``,
+``slow-link``, ``partition`` — and asserts the PR 9 recovery contract:
+zero frames lost, dead hosts respawned, outputs unchanged.
 """
 
 import socket
@@ -142,30 +141,6 @@ class TestHostPoolEndToEnd:
         assert after.frames - before.frames == FRAMES
         assert pool.arena.stats.leases_active == 0
 
-    def test_run_stack_counts_its_one_staging_copy(self, pool):
-        stack = _stack(seed=1)
-        before = pool.data_plane_stats
-        got = pool.run_stack(stack)
-        np.testing.assert_array_equal(got, _want(stack))
-        after = pool.data_plane_stats
-        # One copy-in (caller array → arena stack) and one materialize
-        # (output slab → caller array), both counted, nothing hidden.
-        staged = after.bytes_staged - before.bytes_staged
-        assert staged == 2 * stack.nbytes
-
-    def test_run_batch_round_trips_hdr_images(self, pool):
-        stack = _stack(frames=3, seed=2)
-        images = [
-            HDRImage.adopt(stack[i], name=f"frame{i}")
-            for i in range(len(stack))
-        ]
-        outputs = pool.run_batch(images)
-        assert [o.name for o in outputs] == [
-            "frame0:tonemapped", "frame1:tonemapped", "frame2:tonemapped"
-        ]
-        got = np.stack([o.pixels for o in outputs]).astype(np.float32)
-        np.testing.assert_array_equal(got, _want(stack))
-
     def test_shard_pool_compatible_surface(self, pool):
         assert pool.active_shards == 2
         assert len(pool.host_addresses()) == 2
@@ -186,14 +161,14 @@ class TestHostPoolEndToEnd:
 class TestExternallyServedHost:
     """A pool routing to a host it does not own (the ``serve-host`` shape)."""
 
-    def test_in_process_server_serves_a_pool(self):
+    def test_in_process_server_serves_a_pool(self, run_materialized):
         stack = _stack(seed=4)
         server = HostServer(ShardPool(PARAMS, shards=1, arena_slots=4))
         thread = threading.Thread(target=server.serve_forever, daemon=True)
         thread.start()
         try:
             with HostPool([server.address]) as pool:
-                got = pool.run_stack(stack)
+                got = run_materialized(pool, stack)
                 np.testing.assert_array_equal(got, _want(stack))
                 assert pool.host_addresses() == [server.address]
             # The serving endpoint counted the mirror-image traffic, and
@@ -242,7 +217,7 @@ class TestSpawnLocal:
         return events, processes
 
     def test_hosts_start_before_the_first_address_is_awaited(
-        self, monkeypatch
+        self, monkeypatch, run_materialized
     ):
         events, processes = self._record(monkeypatch)
         with HostPool.spawn_local(
@@ -256,7 +231,9 @@ class TestSpawnLocal:
             ]
             assert [host.process for host in pool._hosts] == processes
             stack = _stack(frames=2, seed=9)
-            np.testing.assert_array_equal(pool.run_stack(stack), _want(stack))
+            np.testing.assert_array_equal(
+                run_materialized(pool, stack), _want(stack)
+            )
         assert not any(process.is_alive() for process in processes)
 
     def test_a_host_that_fails_to_report_leaves_no_process(
@@ -312,7 +289,7 @@ class TestHostStates:
             thread.join(timeout=10)
 
     def test_loss_right_after_a_revival_starts_a_new_revival(
-        self, monkeypatch
+        self, monkeypatch, run_materialized
     ):
         # Regression: a batch thread that lost the host in the gap
         # between the revive thread making it live and that thread
@@ -347,7 +324,7 @@ class TestHostStates:
                 assert fired and pool.hosts_lost == 2
                 assert not pool._revivers  # finished threads are dropped
                 np.testing.assert_array_equal(
-                    pool.run_stack(stack), _want(stack)
+                    run_materialized(pool, stack), _want(stack)
                 )
         finally:
             server.close()
@@ -355,7 +332,7 @@ class TestHostStates:
 
 
 class TestFixedPointParams:
-    def test_fixed_blur_bit_identical_across_every_hop(self):
+    def test_fixed_blur_bit_identical_across_every_hop(self, run_materialized):
         # params.blur_fn pickles as-is: into shard workers and into a
         # spawned host process (and its own workers) alike.
         params = replace(PARAMS, blur_fn=make_fixed_blur_fn())
@@ -363,11 +340,15 @@ class TestFixedPointParams:
         want = BatchToneMapper(params).run_stack(stack).astype(np.float32)
         assert not np.array_equal(want, _want(stack))  # really fixed point
         with ShardPool(params, shards=2) as shards:
-            np.testing.assert_array_equal(shards.run_stack(stack), want)
+            np.testing.assert_array_equal(
+                run_materialized(shards, stack), want
+            )
         with HostPool.spawn_local(
             1, params, shards_per_host=1, arena_slots=2
         ) as hosts:
-            np.testing.assert_array_equal(hosts.run_stack(stack), want)
+            np.testing.assert_array_equal(
+                run_materialized(hosts, stack), want
+            )
 
 
 class TestWireTimeoutValidation:

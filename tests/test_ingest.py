@@ -14,6 +14,7 @@ import pytest
 
 from repro.errors import (
     DeadlineExceededError,
+    ImageError,
     ServiceOverloadedError,
     ToneMapError,
 )
@@ -59,7 +60,7 @@ class TestCoalescing:
         with ToneMapService(PARAMS, batch_size=2) as service:
             with ToneMapIngestor(service, max_delay_ms=20) as ingestor:
                 outputs = ingestor.map_many(images)
-        expected = BatchToneMapper(PARAMS).map(images)
+        expected = BatchToneMapper(PARAMS).run(images).outputs
         for got, want in zip(outputs, expected):
             np.testing.assert_array_equal(got.pixels, want.pixels)
 
@@ -262,6 +263,26 @@ class TestLifecycle:
                 with pytest.raises(ValueError):
                     future.result(timeout=30)
 
+    def test_failed_batch_frames_close_the_ledger(self, assert_ledger_closed):
+        # A failed batch's frames end in one terminal outcome too: each
+        # future holds the error and the frame counts as failed.
+        def nan_blur(plane, kernel):
+            out = np.array(plane, dtype=np.float64)
+            out[0, 0] = np.nan
+            return out
+
+        params = ToneMapParams(sigma=2.0, radius=6, blur_fn=nan_blur)
+        with ToneMapService(params, batch_size=4) as service:
+            with ToneMapIngestor(service, max_delay_ms=60_000) as ingestor:
+                futures = [ingestor.submit(image) for image in scenes(4)]
+                for future in futures:
+                    with pytest.raises(ImageError):
+                        future.result(timeout=30)
+            stats = ingestor.stats
+        (tenant,) = stats.tenants
+        assert (tenant.submitted, tenant.served, tenant.failed) == (4, 0, 4)
+        assert_ledger_closed(stats)
+
 
 class TestDropCallbacks:
     """A dropped frame's future settles after the ingestor lock is
@@ -398,7 +419,7 @@ class TestAsyncAPI:
                     )
 
         outputs = asyncio.run(main())
-        expected = BatchToneMapper(PARAMS).map(images)
+        expected = BatchToneMapper(PARAMS).run(images).outputs
         for got, want in zip(outputs, expected):
             np.testing.assert_array_equal(got.pixels, want.pixels)
 
@@ -451,7 +472,7 @@ class TestZeroCopyIngest:
         with ToneMapService(PARAMS, batch_size=2, shards=2) as service:
             with ToneMapIngestor(service, max_delay_ms=20) as ingestor:
                 outputs = ingestor.map_many(images)
-        expected = BatchToneMapper(PARAMS).map(images)
+        expected = BatchToneMapper(PARAMS).run(images).outputs
         for got, want in zip(outputs, expected):
             np.testing.assert_array_equal(got.pixels, want.pixels)
 
@@ -505,7 +526,7 @@ class TestZeroCopyIngest:
             ingestor.close()
             with pytest.raises(ServiceOverloadedError):
                 futures[0].result(timeout=5)
-            expected = BatchToneMapper(PARAMS).map(images)
+            expected = BatchToneMapper(PARAMS).run(images).outputs
             for future, want in zip(futures[1:], expected[1:]):
                 got = future.result(timeout=30)
                 np.testing.assert_array_equal(got.pixels, want.pixels)
@@ -549,7 +570,7 @@ class TestZeroCopyIngest:
         with ToneMapService(PARAMS, batch_size=2) as service:
             with ToneMapIngestor(service, max_delay_ms=5) as ingestor:
                 outputs = ingestor.map_many(images)
-        expected = BatchToneMapper(PARAMS).map(images)
+        expected = BatchToneMapper(PARAMS).run(images).outputs
         for got, want in zip(outputs, expected):
             np.testing.assert_array_equal(got.pixels, want.pixels)
 

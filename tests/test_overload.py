@@ -499,12 +499,13 @@ class TestServiceRungHooks:
         images = scenes(2, size=32)
         plan = plan_for(height=32, width=32, batch=2, sigma=PARAMS.sigma)
         for service_plan in (None, plan):
-            want = BatchToneMapper(PARAMS, plan=service_plan).map(images)
+            mapper = BatchToneMapper(PARAMS, plan=service_plan)
+            want = mapper.run(images).outputs
             with ToneMapService(
                 PARAMS, batch_size=2, plan=service_plan
             ) as service:
                 service.apply_overload_rung(LADDER_SHED)
-                got = service.run_batch(images)
+                got = service.map_many(images)
             for g, w in zip(got, want):
                 np.testing.assert_array_equal(g.pixels, w.pixels)
 
@@ -519,11 +520,11 @@ class TestServiceRungHooks:
         images = scenes(2, size=16)
         with ToneMapService(PARAMS, batch_size=2) as service:
             service.apply_overload_rung(LADDER_BROWNOUT)
-            got = service.run_batch(images)
+            got = service.map_many(images)
             stats = service.stats
         assert stats.shards_active == 0 and stats.shard_respawns == 0
         assert stats.reliability == ReliabilityStats()
-        for g, w in zip(got, BatchToneMapper(PARAMS).map(images)):
+        for g, w in zip(got, BatchToneMapper(PARAMS).run(images).outputs):
             np.testing.assert_array_equal(g.pixels, w.pixels)
 
     def test_brownout_rung_bypasses_the_shard_pool(self):
@@ -531,10 +532,10 @@ class TestServiceRungHooks:
         with ToneMapService(
             PARAMS, batch_size=2, shards=1, arena_slots=2
         ) as service:
-            healthy = service.run_batch(images)
+            healthy = service.map_many(images)
             before = service.stats.reliability.brownout_batches
             service.apply_overload_rung(LADDER_BROWNOUT)
-            browned = service.run_batch(images)
+            browned = service.map_many(images)
             after = service.stats.reliability.brownout_batches
             service.apply_overload_rung(LADDER_FULL)
         assert after == before + 1

@@ -143,9 +143,6 @@ class TestComputeEnergy:
         assert report.total_j == pytest.approx(
             report.bottomline_j + report.overhead_j
         )
-        assert report.average_power_w == pytest.approx(
-            report.total_j / report.duration_s
-        )
 
     def test_matches_timeline_integration(self):
         model = PowerModel()
@@ -173,8 +170,8 @@ class TestPmBusMonitor:
     def test_noise_is_reproducible(self):
         model = PowerModel()
         timeline = model.timeline_powers(phases(), 0.3)
-        a = PmBusMonitor(noise_rms_w=0.05, seed=7).measured_total_energy(timeline)
-        b = PmBusMonitor(noise_rms_w=0.05, seed=7).measured_total_energy(timeline)
+        a = PmBusMonitor(noise_rms_w=0.05, seed=7).measure_energy(timeline)
+        b = PmBusMonitor(noise_rms_w=0.05, seed=7).measure_energy(timeline)
         assert a == b
 
     def test_noise_converges_with_samples(self):
@@ -182,9 +179,8 @@ class TestPmBusMonitor:
         timeline = model.timeline_powers(phases(), 0.3)
         exact = sum(timeline.energy_joules()[r] for r in Rail)
         fine = PmBusMonitor(sample_interval_s=2e-4, noise_rms_w=0.05, seed=1)
-        assert fine.measured_total_energy(timeline) == pytest.approx(
-            exact, rel=0.02
-        )
+        measured = sum(fine.measure_energy(timeline).values())
+        assert measured == pytest.approx(exact, rel=0.02)
 
     def test_trace_shape(self):
         model = PowerModel()

@@ -367,7 +367,7 @@ class TestInjectableServiceClock:
     def test_in_process_batches_measure_fake_zero(self):
         clock = FakeClock(start=123.0)
         with ToneMapService(PARAMS, batch_size=4, clock=clock) as service:
-            service.run_batch(self._images(4))
+            service.map_many(self._images(4))
             service.map_many(self._images(3))
             stats = service.stats
         assert stats.batches >= 2 and stats.images == 7

@@ -1,5 +1,7 @@
 """Tests for repro.runtime (BatchToneMapper + ToneMapService)."""
 
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -20,6 +22,22 @@ def nan_blur(plane, kernel):
     out = np.array(plane, dtype=np.float64)
     out[0, 0] = np.nan
     return out
+
+
+def gated_params():
+    """Params whose blur signals ``entered`` and then blocks until
+    ``gate`` is set: ``(params, entered, gate)``."""
+    from repro.tonemap.gaussian import separable_blur
+
+    entered, gate = threading.Event(), threading.Event()
+
+    def gated_blur(plane, kernel):
+        entered.set()
+        gate.wait(timeout=30)
+        return separable_blur(plane, kernel)
+
+    params = ToneMapParams(sigma=2.0, radius=6, blur_fn=gated_blur)
+    return params, entered, gate
 
 
 def scenes(count, size=32, color=True):
@@ -65,12 +83,6 @@ class TestBatchToneMapper:
         assert [o.name for o in result.outputs] == [
             f"{img.name}:tonemapped" for img in images
         ]
-
-    def test_map_convenience(self):
-        images = scenes(2, size=16)
-        outputs = BatchToneMapper(PARAMS).map(images)
-        assert len(outputs) == 2
-        assert all(isinstance(o, HDRImage) for o in outputs)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ToneMapError):
@@ -123,7 +135,7 @@ class TestToneMapService:
         images = scenes(5, size=16)
         with ToneMapService(PARAMS, batch_size=2) as service:
             outputs = service.map_many(images)
-        expected = BatchToneMapper(PARAMS).map(images)
+        expected = BatchToneMapper(PARAMS).run(images).outputs
         for got, want in zip(outputs, expected):
             np.testing.assert_array_equal(got.pixels, want.pixels)
 
@@ -142,15 +154,17 @@ class TestToneMapService:
     def test_submit_single(self):
         image = scenes(1, size=16)[0]
         with ToneMapService(PARAMS) as service:
-            future = service.submit(image)
-            output = future.result(timeout=30)
-        np.testing.assert_array_equal(
-            output.pixels, BatchToneMapper(PARAMS).map([image])[0].pixels
-        )
+            lease = service.lease_input(image.pixels.shape)
+            lease.array[0] = image.pixels
+            future = service.submit_stack(lease, 1, [image.name])
+            (output,) = future.result(timeout=30)
+        (want,) = BatchToneMapper(PARAMS).run([image]).outputs
+        np.testing.assert_array_equal(output.pixels, want.pixels)
 
     def test_submit_propagates_errors(self):
-        with ToneMapService(PARAMS) as service:
-            future = service.submit("not an image")
+        with ToneMapService(PARAMS, batch_size=2) as service:
+            lease = service.lease_input((16, 16))
+            future = service.submit_stack(lease, 3, ["a", "b", "c"])
             with pytest.raises(ToneMapError):
                 future.result(timeout=30)
 
@@ -179,20 +193,6 @@ class TestToneMapService:
             with pytest.raises(ToneMapError):
                 service.map_many([np.zeros((4, 4))])
 
-    def test_run_batch_public_api(self):
-        images = scenes(3, size=16)
-        with ToneMapService(PARAMS) as service:
-            outputs = service.run_batch(images)
-        expected = BatchToneMapper(PARAMS).map(images)
-        for got, want in zip(outputs, expected):
-            np.testing.assert_array_equal(got.pixels, want.pixels)
-
-    def test_submit_batch_future(self):
-        images = scenes(2, size=16)
-        with ToneMapService(PARAMS) as service:
-            outputs = service.submit_batch(images).result(timeout=30)
-        assert len(outputs) == 2
-
     def test_stats_batches_and_latency(self):
         images = scenes(4, size=16)
         with ToneMapService(PARAMS, batch_size=2) as service:
@@ -209,21 +209,13 @@ class TestToneMapService:
         # Batches waiting behind the thread pool are "admitted but not
         # finished" and must show up in queue_depth, not just the ones a
         # worker has started executing.
-        import threading
-
-        gate = threading.Event()
-
-        def slow_blur(plane, kernel):
-            gate.wait(timeout=30)
-            from repro.tonemap.gaussian import separable_blur
-
-            return separable_blur(plane, kernel)
-
-        params = ToneMapParams(sigma=2.0, radius=6, blur_fn=slow_blur)
+        params, entered, gate = gated_params()
         with ToneMapService(params, max_workers=1) as service:
-            futures = [
-                service.submit_batch(scenes(1, size=16)) for _ in range(3)
-            ]
+            futures = []
+            for image in scenes(3, size=16):
+                lease = service.lease_input(image.pixels.shape)
+                lease.array[0] = image.pixels
+                futures.append(service.submit_stack(lease, 1, [image.name]))
             assert service.stats.queue_depth == 3
             assert service.stats.queue_peak == 3
             gate.set()
@@ -231,11 +223,44 @@ class TestToneMapService:
                 future.result(timeout=30)
             assert service.stats.queue_depth == 0
 
+    def test_map_many_stages_each_chunk_in_its_pooled_task(self):
+        # Three 2-frame chunks on one pool thread: all three count in
+        # queue_depth, but only the running chunk holds arena stacks
+        # (its input and its output slab) — the queued two are not
+        # staged until a thread picks them up.
+        params, entered, gate = gated_params()
+        with ToneMapService(params, max_workers=1, batch_size=2) as service:
+            images = scenes(6, size=16)
+            outputs = []
+            runner = threading.Thread(
+                target=lambda: outputs.extend(service.map_many(images))
+            )
+            runner.start()
+            try:
+                assert entered.wait(timeout=30)
+                for _ in range(3000):  # the loop admits chunks 2 and 3
+                    if service.stats.queue_depth == 3:
+                        break
+                    time.sleep(0.01)
+                assert service.stats.queue_depth == 3
+                assert service.pool.arena.stats.leases_active == 2
+            finally:
+                gate.set()
+                runner.join(timeout=60)
+            assert len(outputs) == 6
+            stats = service.pool.arena.stats
+            # Each frame is copied into the arena exactly once.
+            assert stats.bytes_copied_in == 6 * 16 * 16 * 3 * 4
+            assert stats.leases_active == 0
+
     def test_failed_batch_releases_queue_slot(self):
-        with ToneMapService(PARAMS) as service:
-            with pytest.raises(ToneMapError):
-                service.run_batch([])
+        with ToneMapService(PARAMS, batch_size=2) as service:
+            lease = service.lease_input((16, 16))
+            future = service.submit_stack(lease, 0, [])
+            with pytest.raises(ToneMapError, match="count"):
+                future.result(timeout=30)
             assert service.stats.queue_depth == 0
+            assert service.pool.arena.stats.leases_active == 0
 
     def test_fixed_config_matches_blur_fn_closure(self):
         # The picklable fixed-point blur (batched through blur_batch)
@@ -250,7 +275,7 @@ class TestToneMapService:
             PARAMS,
             blur_fn=lambda plane, kernel: fixed_point_blur_plane(plane, kernel),
         )
-        want = BatchToneMapper(closure_params).map(images)
+        want = BatchToneMapper(closure_params).run(images).outputs
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g.pixels, w.pixels)
 
@@ -264,10 +289,10 @@ class TestUntrustedBlurOutputs:
         "backend", [{}, {"shards": 1}, {"hosts": 1}],
         ids=["local", "sharded", "hosted"],
     )
-    def test_run_batch_raises(self, backend):
+    def test_map_many_raises(self, backend):
         with ToneMapService(self.PARAMS, **backend) as service:
             with pytest.raises(ImageError):
-                service.run_batch(scenes(2, size=16))
+                service.map_many(scenes(2, size=16))
             assert service.stats.queue_depth == 0
             assert service.pool.arena.stats.leases_active == 0
 
@@ -305,18 +330,19 @@ class TestUntrustedBlurOutputs:
             self.PARAMS, shards=1, breaker=breaker, clock=clock
         ) as service:
             with pytest.raises(ImageError):
-                service.run_batch(scenes(2, size=16))
+                service.map_many(scenes(2, size=16))
             assert breaker.state == "closed"
             assert service.stats.reliability.brownout_batches == 0
 
-    def test_direct_shard_pool_run_batch_raises(self):
+    def test_direct_shard_pool_run_leased_raises(self, run_materialized):
         # The scan runs where the blur runs, so a pool used without a
         # service refuses the outputs too, and releases their slab.
         from repro.runtime import ShardPool
 
+        stack = np.stack([image.pixels for image in scenes(2, size=16)])
         with ShardPool(self.PARAMS, shards=1) as pool:
             with pytest.raises(ImageError):
-                pool.run_batch(scenes(2, size=16))
+                run_materialized(pool, stack)
             assert pool.arena.stats.leases_active == 0
 
 
@@ -366,6 +392,22 @@ class TestEngineInputs:
         for construct in constructors:
             with pytest.raises(TypeError, match=knob):
                 construct(*firsts.get(construct, ()), **{knob: None})
+
+    @pytest.mark.parametrize("owner", [
+        "ToneMapService", "ShardPool", "HostPool", "LocalBackend",
+        "BatchToneMapper",
+    ])
+    def test_removed_entry_points_stay_removed(self, owner):
+        # One way in per layer: map_many or lease_input + submit_stack
+        # on the service, lease_input + run_leased on a backend, run and
+        # run_stack on the mapper.
+        import repro.runtime as runtime
+
+        cls = getattr(runtime, owner)
+        removed = {"run_batch", "submit", "submit_batch", "map", "run_stack"}
+        if cls is BatchToneMapper:
+            removed.discard("run_stack")
+        assert removed.isdisjoint(dir(cls))
 
 
 class TestRunStack:

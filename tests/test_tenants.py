@@ -270,7 +270,7 @@ class TestCrossTenantCoalescing:
                     for i, img in enumerate(images)
                 ]
                 outputs = [f.result(timeout=30) for f in futures]
-        expected = BatchToneMapper(PARAMS).map(images)
+        expected = BatchToneMapper(PARAMS).run(images).outputs
         for got, want in zip(outputs, expected):
             np.testing.assert_array_equal(got.pixels, want.pixels)
 
@@ -521,7 +521,7 @@ class TestLeaseNativeResults:
                 futures = [ingestor.submit(img) for img in images]
                 handles = [f.result(timeout=30) for f in futures]
                 assert all(isinstance(h, ResultHandle) for h in handles)
-                expected = BatchToneMapper(PARAMS).map(images)
+                expected = BatchToneMapper(PARAMS).run(images).outputs
                 for handle, want in zip(handles, expected):
                     np.testing.assert_array_equal(handle.pixels, want.pixels)
                 for handle in handles:
@@ -603,7 +603,7 @@ class TestLeaseNativeResults:
         # handles lease from.
         baseline = shm_names()
         images = scenes(5, size=16)
-        expected = BatchToneMapper(PARAMS).map(images)
+        expected = BatchToneMapper(PARAMS).run(images).outputs
         with ToneMapService(PARAMS, batch_size=2) as service:
             with ToneMapIngestor(
                 service, max_delay_ms=5, lease_results=True
