@@ -4,8 +4,6 @@ These regenerate the design-choice analyses DESIGN.md calls out; each
 bench stores its sweep in ``extra_info``.
 """
 
-import pytest
-
 from repro.experiments.ablations import (
     ablate_partition_factor,
     ablate_pragmas,

@@ -1,7 +1,5 @@
 """Benchmark: Fig. 6 — execution time with the PS/PL split."""
 
-import pytest
-
 from repro.experiments.fig6 import FIG6_KEYS, run_fig6
 
 

@@ -1,7 +1,5 @@
 """Benchmark: Fig. 8 — bottomline vs execution overhead, PS and PL."""
 
-import pytest
-
 from repro.experiments.fig8 import run_fig8
 from repro.power.rails import Rail
 

@@ -8,8 +8,8 @@ pipeline four ways:
 2. whole-batch through :class:`repro.runtime.BatchToneMapper`;
 3. batched *and* thread-pooled through
    :class:`repro.runtime.ToneMapService`;
-4. streamed through :class:`repro.runtime.ToneMapIngestor` (deadline
-   coalescing, backpressure) onto a 2-process
+4. streamed through :class:`repro.runtime.ToneMapIngestor` (a batch
+   whenever a slot is idle, backpressure) onto a 2-process
    :class:`repro.runtime.ShardPool`.
 
 Run with ``PYTHONPATH=src python examples/batch_throughput.py [size] [count]``.
@@ -62,15 +62,13 @@ def main() -> None:
           f"({sequential / pooled:.2f}x)")
 
     # 4. streamed one image at a time through the async ingestion
-    #    front-end (deadline coalescing + bounded-queue backpressure) and
-    #    sharded across two worker processes.
+    #    front-end (a batch whenever a slot is idle, bounded-queue
+    #    backpressure) and sharded across two worker processes.
     start = time.perf_counter()
     with ToneMapService(
         params, batch_size=max(1, count // 4), shards=2
     ) as service:
-        with ToneMapIngestor(
-            service, max_delay_ms=5.0, queue_limit=count
-        ) as ingestor:
+        with ToneMapIngestor(service, queue_limit=count) as ingestor:
             ingestor.map_many(images)
             stats = ingestor.stats
     streamed = time.perf_counter() - start

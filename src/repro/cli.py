@@ -22,11 +22,11 @@ directory of .pfm/.ppm files, or synthetic scenes) through the batched
 pixels/second.  Every batch is staged in the service's persistent
 shared-memory arena (``--arena-slots`` sets its depth);
 ``--shards`` partitions each one across worker processes, one slab
-per worker; ``--max-delay-ms`` / ``--queue-limit`` / ``--policy`` stream
-the images through the :class:`repro.runtime.ToneMapIngestor` front-end
-(deadline coalescing + bounded-queue backpressure, zero-copy into the
-arena) instead of submitting them as one pre-grouped
-workload; ``--deadline-ms`` / ``--shard-timeout-ms`` / ``--breaker`` /
+per worker; ``--queue-limit`` / ``--policy`` stream the images through
+the :class:`repro.runtime.ToneMapIngestor` front-end (a batch whenever
+a slot is idle, bounded-queue backpressure, zero-copy into the arena)
+instead of submitting them as one pre-grouped workload;
+``--deadline-ms`` / ``--shard-timeout-ms`` / ``--breaker`` /
 ``--fault-plan`` arm the reliability layer (per-frame latency budgets,
 per-attempt shard budgets + hedged replay, circuit-breaker brownout to
 the in-process backend, and seeded chaos injection — the counters land
@@ -156,11 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--arena-slots", type=int, default=4,
         help="shared-memory arena depth per size class (pooled input "
              "stacks / output-ring slabs; default 4)",
-    )
-    batch.add_argument(
-        "--max-delay-ms", type=float, default=None,
-        help="stream images through the ingestor, coalescing same-shape "
-             "arrivals into batches under this deadline",
     )
     batch.add_argument(
         "--queue-limit", type=int, default=None,
@@ -495,8 +490,7 @@ def run_batch(args) -> None:
         else None
     )
     streaming = (
-        args.max_delay_ms is not None
-        or args.queue_limit is not None
+        args.queue_limit is not None
         or tenants is not None
         or args.per_tenant_queue_limit is not None
         or args.lease_results
@@ -525,9 +519,6 @@ def run_batch(args) -> None:
             tenant_names = sorted(tenants) if tenants else None
             with ToneMapIngestor(
                 service,
-                max_delay_ms=(
-                    5.0 if args.max_delay_ms is None else args.max_delay_ms
-                ),
                 queue_limit=(
                     64 if args.queue_limit is None else args.queue_limit
                 ),

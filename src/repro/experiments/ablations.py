@@ -28,7 +28,6 @@ from repro.accel.specs import streaming_blur_kernel, streaming_pragmas
 from repro.errors import ResourceError
 from repro.experiments.calibration import (
     calibrated_external_model,
-    make_paper_flow,
     paper_geometry,
 )
 from repro.hls.pragmas import (
@@ -39,7 +38,6 @@ from repro.hls.pragmas import (
 from repro.hls.scheduler import ExternalAccessModel
 from repro.hls.synthesis import synthesize
 from repro.platform.device import ZYNQ_7010, ZYNQ_7020, ZYNQ_7045
-from repro.sdsoc.flow import OptimizationFlow
 
 
 @dataclass(frozen=True)

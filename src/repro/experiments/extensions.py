@@ -184,7 +184,7 @@ def runtime_throughput(
     ) as service:
         if shards is not None:
             # The production edge: zero-copy ingest into the arena.
-            with ToneMapIngestor(service, max_delay_ms=5.0) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 start = time.perf_counter()
                 ingestor.map_many(images)
                 elapsed = time.perf_counter() - start

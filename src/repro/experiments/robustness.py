@@ -14,7 +14,7 @@ lossy-compression-class band (paper: 66 dB) with SSIM ~ 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.accel.variants import paper_fxp_config
 from repro.experiments.workload import make_paper_tonemap_params

@@ -9,7 +9,6 @@ the Fig. 5 outputs.
 
 from __future__ import annotations
 
-import struct
 from pathlib import Path
 from typing import Union
 

@@ -24,7 +24,7 @@ matching Figs. 7-8; each constant is annotated with its role.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from repro.errors import PowerError

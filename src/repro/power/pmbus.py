@@ -16,7 +16,7 @@ power times execution time — is reproduced rather than shortcut.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List
 
 import numpy as np

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.errors import PowerError
 

@@ -53,9 +53,9 @@ four composable stages (diagrammed in ``docs/architecture.md``):
   :class:`~repro.runtime.ingest.BackpressurePolicy`), parked in one
   arrival-ordered queue per frame shape, coalesced into
   same-shape batches across tenants by a
-  :class:`~repro.runtime.ingest.DeficitRoundRobin` scheduler under a
-  latency deadline and a dispatch gate — no tenant can monopolize the
-  pool, reported per tenant via
+  :class:`~repro.runtime.ingest.DeficitRoundRobin` scheduler and
+  dispatched whenever one of the service's batch slots is idle — no
+  tenant can monopolize the pool, reported per tenant via
   :class:`~repro.runtime.service.TenantStats` and Jain's
   ``fairness_index``.  Frames are written once, straight into the
   backend's arena at dispatch; with ``lease_results=True`` futures
@@ -111,7 +111,7 @@ zero-loss graceful shutdown and host-at-a-time restart path
 (chaos-gated by ``bench_runtime.py::test_rolling_restart_small``).
 
 Wired into the CLI as ``repro-experiments batch`` (``--shards``,
-``--max-delay-ms``, ``--queue-limit``, ``--policy``,
+``--queue-limit``, ``--policy``,
 ``--tenant-weights``, ``--per-tenant-queue-limit``,
 ``--lease-results``, ``--deadline-ms``, ``--shard-timeout-ms``,
 ``--breaker``, ``--fault-plan``) and demonstrated by

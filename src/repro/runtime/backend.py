@@ -156,6 +156,9 @@ class Backend:
     # across (both pools) and host loss (HostPool).
     active_shards = 0
     hosts_lost = 0
+    #: Batches the transport runs at once; ``None``: as many as the
+    #: caller's threads (in process).  See ``ToneMapService.batch_slots``.
+    batch_slots: Optional[int] = None
 
     def __init__(
         self,

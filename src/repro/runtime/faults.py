@@ -72,7 +72,7 @@ from __future__ import annotations
 import os
 import random
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.errors import ToneMapError

@@ -598,6 +598,11 @@ class HostPool(Backend):
             return sum(1 for host in self._hosts if host.state == LIVE)
 
     @property
+    def batch_slots(self) -> int:
+        """One batch at a time per live host."""
+        return self.active_shards
+
+    @property
     def hosts_lost(self) -> int:
         """Hosts declared lost (connection lost, partitioned, killed)."""
         with self._count_lock:

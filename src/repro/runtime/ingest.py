@@ -1,16 +1,18 @@
 """Async ingestion front-end: continuous arrivals, fair multi-tenant
-coalescing, deadline batching.
+coalescing, work-conserving dispatch.
 
 The paper frames tone mapping as a continuous imaging workload (video
 frames arriving one by one), but batching only pays when same-shape frames
 are stacked.  :class:`ToneMapIngestor` bridges the two: submissions are
 admitted one at a time (from threads via :meth:`submit` or from an
 ``asyncio`` event loop via :meth:`submit_async`), parked in one
-arrival-ordered queue per frame shape, and flushed to the backing
+arrival-ordered queue per frame shape, and dispatched to the backing
 :class:`~repro.runtime.service.ToneMapService` as coalesced same-shape
-batches when either a shape has ``batch_size`` frames waiting or its
-oldest occupant has waited ``max_delay_ms`` — the classic
-batching-under-a-latency-deadline trade.
+batches whenever one of the service's batch slots is idle: the shape
+whose oldest frame has waited longest goes next, with up to
+``batch_size`` frames.  Like the paper's accelerator, which takes one
+frame per data-mover call, dispatch never waits for company: frames
+queue only while every slot is busy, so batches grow with load.
 
 **Multi-tenant fairness.**  Every submission carries a ``tenant``
 identity.  Admission bounds stay per tenant (each tenant has its own
@@ -25,8 +27,9 @@ and a heavy tenant with a thousand queued frames cannot push a light
 tenant's single frame behind them.  Crucially, frames wait in the
 ingestor's shape queues (where the scheduler can reorder them), not in
 the service's FIFO thread pool: the ingestor dispatches at most
-``max_inflight_batches`` concurrent batches — enough to keep every pool
-thread busy, never enough to recreate a deep FIFO downstream.  This is
+:attr:`~repro.runtime.service.ToneMapService.batch_slots` concurrent
+batches — enough to keep the backend busy, never enough to recreate a
+deep FIFO downstream.  This is
 the software analogue of the paper's data-mover discipline: the
 accelerator stays saturated from a short, fair, scheduler-controlled
 queue.
@@ -403,11 +406,8 @@ class ToneMapIngestor:
     service:
         The backing :class:`~repro.runtime.service.ToneMapService`.  The
         ingestor borrows it (several ingestors may share one) and does
-        *not* close it; ``service.batch_size`` is the coalescing target.
-    max_delay_ms:
-        Longest an admitted image may wait for same-shape company before
-        its partial batch is flushed anyway.  The knob trades latency
-        (small values) against batching efficiency (large values).
+        *not* close it; ``service.batch_size`` caps each batch and
+        ``service.batch_slots`` how many batches run at once.
     queue_limit:
         Maximum in-flight images across all tenants (admitted but
         unfinished).  Admissions beyond it trigger ``policy``.
@@ -433,11 +433,6 @@ class ToneMapIngestor:
         :class:`~repro.runtime.arena.ResultHandle` views (the consumer
         must release them) instead of materialized
         :class:`~repro.image.hdr.HDRImage` copies.
-    max_inflight_batches:
-        Dispatch gate: how many batches may be in the service at once.
-        Defaults to the service's thread-pool width — enough to keep
-        every worker busy while excess frames wait where the DRR
-        scheduler can keep them fair.
     default_deadline_ms:
         Latency budget stamped on every frame whose ``submit`` call
         does not pass its own ``deadline_ms``.  ``None`` (the default)
@@ -453,9 +448,9 @@ class ToneMapIngestor:
         ``None`` (the default) disables the ladder entirely.
     clock:
         Injectable monotonic time source (:mod:`repro.runtime.clock`);
-        every ingestor timestamp — enqueue times, coalescing deadlines,
-        frame latency budgets, latency stats — reads this one clock, so
-        chaos tests fake time instead of sleeping.
+        every ingestor timestamp — enqueue times, frame latency budgets,
+        latency stats — reads this one clock, so chaos tests fake time
+        instead of sleeping.
 
     Use as a context manager or call :meth:`close` when done.
     """
@@ -463,23 +458,17 @@ class ToneMapIngestor:
     def __init__(
         self,
         service: ToneMapService,
-        max_delay_ms: float = 5.0,
         queue_limit: int = 64,
         policy: Union[BackpressurePolicy, str] = BackpressurePolicy.BLOCK,
         tenants: Optional[Mapping[str, Union[TenantConfig, Real]]] = None,
         per_tenant_queue_limit: Optional[int] = None,
         lease_results: bool = False,
-        max_inflight_batches: Optional[int] = None,
         default_deadline_ms: Optional[float] = None,
         overload: Optional[
             Union[OverloadController, OverloadPolicy, ServiceLevelObjective]
         ] = None,
         clock: Optional[Clock] = None,
     ):
-        if max_delay_ms < 0:
-            raise ToneMapError(
-                f"max_delay_ms must be >= 0, got {max_delay_ms}"
-            )
         if queue_limit < 1:
             raise ToneMapError(f"queue_limit must be >= 1, got {queue_limit}")
         if per_tenant_queue_limit is not None and per_tenant_queue_limit < 1:
@@ -487,17 +476,11 @@ class ToneMapIngestor:
                 "per_tenant_queue_limit must be >= 1, got "
                 f"{per_tenant_queue_limit}"
             )
-        if max_inflight_batches is not None and max_inflight_batches < 1:
-            raise ToneMapError(
-                "max_inflight_batches must be >= 1, got "
-                f"{max_inflight_batches}"
-            )
         if default_deadline_ms is not None and default_deadline_ms <= 0:
             raise ToneMapError(
                 f"default_deadline_ms must be > 0, got {default_deadline_ms}"
             )
         self.service = service
-        self.max_delay = max_delay_ms / 1e3
         self.queue_limit = queue_limit
         self.default_deadline_ms = default_deadline_ms
         self._clock = clock if clock is not None else MONOTONIC
@@ -517,11 +500,6 @@ class ToneMapIngestor:
         self.policy = BackpressurePolicy(policy)
         self.lease_results = bool(lease_results)
         self.per_tenant_queue_limit = per_tenant_queue_limit
-        self.max_inflight_batches = (
-            max_inflight_batches
-            if max_inflight_batches is not None
-            else max(1, service.workers)
-        )
 
         self._lock = threading.Lock()
         self._arrived = threading.Condition(self._lock)
@@ -960,42 +938,30 @@ class ToneMapIngestor:
         self._queued[shape] = [p for p in queue if p not in chosen]
         return [p for p in queue if p in chosen]
 
-    def _ready_flushes_locked(
-        self, now: float, flush_all: bool
-    ) -> List[_Flush]:
-        """Assemble every batch that may dispatch right now.
+    def _ready_flushes_locked(self) -> List[_Flush]:
+        """Assemble the batches the idle slots can take right now.
 
-        A shape is ready when it has ``batch_size`` frames queued
-        (across tenants), when its oldest frame passed the deadline, or
-        when draining at close.  Deadline-expired shapes outrank merely
-        full ones (oldest frame first): a tenant flooding one frame
+        Work-conserving: while fewer batches are in flight than the
+        service has batch slots (read afresh on every pass, so host
+        loss, drain and revival change it), the shape whose head frame
+        is oldest dispatches up to ``batch_size`` frames.  Oldest head
+        first, not fullest shape first: a tenant flooding one frame
         shape keeps that shape permanently full, and if fullness won,
-        other shapes' frames would blow straight through
-        ``max_delay_ms`` — cross-shape latency is part of the fairness
-        contract, batching efficiency is not.  The dispatch gate caps
-        how many batches may be in the service at once — ready frames
-        beyond it stay queued where the DRR scheduler keeps them fair.
+        other shapes' frames would wait behind it — cross-shape latency
+        is part of the fairness contract, batching efficiency is not.
+        Frames beyond the idle slots stay queued, where the DRR
+        scheduler keeps them fair and their next batch grows.
         """
         batch_size = self.service.batch_size
+        slots = self.service.batch_slots
         flushes: List[_Flush] = []
-        while self._dispatched < self.max_inflight_batches:
-            full_shape: Optional[tuple] = None
-            expired_shape: Optional[tuple] = None
-            expired_at: Optional[float] = None
-            for shape, queue in self._queued.items():
-                oldest = queue[0].enqueued_at
-                if flush_all or now - oldest >= self.max_delay:
-                    if expired_at is None or oldest < expired_at:
-                        expired_at = oldest
-                        expired_shape = shape
-                elif full_shape is None and len(queue) >= batch_size:
-                    full_shape = shape
-            chosen = expired_shape if expired_shape is not None else full_shape
-            if chosen is None:
-                break
-            seats = min(batch_size, len(self._queued[chosen]))
+        while self._queued and self._dispatched < slots:
+            shape = min(
+                self._queued, key=lambda s: self._queued[s][0].enqueued_at
+            )
+            seats = min(batch_size, len(self._queued[shape]))
             flushes.append(
-                _Flush(items=self._select_locked(chosen, seats), shape=chosen)
+                _Flush(items=self._select_locked(shape, seats), shape=shape)
             )
             self._dispatched += 1
         if flushes:
@@ -1005,50 +971,39 @@ class ToneMapIngestor:
         return flushes
 
     def _nearest_deadline_locked(self) -> Optional[float]:
-        """Next instant the scheduler must wake: coalescing deadlines
-        plus any queued frame's latency budget (so expiry sheds happen
-        on time, not at the next unrelated arrival)."""
-        deadlines = [
-            queue[0].enqueued_at + self.max_delay
-            for queue in self._queued.values()
-        ]
-        deadlines.extend(
-            pending.deadline
-            for queue in self._queued.values()
-            for pending in queue
-            if pending.deadline is not None
+        """The earliest latency budget of any queued frame: the scheduler
+        wakes then, so expiry sheds happen on time even while every slot
+        is busy, not at the next arrival or completion."""
+        return min(
+            (
+                pending.deadline
+                for queue in self._queued.values()
+                for pending in queue
+                if pending.deadline is not None
+            ),
+            default=None,
         )
-        return min(deadlines, default=None)
 
     def _coalesce_loop(self) -> None:
-        """Background thread: waits for ready batches or expired deadlines."""
+        """Background thread: sheds expired frames, fills idle slots, and
+        otherwise sleeps until an arrival, a completion or the nearest
+        frame deadline."""
         while True:
             with self._lock:
                 while True:
                     now = self._clock.now()
                     expired = self._expire_due_locked(now)
-                    batches = self._ready_flushes_locked(
-                        now, flush_all=self._closed
-                    )
+                    batches = self._ready_flushes_locked()
                     if batches or expired:
                         break
                     if self._closed and not self._queued:
                         return
-                    if self._dispatched >= self.max_inflight_batches:
-                        # Gate saturated: no deadline can make a batch
-                        # dispatchable, so an expired-deadline timeout
-                        # would just busy-spin this loop at 100% CPU.
-                        # Sleep untimed — _complete frees a gate slot
-                        # and notifies.
-                        timeout = None
-                    else:
-                        deadline = self._nearest_deadline_locked()
-                        timeout = (
-                            None
-                            if deadline is None
-                            else max(0.0, deadline - self._clock.now())
-                        )
-                    self._arrived.wait(timeout=timeout)
+                    # Every queued deadline is still ahead of ``now``:
+                    # the expired ones were just shed.
+                    deadline = self._nearest_deadline_locked()
+                    self._arrived.wait(
+                        timeout=None if deadline is None else deadline - now
+                    )
             self._settle(expired)
             for batch in batches:
                 self._dispatch(batch)
@@ -1133,7 +1088,7 @@ class ToneMapIngestor:
                 self._tenants[pending.tenant].in_flight -= 1
             self._in_flight -= len(flush.items)
             self._space.notify_all()
-            # A freed gate slot may unblock the scheduler.
+            # A freed batch slot may unblock the scheduler.
             self._arrived.notify_all()
             rung_changed, dropped = self._observe_overload_locked()
         self._settle(dropped)

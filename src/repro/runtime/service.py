@@ -31,7 +31,7 @@ host — comes from the same two inputs: ``params`` say what is computed
 :class:`~repro.planner.plan.ExecutionPlan` says how it runs.
 
 The service executes work as fast as it arrives; admission control
-(bounded queueing, deadline coalescing, the async API) is layered on top
+(bounded queueing, fair batching, the async API) is layered on top
 by :class:`~repro.runtime.ingest.ToneMapIngestor`.  The data path and the
 backpressure policies are documented in ``docs/architecture.md``; the
 throughput benchmarks that track this module are described in
@@ -656,9 +656,23 @@ class ToneMapService:
 
     @property
     def workers(self) -> int:
-        """Width of the batch thread pool (the ingestor's dispatch gate
-        defaults to this, so it can keep every pool thread busy)."""
+        """Width of the batch thread pool."""
         return self._executor._max_workers
+
+    @property
+    def batch_slots(self) -> int:
+        """How many batches can usefully run at once: the ingestor's
+        dispatch bound.
+
+        One on a shard pool (every batch already fans out over all its
+        workers), one per live host on a host pool, the thread-pool
+        width in process.  Never more than the thread-pool width, never
+        fewer than one, and read afresh on every call, so host loss,
+        drain and revival change it.
+        """
+        slots = self._pool.batch_slots
+        workers = self.workers
+        return max(1, workers if slots is None else min(slots, workers))
 
     @property
     def stats(self) -> ServiceStats:

@@ -283,6 +283,10 @@ class ShardPool(Backend):
     call :meth:`close` when done.
     """
 
+    #: One batch at a time: every batch already fans out over all the
+    #: workers.
+    batch_slots = 1
+
     def __init__(
         self,
         params: Optional[ToneMapParams] = None,

@@ -10,7 +10,7 @@ the PL resource utilization that drives the PL bottomline power.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.accel.geometry import BlurGeometry

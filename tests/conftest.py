@@ -1,11 +1,14 @@
 """Shared test fixtures."""
 
+import threading
 import time
 
 import numpy as np
 import pytest
 
 from repro.runtime import band_kernels
+from repro.tonemap.gaussian import separable_blur
+from repro.tonemap.pipeline import ToneMapParams
 
 
 def _wait_for_corpse(pool, timeout=30.0):
@@ -55,6 +58,28 @@ def _assert_ledger_closed(stats):
 def assert_ledger_closed():
     """``assert_ledger_closed(stats)``: the ingestor frame-ledger identity."""
     return _assert_ledger_closed
+
+
+@pytest.fixture
+def gated_blur():
+    """``(params, entered, gate)``: params whose blur sets ``entered``
+    and then blocks until ``gate`` is set.
+
+    An in-process ``max_workers=1`` service on these params has one
+    batch slot.  Once ``entered`` is set a batch holds it, so an
+    ingestor queues every later frame until the test sets ``gate``.
+    The gate opens at teardown too, releasing any pool thread a failing
+    test left blocked.
+    """
+    entered, gate = threading.Event(), threading.Event()
+
+    def blur(plane, kernel):
+        entered.set()
+        gate.wait(timeout=30)
+        return separable_blur(plane, kernel)
+
+    yield ToneMapParams(sigma=2.0, radius=6, blur_fn=blur), entered, gate
+    gate.set()
 
 
 def _run_materialized(backend, stack):

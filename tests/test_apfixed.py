@@ -1,7 +1,5 @@
 """Tests for repro.fixedpoint.apfixed (scalar ap_fixed semantics)."""
 
-import math
-
 import pytest
 
 from repro.errors import FixedPointError

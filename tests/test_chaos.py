@@ -196,9 +196,7 @@ class TestDeadlinePropagation:
         ]
         plan = FaultPlan(hang_probability=1.0, hang_ms=HANG_MS)
         with ToneMapService(PARAMS, batch_size=2, shards=1, faults=plan) as service:
-            with ToneMapIngestor(
-                service, max_delay_ms=5, queue_limit=8
-            ) as ingestor:
+            with ToneMapIngestor(service, queue_limit=8) as ingestor:
                 futures = [
                     ingestor.submit(img, deadline_ms=1_500.0) for img in images
                 ]
@@ -256,9 +254,7 @@ def test_every_frame_resolves_exactly_once_under_any_plan(plan):
         PARAMS, batch_size=2, shards=1, faults=plan, breaker=policy,
         shard_timeout_ms=TIMEOUT_S * 1e3,
     ) as service:
-        with ToneMapIngestor(
-            service, max_delay_ms=5, queue_limit=16
-        ) as ingestor:
+        with ToneMapIngestor(service, queue_limit=16) as ingestor:
             futures = [ingestor.submit(img) for img in images]
             for future in futures:
                 try:

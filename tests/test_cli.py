@@ -51,19 +51,21 @@ class TestParser:
     def test_batch_serving_defaults(self):
         args = build_parser().parse_args(["batch"])
         assert args.shards is None
-        assert args.max_delay_ms is None
         assert args.queue_limit is None
         assert args.policy == "block"
 
     def test_batch_serving_options(self):
         args = build_parser().parse_args(
-            ["batch", "--shards", "4", "--max-delay-ms", "2.5",
+            ["batch", "--shards", "4",
              "--queue-limit", "32", "--policy", "shed-oldest"]
         )
         assert args.shards == 4
-        assert args.max_delay_ms == 2.5
         assert args.queue_limit == 32
         assert args.policy == "shed-oldest"
+        # The ingestor dispatches whenever a slot is idle: the coalescing
+        # timer's flag is gone, so argparse rejects it.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["batch", "--max-delay-ms", "2.5"])
 
     def test_batch_bad_policy_rejected(self):
         with pytest.raises(SystemExit):
@@ -229,7 +231,7 @@ class TestMain:
     def test_batch_fused_sharded_streaming(self, capsys):
         assert main(
             ["--size", "32", "batch", "--count", "4", "--batch-size", "2",
-             "--plan", "auto", "--shards", "2", "--max-delay-ms", "2"]
+             "--plan", "auto", "--shards", "2", "--queue-limit", "8"]
         ) == 0
         out = capsys.readouterr().out
         assert "engine=fused" in out
@@ -371,7 +373,7 @@ class TestMain:
     def test_batch_streaming_ingest(self, capsys):
         assert main(
             ["--size", "32", "batch", "--count", "4", "--batch-size", "2",
-             "--max-delay-ms", "4", "--queue-limit", "8"]
+             "--queue-limit", "8"]
         ) == 0
         out = capsys.readouterr().out
         assert "streaming (ingestor)" in out

@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import PlatformError
 from repro.platform import ArmCortexA9Model, CacheConfig, CacheSim, CpuCosts
-from repro.platform.cache import A9_L1D, ZYNQ_L2, CacheHierarchy
+from repro.platform.cache import A9_L1D, CacheHierarchy
 from repro.platform.cpu import SwKernelTrace
 
 

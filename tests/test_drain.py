@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ServiceOverloadedError, ToneMapError
-from repro.image import HDRImage
 from repro.image.synthetic import SceneParams, make_scene
 from repro.runtime import (
     BatchToneMapper,
@@ -32,7 +31,6 @@ from repro.runtime import (
     ToneMapIngestor,
     ToneMapService,
 )
-from repro.tonemap.gaussian import separable_blur
 from repro.tonemap.pipeline import ToneMapParams
 
 PARAMS = ToneMapParams(sigma=2.0, radius=6)
@@ -46,17 +44,6 @@ def scenes(count, size=24, base=100):
         )
         for i in range(count)
     ]
-
-
-def gated_params():
-    """Params whose blur blocks until the returned event is set."""
-    gate = threading.Event()
-
-    def slow_blur(plane, kernel):
-        gate.wait(timeout=30)
-        return separable_blur(plane, kernel)
-
-    return ToneMapParams(sigma=2.0, radius=6, blur_fn=slow_blur), gate
 
 
 def _stack(frames=4, size=32, seed=0):
@@ -79,13 +66,11 @@ def _wait_for(predicate, timeout_s=30.0, interval_s=0.02):
 
 class TestIngestorDrain:
     def test_drain_flushes_queued_sheds_best_effort_refuses_new(
-        self, assert_ledger_closed
+        self, gated_blur, assert_ledger_closed
     ):
-        params, gate = gated_params()
+        params, entered, gate = gated_blur
         with ToneMapService(params, batch_size=1, max_workers=1) as service:
-            ingestor = ToneMapIngestor(
-                service, max_delay_ms=0, max_inflight_batches=1
-            )
+            ingestor = ToneMapIngestor(service)
             kept = [ingestor.submit(image) for image in scenes(3)]
             cheap = ingestor.submit(
                 scenes(1, base=900)[0], priority="best_effort"
@@ -115,16 +100,27 @@ class TestIngestorDrain:
             # ... but the borrowed service stays open — the caller owns it.
             service.map_many(scenes(1, base=903))
 
-    def test_close_serves_queued_best_effort_frames(self):
+    def test_close_serves_queued_best_effort_frames(
+        self, gated_blur, assert_ledger_closed
+    ):
         # close() is the zero-refusal flush: unlike drain(), queued
         # best-effort work still resolves to a real result.
-        with ToneMapService(PARAMS, batch_size=4) as service:
-            ingestor = ToneMapIngestor(service, max_delay_ms=60_000)
+        params, entered, gate = gated_blur
+        with ToneMapService(params, batch_size=4, max_workers=1) as service:
+            ingestor = ToneMapIngestor(service)
+            blocker = ingestor.submit(scenes(1, base=9)[0])
+            assert entered.wait(timeout=30)  # the frame below stays queued
             future = ingestor.submit(
                 scenes(1)[0], priority="best_effort"
             )
-            ingestor.close()
+            closer = threading.Thread(target=ingestor.close)
+            closer.start()
+            gate.set()
+            closer.join(timeout=60)
+            assert not closer.is_alive()
+            assert blocker.result(timeout=0) is not None
             assert future.result(timeout=0).pixels.shape == (24, 24, 3)
+            assert_ledger_closed(ingestor.stats)
 
     def test_drain_is_idempotent_on_an_idle_ingestor(self):
         with ToneMapService(PARAMS, batch_size=1) as service:

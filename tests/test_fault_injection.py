@@ -186,7 +186,7 @@ class TestServiceAndIngestorFaultPaths:
             for i in range(12)
         ]
         with ToneMapService(PARAMS, batch_size=4, shards=2) as service:
-            with ToneMapIngestor(service, max_delay_ms=5) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 futures = []
                 for index, image in enumerate(images):
                     futures.append(ingestor.submit(image))
@@ -222,7 +222,7 @@ class TestServiceAndIngestorFaultPaths:
 
             pool.run_leased = always_crashing
             try:
-                with ToneMapIngestor(service, max_delay_ms=5) as ingestor:
+                with ToneMapIngestor(service) as ingestor:
                     futures = [ingestor.submit(img) for img in images[:2]]
                     for future in futures:
                         with pytest.raises(ShardCrashError):
@@ -231,7 +231,7 @@ class TestServiceAndIngestorFaultPaths:
                 pool.run_leased = real
             assert pool.arena.stats.leases_active == 0
             # Fault cleared: the same service serves again.
-            with ToneMapIngestor(service, max_delay_ms=5) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 outputs = ingestor.map_many(images[2:])
             assert len(outputs) == 2
             assert pool.arena.stats.leases_active == 0

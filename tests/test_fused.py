@@ -901,7 +901,7 @@ class TestRuntimeWiring:
         with ToneMapService(
             self.PARAMS, batch_size=3, shards=2, plan=_plan(self.PARAMS)
         ) as service:
-            with ToneMapIngestor(service, max_delay_ms=5.0) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 futures = [ingestor.submit(image) for image in images]
                 got = [future.result(timeout=60) for future in futures]
         for g, w in zip(got, want):

@@ -5,7 +5,6 @@ import pytest
 from repro.errors import HlsError
 from repro.hls import (
     AccessKind,
-    AccessPattern,
     ArrayDecl,
     CarriedDependence,
     Kernel,

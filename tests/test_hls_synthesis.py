@@ -16,7 +16,6 @@ from repro.hls import (
     PipelinePragma,
     ResourceUsage,
     Statement,
-    Storage,
     estimate_resources,
     schedule_kernel,
     synthesize,

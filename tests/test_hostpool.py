@@ -331,6 +331,53 @@ class TestHostStates:
             thread.join(timeout=10)
 
 
+def _free_addresses(count):
+    """``count`` distinct localhost addresses nothing listens on yet."""
+    probes = [socket.create_server(("127.0.0.1", 0)) for _ in range(count)]
+    addresses = [probe.getsockname()[:2] for probe in probes]
+    for probe in probes:
+        probe.close()
+    return addresses
+
+
+class TestHostedBatchSlots:
+    def test_slots_follow_live_hosts(self):
+        # One batch slot per live host: a lost host lowers the count,
+        # revival restores it, and it never drops below one.
+        addresses = _free_addresses(2)
+        pool = HostPool(addresses)
+        servers = []
+        try:
+            with ToneMapService(PARAMS, hosts=pool, max_workers=4) as service:
+                assert service.batch_slots == 2
+                first, second = pool._hosts
+                pool._mark_lost(first)  # nothing listens: it stays lost
+                assert service.batch_slots == 1
+                pool._mark_lost(second)
+                assert pool.active_shards == 0
+                assert service.batch_slots == 1
+                for bind, port in addresses:
+                    server = HostServer(
+                        ShardPool(PARAMS, shards=1, arena_slots=2),
+                        bind=bind, port=port,
+                    )
+                    servers.append(server)
+                    threading.Thread(
+                        target=server.serve_forever, daemon=True
+                    ).start()
+                # The revive threads reconnect within their backoff.
+                assert _wait_for(lambda: service.batch_slots == 2, 30.0)
+        finally:
+            for server in servers:
+                server.close()
+
+    def test_slots_are_capped_by_the_thread_pool(self):
+        pool = HostPool(_free_addresses(2))
+        with ToneMapService(PARAMS, hosts=pool, max_workers=1) as service:
+            assert pool.active_shards == 2
+            assert service.batch_slots == 1
+
+
 class TestFixedPointParams:
     def test_fixed_blur_bit_identical_across_every_hop(self, run_materialized):
         # params.blur_fn pickles as-is: into shard workers and into a
@@ -409,7 +456,7 @@ class TestHostedService:
         stack = _stack(frames=8, seed=5)
         want = _want(stack)
         with ToneMapService(PARAMS, batch_size=4, hosts=2) as service:
-            ingestor = ToneMapIngestor(service, max_delay_ms=5.0)
+            ingestor = ToneMapIngestor(service)
             futures = [
                 ingestor.submit(HDRImage.adopt(stack[i], name=f"f{i}"))
                 for i in range(len(stack))

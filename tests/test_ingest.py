@@ -1,7 +1,9 @@
-"""Tests for repro.runtime.ingest: coalescing, backpressure, async APIs.
+"""Tests for repro.runtime.ingest: dispatch, backpressure, async APIs.
 
-Timing-sensitive cases gate the service with an event-controlled blur so
-the queue state is deterministic rather than racy.
+The ingestor dispatches whenever a batch slot is idle, so a case that
+needs frames to stay queued first occupies the one slot of a
+``max_workers=1`` service with a gated blur (the ``gated_blur``
+fixture): the queue state is then deterministic rather than racy.
 """
 
 import asyncio
@@ -27,7 +29,6 @@ from repro.runtime import (
     ToneMapIngestor,
     ToneMapService,
 )
-from repro.tonemap.gaussian import separable_blur
 from repro.tonemap.pipeline import ToneMapParams, ToneMapper
 
 PARAMS = ToneMapParams(sigma=2.0, radius=6)
@@ -43,42 +44,94 @@ def scenes(count, size=24, base=100):
     ]
 
 
-def gated_params():
-    """Params whose blur blocks until the returned event is set."""
-    gate = threading.Event()
+def record_batches(service):
+    """Record the frame count of every batch the service admits."""
+    counts = []
+    submit_stack = service.submit_stack
 
-    def slow_blur(plane, kernel):
-        gate.wait(timeout=30)
-        return separable_blur(plane, kernel)
+    def recording(lease, count, names, **kwargs):
+        counts.append(count)
+        return submit_stack(lease, count, names, **kwargs)
 
-    return ToneMapParams(sigma=2.0, radius=6, blur_fn=slow_blur), gate
+    service.submit_stack = recording
+    return counts
+
+
+class TestDispatchRule:
+    def test_lone_frame_dispatches_on_an_idle_slot(
+        self, assert_ledger_closed
+    ):
+        # No timer: a frame on an idle service leaves at once, alone,
+        # although its batch has room for three more and time never moves.
+        with ToneMapService(PARAMS, batch_size=4) as service:
+            with ToneMapIngestor(service, clock=FakeClock()) as ingestor:
+                output = ingestor.submit(scenes(1)[0]).result(timeout=30)
+                assert output.pixels.shape == (24, 24, 3)
+            assert service.stats.batches == 1
+            assert_ledger_closed(ingestor.stats)
+
+    def test_frames_behind_a_busy_slot_leave_as_one_batch(
+        self, gated_blur, assert_ledger_closed
+    ):
+        # Frames that arrive while the one slot is busy wait, then leave
+        # in batches of up to batch_size: batches grow with load.
+        params, entered, gate = gated_blur
+        with ToneMapService(params, batch_size=4, max_workers=1) as service:
+            counts = record_batches(service)
+            ingestor = ToneMapIngestor(service, clock=FakeClock())
+            blocker = ingestor.submit(scenes(1, base=0)[0])
+            assert entered.wait(timeout=30)
+            waiting = [ingestor.submit(img) for img in scenes(6, base=10)]
+            assert counts == [1]  # nothing else left while the slot was busy
+            gate.set()
+            ingestor.close()
+            assert blocker.result(timeout=0) is not None
+            assert all(f.result(timeout=0) is not None for f in waiting)
+            assert counts == [1, 4, 2]
+            assert_ledger_closed(ingestor.stats)
+
+    def test_expired_frame_sheds_while_every_slot_is_busy(
+        self, gated_blur, assert_ledger_closed
+    ):
+        # The scheduler sleeps until the nearest frame deadline even when
+        # no slot is free, so a queued frame fails on time rather than
+        # when the batch ahead of it finishes.
+        params, entered, gate = gated_blur
+        with ToneMapService(params, batch_size=4, max_workers=1) as service:
+            ingestor = ToneMapIngestor(service)
+            blocker = ingestor.submit(scenes(1, base=0)[0])
+            assert entered.wait(timeout=30)
+            late = ingestor.submit(scenes(1, base=1)[0], deadline_ms=50)
+            with pytest.raises(DeadlineExceededError):
+                late.result(timeout=10)
+            assert not blocker.done()  # the slot stayed busy throughout
+            gate.set()
+            ingestor.close()
+            assert blocker.result(timeout=0) is not None
+            assert ingestor.stats.reliability.deadline_shed == 1
+            assert_ledger_closed(ingestor.stats)
+
+
+class TestBatchSlots:
+    def test_in_process_slots_are_the_thread_pool_width(self):
+        with ToneMapService(PARAMS, max_workers=3) as service:
+            assert service.batch_slots == 3
+
+    def test_shard_pool_is_one_slot(self):
+        # Every batch already fans out over all the pool's workers.
+        with ToneMapService(PARAMS, shards=2, max_workers=4) as service:
+            assert service.batch_slots == 1
 
 
 class TestCoalescing:
     def test_outputs_match_batch_mapper(self):
         images = scenes(5)
         with ToneMapService(PARAMS, batch_size=2) as service:
-            with ToneMapIngestor(service, max_delay_ms=20) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 outputs = ingestor.map_many(images)
         expected = BatchToneMapper(PARAMS).run(images).outputs
         for got, want in zip(outputs, expected):
             np.testing.assert_array_equal(got.pixels, want.pixels)
-
-    def test_partial_batch_flushes_at_deadline(self):
-        # One image with batch_size 4 can only complete via the deadline.
-        with ToneMapService(PARAMS, batch_size=4) as service:
-            with ToneMapIngestor(service, max_delay_ms=5) as ingestor:
-                future = ingestor.submit(scenes(1)[0])
-                output = future.result(timeout=30)
-        assert output.pixels.shape == (24, 24, 3)
-
-    def test_zero_delay_degrades_to_submit_one_run_one(self):
-        images = scenes(3)
-        with ToneMapService(PARAMS, batch_size=8) as service:
-            with ToneMapIngestor(service, max_delay_ms=0) as ingestor:
-                outputs = ingestor.map_many(images)
-        assert len(outputs) == 3
-        assert service.stats.batches >= 1
 
     def test_mixed_shape_storm(self):
         # Interleaved shapes must coalesce per shape and all complete.
@@ -88,9 +141,7 @@ class TestCoalescing:
             images.extend(scenes(1, size=24, base=40 + i))
             images.extend(scenes(1, size=32, base=80 + i))
         with ToneMapService(PARAMS, batch_size=3) as service:
-            with ToneMapIngestor(
-                service, max_delay_ms=2, queue_limit=64
-            ) as ingestor:
+            with ToneMapIngestor(service, queue_limit=64) as ingestor:
                 outputs = ingestor.map_many(images)
                 stats = ingestor.stats
         single = ToneMapper(PARAMS)
@@ -101,23 +152,13 @@ class TestCoalescing:
                 output.pixels, single.run(image).output.pixels, atol=1e-5
             )
 
-    def test_full_bucket_flushes_before_deadline(self):
-        images = scenes(4)
-        with ToneMapService(PARAMS, batch_size=4) as service:
-            # Deadline far away: only a full bucket can flush this fast.
-            with ToneMapIngestor(service, max_delay_ms=60_000) as ingestor:
-                futures = [ingestor.submit(image) for image in images]
-                for future in futures:
-                    future.result(timeout=30)
-        assert service.stats.batches == 1
-
 
 class TestBackpressure:
-    def test_reject_policy_raises_and_counts(self):
-        params, gate = gated_params()
+    def test_reject_policy_raises_and_counts(self, gated_blur):
+        params, entered, gate = gated_blur
         with ToneMapService(params, batch_size=1, max_workers=1) as service:
             with ToneMapIngestor(
-                service, max_delay_ms=0, queue_limit=2, policy="reject"
+                service, queue_limit=2, policy="reject"
             ) as ingestor:
                 futures = [ingestor.submit(img) for img in scenes(2)]
                 with pytest.raises(ServiceOverloadedError):
@@ -127,16 +168,20 @@ class TestBackpressure:
                 for future in futures:
                     assert future.result(timeout=30) is not None
 
-    def test_shed_oldest_policy_drops_oldest_waiting(self):
-        params, gate = gated_params()
+    def test_shed_oldest_policy_drops_oldest_waiting(
+        self, gated_blur, assert_ledger_closed
+    ):
+        params, entered, gate = gated_blur
         with ToneMapService(params, batch_size=8, max_workers=1) as service:
-            # Long deadline: submissions park in the bucket, undispatched.
             ingestor = ToneMapIngestor(
                 service,
-                max_delay_ms=60_000,
-                queue_limit=2,
+                queue_limit=3,
                 policy=BackpressurePolicy.SHED_OLDEST,
             )
+            # The blocker holds the one slot: later submissions wait in
+            # the queue, undispatched.
+            blocker = ingestor.submit(scenes(1, base=9)[0])
+            assert entered.wait(timeout=30)
             first = ingestor.submit(scenes(1, base=0)[0])
             second = ingestor.submit(scenes(1, base=1)[0])
             third = ingestor.submit(scenes(1, base=2)[0])  # sheds `first`
@@ -145,14 +190,16 @@ class TestBackpressure:
                 first.result(timeout=5)
             gate.set()
             ingestor.close()
+            assert blocker.result(timeout=30) is not None
             assert second.result(timeout=30) is not None
             assert third.result(timeout=30) is not None
+            assert_ledger_closed(ingestor.stats)
 
-    def test_block_policy_waits_for_capacity(self):
-        params, gate = gated_params()
+    def test_block_policy_waits_for_capacity(self, gated_blur):
+        params, entered, gate = gated_blur
         with ToneMapService(params, batch_size=1, max_workers=1) as service:
             with ToneMapIngestor(
-                service, max_delay_ms=0, queue_limit=1, policy="block"
+                service, queue_limit=1, policy="block"
             ) as ingestor:
                 first = ingestor.submit(scenes(1)[0])
                 unblocked_at = []
@@ -173,12 +220,10 @@ class TestBackpressure:
                 assert unblocked_at and unblocked_at[0] >= released_at
                 assert first.result(timeout=30) is not None
 
-    def test_queue_peak_tracks_high_water_mark(self):
-        params, gate = gated_params()
+    def test_queue_peak_tracks_high_water_mark(self, gated_blur):
+        params, entered, gate = gated_blur
         with ToneMapService(params, batch_size=8, max_workers=1) as service:
-            ingestor = ToneMapIngestor(
-                service, max_delay_ms=60_000, queue_limit=8
-            )
+            ingestor = ToneMapIngestor(service, queue_limit=8)
             futures = [ingestor.submit(img) for img in scenes(5)]
             assert ingestor.stats.queue_depth == 5
             assert ingestor.stats.queue_peak == 5
@@ -191,10 +236,10 @@ class TestBackpressure:
 
 
 class TestLifecycle:
-    def test_close_resolves_in_flight_futures(self):
-        params, gate = gated_params()
+    def test_close_resolves_in_flight_futures(self, gated_blur):
+        params, entered, gate = gated_blur
         service = ToneMapService(params, batch_size=2, max_workers=2)
-        ingestor = ToneMapIngestor(service, max_delay_ms=60_000)
+        ingestor = ToneMapIngestor(service)
         futures = [ingestor.submit(img) for img in scenes(5)]
         closer = threading.Thread(target=ingestor.close)
         closer.start()
@@ -227,27 +272,36 @@ class TestLifecycle:
             # The ingestor borrowed the service; it must still work.
             assert len(service.map_many(scenes(2))) == 2
 
-    def test_cancelled_future_does_not_starve_batchmates(self):
+    def test_cancelled_future_does_not_starve_batchmates(
+        self, gated_blur, assert_ledger_closed
+    ):
         # Cancelling one pending future must not prevent the rest of its
         # coalesced batch from resolving (set_result on a cancelled future
         # raises InvalidStateError, which _complete must tolerate).
-        params, gate = gated_params()
+        params, entered, gate = gated_blur
         with ToneMapService(params, batch_size=2, max_workers=1) as service:
-            ingestor = ToneMapIngestor(service, max_delay_ms=60_000)
+            counts = record_batches(service)
+            ingestor = ToneMapIngestor(service)
+            blocker = ingestor.submit(scenes(1, base=9)[0])
+            assert entered.wait(timeout=30)
+            # Both wait behind the busy slot, so they share one batch.
             victim = ingestor.submit(scenes(1, base=0)[0])
             survivor = ingestor.submit(scenes(1, base=1)[0])
             assert victim.cancel()
             gate.set()
             ingestor.close()
+            assert blocker.result(timeout=30) is not None
             assert survivor.result(timeout=30) is not None
             assert victim.cancelled()
+            assert counts == [1, 2]
+            assert_ledger_closed(ingestor.stats)
 
     def test_futures_resolved_when_close_returns(self):
         # close()'s contract: nothing in flight implies every future
         # handed out earlier has already resolved.
         images = scenes(6)
         with ToneMapService(PARAMS, batch_size=2) as service:
-            ingestor = ToneMapIngestor(service, max_delay_ms=1)
+            ingestor = ToneMapIngestor(service)
             futures = [ingestor.submit(image) for image in images]
             ingestor.close()
             assert all(future.done() for future in futures)
@@ -258,7 +312,7 @@ class TestLifecycle:
 
         params = ToneMapParams(sigma=2.0, radius=6, blur_fn=broken_blur)
         with ToneMapService(params, batch_size=2) as service:
-            with ToneMapIngestor(service, max_delay_ms=0) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 future = ingestor.submit(scenes(1)[0])
                 with pytest.raises(ValueError):
                     future.result(timeout=30)
@@ -273,7 +327,7 @@ class TestLifecycle:
 
         params = ToneMapParams(sigma=2.0, radius=6, blur_fn=nan_blur)
         with ToneMapService(params, batch_size=4) as service:
-            with ToneMapIngestor(service, max_delay_ms=60_000) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 futures = [ingestor.submit(image) for image in scenes(4)]
                 for future in futures:
                     with pytest.raises(ImageError):
@@ -294,13 +348,15 @@ class TestDropCallbacks:
     """
 
     def test_shed_oldest_victim_callback_reads_stats(
-        self, assert_ledger_closed
+        self, gated_blur, assert_ledger_closed
     ):
-        with ToneMapService(PARAMS, batch_size=8) as service:
+        params, entered, gate = gated_blur
+        with ToneMapService(params, batch_size=8, max_workers=1) as service:
             ingestor = ToneMapIngestor(
-                service, max_delay_ms=60_000, queue_limit=1,
-                policy="shed-oldest",
+                service, queue_limit=2, policy="shed-oldest"
             )
+            blocker = ingestor.submit(scenes(1, base=9)[0])
+            assert entered.wait(timeout=30)  # later frames stay queued
             seen, admitted = [], []
             first = ingestor.submit(scenes(1, base=0)[0])
             first.add_done_callback(
@@ -318,16 +374,21 @@ class TestDropCallbacks:
             assert seen == [1]
             with pytest.raises(ServiceOverloadedError):
                 first.result(timeout=0)
+            gate.set()
             ingestor.close()
+            assert blocker.result(timeout=30) is not None
             assert admitted[0].result(timeout=30) is not None
             assert_ledger_closed(ingestor.stats)
 
-    def test_expired_frame_callback_reads_stats(self, assert_ledger_closed):
+    def test_expired_frame_callback_reads_stats(
+        self, gated_blur, assert_ledger_closed
+    ):
+        params, entered, gate = gated_blur
         clock = FakeClock(start=100.0)
-        with ToneMapService(PARAMS, batch_size=8) as service:
-            ingestor = ToneMapIngestor(
-                service, max_delay_ms=60_000, clock=clock
-            )
+        with ToneMapService(params, batch_size=8, max_workers=1) as service:
+            ingestor = ToneMapIngestor(service, clock=clock)
+            blocker = ingestor.submit(scenes(1, base=9)[0])
+            assert entered.wait(timeout=30)  # the frame below stays queued
             seen, settled = [], threading.Event()
             future = ingestor.submit(scenes(1)[0], deadline_ms=20)
 
@@ -341,25 +402,32 @@ class TestDropCallbacks:
             assert seen == [1]
             with pytest.raises(DeadlineExceededError):
                 future.result(timeout=0)
+            gate.set()
             ingestor.close()
+            assert blocker.result(timeout=30) is not None
             assert_ledger_closed(ingestor.stats)
 
     def test_shed_storm_from_many_threads_frees_every_slot(
-        self, assert_ledger_closed
+        self, gated_blur, assert_ledger_closed
     ):
-        # Six submitters shed each other's frames (nothing dispatches
-        # before close), and every victim's slot is freed after the lock
-        # was released and retaken: a lost update would leave a frame
-        # "in flight" (close would hang) or open the ledger.
+        # Six submitters shed each other's frames (the blocker holds the
+        # one slot, so nothing else dispatches before the gate opens),
+        # and every victim's slot is freed after the lock was released
+        # and retaken: a lost update would leave a frame "in flight"
+        # (close would hang) or open the ledger.
+        params, entered, gate = gated_blur
         images = scenes(8, size=8)
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            with ToneMapService(PARAMS, batch_size=64) as service:
+            with ToneMapService(
+                params, batch_size=64, max_workers=1
+            ) as service:
                 ingestor = ToneMapIngestor(
-                    service, max_delay_ms=60_000, queue_limit=3,
-                    policy="shed-oldest",
+                    service, queue_limit=4, policy="shed-oldest"
                 )
+                blocker = ingestor.submit(scenes(1, base=9)[0], "blocker")
+                assert entered.wait(timeout=30)
 
                 def submit_many():
                     for image in images * 5:
@@ -377,13 +445,16 @@ class TestDropCallbacks:
                 for thread in threads:
                     thread.join(timeout=max(0.0, deadline - time.monotonic()))
                 assert not any(thread.is_alive() for thread in threads)
+                gate.set()
                 closer = threading.Thread(target=ingestor.close, daemon=True)
                 closer.start()
                 closer.join(timeout=30)
                 assert not closer.is_alive(), "close() waits on a lost slot"
+                assert blocker.result(timeout=0) is not None
                 stats = ingestor.stats
+                storm = {t.tenant: t for t in stats.tenants}["default"]
                 assert stats.queue_depth == 0
-                assert sum(t.submitted for t in stats.tenants) == 240
+                assert storm.submitted == 240
                 assert stats.shed == 237  # all but the last three queued
                 assert_ledger_closed(stats)
         finally:
@@ -400,8 +471,6 @@ class TestValidation:
     def test_bad_parameters_rejected(self):
         with ToneMapService(PARAMS) as service:
             with pytest.raises(ToneMapError):
-                ToneMapIngestor(service, max_delay_ms=-1)
-            with pytest.raises(ToneMapError):
                 ToneMapIngestor(service, queue_limit=0)
             with pytest.raises(ValueError):
                 ToneMapIngestor(service, policy="drop-newest")
@@ -413,7 +482,7 @@ class TestAsyncAPI:
 
         async def main():
             with ToneMapService(PARAMS, batch_size=2) as service:
-                with ToneMapIngestor(service, max_delay_ms=5) as ingestor:
+                with ToneMapIngestor(service) as ingestor:
                     return await asyncio.gather(
                         *[ingestor.submit_async(img) for img in images]
                     )
@@ -423,13 +492,13 @@ class TestAsyncAPI:
         for got, want in zip(outputs, expected):
             np.testing.assert_array_equal(got.pixels, want.pixels)
 
-    def test_submit_async_propagates_overload(self):
-        params, gate = gated_params()
+    def test_submit_async_propagates_overload(self, gated_blur):
+        params, entered, gate = gated_blur
 
         async def main():
             with ToneMapService(params, batch_size=1, max_workers=1) as service:
                 ingestor = ToneMapIngestor(
-                    service, max_delay_ms=0, queue_limit=1, policy="reject"
+                    service, queue_limit=1, policy="reject"
                 )
                 first = asyncio.ensure_future(
                     ingestor.submit_async(scenes(1)[0])
@@ -452,7 +521,7 @@ class TestZeroCopyIngest:
         # The in-process backend owns an arena too: frames enter it at
         # dispatch, and the only parent-side copy is the materialize.
         with ToneMapService(PARAMS, batch_size=2) as service:
-            with ToneMapIngestor(service, max_delay_ms=5) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 ingestor.map_many(scenes(4, size=16))
             stats = service.pool.data_plane_stats
         assert stats.frames == 4
@@ -462,15 +531,17 @@ class TestZeroCopyIngest:
 
     def test_removed_keywords_raise_type_error(self):
         with ToneMapService(PARAMS, batch_size=2) as service:
-            with pytest.raises(TypeError):
-                ToneMapIngestor(service, zero_copy=True)
+            for removed in ("zero_copy", "max_delay_ms",
+                            "max_inflight_batches"):
+                with pytest.raises(TypeError):
+                    ToneMapIngestor(service, **{removed: 1})
         with pytest.raises(TypeError):
             BatchToneMapper(PARAMS, faults=FaultPlan())
 
     def test_outputs_bit_identical_to_batch_mapper(self):
         images = scenes(5)
         with ToneMapService(PARAMS, batch_size=2, shards=2) as service:
-            with ToneMapIngestor(service, max_delay_ms=20) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 outputs = ingestor.map_many(images)
         expected = BatchToneMapper(PARAMS).run(images).outputs
         for got, want in zip(outputs, expected):
@@ -485,7 +556,7 @@ class TestZeroCopyIngest:
             images.extend(scenes(1, size=24, base=40 + i))
             images.extend(scenes(1, size=32, base=80 + i))
         with ToneMapService(PARAMS, batch_size=3, shards=2) as service:
-            with ToneMapIngestor(service, max_delay_ms=2) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 outputs = ingestor.map_many(images)
             arena = service.pool.arena
             assert arena.stats.leases_active == 0
@@ -499,7 +570,7 @@ class TestZeroCopyIngest:
     def test_no_staging_copies_on_the_ingest_path(self):
         images = scenes(6, size=16)
         with ToneMapService(PARAMS, batch_size=3, shards=1) as service:
-            with ToneMapIngestor(service, max_delay_ms=5) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 ingestor.map_many(images)
             stats = service.pool.data_plane_stats
         # Frames entered shared memory at submit() time; the only
@@ -508,67 +579,90 @@ class TestZeroCopyIngest:
         assert stats.arena.bytes_copied_in == 0
         assert stats.arena.bytes_materialized == stats.bytes_served
 
-    def test_shed_oldest_compacts_arena_slots(self):
-        # With a huge deadline and batch_size 4, three submissions park in
-        # one zero-copy bucket; queue_limit 3 makes the fourth shed the
-        # oldest.  The survivors' frames must come back intact (the shed
-        # compaction moves the top slot's frame into the hole).
+    def test_shed_oldest_compacts_arena_slots(
+        self, gated_blur, assert_ledger_closed
+    ):
+        # Behind the busy slot, three submissions wait for one batch of
+        # 4; queue_limit 4 makes the fourth shed the oldest.  Queued
+        # frames hold no arena slot, so the survivors are written into
+        # the stack at dispatch and must come back intact.
+        params, entered, gate = gated_blur
         images = scenes(4, size=16)
-        with ToneMapService(PARAMS, batch_size=4, shards=1) as service:
+        with ToneMapService(params, batch_size=4, max_workers=1) as service:
             ingestor = ToneMapIngestor(
                 service,
-                max_delay_ms=60_000,
-                queue_limit=3,
+                queue_limit=4,
                 policy=BackpressurePolicy.SHED_OLDEST,
             )
+            blocker = ingestor.submit(scenes(1, base=9)[0])
+            assert entered.wait(timeout=30)
             futures = [ingestor.submit(image) for image in images]
             assert ingestor.stats.shed == 1
+            gate.set()
             ingestor.close()
+            assert blocker.result(timeout=30) is not None
             with pytest.raises(ServiceOverloadedError):
                 futures[0].result(timeout=5)
-            expected = BatchToneMapper(PARAMS).run(images).outputs
+            expected = BatchToneMapper(params).run(images).outputs
             for future, want in zip(futures[1:], expected[1:]):
                 got = future.result(timeout=30)
                 np.testing.assert_array_equal(got.pixels, want.pixels)
+            assert_ledger_closed(ingestor.stats)
 
-    def test_shed_to_empty_bucket_releases_lease(self):
-        # Shedding the only occupant of a bucket must release its arena
-        # stack, not strand it.
+    def test_shed_to_empty_bucket_releases_lease(
+        self, gated_blur, assert_ledger_closed
+    ):
+        # Shedding the only queued frame of a shape must leave no arena
+        # stack behind.
+        params, entered, gate = gated_blur
         images = scenes(2, size=16)
-        with ToneMapService(PARAMS, batch_size=4, shards=1) as service:
+        with ToneMapService(params, batch_size=4, max_workers=1) as service:
             ingestor = ToneMapIngestor(
                 service,
-                max_delay_ms=60_000,
-                queue_limit=1,
+                queue_limit=2,
                 policy=BackpressurePolicy.SHED_OLDEST,
             )
+            blocker = ingestor.submit(scenes(1, base=9)[0])
+            assert entered.wait(timeout=30)
             first = ingestor.submit(images[0])
             second = ingestor.submit(images[1])  # sheds first (sole occupant)
             assert ingestor.stats.shed == 1
+            gate.set()
             ingestor.close()
+            assert blocker.result(timeout=30) is not None
             with pytest.raises(ServiceOverloadedError):
                 first.result(timeout=5)
             assert second.result(timeout=30) is not None
             assert service.pool.arena.stats.leases_active == 0
+            assert_ledger_closed(ingestor.stats)
 
-    def test_full_bucket_rotates_immediately(self):
-        # A bucket sealing at batch_size must dispatch without waiting for
-        # the deadline, and a following submission starts a fresh stack.
+    def test_full_bucket_rotates_immediately(
+        self, gated_blur, assert_ledger_closed
+    ):
+        # Four frames behind the busy slot leave as two full batches of
+        # 2, each in its own stack; a later lone frame starts a fresh one.
+        params, entered, gate = gated_blur
         images = scenes(5, size=16)
-        with ToneMapService(PARAMS, batch_size=2, shards=1) as service:
-            with ToneMapIngestor(service, max_delay_ms=60_000) as ingestor:
+        with ToneMapService(params, batch_size=2, max_workers=1) as service:
+            counts = record_batches(service)
+            with ToneMapIngestor(service) as ingestor:
+                blocker = ingestor.submit(scenes(1, base=9)[0])
+                assert entered.wait(timeout=30)
                 futures = [ingestor.submit(image) for image in images[:4]]
-                for future in futures:
+                gate.set()
+                for future in [blocker] + futures:
                     assert future.result(timeout=30) is not None
-                # Partial fifth image flushes at close.
                 last = ingestor.submit(images[4])
             assert last.result(timeout=30) is not None
-        assert service.stats.batches == 3
+            assert_ledger_closed(ingestor.stats)
+        assert counts == [1, 2, 2, 1]
+        assert service.stats.batches == 4
+        assert service.pool.arena.stats.leases_active == 0
 
     def test_in_process_outputs_bit_identical_to_batch_mapper(self):
         images = scenes(3)
         with ToneMapService(PARAMS, batch_size=2) as service:
-            with ToneMapIngestor(service, max_delay_ms=5) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 outputs = ingestor.map_many(images)
         expected = BatchToneMapper(PARAMS).run(images).outputs
         for got, want in zip(outputs, expected):

@@ -1,13 +1,11 @@
 """End-to-end integration tests: full stacks wired together."""
 
-import numpy as np
 import pytest
 
 from repro.accel import BlurGeometry
 from repro.experiments import (
     make_paper_flow,
     paper_workload,
-    run_fig5,
     run_table2,
 )
 from repro.experiments.runner import run_all_experiments

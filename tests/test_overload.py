@@ -8,8 +8,6 @@ and end-to-end through a gated ingestor whose queue state is
 deterministic.
 """
 
-import threading
-import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -37,7 +35,6 @@ from repro.runtime.overload import (
     LADDER_SHED,
     rung_index,
 )
-from repro.tonemap.gaussian import separable_blur
 from repro.tonemap.pipeline import ToneMapParams
 
 PARAMS = ToneMapParams(sigma=2.0, radius=6)
@@ -51,17 +48,6 @@ def scenes(count, size=24, base=100):
         )
         for i in range(count)
     ]
-
-
-def gated_params():
-    """Params whose blur blocks until the returned event is set."""
-    gate = threading.Event()
-
-    def slow_blur(plane, kernel):
-        gate.wait(timeout=30)
-        return separable_blur(plane, kernel)
-
-    return ToneMapParams(sigma=2.0, radius=6, blur_fn=slow_blur), gate
 
 
 def depth_policy(limit=4, **kwargs):
@@ -262,23 +248,19 @@ class TestEDFOrdering:
             "soon", "later", "ui", "std_old", "std_new"
         ]
 
-    def test_batch_membership_is_edf_selected(self):
-        # One gated worker + a dispatch gate of 1 parks three frames in
-        # the queue; the next 2-seat batch must take the frame with a
-        # deadline and the interactive frame, leaving the older
-        # standard frame behind.
-        params, gate = gated_params()
+    def test_batch_membership_is_edf_selected(
+        self, gated_blur, assert_ledger_closed
+    ):
+        # One gated worker is one batch slot: with the blocker in it,
+        # three frames park in the queue; the next 2-seat batch must
+        # take the frame with a deadline and the interactive frame,
+        # leaving the older standard frame behind.
+        params, entered, gate = gated_blur
         done = []
         with ToneMapService(params, batch_size=2, max_workers=1) as service:
-            with ToneMapIngestor(
-                service, max_delay_ms=0, max_inflight_batches=1
-            ) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 blocker = ingestor.submit(scenes(1, base=0)[0])
-                while True:  # wait for the blocker to occupy the gate
-                    with ingestor._lock:
-                        if ingestor._dispatched == 1:
-                            break
-                    time.sleep(0.005)
+                assert entered.wait(timeout=30)
                 a, b, c = scenes(3)
                 futures = {
                     "standard": ingestor.submit(a),
@@ -293,6 +275,7 @@ class TestEDFOrdering:
                 blocker.result(timeout=30)
                 for future in futures.values():
                     future.result(timeout=30)
+            assert_ledger_closed(ingestor.stats)
         assert set(done[:2]) == {"deadline", "ui"}
         assert done[2] == "standard"
 
@@ -333,10 +316,9 @@ def shed_one(ingestor, tenant=None):
 def quiet_ingestor():
     clock = FakeClock(start=100.0)
     with ToneMapService(PARAMS, batch_size=64) as service:
-        # Huge batch size + huge delay: nothing fabricated ever flushes.
-        ingestor = ToneMapIngestor(
-            service, max_delay_ms=60_000, queue_limit=64, clock=clock
-        )
+        # park() queues without waking the scheduler, which sleeps until
+        # an arrival: nothing fabricated ever dispatches or expires.
+        ingestor = ToneMapIngestor(service, queue_limit=64, clock=clock)
         try:
             yield ingestor, clock
         finally:
@@ -420,23 +402,19 @@ class TestClassAwareShedding:
 
 class TestLadderEndToEnd:
     def test_storm_walks_the_ladder_and_protects_interactive(
-        self, assert_ledger_closed
+        self, gated_blur, assert_ledger_closed
     ):
-        # 1 gated worker, dispatch gate 1: submissions pile up to a
+        # 1 gated worker, one batch slot: submissions pile up to a
         # known depth, then completions drain it one frame at a time —
         # each completion is one ladder observation at a deterministic
         # queue depth (7, 6, ... 0 against an SLO of 2).
-        params, gate = gated_params()
+        params, entered, gate = gated_blur
         policy = depth_policy(
             2, climb_patience=1, descend_patience=1_000
         )
         with ToneMapService(params, batch_size=1, max_workers=1) as service:
             with ToneMapIngestor(
-                service,
-                max_delay_ms=0,
-                queue_limit=64,
-                max_inflight_batches=1,
-                overload=policy,
+                service, queue_limit=64, overload=policy
             ) as ingestor:
                 frames = [
                     ingestor.submit(image, priority="standard")

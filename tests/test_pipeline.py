@@ -8,7 +8,6 @@ from repro.image import HDRImage, SceneParams, window_interior_scene
 from repro.tonemap import (
     GLOBAL_OPERATORS,
     AdjustParams,
-    GaussianKernel,
     MaskingParams,
     ToneMapParams,
     ToneMapper,

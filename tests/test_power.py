@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import PowerError
 from repro.power import (
-    EnergyReport,
     ExecutionPhase,
     PmBusMonitor,
     PowerModel,

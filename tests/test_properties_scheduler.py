@@ -1,6 +1,5 @@
 """Property-based tests for the HLS scheduler and cache simulator."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.hls import (

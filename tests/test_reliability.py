@@ -238,13 +238,18 @@ class TestDeadlineShedding:
         )
 
     def test_expired_frame_sheds_with_deadline_error(
-        self, assert_ledger_closed
+        self, gated_blur, assert_ledger_closed
     ):
+        params, entered, gate = gated_blur
         clock = FakeClock()
-        with ToneMapService(PARAMS, batch_size=8) as service:
+        with ToneMapService(params, batch_size=8, max_workers=1) as service:
             with ToneMapIngestor(
-                service, max_delay_ms=3_600_000, queue_limit=8, clock=clock
+                service, queue_limit=8, clock=clock
             ) as ingestor:
+                # The blocker holds the one slot, so the frames below
+                # stay queued where their budgets are checked.
+                blocker = ingestor.submit(self._image(5))
+                assert entered.wait(timeout=30)
                 doomed = ingestor.submit(self._image(0), deadline_ms=50.0)
                 clock.advance(0.2)  # fake time blows through the budget
                 # A second arrival wakes the coalescer, whose expiry
@@ -255,36 +260,42 @@ class TestDeadlineShedding:
                 assert excinfo.value.deadline_ms == 50.0
                 assert excinfo.value.elapsed_ms >= 50.0
                 assert excinfo.value.tenant == "default"
-                # Fake time must pass max_delay before the coalescer will
-                # flush the survivor; a third arrival wakes it to notice.
-                clock.advance(3_700.0)
-                ingestor.submit(self._image(2))
+                # The survivor leaves once the slot frees.
+                gate.set()
+                assert blocker.result(timeout=30) is not None
                 assert survivor.result(timeout=30) is not None
                 stats = ingestor.stats
                 assert stats.reliability.deadline_shed == 1
             assert_ledger_closed(ingestor.stats)
 
-    def test_default_deadline_applies_to_every_frame(self):
+    def test_default_deadline_applies_to_every_frame(
+        self, gated_blur, assert_ledger_closed
+    ):
+        params, entered, gate = gated_blur
         clock = FakeClock()
-        with ToneMapService(PARAMS, batch_size=8) as service:
+        with ToneMapService(params, batch_size=8, max_workers=1) as service:
             with ToneMapIngestor(
                 service,
-                max_delay_ms=3_600_000,
                 queue_limit=8,
                 clock=clock,
                 default_deadline_ms=100.0,
             ) as ingestor:
+                blocker = ingestor.submit(self._image(5), deadline_ms=1e9)
+                assert entered.wait(timeout=30)
                 doomed = ingestor.submit(self._image(2))
                 clock.advance(1.0)
                 ingestor.submit(self._image(3), deadline_ms=5_000.0)
                 with pytest.raises(DeadlineExceededError):
                     doomed.result(timeout=30)
+                gate.set()
+                assert blocker.result(timeout=30) is not None
+            assert_ledger_closed(ingestor.stats)
 
     def test_deadline_validation(self):
         with ToneMapService(PARAMS, batch_size=4) as service:
             with pytest.raises(ToneMapError):
                 ToneMapIngestor(service, default_deadline_ms=0)
-            with ToneMapIngestor(service, max_delay_ms=1) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 with pytest.raises(ToneMapError):
                     ingestor.submit(self._image(4), deadline_ms=-5)
 

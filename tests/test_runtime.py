@@ -24,22 +24,6 @@ def nan_blur(plane, kernel):
     return out
 
 
-def gated_params():
-    """Params whose blur signals ``entered`` and then blocks until
-    ``gate`` is set: ``(params, entered, gate)``."""
-    from repro.tonemap.gaussian import separable_blur
-
-    entered, gate = threading.Event(), threading.Event()
-
-    def gated_blur(plane, kernel):
-        entered.set()
-        gate.wait(timeout=30)
-        return separable_blur(plane, kernel)
-
-    params = ToneMapParams(sigma=2.0, radius=6, blur_fn=gated_blur)
-    return params, entered, gate
-
-
 def scenes(count, size=32, color=True):
     return [
         make_scene(
@@ -205,11 +189,11 @@ class TestToneMapService:
         assert stats.latency_p95_ms >= stats.latency_p50_ms
         assert stats.latency_p99_ms >= stats.latency_p95_ms
 
-    def test_queue_depth_counts_queued_batches(self):
+    def test_queue_depth_counts_queued_batches(self, gated_blur):
         # Batches waiting behind the thread pool are "admitted but not
         # finished" and must show up in queue_depth, not just the ones a
         # worker has started executing.
-        params, entered, gate = gated_params()
+        params, entered, gate = gated_blur
         with ToneMapService(params, max_workers=1) as service:
             futures = []
             for image in scenes(3, size=16):
@@ -223,12 +207,12 @@ class TestToneMapService:
                 future.result(timeout=30)
             assert service.stats.queue_depth == 0
 
-    def test_map_many_stages_each_chunk_in_its_pooled_task(self):
+    def test_map_many_stages_each_chunk_in_its_pooled_task(self, gated_blur):
         # Three 2-frame chunks on one pool thread: all three count in
         # queue_depth, but only the running chunk holds arena stacks
         # (its input and its output slab) — the queued two are not
         # staged until a thread picks them up.
-        params, entered, gate = gated_params()
+        params, entered, gate = gated_blur
         with ToneMapService(params, max_workers=1, batch_size=2) as service:
             images = scenes(6, size=16)
             outputs = []

@@ -67,7 +67,6 @@ def test_multi_tenant_soak_fairness_and_zero_allocs():
     ) as service:
         ingestor = ToneMapIngestor(
             service,
-            max_delay_ms=2,
             queue_limit=48,
             per_tenant_queue_limit=16,
             policy="block",

@@ -7,7 +7,6 @@ fairness index, and the zero-copy ``ResultHandle`` result path.
 """
 
 import os
-import threading
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from repro.image.synthetic import SceneParams, make_scene
 from repro.runtime import (
     BatchToneMapper,
     DeficitRoundRobin,
+    FakeClock,
     ResultHandle,
     ServiceStats,
     TenantConfig,
@@ -24,7 +24,6 @@ from repro.runtime import (
     ToneMapIngestor,
     ToneMapService,
 )
-from repro.tonemap.gaussian import separable_blur
 from repro.tonemap.pipeline import ToneMapParams
 
 PARAMS = ToneMapParams(sigma=2.0, radius=6)
@@ -41,14 +40,13 @@ def scenes(count, size=24, base=100):
     ]
 
 
-def gated_params():
-    gate = threading.Event()
-
-    def slow_blur(plane, kernel):
-        gate.wait(timeout=30)
-        return separable_blur(plane, kernel)
-
-    return ToneMapParams(sigma=2.0, radius=6, blur_fn=slow_blur), gate
+def occupy_slot(ingestor, entered, tenant="blocker"):
+    """Submit a frame that holds the one batch slot of a gated service
+    until its gate opens; later frames stay queued.  Returns its future.
+    """
+    future = ingestor.submit(scenes(1, base=999)[0], tenant)
+    assert entered.wait(timeout=30)
+    return future
 
 
 def shm_names():
@@ -179,12 +177,11 @@ class TestTenantConfig:
 
 
 class TestPerTenantAdmission:
-    def test_tenant_limit_does_not_block_other_tenants(self):
-        params, gate = gated_params()
+    def test_tenant_limit_does_not_block_other_tenants(self, gated_blur):
+        params, entered, gate = gated_blur
         with ToneMapService(params, batch_size=8, max_workers=1) as service:
             ingestor = ToneMapIngestor(
                 service,
-                max_delay_ms=60_000,
                 queue_limit=64,
                 per_tenant_queue_limit=2,
                 policy="reject",
@@ -209,35 +206,41 @@ class TestPerTenantAdmission:
         assert by_name["light"].rejected == 0
         assert by_name["light"].served == 1
 
-    def test_tenant_policy_overrides_default(self):
-        params, gate = gated_params()
+    def test_tenant_policy_overrides_default(
+        self, gated_blur, assert_ledger_closed
+    ):
+        params, entered, gate = gated_blur
         with ToneMapService(params, batch_size=8, max_workers=1) as service:
             ingestor = ToneMapIngestor(
                 service,
-                max_delay_ms=60_000,
                 queue_limit=64,
                 policy="block",
                 tenants={
                     "spiky": TenantConfig(queue_limit=1, policy="shed-oldest")
                 },
             )
+            blocker = occupy_slot(ingestor, entered)
             first = ingestor.submit(scenes(1, base=0)[0], tenant="spiky")
             second = ingestor.submit(scenes(1, base=1)[0], tenant="spiky")
             with pytest.raises(ServiceOverloadedError):
                 first.result(timeout=5)
             gate.set()
             ingestor.close()
+            assert blocker.result(timeout=30) is not None
             assert second.result(timeout=30) is not None
+            assert_ledger_closed(ingestor.stats)
 
-    def test_global_shed_takes_globally_oldest(self):
-        params, gate = gated_params()
+    def test_global_shed_takes_globally_oldest(
+        self, gated_blur, assert_ledger_closed
+    ):
+        params, entered, gate = gated_blur
         with ToneMapService(params, batch_size=8, max_workers=1) as service:
             ingestor = ToneMapIngestor(
                 service,
-                max_delay_ms=60_000,
-                queue_limit=2,
+                queue_limit=3,
                 policy="shed-oldest",
             )
+            blocker = occupy_slot(ingestor, entered)
             oldest = ingestor.submit(scenes(1, base=0)[0], tenant="heavy")
             kept = ingestor.submit(scenes(1, base=1)[0], tenant="heavy")
             newcomer = ingestor.submit(scenes(1, base=2)[0], tenant="light")
@@ -245,26 +248,36 @@ class TestPerTenantAdmission:
                 oldest.result(timeout=5)
             gate.set()
             ingestor.close()
+            assert blocker.result(timeout=30) is not None
             assert kept.result(timeout=30) is not None
             assert newcomer.result(timeout=30) is not None
+            assert_ledger_closed(ingestor.stats)
 
 
 class TestCrossTenantCoalescing:
-    def test_one_batch_serves_two_tenants(self):
-        # Two same-shape frames from different tenants must coalesce
-        # into a single batch, not one batch per tenant.
-        with ToneMapService(PARAMS, batch_size=2) as service:
-            with ToneMapIngestor(service, max_delay_ms=60_000) as ingestor:
+    def test_one_batch_serves_two_tenants(
+        self, gated_blur, assert_ledger_closed
+    ):
+        # Two same-shape frames from different tenants waiting behind a
+        # busy slot must coalesce into a single batch, not one batch per
+        # tenant.
+        params, entered, gate = gated_blur
+        with ToneMapService(params, batch_size=2, max_workers=1) as service:
+            with ToneMapIngestor(service) as ingestor:
+                blocker = occupy_slot(ingestor, entered)
                 a = ingestor.submit(scenes(1, base=0)[0], tenant="a")
                 b = ingestor.submit(scenes(1, base=1)[0], tenant="b")
+                gate.set()
+                assert blocker.result(timeout=30) is not None
                 assert a.result(timeout=30) is not None
                 assert b.result(timeout=30) is not None
-        assert service.stats.batches == 1
+            assert_ledger_closed(ingestor.stats)
+        assert service.stats.batches == 2  # the blocker's, then a + b
 
     def test_outputs_identical_across_tenants(self):
         images = scenes(6)
         with ToneMapService(PARAMS, batch_size=3, shards=1) as service:
-            with ToneMapIngestor(service, max_delay_ms=10) as ingestor:
+            with ToneMapIngestor(service) as ingestor:
                 futures = [
                     ingestor.submit(img, tenant=("a" if i % 2 else "b"))
                     for i, img in enumerate(images)
@@ -274,20 +287,22 @@ class TestCrossTenantCoalescing:
         for got, want in zip(outputs, expected):
             np.testing.assert_array_equal(got.pixels, want.pixels)
 
-    def test_light_tenant_not_starved_by_heavy_backlog(self):
+    def test_light_tenant_not_starved_by_heavy_backlog(
+        self, gated_blur, assert_ledger_closed
+    ):
         # The tentpole behavior, end to end: a light frame arriving
         # behind a heavy backlog rides the *next* scheduled batch.
-        params, gate = gated_params()
+        params, entered, gate = gated_blur
         done_at = {}
         with ToneMapService(params, batch_size=2, max_workers=1) as service:
-            ingestor = ToneMapIngestor(
-                service, max_delay_ms=60_000, max_inflight_batches=1
-            )
+            ingestor = ToneMapIngestor(service)
             futures = {}
-            # Two heavies dispatch immediately (and block on the gate);
-            # four more park in heavy's queue.
+            # The first heavy dispatches at once (and blocks on the
+            # gate); five more park in heavy's queue.
             for i, img in enumerate(scenes(6, base=0)):
                 futures[f"h{i}"] = ingestor.submit(img, tenant="heavy")
+                if i == 0:
+                    assert entered.wait(timeout=30)
             futures["light"] = ingestor.submit(
                 scenes(1, base=50)[0], tenant="light"
             )
@@ -301,6 +316,7 @@ class TestCrossTenantCoalescing:
                 )
             gate.set()
             ingestor.close()
+            assert_ledger_closed(ingestor.stats)
         # The light frame must complete before heavy's tail: it gets a
         # DRR seat in the first post-backlog batch, so at least two
         # parked heavies finish after it.
@@ -308,44 +324,36 @@ class TestCrossTenantCoalescing:
                  if done_at[k] > done_at["light"]]
         assert len(later) >= 2, (done_at, later)
 
-    def test_expired_shape_outranks_permanently_full_shape(self):
-        # A tenant flooding one frame shape keeps that shape full
-        # forever; a different-shape frame that passed max_delay_ms
-        # must flush in age order — before every flood frame *younger*
-        # than it — instead of waiting out the whole flood (which is
-        # what full-shape-first selection would do: the odd partial
-        # batch can never fill and would always lose to a full one).
-        params, gate = gated_params()
-        done_at = {}
+    def test_oldest_head_outranks_younger_full_shape(
+        self, gated_blur, assert_ledger_closed
+    ):
+        # A tenant flooding one frame shape keeps that shape full; a
+        # different-shape frame that is older than the flood's head must
+        # leave first, alone, instead of waiting out the whole flood
+        # (which is what full-shape-first selection would do: the odd
+        # partial batch can never fill and would always lose).
+        params, entered, gate = gated_blur
+        clock = FakeClock()
+        done = []
         with ToneMapService(params, batch_size=2, max_workers=1) as service:
-            ingestor = ToneMapIngestor(
-                service, max_delay_ms=5, max_inflight_batches=1
-            )
-            futures = {}
-            for i, img in enumerate(scenes(4, size=24, base=0)):
-                futures[f"h{i}"] = ingestor.submit(img, tenant="flood")
+            ingestor = ToneMapIngestor(service, clock=clock)
+            futures = {"blocker": occupy_slot(ingestor, entered)}
+            clock.advance(1.0)
             # Different shape, single frame: can never fill a batch.
             futures["odd"] = ingestor.submit(
                 scenes(1, size=16, base=77)[0], tenant="rare"
             )
-            for i, img in enumerate(scenes(4, size=24, base=30)):
-                futures[f"h{4 + i}"] = ingestor.submit(img, tenant="flood")
-            import time as _time
-
-            _time.sleep(0.02)  # every queued deadline expires
+            for i, img in enumerate(scenes(4, size=24, base=0)):
+                clock.advance(1.0)
+                futures[f"h{i}"] = ingestor.submit(img, tenant="flood")
             for key, future in futures.items():
-                future.add_done_callback(
-                    lambda f, key=key: done_at.setdefault(
-                        key, _time.perf_counter()
-                    )
-                )
+                future.add_done_callback(lambda f, key=key: done.append(key))
             gate.set()
             ingestor.close()
-        # Age order: the odd frame waits only for flood frames older
-        # than itself — every younger flood frame finishes after it.
-        later = [k for k in done_at if k != "odd"
-                 and done_at[k] > done_at["odd"]]
-        assert set(later) >= {"h4", "h5", "h6", "h7"}, done_at
+            assert_ledger_closed(ingestor.stats)
+        # One slot, so completion order is dispatch order: the odd head
+        # (age 4) goes before the full flood shape (head age 3).
+        assert done == ["blocker", "odd", "h0", "h1", "h2", "h3"], done
 
     def test_fairness_index_near_one_for_weighted_service(self):
         stats = ServiceStats(
@@ -375,16 +383,16 @@ class TestCrossTenantCoalescing:
 
 class TestShedStormCoalescing:
     def test_storm_victims_share_one_error_context(
-        self, assert_ledger_closed
+        self, gated_blur, assert_ledger_closed
     ):
-        params, gate = gated_params()
+        params, entered, gate = gated_blur
         with ToneMapService(params, batch_size=8, max_workers=1) as service:
             ingestor = ToneMapIngestor(
                 service,
-                max_delay_ms=60_000,
-                queue_limit=2,
+                queue_limit=3,
                 policy="shed-oldest",
             )
+            blocker = occupy_slot(ingestor, entered)
             victims = [ingestor.submit(img) for img in scenes(2, base=0)]
             # Each newcomer sheds one victim; all sheds belong to one
             # storm (no dispatch in between), so the victims must share
@@ -402,32 +410,25 @@ class TestShedStormCoalescing:
             assert ingestor.stats.shed == 2
             gate.set()
             ingestor.close()
+            assert blocker.result(timeout=30) is not None
             for future in survivors:
                 assert future.result(timeout=30) is not None
             assert_ledger_closed(ingestor.stats)
 
-    def test_new_storm_gets_fresh_context_after_dispatch(self):
-        import time as _time
-
-        def wait_until(predicate, timeout=10.0):
-            deadline = _time.perf_counter() + timeout
-            while not predicate():
-                assert _time.perf_counter() < deadline, "condition timed out"
-                _time.sleep(0.002)
-
-        params, gate = gated_params()
+    def test_new_storm_gets_fresh_context_after_dispatch(
+        self, gated_blur, assert_ledger_closed
+    ):
+        params, entered, gate = gated_blur
         with ToneMapService(params, batch_size=1, max_workers=1) as service:
             ingestor = ToneMapIngestor(
                 service,
-                max_delay_ms=60_000,
                 queue_limit=2,
                 policy="shed-oldest",
-                max_inflight_batches=1,
             )
-            # First frame dispatches (batch_size=1) and blocks on the
-            # gate; the next one parks where a newcomer can shed it.
+            # First frame dispatches and blocks on the gate; the next
+            # one parks where a newcomer can shed it.
             running = ingestor.submit(scenes(1, base=0)[0])
-            wait_until(lambda: ingestor._dispatched == 1)
+            assert entered.wait(timeout=30)
             victim1 = ingestor.submit(scenes(1, base=1)[0])
             kept1 = ingestor.submit(scenes(1, base=2)[0])  # storm 1
             storm1 = victim1.exception(timeout=5)
@@ -436,11 +437,12 @@ class TestShedStormCoalescing:
             gate.set()
             assert running.result(timeout=30) is not None
             assert kept1.result(timeout=30) is not None
-            wait_until(lambda: ingestor._dispatched == 0)
-            # Rebuild the same overload shape for storm 2.
+            # Rebuild the same overload shape for storm 2: kept1's batch
+            # has run, so the next blur call is running2's.
+            entered.clear()
             gate.clear()
             running2 = ingestor.submit(scenes(1, base=3)[0])
-            wait_until(lambda: ingestor._dispatched == 1)
+            assert entered.wait(timeout=30)
             victim2 = ingestor.submit(scenes(1, base=4)[0])
             kept2 = ingestor.submit(scenes(1, base=5)[0])  # storm 2
             storm2 = victim2.exception(timeout=5)
@@ -452,20 +454,23 @@ class TestShedStormCoalescing:
             ingestor.close()
             assert running2.result(timeout=30) is not None
             assert kept2.result(timeout=30) is not None
+            assert_ledger_closed(ingestor.stats)
 
-    def test_concurrent_storms_keep_separate_scopes(self):
+    def test_concurrent_storms_keep_separate_scopes(
+        self, gated_blur, assert_ledger_closed
+    ):
         # Two tenants hitting their own limits (no dispatch between)
         # must each get their own coalesced context with their own
         # tenant attribution — not share the first storm's metadata.
-        params, gate = gated_params()
+        params, entered, gate = gated_blur
         with ToneMapService(params, batch_size=8, max_workers=1) as service:
             ingestor = ToneMapIngestor(
                 service,
-                max_delay_ms=60_000,
                 queue_limit=64,
                 per_tenant_queue_limit=2,
                 policy="shed-oldest",
             )
+            blocker = occupy_slot(ingestor, entered)
             a_victim = ingestor.submit(scenes(1, base=0)[0], tenant="a")
             ingestor.submit(scenes(1, base=1)[0], tenant="a")
             ingestor.submit(scenes(1, base=2)[0], tenant="a")  # sheds in a
@@ -479,45 +484,52 @@ class TestShedStormCoalescing:
             assert storm_b.tenant == "b" and storm_b.shed_count == 1
             gate.set()
             ingestor.close()
+            assert blocker.result(timeout=30) is not None
+            assert_ledger_closed(ingestor.stats)
 
-    def test_shed_storm_holds_no_arena_slots(self):
+    def test_shed_storm_holds_no_arena_slots(
+        self, gated_blur, assert_ledger_closed
+    ):
         # Slot accounting: queued frames own no arena leases, so a shed
         # storm leaves the data plane untouched — nothing to release,
-        # nothing leaked, no staged bytes.
-        with ToneMapService(PARAMS, batch_size=8, shards=1) as service:
-            before = service.pool.data_plane_stats
+        # nothing leaked, no staged bytes.  Only the blocker's batch,
+        # running in the one slot, holds leases meanwhile.
+        params, entered, gate = gated_blur
+        with ToneMapService(params, batch_size=8, max_workers=1) as service:
             ingestor = ToneMapIngestor(
                 service,
-                max_delay_ms=60_000,
-                queue_limit=2,
+                queue_limit=3,
                 policy="shed-oldest",
             )
+            blocker = occupy_slot(ingestor, entered)
+            before = service.pool.data_plane_stats
             victims = [ingestor.submit(img) for img in scenes(2, base=0)]
             survivors = [
                 ingestor.submit(img) for img in scenes(4, base=10)
             ]
             during = service.pool.data_plane_stats
-            assert during.arena.leases_active == 0
+            assert during.arena.leases_active == before.arena.leases_active
             assert during.arena.acquisitions == before.arena.acquisitions
             for victim in victims[:2]:
                 assert isinstance(
                     victim.exception(timeout=5), ServiceOverloadedError
                 )
+            gate.set()
             ingestor.close()
+            assert blocker.result(timeout=30) is not None
             after = service.pool.data_plane_stats
             assert after.arena.leases_active == 0
             assert after.arena.bytes_copied_in == 0
             for future in survivors[-2:]:
                 assert future.result(timeout=30) is not None
+            assert_ledger_closed(ingestor.stats)
 
 
 class TestLeaseNativeResults:
     def test_handles_bit_identical_to_materialized(self):
         images = scenes(4, size=16)
         with ToneMapService(PARAMS, batch_size=2, shards=1) as service:
-            with ToneMapIngestor(
-                service, max_delay_ms=10, lease_results=True
-            ) as ingestor:
+            with ToneMapIngestor(service, lease_results=True) as ingestor:
                 futures = [ingestor.submit(img) for img in images]
                 handles = [f.result(timeout=30) for f in futures]
                 assert all(isinstance(h, ResultHandle) for h in handles)
@@ -531,9 +543,7 @@ class TestLeaseNativeResults:
     def test_lease_results_stage_zero_bytes(self):
         images = scenes(4, size=16)
         with ToneMapService(PARAMS, batch_size=2, shards=1) as service:
-            with ToneMapIngestor(
-                service, max_delay_ms=10, lease_results=True
-            ) as ingestor:
+            with ToneMapIngestor(service, lease_results=True) as ingestor:
                 for future in [ingestor.submit(img) for img in images]:
                     future.result(timeout=30).release()
             stats = service.pool.data_plane_stats
@@ -542,16 +552,19 @@ class TestLeaseNativeResults:
         assert stats.arena.bytes_copied_in == 0
         assert stats.arena.bytes_materialized == 0
 
-    def test_slab_recycles_after_last_handle(self):
+    def test_slab_recycles_after_last_handle(
+        self, gated_blur, assert_ledger_closed
+    ):
+        params, entered, gate = gated_blur
         images = scenes(2, size=16)
-        with ToneMapService(PARAMS, batch_size=2, shards=1) as service:
-            with ToneMapIngestor(
-                service, max_delay_ms=10, lease_results=True
-            ) as ingestor:
-                first, second = [
-                    f.result(timeout=30)
-                    for f in [ingestor.submit(img) for img in images]
-                ]
+        with ToneMapService(params, batch_size=2, max_workers=1) as service:
+            with ToneMapIngestor(service, lease_results=True) as ingestor:
+                blocker = occupy_slot(ingestor, entered)
+                # Both wait behind the busy slot and share one batch.
+                pending = [ingestor.submit(img) for img in images]
+                gate.set()
+                blocker.result(timeout=30).release()
+                first, second = [f.result(timeout=30) for f in pending]
                 arena = service.pool.arena
                 assert arena.stats.leases_active == 1  # both share the slab
                 first.release()
@@ -559,13 +572,12 @@ class TestLeaseNativeResults:
                 second.release()
                 assert arena.stats.leases_active == 0
                 first.release()  # idempotent
+            assert_ledger_closed(ingestor.stats)
 
     def test_released_handle_refuses_reads(self):
         images = scenes(2, size=16)
         with ToneMapService(PARAMS, batch_size=2, shards=1) as service:
-            with ToneMapIngestor(
-                service, max_delay_ms=10, lease_results=True
-            ) as ingestor:
+            with ToneMapIngestor(service, lease_results=True) as ingestor:
                 handle = ingestor.submit(images[0]).result(timeout=30)
                 with handle:
                     assert handle.shape == (16, 16, 3)
@@ -576,9 +588,7 @@ class TestLeaseNativeResults:
     def test_materialize_escapes_the_lease(self):
         images = scenes(2, size=16)
         with ToneMapService(PARAMS, batch_size=2, shards=1) as service:
-            with ToneMapIngestor(
-                service, max_delay_ms=10, lease_results=True
-            ) as ingestor:
+            with ToneMapIngestor(service, lease_results=True) as ingestor:
                 handle = ingestor.submit(images[0]).result(timeout=30)
                 view = handle.pixels.copy()
                 image = handle.materialize()
@@ -591,9 +601,7 @@ class TestLeaseNativeResults:
         baseline = shm_names()
         images = scenes(6, size=16)
         with ToneMapService(PARAMS, batch_size=3, shards=1) as service:
-            with ToneMapIngestor(
-                service, max_delay_ms=5, lease_results=True
-            ) as ingestor:
+            with ToneMapIngestor(service, lease_results=True) as ingestor:
                 for future in [ingestor.submit(img) for img in images]:
                     future.result(timeout=30).release()
         assert shm_names() <= baseline
@@ -605,9 +613,7 @@ class TestLeaseNativeResults:
         images = scenes(5, size=16)
         expected = BatchToneMapper(PARAMS).run(images).outputs
         with ToneMapService(PARAMS, batch_size=2) as service:
-            with ToneMapIngestor(
-                service, max_delay_ms=5, lease_results=True
-            ) as ingestor:
+            with ToneMapIngestor(service, lease_results=True) as ingestor:
                 handles = [
                     f.result(timeout=30)
                     for f in [ingestor.submit(img) for img in images]
@@ -645,15 +651,13 @@ class TestIngestorValidation:
         with ToneMapService(PARAMS) as service:
             with pytest.raises(ToneMapError):
                 ToneMapIngestor(service, per_tenant_queue_limit=0)
-            with pytest.raises(ToneMapError):
-                ToneMapIngestor(service, max_inflight_batches=0)
 
     def test_async_submit_carries_tenant(self):
         import asyncio
 
         async def main():
             with ToneMapService(PARAMS, batch_size=2) as service:
-                with ToneMapIngestor(service, max_delay_ms=5) as ingestor:
+                with ToneMapIngestor(service) as ingestor:
                     out = await ingestor.submit_async(
                         scenes(1)[0], tenant="vip"
                     )
